@@ -13,7 +13,6 @@ import numpy as np
 
 from .coding import (
     LinearCode,
-    ball_size,
     binary_entropy,
     bits_to_int,
     coset_members,
@@ -47,35 +46,45 @@ def ball_verifier(x, theta, delta: float) -> np.ndarray:
     return hermitize(v)
 
 
-def max_ball_overlap(x, theta, xp, thetap, delta: float) -> float:
-    """max |<z|_theta <z'|_theta'>| over the two balls, by enumeration."""
+def _ball(x, delta: float) -> np.ndarray:
+    """The strings within floor(delta n) flips of x, as rows of a bit matrix."""
     x = np.asarray(x, dtype=np.uint8)
-    xp = np.asarray(xp, dtype=np.uint8)
-    theta = np.asarray(theta, dtype=np.uint8)
-    thetap = np.asarray(thetap, dtype=np.uint8)
-    n = x.size
-    radius = math.floor(delta * n)
-    same = theta == thetap
-    mismatch = int(np.sum(~same))
-    base = 2.0 ** (-mismatch / 2.0)
-    best = 0.0
-    for z in hamming_ball_around(x, radius):
-        for zp in hamming_ball_around(xp, radius):
-            if np.any(z[same] != zp[same]):
-                continue
-            best = max(best, base)
-    return best
+    return np.array(hamming_ball_around(x, math.floor(delta * x.size)), dtype=np.uint8)
+
+
+def _gram(ball0: np.ndarray, ball1: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Inner products <z|_theta0 |z'>_theta1 for z in ball0 and z' in ball1,
+    one (|ball0|, |ball1|) matrix per row m = theta0 xor theta1 of `masks`.
+
+    Positions where the bases agree must carry equal bits; each position
+    where they differ contributes (-1)^{z_i z'_i} / sqrt(2). The matrices
+    therefore depend on the bases only through m.
+    """
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1, ball0.shape[1])
+    differ = (ball0[:, None, :] != ball1[None, :, :]).astype(np.int64)
+    both = (ball0[:, None, :] & ball1[None, :, :]).astype(np.int64)
+    agree = differ @ (1 - masks).T == 0
+    signs = 1 - 2 * (both @ masks.T % 2)
+    scale = 2.0 ** (-masks.sum(axis=1) / 2.0)
+    return np.moveaxis(np.where(agree, signs * scale, 0.0), -1, 0)
+
+
+def max_ball_overlap(x, theta, xp, thetap, delta: float) -> float:
+    """max |<z|_theta <z'|_theta'>| over the two balls."""
+    mask = np.asarray(theta, dtype=np.uint8) ^ np.asarray(thetap, dtype=np.uint8)
+    return float(np.max(np.abs(_gram(_ball(x, delta), _ball(xp, delta), mask))))
 
 
 def overlap_bound_check(x, theta, xp, thetap, delta: float, tol: float = 1e-9) -> dict:
-    """||V V'|| <= (max single overlap) * sqrt(|ball| * |ball'|)."""
-    n = np.asarray(x).size
-    v = ball_verifier(x, theta, delta)
-    vp = ball_verifier(xp, thetap, delta)
-    lhs = spectral_norm(v @ vp)
-    radius = math.floor(delta * n)
-    size = ball_size(n, radius)
-    rhs = max_ball_overlap(x, theta, xp, thetap, delta) * size
+    """||V V'|| <= (max single overlap) * sqrt(|ball| * |ball'|).
+
+    ||V V'|| is the largest singular value of the ball Gram matrix, since
+    V and V' project onto orthonormal ball states.
+    """
+    mask = np.asarray(theta, dtype=np.uint8) ^ np.asarray(thetap, dtype=np.uint8)
+    (gram,) = _gram(_ball(x, delta), _ball(xp, delta), mask)
+    lhs = spectral_norm(gram)
+    rhs = float(np.max(np.abs(gram))) * gram.shape[0]
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + tol}
 
 
@@ -117,9 +126,14 @@ def na_binding(instance: BcjlInstance, budget: int | None = None, seed=0) -> dic
     """max ||V(x,theta) + V(x',theta')|| over hash-opposite syndrome-consistent
     opening pairs, against the bound 1 + 2^{-d/2 + delta n + h(delta) n}.
 
-    Full enumeration when the pair count allows; otherwise `budget` sampled
-    pairs (recorded in the result). Same-opening pairs never appear because
-    the two openings hash to different bits.
+    For nonzero projectors ||V + V'|| = 1 + ||V V'|| (Jordan's lemma), and
+    ||V V'|| is the largest singular value of the ball Gram matrix, which
+    depends on the bases only through theta xor theta'. Without a budget, or
+    with one that covers every pair, the search is exhaustive over the
+    classes (x, x', theta xor theta'), each standing for the 2^n pairs it
+    covers; otherwise `budget` sampled pairs (recorded in the result).
+    `pairs_evaluated` counts pairs, not classes. Same-opening pairs never
+    appear because the two openings hash to different bits.
     """
     n = instance.n
     d = instance.code.min_distance()
@@ -139,48 +153,43 @@ def na_binding(instance: BcjlInstance, budget: int | None = None, seed=0) -> dic
         }
     thetas = list(itertools.product((0, 1), repeat=n))
     total_pairs = len(zeros) * len(ones) * len(thetas) ** 2
-    max_sum = 0.0
-    argmax = None
-    overlap_checks_ok = True
+    # (index into zeros, index into ones, theta0 per Gram matrix, theta1 per Gram matrix)
     if budget is None or total_pairs <= budget:
-        pairs = (
-            (x0, t0, x1, t1)
-            for x0 in zeros
-            for t0 in thetas
-            for x1 in ones
-            for t1 in thetas
-        )
+        # theta0 = 0...0 represents every theta0 of the class theta1 xor theta0
+        batches = [(i, j, [thetas[0]] * len(thetas), thetas)
+                   for i in range(len(zeros)) for j in range(len(ones))]
         exhaustive = True
         count = total_pairs
     else:
         rng = rng_from_seed(seed)
-        def sampled():
-            for _ in range(budget):
-                yield (
-                    zeros[rng.integers(len(zeros))],
-                    thetas[rng.integers(len(thetas))],
-                    ones[rng.integers(len(ones))],
-                    thetas[rng.integers(len(thetas))],
-                )
-        pairs = sampled()
+        batches = []
+        for _ in range(budget):
+            i = int(rng.integers(len(zeros)))
+            t0 = thetas[rng.integers(len(thetas))]
+            j = int(rng.integers(len(ones)))
+            t1 = thetas[rng.integers(len(thetas))]
+            batches.append((i, j, [t0], [t1]))
         exhaustive = False
         count = budget
-    for x0, t0, x1, t1 in pairs:
-        v0 = ball_verifier(x0, np.array(t0, dtype=np.uint8), instance.delta)
-        v1 = ball_verifier(x1, np.array(t1, dtype=np.uint8), instance.delta)
-        value = spectral_norm(v0 + v1)
-        check = overlap_bound_check(
-            x0, np.array(t0, dtype=np.uint8), x1, np.array(t1, dtype=np.uint8),
-            instance.delta,
-        )
-        overlap_checks_ok = overlap_checks_ok and check["pass"]
-        if value > max_sum:
-            max_sum = value
+    balls0 = [_ball(x, instance.delta) for x in zeros]
+    balls1 = [_ball(x, instance.delta) for x in ones]
+    max_sum = 0.0
+    argmax = None
+    overlap_checks_ok = True
+    for i, j, t0s, t1s in batches:
+        grams = _gram(balls0[i], balls1[j], np.bitwise_xor(t0s, t1s))
+        norms = np.linalg.svd(grams, compute_uv=False)[:, 0]
+        # overlap bound: ||V V'|| <= max |Gram entry| * |ball|
+        peaks = np.max(np.abs(grams), axis=(1, 2)) * grams.shape[1]
+        overlap_checks_ok = overlap_checks_ok and bool(np.all(norms <= peaks + 1e-9))
+        k = int(np.argmax(norms))
+        if 1.0 + norms[k] > max_sum:
+            max_sum = 1.0 + float(norms[k])
             argmax = {
-                "x0": tuple(int(b) for b in x0),
-                "theta0": t0,
-                "x1": tuple(int(b) for b in x1),
-                "theta1": t1,
+                "x0": tuple(int(b) for b in zeros[i]),
+                "theta0": t0s[k],
+                "x1": tuple(int(b) for b in ones[j]),
+                "theta1": t1s[k],
             }
     return {
         "max_sum": max_sum,

@@ -3,7 +3,7 @@
 Every subcommand assembles an ExperimentReport, prints one line per check
 to standard output, and optionally writes the full JSON report to --out.
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage or input
-error.
+error, 3 internal error (an unexpected exception, reported on one line).
 """
 from __future__ import annotations
 
@@ -40,8 +40,7 @@ def _emit(report: ExperimentReport, out: str | None) -> int:
     return 0 if report.passed else 1
 
 
-def _game_record(tag: str, res: games.GameResult) -> CheckRecord:
-    started = time.time()
+def _game_record(tag: str, res: games.GameResult, runtime_s: float) -> CheckRecord:
     ok = res.ok
     values = {
         "non_adaptive": res.non_adaptive,
@@ -59,26 +58,25 @@ def _game_record(tag: str, res: games.GameResult) -> CheckRecord:
     return CheckRecord(
         name=tag, passed=ok, values=values, bound=None, slack=None,
         provenance="solver-certificate", inputs_digest=digest_inputs(tag),
-        runtime_s=time.time() - started,
+        runtime_s=runtime_s,
     )
 
 
 def _cmd_game(args) -> int:
-    checks = []
+    games_to_run = []
     if args.bell:
-        res = games.verify_main_theorem(games.bell_game(), tol=args.tol)
-        checks.append(_game_record("bell", res))
-    if args.random:
-        for k in range(args.random):
-            game = games.random_game(
-                args.dim_a, args.dim_b, args.tests, seed=(args.seed, k)
-            )
-            res = games.verify_main_theorem(game, tol=args.tol)
-            checks.append(_game_record(f"random-{k}", res))
+        games_to_run.append(("bell", games.bell_game()))
+    for k in range(args.random):
+        games_to_run.append((f"random-{k}", games.random_game(
+            args.dim_a, args.dim_b, args.tests, seed=(args.seed, k))))
     if args.state and args.family:
-        game = games.AttackGame(load_state(args.state), games.load_family(args.family))
+        games_to_run.append(("from-files", games.AttackGame(
+            load_state(args.state), games.load_family(args.family))))
+    checks = []
+    for tag, game in games_to_run:
+        started = time.perf_counter()
         res = games.verify_main_theorem(game, tol=args.tol)
-        checks.append(_game_record("from-files", res))
+        checks.append(_game_record(tag, res, time.perf_counter() - started))
     if not checks:
         raise InputError("nothing to do: pass --bell, --random N, or --state/--family")
     return _emit(ExperimentReport("game", args.seed, checks), args.out)
@@ -102,7 +100,9 @@ def _cmd_binding(args) -> int:
             name="adaptive-binding", passed=True,
             values={"p0": report.p0, "p1": report.p1, "epsilon": report.epsilon,
                     "mode": report.mode},
-            provenance="net-search", inputs_digest=digest_inputs(args.state),
+            provenance=("closed-form" if args.mode == "projective-bruteforce"
+                        else "solver-certificate"),
+            inputs_digest=digest_inputs(args.state),
             runtime_s=time.time() - started,
         ))
     if args.storage_q is not None:
@@ -112,7 +112,7 @@ def _cmd_binding(args) -> int:
         ok = all(row["pass"] is not False for row in rows)
         checks.append(CheckRecord(
             name="storage-reduction", passed=ok, values={"rows": rows},
-            provenance="net-search", inputs_digest=digest_inputs(args.scheme),
+            provenance="closed-form", inputs_digest=digest_inputs(args.scheme),
             runtime_s=time.time() - started,
         ))
     return _emit(ExperimentReport("binding", args.seed, checks), args.out)
@@ -378,6 +378,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed check (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,10 +10,9 @@ Two routes to the adaptive opening probability P_b:
   povm-relaxation     : optimal POVM discrimination over the score operators
                         K_y = Tr_B[(I (x) V_y) rho] - an upper bound, since
                         projective strategies are a subset.
-  projective-bruteforce: exact search over a 2-degree Bloch-sphere net of
-                        projective measurements; implemented for dim A = 2
-                        (the combinatorics of a 2-degree net explode beyond a
-                        qubit). Reports the net-resolution slack.
+  projective-bruteforce: the exact optimum over projective measurements on
+                        a qubit A (dim A <= 2), in closed form: one largest
+                        eigenvalue per ordered pair of opening labels.
 """
 from __future__ import annotations
 
@@ -182,7 +181,6 @@ def adaptive_binding(
     rho_ab: DensityOperator,
     mode: str = "povm-relaxation",
     tol: float = SOLVER_TOL,
-    net_degrees: float = 2.0,
 ) -> BindingReport:
     """Adaptive opening probabilities for a committer holding register A."""
     if mode == "povm-relaxation":
@@ -202,70 +200,37 @@ def adaptive_binding(
         if dim_a > 2:
             raise InputError(
                 f"projective-bruteforce supports dim A <= 2, got {dim_a} "
-                "(2-degree net beyond a qubit is infeasible)"
+                "(the closed form covers a qubit)"
             )
-        values = {}
-        slack = 0.0
-        for bit in (0, 1):
-            v, s = _bruteforce_qubit(scheme, rho_ab, bit, net_degrees)
-            values[bit] = v
-            slack = max(slack, s)
+        values = {bit: _qubit_optimum(scheme, rho_ab, bit) for bit in (0, 1)}
         eps = max(0.0, values[0] + values[1] - 1.0)
+        # The value is exact, so the search-resolution slack that callers add
+        # to their margins is zero.
         return BindingReport(
-            values[0], values[1], eps, mode=mode,
-            details={"net_degrees": net_degrees, "net_slack": slack},
+            values[0], values[1], eps, mode=mode, details={"net_slack": 0.0},
         )
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _bloch_projectors(step_degrees: float) -> list[np.ndarray]:
-    """Rank-1 qubit projectors on a (theta, phi) grid of the given resolution."""
-    out = []
-    step = math.radians(step_degrees)
-    n_theta = int(math.ceil(math.pi / step)) + 1
-    for it in range(n_theta):
-        theta = min(it * step, math.pi)
-        n_phi = 1 if theta in (0.0, math.pi) else int(math.ceil(2 * math.pi / step))
-        for ip in range(n_phi):
-            phi = ip * step
-            v = np.array(
-                [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)],
-                dtype=complex,
-            )
-            out.append(np.outer(v, v.conj()))
-    return out
+def _qubit_optimum(
+    scheme: ProjectiveCommitmentScheme, rho_ab: DensityOperator, bit: int
+) -> float:
+    """Exact max over projective strategies on a qubit A of sum_y tr(F_y K_y).
 
-
-def _bruteforce_qubit(
-    scheme: ProjectiveCommitmentScheme,
-    rho_ab: DensityOperator,
-    bit: int,
-    net_degrees: float,
-) -> tuple[float, float]:
-    """Exact-within-net max over projective strategies on a qubit A.
-
-    Each basis {P, I-P} (and the trivial {I}) is scored with the best
-    assignment of its projectors to opening labels; coarse-graining onto one
-    label is included automatically because assigning both parts to the same
-    label realizes F_y = I. Returns (value, net-resolution slack bound).
+    A projective measurement on a qubit is {I} or {P, I - P} with P of rank
+    one. Announcing label y always scores tr K_y; announcing y on P and y'
+    on I - P scores tr K_y' + tr P (K_y - K_y'), whose maximum over P is
+    tr K_y' + lambda_max(K_y - K_y').
     """
-    instance = _score_operators(scheme, rho_ab, bit)
-    ops = instance.operators
-    # tr(F K_y) is linear, so each basis projector goes to its best label.
-    def best_for(p: np.ndarray) -> float:
-        return max(float(np.real(np.trace(p @ k))) for k in ops)
-
-    eye = np.eye(2, dtype=complex)
-    best = best_for(eye)  # the single-outcome measurement F = I
-    for p in _bloch_projectors(net_degrees):
-        best = max(best, best_for(p) + best_for(eye - p))
-    # A projector within angle alpha of a net point differs by at most
-    # |sin(alpha)| in trace norm per element; two elements and sum tr K bound
-    # the objective change.
-    alpha = math.radians(net_degrees)
-    weight = sum(float(np.real(np.trace(k))) for k in ops)
-    slack = 2.0 * math.sin(alpha) * weight
-    return best, slack
+    ops = _score_operators(scheme, rho_ab, bit).operators
+    traces = [float(np.real(np.trace(k))) for k in ops]
+    best = max(traces)
+    for i, k_y in enumerate(ops):
+        for j, k_other in enumerate(ops):
+            if i != j:
+                top = float(np.linalg.eigvalsh(k_y - k_other)[-1])
+                best = max(best, traces[j] + top)
+    return best
 
 
 def opening_projectors(
@@ -336,7 +301,7 @@ def storage_reduction_check(
     """Sampled check of: q-qubit committer register implies
     p0 + p1 - 1 <= 2^{q/2} sqrt(eps_na).
 
-    Assertable in projective-bruteforce mode (plus net slack); the
+    Assertable in projective-bruteforce mode, which is exact; the
     povm-relaxation mode is recorded as diagnostic because the relaxation may
     legitimately exceed the projective bound.
     """
@@ -354,14 +319,13 @@ def storage_reduction_check(
         rho = density_from_matrix(shape, np.outer(vec, vec.conj()))
         report = adaptive_binding(scheme, rho, mode=mode)
         alpha = report.p0 + report.p1 - 1.0
-        margin = slack + report.details.get("net_slack", 0.0) if mode == "projective-bruteforce" else slack
         results.append(
             {
                 "trial": t,
                 "alpha": alpha,
                 "bound": bound,
                 "mode": mode,
-                "pass": bool(alpha <= bound + margin) if mode == "projective-bruteforce" else None,
+                "pass": bool(alpha <= bound + slack) if mode == "projective-bruteforce" else None,
             }
         )
     return results

@@ -326,8 +326,14 @@ def run_2cc_protocol(
 # qubit helpers (product states only; each qubit is measured at most once)
 
 
+_QUBIT_STATES = np.array([[encoded_vector([bit], [basis]) for basis in (0, 1)]
+                          for bit in (0, 1)])
+_QUBIT_STATES.setflags(write=False)
+
+
 def qubit_state(bit: int, basis: int) -> np.ndarray:
-    return encoded_vector(np.array([bit], dtype=np.uint8), np.array([basis], dtype=np.uint8))
+    """|bit>_basis, shared and read-only."""
+    return _QUBIT_STATES[int(bit), int(basis)]
 
 
 def measure_qubit(psi: np.ndarray, basis: int, rng: np.random.Generator) -> int:

@@ -19,6 +19,8 @@ from gamebound.bcjl import (
 from gamebound.coding import LinearCode, ball_size, named_code
 from gamebound.errors import InputError
 from gamebound.hashing import XorHashFamily
+from gamebound.linalg import spectral_norm
+from gamebound.rand import rng_from_seed
 
 
 def test_ball_verifier_is_projector_with_ball_rank():
@@ -52,6 +54,47 @@ def test_overlap_equality_fully_conjugate_bases():
     check = overlap_bound_check(x, theta, xp, thetap, 0.0)
     # rank-one verifiers make the norm bound an equality
     assert check["lhs"] == pytest.approx(check["rhs"], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,radius", [(n, r) for n in (1, 2, 3, 5, 7) for r in (0, 1, 2) if 2 * r <= n]
+)
+def test_gram_form_matches_dense_verifiers(n, radius):
+    """||V V'|| from the ball Gram matrix, and ||V + V'|| = 1 + ||V V'||,
+    against the dense 2^n verifiers."""
+    rng = rng_from_seed((n, radius))
+    delta = radius / n
+    for _ in range(4):
+        x, theta, xp, thetap = (rng.integers(0, 2, size=n).astype(np.uint8) for _ in range(4))
+        v = ball_verifier(x, theta, delta)
+        vp = ball_verifier(xp, thetap, delta)
+        lhs = overlap_bound_check(x, theta, xp, thetap, delta)["lhs"]
+        assert lhs == pytest.approx(spectral_norm(v @ vp), abs=1e-12)
+        assert 1.0 + lhs == pytest.approx(spectral_norm(v + vp), abs=1e-12)
+
+
+def _dense_max_sum(inst: BcjlInstance) -> float:
+    """max ||V + V'|| over every raw opening pair, from dense verifiers."""
+    thetas = [np.array(t, dtype=np.uint8)
+              for t in itertools.product((0, 1), repeat=inst.n)]
+    return max(
+        spectral_norm(ball_verifier(x0, t0, inst.delta) + ball_verifier(x1, t1, inst.delta))
+        for x0 in inst.openings_for(0) for t0 in thetas
+        for x1 in inst.openings_for(1) for t1 in thetas
+    )
+
+
+@pytest.mark.parametrize(
+    "code,delta,member,syn",
+    [("rep31", 0.0, 1, (0, 0)), ("rep31", 1.0 / 3.0, 1, (0, 1)), ("rep41", 0.25, 1, (0, 1, 1))],
+)
+def test_na_binding_classes_match_raw_dense_enumeration(code, delta, member, syn):
+    inst = BcjlInstance(named_code(code), delta, member, syn, 0)
+    res = na_binding(inst)
+    assert res["exhaustive"]
+    n = inst.n
+    assert res["pairs_evaluated"] == len(inst.openings_for(0)) * len(inst.openings_for(1)) * 4**n
+    assert res["max_sum"] == pytest.approx(_dense_max_sum(inst), abs=1e-12)
 
 
 def test_instance_validation():
@@ -103,6 +146,12 @@ def test_na_binding_budgeted_sampling():
     assert res["max_sum"] <= res["bound"] + 1e-9
     assert res["overlap_bound_ok"]
     assert res["pass"]
+    # without a budget every pair is covered, through its class
+    full = na_binding(inst)
+    assert full["exhaustive"]
+    assert full["pairs_evaluated"] == 8 * 8 * 4**7
+    assert full["overlap_bound_ok"]
+    assert res["max_sum"] <= full["max_sum"] + 1e-12
 
 
 def test_na_binding_one_empty_side_is_vacuous():

@@ -47,6 +47,36 @@ def test_game_random_writes_report(tmp_path, capsys):
     assert out_path.read_text() == report.to_json()
 
 
+def test_game_records_solve_time(tmp_path, monkeypatch, capsys):
+    import time
+
+    from gamebound import games
+
+    solve = games.verify_main_theorem
+
+    def slow_solve(*args, **kwargs):
+        time.sleep(0.05)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(games, "verify_main_theorem", slow_solve)
+    out_path = tmp_path / "game.json"
+    assert main(["game", "--random", "1", "--out", str(out_path)]) == 0
+    (chk,) = ExperimentReport.load(str(out_path)).checks
+    assert chk.runtime_s >= 0.05
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    import gamebound.cli as cli
+
+    def crash(args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "_cmd_game", crash)
+    assert main(["game", "--bell"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: LinAlgError: eigenvalues did not converge\n"
+
+
 def test_game_without_work_is_usage_error(capsys):
     assert main(["game"]) == 2
     assert "nothing to do" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from gamebound.commitments import (
     storage_reduction_check,
 )
 from gamebound.errors import InputError
-from gamebound.rand import random_projector, rng_from_seed
+from gamebound.rand import random_projector, random_pure_vector, rng_from_seed
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix
 
@@ -126,6 +126,36 @@ def test_cheat_state_svd_oracle():
             continue
         assert np.vdot(vec, p0 @ vec).real == pytest.approx(1.0, abs=1e-10)
         assert np.vdot(vec, p1 @ vec).real >= eps**2 - 1e-10
+
+
+def test_exact_qubit_value_between_strategies_and_relaxation():
+    """The closed-form projective optimum is reached by no random projective
+    strategy and exceeds no POVM relaxation."""
+    rng = rng_from_seed(64)
+    eye = np.eye(2, dtype=complex)
+    for _ in range(8):
+        dim_b = int(rng.integers(2, 5))
+        scheme = ProjectiveCommitmentScheme(*(
+            tuple((f"{side}{j}", random_projector(dim_b, int(rng.integers(1, dim_b)), rng))
+                  for j in range(int(rng.integers(1, 4))))
+            for side in "zo"
+        ))
+        vec = random_pure_vector(2 * dim_b, rng)
+        rho = density_from_matrix(shape(("A", 2), ("B", dim_b)), np.outer(vec, vec.conj()))
+        exact = adaptive_binding(scheme, rho, mode="projective-bruteforce")
+        relaxed = adaptive_binding(scheme, rho, tol=1e-12)
+        assert exact.details["net_slack"] == 0.0
+        for bit, value, upper in ((0, exact.p0, relaxed.p0), (1, exact.p1, relaxed.p1)):
+            assert value <= upper + 1e-9
+            openings = dict(scheme.openings(bit))
+            labels = list(openings)
+            for _ in range(50):
+                p = random_projector(2, 1, rng)
+                y, y_other = (labels[int(k)] for k in rng.integers(len(labels), size=2))
+                strategy = ((y, p), (y_other, eye - p))
+                achieved = sum(np.trace(np.kron(f, openings[label]) @ rho.matrix).real
+                               for label, f in strategy)
+                assert achieved <= value + 1e-9
 
 
 def test_opening_projectors_adaptive_copy_strategy():
