@@ -4,7 +4,6 @@ capped at n <= 24 for distance and coset searches)."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,57 +40,35 @@ def bits_to_int(bits: np.ndarray) -> int:
     return out
 
 
-def int_to_bits(value: int, n: int) -> np.ndarray:
-    return np.array([(value >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-
-
-def _rank_gf2(rows: np.ndarray) -> int:
-    m = rows.copy().astype(np.uint8)
-    rank = 0
-    n_rows, n_cols = m.shape
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+def _row_reduce(m: np.ndarray, n_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination over GF(2) on a copy of m, pivoting on the
+    first n_cols columns (all by default); returns the reduced matrix and its
+    pivot columns. Row r of the result holds the pivot of column pivots[r]."""
+    m = np.array(m, dtype=np.uint8)
+    pivots: list[int] = []
+    for col in range(m.shape[1] if n_cols is None else n_cols):
+        row = len(pivots)
+        below = np.flatnonzero(m[row:, col])
+        if below.size == 0:
             continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(n_rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
-
-
-def _null_space_gf2(g: np.ndarray) -> np.ndarray:
-    """Rows spanning {x : G x^T = 0} over GF(2)."""
-    k, n = g.shape
-    m = g.copy().astype(np.uint8)
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, k):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
+        pivot = row + int(below[0])
         m[[row, pivot]] = m[[pivot, row]]
-        for r in range(k):
-            if r != row and m[r, col]:
-                m[r] ^= m[row]
+        hits = m[:, col].astype(bool)
+        hits[row] = False
+        m[hits] ^= m[row]
         pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
+    return m, pivots
+
+
+def _null_space_gf2(reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Rows spanning {x : G x^T = 0} over GF(2), from G's reduced form."""
+    n = reduced.shape[1]
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = np.zeros(n, dtype=np.uint8)
         v[f] = 1
         for r, p in enumerate(pivots):
-            if m[r, f]:
+            if reduced[r, f]:
                 v[p] = 1
         basis.append(v)
     return np.array(basis, dtype=np.uint8) if basis else np.zeros((0, n), np.uint8)
@@ -102,6 +79,7 @@ class LinearCode:
     """[n, k, d] binary linear code given by a full-rank generator matrix."""
 
     generator: np.ndarray = field(repr=False)
+    parity_check: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.generator, dtype=np.uint8) % 2
@@ -110,11 +88,15 @@ class LinearCode:
         k, n = g.shape
         if k < 1 or n < 1 or k > n:
             raise InputError(f"invalid code parameters k={k}, n={n}")
-        if _rank_gf2(g) != k:
+        reduced, pivots = _row_reduce(g)
+        if len(pivots) != k:
             raise InputError(f"generator rows are not independent (rank < {k})")
         g = g.copy()
-        g.setflags(write=False)
+        h = _null_space_gf2(reduced, pivots)
+        for m in (g, h):
+            m.setflags(write=False)
         object.__setattr__(self, "generator", g)
+        object.__setattr__(self, "parity_check", h)
 
     @property
     def n(self) -> int:
@@ -123,13 +105,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.shape[0]
-
-    @property
-    def parity_check(self) -> np.ndarray:
-        h = _null_space_gf2(np.asarray(self.generator))
-        if h.shape[0] != self.n - self.k:
-            raise InputError("parity-check construction failed")  # unreachable
-        return h
 
     def codewords(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) bit matrix (message order)."""
@@ -159,31 +134,12 @@ def coset_members(code: LinearCode, s) -> np.ndarray:
     """All strings with syndrome s, as a (2^k, n) bit matrix."""
     s_bits = _as_bit_array(s, code.n - code.k)
     h = code.parity_check
-    # Solve H x0 = s by Gaussian elimination on [H | s].
-    aug = np.concatenate([h, s_bits.reshape(-1, 1)], axis=1).astype(np.uint8)
-    rows, cols = h.shape
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[[row, pivot]] = aug[[pivot, row]]
-        for r in range(rows):
-            if r != row and aug[r, col]:
-                aug[r] ^= aug[row]
-        pivots.append(col)
-        row += 1
-    for r in range(row, rows):
-        if aug[r, -1]:
-            raise InputError("syndrome is inconsistent with the parity-check matrix")
-    x0 = np.zeros(cols, dtype=np.uint8)
-    for r, p in enumerate(pivots):
-        x0[p] = aug[r, -1]
+    # Solve H x0 = s by Gauss-Jordan elimination on [H | s].
+    aug, pivots = _row_reduce(np.concatenate([h, s_bits.reshape(-1, 1)], axis=1), h.shape[1])
+    if aug[len(pivots):, -1].any():
+        raise InputError("syndrome is inconsistent with the parity-check matrix")
+    x0 = np.zeros(h.shape[1], dtype=np.uint8)
+    x0[pivots] = aug[:len(pivots), -1]
     return (code.codewords() ^ x0).astype(np.uint8)
 
 
@@ -226,12 +182,6 @@ def ball_size(n: int, radius: int) -> int:
     return sum(math.comb(n, w) for w in range(radius + 1))
 
 
-def ball_size_bound_ok(n: int, delta: float) -> bool:
-    """|B^delta| <= 2^{n h(delta)} for delta <= 1/2 (entropy counting bound)."""
-    radius = math.floor(delta * n)
-    return ball_size(n, radius) <= 2.0 ** (n * binary_entropy(delta)) + 1e-9
-
-
 def gilbert_varshamov_sample(
     n: int, rate: float, tau: float, n_seeds: int, seed=0
 ) -> tuple[float, list[int]]:
@@ -252,53 +202,13 @@ def gilbert_varshamov_sample(
     for _ in range(n_seeds):
         while True:
             g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-            if _rank_gf2(g) == k:
+            if len(_row_reduce(g)[1]) == k:
                 break
         d = LinearCode(g).min_distance()
         distances.append(d)
         if d >= threshold:
             hits += 1
     return hits / n_seeds, distances
-
-
-# --- code file format -------------------------------------------------------
-#
-# {"n": 7, "k": 4, "generator": ["1000110", ...]}
-
-
-def code_to_dict(code: LinearCode) -> dict:
-    return {
-        "n": code.n,
-        "k": code.k,
-        "generator": ["".join(str(int(b)) for b in row) for row in code.generator],
-    }
-
-
-def code_from_dict(data: dict) -> LinearCode:
-    try:
-        n = int(data["n"])
-        k = int(data["k"])
-        rows = [[int(c) for c in row] for row in data["generator"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed code file: {exc}") from exc
-    g = np.array(rows, dtype=np.uint8)
-    if g.shape != (k, n):
-        raise InputError(f"generator shape {g.shape} != declared ({k}, {n})")
-    return LinearCode(g)
-
-
-def save_code(code: LinearCode, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(code_to_dict(code), fh)
-
-
-def load_code(path: str) -> LinearCode:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"code file is not valid JSON: {exc}") from exc
-    return code_from_dict(data)
 
 
 # Named codes for the CLI.

@@ -36,10 +36,6 @@ class XorHashFamily:
         return bin(r & x).count("1") % 2
 
 
-def hash_eval(family: XorHashFamily, r: int, x: int) -> int:
-    return family.evaluate(r, x)
-
-
 def collision_test(family: XorHashFamily, x: int, y: int) -> float:
     """Fraction of members with g_r(x) = g_r(y); exactly 1/2 for x != y."""
     if x == y:

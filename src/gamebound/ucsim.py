@@ -2,6 +2,15 @@
 transfer), the protocols built on them, and the simulator constructions run
 as seeded programs against scripted adversaries.
 
+One engine (`_Execution`) runs the transfer's message flow over a sender
+program and a receiver program; each position is one 2CC' step (commit,
+1CC, then open), which the stand-alone two-bit cut-and-choose protocol runs
+once. The simulators are party programs that also call the ideal transfer:
+a rushing receiver against a corrupted sender, an extracting sender against
+a corrupted receiver. Lane 0 of a run's seed drives Born-rule measurement,
+the commitments and the rushing receiver, lane 1 the sender, lane 2 the
+receiver, so real and simulated runs abort on the same seeds.
+
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
 simulator (delay a measurement until the functionality forces a value).
@@ -10,7 +19,9 @@ seeded runs, not proven.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,22 +62,15 @@ class TranscriptEvent:
     index: int
     actor: str
     kind: str
-    payload: tuple
+    payload: dict
 
     def to_dict(self) -> dict:
         return {
             "index": self.index,
             "actor": self.actor,
             "kind": self.kind,
-            "payload": [[k, v] for k, v in self.payload],
+            "payload": [[k, _clean(self.payload[k])] for k in sorted(self.payload)],
         }
-
-
-@dataclass
-class PartyMachine:
-    role: str
-    program: str
-    memory: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -78,8 +82,9 @@ class ExecutionTranscript:
     meta: dict = field(default_factory=dict)
 
     def log(self, actor: str, kind: str, **payload) -> None:
-        cleaned = tuple(sorted((k, _clean(v)) for k, v in payload.items()))
-        self.events.append(TranscriptEvent(len(self.events), actor, kind, cleaned))
+        """Keeps the payload as given; `to_dict` cleans it, so a logged
+        value must not be mutated afterwards."""
+        self.events.append(TranscriptEvent(len(self.events), actor, kind, payload))
 
     def to_dict(self) -> dict:
         return {
@@ -143,11 +148,14 @@ class IdealBitCommitment:
         self._bit = None
         self._state = "empty"
 
-    def commit(self, bit: int) -> str:
+    def _accept(self, bit: int) -> None:
         if self._state != "empty":
             raise InputError("commitment already in use")
         if bit not in (0, 1):
             raise InputError("committed value must be a bit")
+
+    def commit(self, bit: int) -> str:
+        self._accept(bit)
         self._bit = int(bit)
         self._state = "committed"
         return "committed"
@@ -168,12 +176,14 @@ class IdealBitCommitment:
         return self._bit
 
 
+@functools.cache
 def _even_weight_code(n: int) -> LinearCode:
+    """Built once per length; LinearCode is frozen, so runs share it."""
     gen = np.hstack([np.eye(n - 1, dtype=np.uint8), np.ones((n - 1, 1), dtype=np.uint8)])
     return LinearCode(gen)
 
 
-class ProtocolBitCommitment:
+class ProtocolBitCommitment(IdealBitCommitment):
     """The conjugate-coding commitment run honestly at desk scale.
 
     The committer's per-position basis bits travel through the cut-and-choose
@@ -188,18 +198,14 @@ class ProtocolBitCommitment:
             raise InputError("protocol commitment supports 6..20 qubits")
         if not 0.0 < check_prob <= 0.5:
             raise InputError("check probability must be in (0, 1/2]")
+        super().__init__()
         self._rng = rng
         self._n_qubits = n_qubits
         self._check_prob = check_prob
-        self._state = "empty"
-        self._bit = None
         self._record: dict = {}
 
     def commit(self, bit: int) -> str:
-        if self._state != "empty":
-            raise InputError("commitment already in use")
-        if bit not in (0, 1):
-            raise InputError("committed value must be a bit")
+        self._accept(bit)
         big_n = self._n_qubits
         theta = self._rng.integers(0, 2, size=big_n).astype(np.uint8)
         checked = self._rng.random(big_n) < self._check_prob
@@ -222,7 +228,6 @@ class ProtocolBitCommitment:
             "member": member,
             "syndrome": s,
             "masked": int(w),
-            "checked": int(checked.sum()),
         }
         self._state = "committed"
         return "committed"
@@ -238,10 +243,6 @@ class ProtocolBitCommitment:
             return "abort"
         self._state = "opened"
         return self._bit
-
-    def refuse(self) -> str:
-        self._state = "refused"
-        return "abort"
 
     def extract(self) -> int:
         """Recover the bit from the functionality-visible basis string."""
@@ -270,6 +271,38 @@ def _make_commitment(backend: str, rng: np.random.Generator, params: dict | None
 # two-bit cut-and-choose from commitment + one-bit cut-and-choose
 
 
+def _two_cc_step(t, bc, committer: str, s0: int, choose, s1_for, *, refuse=False, position=None):
+    """One 2CC' step: `committer` commits s0, the 1CC passes s1_for(c) under
+    the choice c = choose(), and on c = 1 the commitment is opened, or
+    refused. Returns (c, revealed s1, opened s0): c is None when the
+    commitment aborts, and opened is None for c = 0 and "abort" for a
+    refused or failed opening. A transfer run tags the events of each step
+    with its position; a stand-alone run has one step and no tag.
+    """
+    status = bc.commit(s0)
+    if position is None:
+        t.log(committer, "bc-commit", status=status, backend=bc.backend)
+    else:
+        t.log(committer, "bc-commit", position=position, status=status)
+    if status == "abort":
+        return None, None, None
+    c = choose()
+    revealed = ideal_one_cc(sender_bit=s1_for(c), chooser_bit=c)["chooser_receives"]
+    if position is None:
+        t.log("functionality", "one-cc", sender_learns=c, chooser_receives=revealed)
+    else:
+        t.log("functionality", "one-cc", position=position, chooser_bit=c, revealed=revealed)
+    if c == 0:
+        return c, revealed, None
+    at = {} if position is None else {"position": position}
+    if refuse:
+        t.log(committer, "bc-refuse", **at)
+        return c, revealed, bc.refuse()
+    opened = bc.open()
+    t.log(committer, "bc-open", value=opened, **at)
+    return c, revealed, opened
+
+
 def run_2cc_protocol(
     s0: int,
     s1: int,
@@ -288,37 +321,22 @@ def run_2cc_protocol(
         if b not in (0, 1):
             raise InputError("protocol inputs must be bits")
     t = ExecutionTranscript(seed=_stream(seed, 0))
-    rng = rng_from_seed(_stream(seed, 0))
-    bc = _make_commitment(bc_backend, rng, commit_params)
-    status = bc.commit(s0)
-    t.log("alice", "bc-commit", status=status, backend=bc.backend)
-    if status == "abort":
+    bc = _make_commitment(bc_backend, rng_from_seed(_stream(seed, 0)), commit_params)
+    choice, revealed, opened = _two_cc_step(
+        t, bc, "alice", s0, lambda: c, lambda _: s1, refuse=refuse_open)
+    if choice is None:
         t.aborted = True
         t.outputs = {"alice": None, "bob": "abort"}
         t.meta["reason"] = "commit-abort"
-        return t
-    cc = ideal_one_cc(sender_bit=s1, chooser_bit=c)
-    t.log("functionality", "one-cc", sender_learns=cc["sender_learns"],
-          chooser_receives=cc["chooser_receives"])
-    alice_view_c = cc["sender_learns"]
-    if alice_view_c == 0:
+    elif choice == 0:
         t.outputs = {"alice": 0, "bob": None}
         t.log("bob", "output", value=None)
-        return t
-    if refuse_open:
-        bc.refuse()
-        t.log("alice", "bc-refuse")
+    elif opened == "abort":
         t.aborted = True
         t.outputs = {"alice": 1, "bob": "abort"}
-        return t
-    opened = bc.open()
-    t.log("alice", "bc-open", value=opened)
-    if opened == "abort":
-        t.aborted = True
-        t.outputs = {"alice": 1, "bob": "abort"}
-        return t
-    t.outputs = {"alice": 1, "bob": (int(opened), int(cc["chooser_receives"]))}
-    t.log("bob", "output", value=t.outputs["bob"])
+    else:
+        t.outputs = {"alice": 1, "bob": (int(opened), int(revealed))}
+        t.log("bob", "output", value=t.outputs["bob"])
     return t
 
 
@@ -343,11 +361,18 @@ def measure_qubit(psi: np.ndarray, basis: int, rng: np.random.Generator) -> int:
     return 0 if rng.random() < min(max(p0, 0.0), 1.0) else 1
 
 
-def _apply_subset_hash(mask: np.ndarray, positions, values: np.ndarray) -> tuple:
+def _xor_hash(bits, mask: np.ndarray, positions, values) -> tuple:
+    """`bits` XOR the mask's hash of `values` restricted to `positions`."""
     v = np.zeros(mask.shape[1], dtype=np.uint8)
     for p in positions:
         v[p] = values[p]
-    return tuple(int(b) for b in (mask @ v) % 2)
+    return tuple(a ^ int(b) for a, b in zip(bits, (mask @ v) % 2))
+
+
+def _random_partition(rng: np.random.Generator, nhat: int) -> tuple[tuple, tuple]:
+    side = rng.integers(0, 2, size=nhat)
+    return (tuple(j for j in range(nhat) if side[j] == 0),
+            tuple(j for j in range(nhat) if side[j] == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +383,7 @@ class SenderProgram:
     """Alice side of the transfer protocol; hooks mirror the message order."""
 
     name = "honest"
+    actor = "alice"
 
     def __init__(self, rng: np.random.Generator, n: int, strings: tuple):
         self.rng = rng
@@ -366,12 +392,19 @@ class SenderProgram:
         self.ell = len(strings[0])
         self.memory: dict = {}
 
+    @property
+    def party(self) -> str:
+        return "sender:" + self.name
+
     def prepare(self) -> list[np.ndarray]:
         x = self.rng.integers(0, 2, size=self.n).astype(np.uint8)
         theta = self.rng.integers(0, 2, size=self.n).astype(np.uint8)
         self.memory["x"] = x
         self.memory["theta"] = theta
         return [qubit_state(x[i], theta[i]) for i in range(self.n)]
+
+    def observe_commit(self, i: int, bc) -> None:
+        """A real sender learns only that position i is committed."""
 
     def select_bit(self, i: int) -> int:
         return int(self.rng.integers(0, 2))
@@ -390,9 +423,8 @@ class SenderProgram:
         nhat = len(kept)
         mask = self.rng.integers(0, 2, size=(self.ell, nhat)).astype(np.uint8)
         x_hat = self.memory["x"][kept]
-        m0 = tuple(a ^ b for a, b in zip(self.strings[0], _apply_subset_hash(mask, i0, x_hat)))
-        m1 = tuple(a ^ b for a, b in zip(self.strings[1], _apply_subset_hash(mask, i1, x_hat)))
-        return mask, m0, m1
+        return (mask, _xor_hash(self.strings[0], mask, i0, x_hat),
+                _xor_hash(self.strings[1], mask, i1, x_hat))
 
 
 class FixedStateSender(SenderProgram):
@@ -439,6 +471,7 @@ class ReceiverProgram:
     """Bob side; hooks mirror the message order."""
 
     name = "honest"
+    actor = "bob"
 
     def __init__(self, rng: np.random.Generator, n: int, choice: int):
         self.rng = rng
@@ -446,11 +479,25 @@ class ReceiverProgram:
         self.choice = int(choice)
         self.memory: dict = {}
 
+    @property
+    def party(self) -> str:
+        return "receiver:" + self.name
+
     def choose_bases(self) -> np.ndarray:
         return self.rng.integers(0, 2, size=self.n).astype(np.uint8)
 
+    def measure(self, qubits: list[np.ndarray], bases: np.ndarray, rng: np.random.Generator) -> None:
+        """Measures every qubit on arrival, drawing on the run's Born-rule tape."""
+        self.memory["x"] = np.array(
+            [measure_qubit(qubits[i], int(bases[i]), rng) for i in range(self.n)], dtype=np.uint8
+        )
+
     def commit_value(self, i: int, basis: int) -> int:
         return int(basis)
+
+    def one_cc_input(self, i: int, chooser_bit: int) -> int:
+        """Position i's 1CC input; only a rushing simulator reads the choice."""
+        return self.cc_input(i, int(self.memory["x"][i]))
 
     def cc_input(self, i: int, measured: int) -> int:
         return int(measured)
@@ -466,9 +513,7 @@ class ReceiverProgram:
         return tuple(rest), tuple(matched)
 
     def decode(self, mask, m0, m1, x_hat_b: np.ndarray, i0, i1) -> tuple:
-        own = (i0, i1)[self.choice]
-        masked = (m0, m1)[self.choice]
-        return tuple(a ^ b for a, b in zip(masked, _apply_subset_hash(mask, own, x_hat_b)))
+        return _xor_hash((m0, m1)[self.choice], mask, (i0, i1)[self.choice], x_hat_b)
 
     def effective_choice(self) -> int | None:
         return self.choice
@@ -489,10 +534,7 @@ class WrongPartitionReceiver(ReceiverProgram):
     name = "wrong-partition"
 
     def partition(self, theta_hat_a, theta_hat_b, nhat):
-        side = self.rng.integers(0, 2, size=nhat)
-        i0 = tuple(j for j in range(nhat) if side[j] == 0)
-        i1 = tuple(j for j in range(nhat) if side[j] == 1)
-        return i0, i1
+        return _random_partition(self.rng, nhat)
 
     def effective_choice(self) -> None:
         return None
@@ -538,7 +580,167 @@ def _as_string(bits) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the transfer protocol (real executions)
+# simulator programs (party programs that also call the ideal transfer)
+
+
+class _RushingReceiver(ReceiverProgram):
+    """The corrupted-sender simulator in the receiver's seat. It measures a
+    checked qubit only when the 1CC forces a value (rushing), partitions at
+    random, measures every kept qubit in the announced basis, rebuilds both
+    strings and hands them to the ideal transfer. Constructed on the run's
+    lane-0 tape, which it uses for every draw.
+    """
+
+    actor = party = "simulator"
+
+    def __init__(self, rng, n, choice, transcript: ExecutionTranscript):
+        super().__init__(rng, n, choice)
+        self.transcript = transcript
+
+    def measure(self, qubits, bases, rng) -> None:
+        self.memory.update(qubits=qubits, bases=bases, rushed=[],
+                           x=np.zeros(self.n, dtype=np.uint8))
+
+    def one_cc_input(self, i, chooser_bit):
+        if chooser_bit == 0:
+            return 0
+        self.memory["rushed"].append(i)
+        self.memory["x"][i] = measure_qubit(self.memory["qubits"][i], int(self.memory["bases"][i]), self.rng)
+        return int(self.memory["x"][i])
+
+    def partition(self, theta_hat_a, theta_hat_b, nhat):
+        i0, i1 = _random_partition(self.rng, nhat)
+        kept = [i for i in range(self.n) if i not in self.memory["rushed"]]
+        for j, i in enumerate(kept):
+            self.memory["x"][i] = measure_qubit(self.memory["qubits"][i], int(theta_hat_a[j]), self.rng)
+        return i0, i1
+
+    def decode(self, mask, m0, m1, x_hat_b, i0, i1):
+        strings = (_xor_hash(m0, mask, i0, x_hat_b), _xor_hash(m1, mask, i1, x_hat_b))
+        out = ideal_ot(strings, self.choice)
+        self.transcript.meta["extracted"] = strings
+        self.transcript.log("simulator", "ideal-ot", s0=strings[0], s1=strings[1], output=out)
+        return out
+
+
+class _ExtractingSender(SenderProgram):
+    """The corrupted-receiver simulator in the sender's seat. It plays the
+    honest sender on the honest sender's tape, reads every commitment through
+    extract(), infers the receiver's effective choice ĉ from its partition
+    and masks only the ideal transfer's answer for ĉ; the other masked
+    string is random. The strings stay with the functionality: only
+    `ideal_ot` reads them.
+    """
+
+    actor = party = "simulator"
+
+    def __init__(self, rng, n, strings, transcript: ExecutionTranscript):
+        super().__init__(rng, n, strings)
+        self.transcript = transcript
+        self.memory["committed"] = np.zeros(n, dtype=np.uint8)
+
+    def observe_commit(self, i, bc) -> None:
+        self.memory["committed"][i] = bc.extract()
+
+    def masks(self, kept, i0, i1):
+        theta_hat, committed = self.memory["theta"][kept], self.memory["committed"][kept]
+        matched = {j for j in range(len(kept)) if int(theta_hat[j]) == int(committed[j])}
+        side0, side1 = set(i0), set(i1)
+        if side0 == matched:
+            c_hat = 0
+        elif side1 == matched:
+            c_hat = 1
+        elif (side0 <= matched) != (side1 <= matched):
+            # degenerate partitions: prefer the side whose positions the
+            # receiver actually knows (all bases matched)
+            c_hat = 0 if side0 <= matched else 1
+        else:
+            c_hat = 0 if len(matched & side0) >= len(matched & side1) else 1
+        value = ideal_ot(self.strings, c_hat)
+        self.memory["c_hat"] = c_hat
+        self.transcript.log("simulator", "ideal-ot", choice=c_hat, value=value)
+        mask = self.rng.integers(0, 2, size=(self.ell, len(kept))).astype(np.uint8)
+        m_chat = _xor_hash(value, mask, (i0, i1)[c_hat], self.memory["x"][kept])
+        m_other = tuple(int(b) for b in self.rng.integers(0, 2, size=self.ell))
+        return (mask, m_chat, m_other) if c_hat == 0 else (mask, m_other, m_chat)
+
+
+# ---------------------------------------------------------------------------
+# the engine: one message flow for real runs and simulations
+
+
+class _Execution:
+    """One seeded run of the transfer protocol. The constructor checks the
+    inputs; `play` runs the message flow over a sender and a receiver
+    program and fills in the transcript.
+    """
+
+    def __init__(self, s0, s1, c, n: int, seed, bc_backend="ideal", commit_params=None):
+        self.strings = (_as_string(s0), _as_string(s1))
+        if len(self.strings[0]) != len(self.strings[1]):
+            raise InputError("the two strings must have equal length")
+        if c not in (0, 1):
+            raise InputError("choice must be a bit")
+        if not 2 <= n <= MAX_POSITIONS:
+            raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
+        self.n, self.seed = n, seed
+        self.bc_backend, self.commit_params = bc_backend, commit_params
+        self.t = ExecutionTranscript(seed=_stream(seed, 0))
+        self.rng = rng_from_seed(_stream(seed, 0))
+
+    def tape(self, lane: int) -> np.random.Generator:
+        return rng_from_seed(_stream(self.seed, lane))
+
+    def _abort(self, reason: str, alice_output) -> None:
+        self.t.aborted = True
+        self.t.outputs = {"alice": alice_output, "bob": "abort"}
+        self.t.meta["reason"] = reason
+
+    def play(self, alice: SenderProgram, bob: ReceiverProgram) -> int | None:
+        """Returns the number of checked positions, or None on an abort."""
+        t, n = self.t, self.n
+        t.meta["parties"] = {"alice": alice.party, "bob": bob.party}
+        qubits = alice.prepare()
+        if len(qubits) != n:
+            raise InputError("sender script must supply one qubit per position")
+        t.log(alice.actor, "send-qubits", count=n)
+        theta_b = bob.choose_bases()
+        bob.measure(qubits, theta_b, self.rng)
+        t.log(bob.actor, "measure", bases=theta_b)
+
+        checked = []
+        for i in range(n):
+            bc = _make_commitment(self.bc_backend, self.rng, self.commit_params)
+            t_i, revealed, opened = _two_cc_step(
+                t, bc, bob.actor, bob.commit_value(i, int(theta_b[i])),
+                functools.partial(alice.select_bit, i), functools.partial(bob.one_cc_input, i),
+                position=i,
+            )
+            if t_i is None:
+                return self._abort("commit-abort", "abort")
+            alice.observe_commit(i, bc)
+            if t_i == 1:
+                checked.append(i)
+                if alice.observe_check(i, revealed, opened) == "abort":
+                    return self._abort("check-abort", "abort")
+        if bob.size_abort(len(checked)):
+            return self._abort("size-abort", None)
+
+        kept = [i for i in range(n) if i not in checked]
+        theta_hat_a = np.asarray(alice.announce_bases(kept), dtype=np.uint8)
+        t.log(alice.actor, "announce-bases", bases=theta_hat_a)
+        i0, i1 = bob.partition(theta_hat_a, theta_b[kept], len(kept))
+        t.log(bob.actor, "partition", i0=i0, i1=i1)
+        mask, m0, m1 = alice.masks(kept, i0, i1)
+        t.log(alice.actor, "masked-strings", m0=m0, m1=m1)
+        out = bob.decode(mask, m0, m1, bob.memory["x"][kept], i0, i1)
+        t.outputs = {"alice": None, "bob": out}
+        t.log(bob.actor, "output", value=out)
+        return len(checked)
+
+
+def _output(t: ExecutionTranscript):
+    return "abort" if t.aborted else t.outputs["bob"]
 
 
 def run_ot_protocol(
@@ -554,140 +756,26 @@ def run_ot_protocol(
     commit_params: dict | None = None,
 ) -> ExecutionTranscript:
     """One seeded execution; scripted parties replace the honest programs."""
-    s0, s1 = _as_string(s0), _as_string(s1)
-    if len(s0) != len(s1):
-        raise InputError("the two strings must have equal length")
-    if c not in (0, 1):
-        raise InputError("choice must be a bit")
-    if not 2 <= n <= MAX_POSITIONS:
-        raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
-    t = ExecutionTranscript(seed=_stream(seed, 0))
-    rng = rng_from_seed(_stream(seed, 0))
-    alice = (sender or SenderProgram)(rng_from_seed(_stream(seed, 1)), n, (s0, s1))
-    bob = (receiver or ReceiverProgram)(rng_from_seed(_stream(seed, 2)), n, c)
-    t.meta["parties"] = {
-        "alice": PartyMachine("sender", alice.name).role + ":" + alice.name,
-        "bob": PartyMachine("receiver", bob.name).role + ":" + bob.name,
-    }
-
-    qubits = alice.prepare()
-    if len(qubits) != n:
-        raise InputError("sender script must supply one qubit per position")
-    t.log("alice", "send-qubits", count=n)
-    theta_b = bob.choose_bases()
-    x_b = np.array([measure_qubit(qubits[i], int(theta_b[i]), rng) for i in range(n)], dtype=np.uint8)
-    t.log("bob", "measure", bases=theta_b)
-
-    checked = []
-    for i in range(n):
-        bc = _make_commitment(bc_backend, rng, commit_params)
-        status = bc.commit(bob.commit_value(i, int(theta_b[i])))
-        t.log("bob", "bc-commit", position=i, status=status)
-        if status == "abort":
-            t.aborted = True
-            t.outputs = {"alice": "abort", "bob": "abort"}
-            t.meta["reason"] = "commit-abort"
-            return t
-        t_i = alice.select_bit(i)
-        cc = ideal_one_cc(sender_bit=bob.cc_input(i, int(x_b[i])), chooser_bit=t_i)
-        t.log("functionality", "one-cc", position=i, chooser_bit=t_i,
-              revealed=cc["chooser_receives"])
-        if t_i == 1:
-            checked.append(i)
-            opened = bc.open()
-            t.log("bob", "bc-open", position=i, value=opened)
-            verdict = alice.observe_check(i, cc["chooser_receives"], opened)
-            if verdict == "abort":
-                t.aborted = True
-                t.outputs = {"alice": "abort", "bob": "abort"}
-                t.meta["reason"] = "check-abort"
-                return t
-    if bob.size_abort(len(checked)):
-        t.aborted = True
-        t.outputs = {"alice": None, "bob": "abort"}
-        t.meta["reason"] = "size-abort"
-        return t
-
-    kept = [i for i in range(n) if i not in checked]
-    theta_hat_a = np.asarray(alice.announce_bases(kept), dtype=np.uint8)
-    t.log("alice", "announce-bases", bases=theta_hat_a)
-    i0, i1 = bob.partition(theta_hat_a, theta_b[kept], len(kept))
-    t.log("bob", "partition", i0=i0, i1=i1)
-    mask, m0, m1 = alice.masks(kept, i0, i1)
-    t.log("alice", "masked-strings", m0=m0, m1=m1)
-    out = bob.decode(mask, m0, m1, x_b[kept], i0, i1)
-    t.outputs = {"alice": None, "bob": out}
-    t.meta["checked"] = len(checked)
-    t.log("bob", "output", value=out)
-    return t
-
-
-# ---------------------------------------------------------------------------
-# simulators (ideal executions)
+    run = _Execution(s0, s1, c, n, seed, bc_backend, commit_params)
+    alice = (sender or SenderProgram)(run.tape(1), n, run.strings)
+    bob = (receiver or ReceiverProgram)(run.tape(2), n, c)
+    checked = run.play(alice, bob)
+    if checked is not None:
+        run.t.meta["checked"] = checked
+    return run.t
 
 
 def simulate_corrupted_sender(script, c: int, n: int, strings: tuple, seed=0) -> dict:
-    """Runs the receiver with delayed measurement: checked positions are
-    measured only when the functionality forces a value (rushing), everything
-    else at the end in the announced bases. Both strings are then
-    reconstructed and handed to the ideal transfer.
+    """Runs the scripted sender against the rushing receiver: checked
+    positions are measured only when the functionality forces a value,
+    everything else after the announcement, in the announced bases. Both
+    strings are then reconstructed and handed to the ideal transfer.
     """
-    s0, s1 = _as_string(strings[0]), _as_string(strings[1])
-    t = ExecutionTranscript(seed=_stream(seed, 0))
-    rng = rng_from_seed(_stream(seed, 0))
-    alice = script(rng_from_seed(_stream(seed, 1)), n, (s0, s1))
-    t.meta["parties"] = {"alice": "sender:" + alice.name, "bob": "simulator"}
-
-    qubits = alice.prepare()
-    t.log("alice", "send-qubits", count=n)
-    theta_b = rng.integers(0, 2, size=n).astype(np.uint8)
-    x_b: list[int | None] = [None] * n
-    checked = []
-    for i in range(n):
-        bc = IdealBitCommitment()
-        bc.commit(int(theta_b[i]))
-        t.log("simulator", "bc-commit", position=i, status="committed")
-        t_i = alice.select_bit(i)
-        if t_i == 1:
-            x_b[i] = measure_qubit(qubits[i], int(theta_b[i]), rng)  # rush
-            checked.append(i)
-        cc = ideal_one_cc(sender_bit=x_b[i] if t_i == 1 else 0, chooser_bit=t_i)
-        t.log("functionality", "one-cc", position=i, chooser_bit=t_i,
-              revealed=cc["chooser_receives"])
-        if t_i == 1:
-            opened = bc.open()
-            verdict = alice.observe_check(i, cc["chooser_receives"], opened)
-            if verdict == "abort":
-                t.aborted = True
-                t.outputs = {"alice": "abort", "bob": "abort"}
-                t.meta["reason"] = "check-abort"
-                return {"transcript": t, "extracted": None, "output": "abort"}
-    if len(checked) > 3 * n / 5:
-        t.aborted = True
-        t.outputs = {"alice": None, "bob": "abort"}
-        t.meta["reason"] = "size-abort"
-        return {"transcript": t, "extracted": None, "output": "abort"}
-
-    kept = [i for i in range(n) if i not in checked]
-    theta_hat_a = np.asarray(alice.announce_bases(kept), dtype=np.uint8)
-    t.log("alice", "announce-bases", bases=theta_hat_a)
-    side = rng.integers(0, 2, size=len(kept))
-    i0 = tuple(j for j in range(len(kept)) if side[j] == 0)
-    i1 = tuple(j for j in range(len(kept)) if side[j] == 1)
-    t.log("simulator", "partition", i0=i0, i1=i1)
-    mask, m0, m1 = alice.masks(kept, i0, i1)
-    t.log("alice", "masked-strings", m0=m0, m1=m1)
-    x_sim = np.array(
-        [measure_qubit(qubits[kept[j]], int(theta_hat_a[j]), rng) for j in range(len(kept))],
-        dtype=np.uint8,
-    )
-    e0 = tuple(a ^ b for a, b in zip(m0, _apply_subset_hash(mask, i0, x_sim)))
-    e1 = tuple(a ^ b for a, b in zip(m1, _apply_subset_hash(mask, i1, x_sim)))
-    out = ideal_ot((e0, e1), c)
-    t.outputs = {"alice": None, "bob": out}
-    t.meta["extracted"] = (e0, e1)
-    t.log("simulator", "ideal-ot", s0=e0, s1=e1, output=out)
-    return {"transcript": t, "extracted": (e0, e1), "output": out}
+    run = _Execution(strings[0], strings[1], c, n, seed)
+    alice = script(run.tape(1), n, run.strings)
+    bob = _RushingReceiver(run.rng, n, c, run.t)
+    run.play(alice, bob)
+    return {"transcript": run.t, "extracted": run.t.meta.get("extracted"), "output": _output(run.t)}
 
 
 def simulate_corrupted_receiver(
@@ -701,104 +789,21 @@ def simulate_corrupted_receiver(
     bc_backend: str = "protocol",
     commit_params: dict | None = None,
 ) -> dict:
-    """Simulates the honest sender, extracts the committed bases from the
-    commitment instances, infers the scripted receiver's effective choice
-    from its partition, and completes the run with the ideal transfer's
-    answer for that choice.
+    """Runs the scripted receiver against the extracting sender, which
+    simulates the honest sender, extracts the committed bases from the
+    commitment instances, infers the receiver's effective choice from its
+    partition, and completes the run with the ideal transfer's answer for
+    that choice.
     """
-    s0, s1 = _as_string(s0), _as_string(s1)
-    ell = len(s0)
-    t = ExecutionTranscript(seed=_stream(seed, 0))
-    rng = rng_from_seed(_stream(seed, 0))
-    # the simulated honest sender reuses the real sender's tape so that the
-    # runs pair up draw for draw and abort on exactly the same seeds
-    alice_rng = rng_from_seed(_stream(seed, 1))
-    bob = script(rng_from_seed(_stream(seed, 2)), n, choice)
-    t.meta["parties"] = {"alice": "simulator", "bob": "receiver:" + bob.name}
-
-    x_a = alice_rng.integers(0, 2, size=n).astype(np.uint8)
-    theta_a = alice_rng.integers(0, 2, size=n).astype(np.uint8)
-    qubits = [qubit_state(x_a[i], theta_a[i]) for i in range(n)]
-    t.log("simulator", "send-qubits", count=n)
-    theta_b = bob.choose_bases()
-    x_b = np.array([measure_qubit(qubits[i], int(theta_b[i]), rng) for i in range(n)], dtype=np.uint8)
-
-    committed = np.zeros(n, dtype=np.uint8)
-    checked = []
-    for i in range(n):
-        bc = _make_commitment(bc_backend, rng, commit_params)
-        status = bc.commit(bob.commit_value(i, int(theta_b[i])))
-        t.log("bob", "bc-commit", position=i, status=status)
-        if status == "abort":
-            t.aborted = True
-            t.outputs = {"alice": "abort", "bob": "abort"}
-            t.meta["reason"] = "commit-abort"
-            return {"transcript": t, "inferred_choice": None,
-                    "effective_choice": bob.effective_choice(), "output": "abort"}
-        committed[i] = bc.extract()
-        t_i = int(alice_rng.integers(0, 2))
-        cc = ideal_one_cc(sender_bit=bob.cc_input(i, int(x_b[i])), chooser_bit=t_i)
-        t.log("functionality", "one-cc", position=i, chooser_bit=t_i,
-              revealed=cc["chooser_receives"])
-        if t_i == 1:
-            checked.append(i)
-            opened = bc.open()
-            if opened == "abort" or (
-                int(opened) == int(theta_a[i]) and cc["chooser_receives"] != int(x_a[i])
-            ):
-                t.aborted = True
-                t.outputs = {"alice": "abort", "bob": "abort"}
-                t.meta["reason"] = "check-abort"
-                return {"transcript": t, "inferred_choice": None,
-                        "effective_choice": bob.effective_choice(), "output": "abort"}
-    if bob.size_abort(len(checked)):
-        t.aborted = True
-        t.outputs = {"alice": None, "bob": "abort"}
-        t.meta["reason"] = "size-abort"
-        return {"transcript": t, "inferred_choice": None,
-                "effective_choice": bob.effective_choice(), "output": "abort"}
-
-    kept = [i for i in range(n) if i not in checked]
-    theta_hat_a = theta_a[kept]
-    t.log("simulator", "announce-bases", bases=theta_hat_a)
-    i0, i1 = bob.partition(theta_hat_a, theta_b[kept], len(kept))
-    t.log("bob", "partition", i0=i0, i1=i1)
-    matched = set(
-        j for j in range(len(kept)) if int(theta_hat_a[j]) == int(committed[kept[j]])
-    )
-    if set(i0) == matched:
-        c_hat = 0
-    elif set(i1) == matched:
-        c_hat = 1
-    else:
-        # degenerate partitions: prefer the side whose positions the receiver
-        # actually knows (all bases matched), else the larger matched overlap
-        known0, known1 = set(i0) <= matched, set(i1) <= matched
-        if known0 and not known1:
-            c_hat = 0
-        elif known1 and not known0:
-            c_hat = 1
-        else:
-            c_hat = 0 if len(matched & set(i0)) >= len(matched & set(i1)) else 1
-    ideal_value = ideal_ot((s0, s1), c_hat)
-    t.log("simulator", "ideal-ot", choice=c_hat, value=ideal_value)
-
-    nhat = len(kept)
-    mask = alice_rng.integers(0, 2, size=(ell, nhat)).astype(np.uint8)
-    x_hat_a = x_a[kept]
-    own = (i0, i1)[c_hat]
-    m_chat = tuple(a ^ b for a, b in zip(ideal_value, _apply_subset_hash(mask, own, x_hat_a)))
-    m_other = tuple(int(b) for b in alice_rng.integers(0, 2, size=ell))
-    m0, m1 = (m_chat, m_other) if c_hat == 0 else (m_other, m_chat)
-    t.log("simulator", "masked-strings", m0=m0, m1=m1)
-    out = bob.decode(mask, m0, m1, x_b[kept], i0, i1)
-    t.outputs = {"alice": None, "bob": out}
-    t.log("bob", "output", value=out)
+    run = _Execution(s0, s1, choice, n, seed, bc_backend, commit_params)
+    alice = _ExtractingSender(run.tape(1), n, run.strings, run.t)
+    bob = script(run.tape(2), n, choice)
+    run.play(alice, bob)
     return {
-        "transcript": t,
-        "inferred_choice": c_hat,
+        "transcript": run.t,
+        "inferred_choice": alice.memory.get("c_hat"),
         "effective_choice": bob.effective_choice(),
-        "output": out,
+        "output": _output(run.t),
     }
 
 
@@ -848,43 +853,34 @@ def run_simulator_demo(
     construction feeding the ideal functionality; reports per-output-category
     agreement of the environment-visible outputs at three sigma.
     """
-    if corruption not in ("sender", "receiver"):
-        raise InputError("corruption must be 'sender' or 'receiver'")
     kwargs = script_kwargs or {}
-    real_counts: dict[str, int] = {}
-    ideal_counts: dict[str, int] = {}
-    extraction_hits = 0
-    extraction_total = 0
     if corruption == "sender":
         factory = sender_script(script, **kwargs)
-        for k in range(runs):
-            run_seed = _stream(seed, k)
-            real = run_ot_protocol(s0, s1, c, n, sender=factory, seed=run_seed)
-            lab = _label(real.outputs["bob"] if not real.aborted else "abort")
-            real_counts[lab] = real_counts.get(lab, 0) + 1
-            sim = simulate_corrupted_sender(factory, c, n, (s0, s1), seed=run_seed)
-            lab = _label(sim["output"])
-            ideal_counts[lab] = ideal_counts.get(lab, 0) + 1
-    else:
+        real_args = {"sender": factory}
+
+        def simulate(run_seed):
+            return simulate_corrupted_sender(factory, c, n, (s0, s1), seed=run_seed)
+    elif corruption == "receiver":
         factory = receiver_script(script, **kwargs)
-        backend = bc_backend or "protocol"
-        for k in range(runs):
-            run_seed = _stream(seed, k)
-            real = run_ot_protocol(
-                s0, s1, c, n, receiver=factory, seed=run_seed,
-                bc_backend=backend, commit_params=commit_params,
-            )
-            lab = _label(real.outputs["bob"] if not real.aborted else "abort")
-            real_counts[lab] = real_counts.get(lab, 0) + 1
-            sim = simulate_corrupted_receiver(
-                factory, s0, s1, n, choice=c, seed=run_seed,
-                bc_backend=backend, commit_params=commit_params,
-            )
-            lab = _label(sim["output"])
-            ideal_counts[lab] = ideal_counts.get(lab, 0) + 1
-            if sim["effective_choice"] is not None and sim["inferred_choice"] is not None:
-                extraction_total += 1
-                extraction_hits += int(sim["inferred_choice"] == sim["effective_choice"])
+        backend = {"bc_backend": bc_backend or "protocol", "commit_params": commit_params}
+        real_args = {"receiver": factory, **backend}
+
+        def simulate(run_seed):
+            return simulate_corrupted_receiver(
+                factory, s0, s1, n, choice=c, seed=run_seed, **backend)
+    else:
+        raise InputError("corruption must be 'sender' or 'receiver'")
+    real_counts: Counter = Counter()
+    ideal_counts: Counter = Counter()
+    extraction = {"checked": 0, "correct": 0}
+    for k in range(runs):
+        run_seed = _stream(seed, k)
+        real_counts[_label(_output(run_ot_protocol(s0, s1, c, n, seed=run_seed, **real_args)))] += 1
+        sim = simulate(run_seed)
+        ideal_counts[_label(sim["output"])] += 1
+        if sim.get("effective_choice") is not None and sim.get("inferred_choice") is not None:
+            extraction["checked"] += 1
+            extraction["correct"] += int(sim["inferred_choice"] == sim["effective_choice"])
     report = _compare_counts(real_counts, ideal_counts, runs)
     report.update(
         {
@@ -896,8 +892,5 @@ def run_simulator_demo(
         }
     )
     if corruption == "receiver":
-        report["extraction"] = {
-            "checked": extraction_total,
-            "correct": extraction_hits,
-        }
+        report["extraction"] = extraction
     return report

@@ -1,10 +1,15 @@
 """Composition demos: ideal functionalities, the seeded protocol executions,
 and the simulator constructions that must match them at the environment."""
+import hashlib
+import json
+
 import pytest
 
 from gamebound.errors import InputError
 from gamebound.rand import rng_from_seed
 from gamebound.ucsim import (
+    RECEIVER_SCRIPTS,
+    SENDER_SCRIPTS,
     IdealBitCommitment,
     ProtocolBitCommitment,
     SenderProgram,
@@ -198,3 +203,91 @@ def test_transcript_events_are_jsonable():
     assert isinstance(d["events"], list)
     assert all(isinstance(e["actor"], str) for e in d["events"])
     json.dumps(d)  # raises on any ndarray left in a payload
+
+
+def test_sender_simulator_rejects_bad_choice_on_every_seed():
+    # rejected before the run, so a seed whose run aborts cannot hide it
+    for k in range(30):
+        with pytest.raises(InputError):
+            simulate_corrupted_sender(SenderProgram, 5, 8, ((0, 1), (1, 1)), seed=k)
+
+
+def test_simulators_reject_a_single_position():
+    with pytest.raises(InputError):
+        simulate_corrupted_sender(SenderProgram, 0, 1, ((0,), (1,)), seed=1)
+    with pytest.raises(InputError):
+        simulate_corrupted_receiver(receiver_script("honest"), (0,), (1,), 1, choice=0, seed=1)
+
+
+def test_receiver_simulator_rejects_bad_choice():
+    with pytest.raises(InputError):
+        simulate_corrupted_receiver(receiver_script("honest"), (0,), (1,), 8, choice=7, seed=1)
+
+
+# Pinned digests of real runs over every script pairing, both commitment
+# backends and both choices, of both simulators' results (the transcript cut
+# to outputs, abort flag and meta) and of stand-alone 2CC runs: any change to
+# a random draw, an event or an output changes them.
+PINNED_SEEDS = range(20)
+PINNED_STRINGS = ((0, 1), (1, 1))
+REAL_RUNS_SHA256 = "6e6161a0f9cdc3a8381020aec5e2e137b6c2a5988cd2eea6eed7dce4f77028cb"
+SIMULATIONS_SHA256 = "7e9c08c144e43924c0cff0109eb627933954cfa25941778714865e88cce0bb3a"
+TWO_CC_RUNS_SHA256 = "b3f649e2c68c0ec9e6ba26c92130a38a7bc167b2449c705ccc57e731d4c41de1"
+
+
+def _digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _reduced(sim: dict) -> dict:
+    view = sim["transcript"].to_dict()
+    rest = {k: v for k, v in sim.items() if k != "transcript"}
+    return {"transcript": {k: view[k] for k in ("outputs", "aborted", "meta")}, **rest}
+
+
+def test_pinned_real_runs():
+    records = [
+        run_ot_protocol(
+            *PINNED_STRINGS, c, 6, seed=(17, k), bc_backend=backend,
+            sender=sender_script(sender), receiver=receiver_script(receiver),
+        ).to_dict()
+        for sender in sorted(SENDER_SCRIPTS)
+        for receiver in sorted(RECEIVER_SCRIPTS)
+        for backend in ("ideal", "protocol")
+        for c in (0, 1)
+        for k in PINNED_SEEDS
+    ]
+    assert _digest(records) == REAL_RUNS_SHA256
+
+
+def test_pinned_simulations():
+    records = [
+        _reduced(simulate_corrupted_sender(sender_script(name), c, 6, PINNED_STRINGS, seed=(18, k)))
+        for name in sorted(SENDER_SCRIPTS)
+        for c in (0, 1)
+        for k in PINNED_SEEDS
+    ]
+    records += [
+        _reduced(simulate_corrupted_receiver(
+            receiver_script(name), *PINNED_STRINGS, 6, choice=c, seed=(19, k), bc_backend=backend))
+        for name in sorted(RECEIVER_SCRIPTS)
+        for backend in ("ideal", "protocol")
+        for c in (0, 1)
+        for k in PINNED_SEEDS
+    ]
+    assert _digest(records) == SIMULATIONS_SHA256
+
+
+def test_pinned_2cc_runs():
+    records = [
+        run_2cc_protocol(bits >> 2, (bits >> 1) & 1, bits & 1, seed=(20, k),
+                         refuse_open=refuse, bc_backend=backend).to_dict()
+        for backend in ("ideal", "protocol")
+        for refuse in (False, True)
+        for bits in range(8)
+        for k in range(5)
+    ]
+    assert _digest(records) == TWO_CC_RUNS_SHA256
