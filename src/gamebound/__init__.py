@@ -9,7 +9,6 @@ from .discrimination import (
     SolverCertificate,
     guessing_probability,
     hmin_cq,
-    hmin_general,
     optimal_discrimination,
 )
 from .errors import CapExceededError, InputError
@@ -40,7 +39,6 @@ __all__ = [
     "density_from_matrix",
     "guessing_probability",
     "hmin_cq",
-    "hmin_general",
     "optimal_discrimination",
     "partial_trace",
     "random_game",

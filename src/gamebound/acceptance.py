@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from . import accessible, bcjl, coding, commitments, games, hashing, onecc, ucsim
-from .discrimination import CqState, optimal_discrimination, DiscriminationInstance
-from .linalg import apply_kraus
+from .discrimination import CqState
 from .rand import (
     haar_unitary,
     random_density_matrix,
@@ -19,29 +18,16 @@ from .rand import (
     random_projector,
     rng_from_seed,
 )
-from .report import CheckRecord, ExperimentReport, digest_inputs
-from .states import DensityOperator, density_from_matrix
+from .report import CheckRecord, ExperimentReport, timed_record
+from .states import density_from_matrix
 from .registers import shape
 
 GAMMA = math.cos(math.pi / 8.0) ** 2
 
 
-def _finish(name, passed, values, bound, slack, provenance, inputs, started):
-    return CheckRecord(
-        name=name,
-        passed=bool(passed),
-        values=values,
-        bound=bound,
-        slack=slack,
-        provenance=provenance,
-        inputs_digest=digest_inputs(inputs),
-        runtime_s=time.time() - started,
-    )
-
-
 def criterion_01_guessing_constant(seed=0) -> CheckRecord:
     """Single-position basis guessing equals cos^2(pi/8) at 1e-9."""
-    started = time.time()
+    started = time.perf_counter()
     cert = onecc.single_position_guessing()
     err = abs(cert.primal_value - GAMMA)
     passed = err <= 1e-9 and cert.gap <= 1e-9
@@ -52,7 +38,7 @@ def criterion_01_guessing_constant(seed=0) -> CheckRecord:
         "certificate_gap": cert.gap,
         "iterations": cert.iterations,
     }
-    return _finish(
+    return timed_record(
         "01-basis-guessing-constant", passed, values, 1e-9, 1e-9 - err,
         "solver-certificate", {"criterion": 1}, started,
     )
@@ -61,7 +47,7 @@ def criterion_01_guessing_constant(seed=0) -> CheckRecord:
 def criterion_02_bell_counterexample(seed=0) -> CheckRecord:
     """Adaptive 1, semi-adaptive and non-adaptive 1/4, one effective qubit,
     and the naive conditional bound flagged as violated."""
-    started = time.time()
+    started = time.perf_counter()
     game = games.bell_game()
     res = games.verify_main_theorem(game, tol=1e-6, solver_tol=1e-9)
     flagged = any(
@@ -84,7 +70,7 @@ def criterion_02_bell_counterexample(seed=0) -> CheckRecord:
         "certificate_gap": res.adaptive_cert.gap,
         "checks": checks,
     }
-    return _finish(
+    return timed_record(
         "02-bell-counterexample", all(checks.values()), values, 1e-7, None,
         "solver-certificate", {"criterion": 2}, started,
     )
@@ -93,7 +79,7 @@ def criterion_02_bell_counterexample(seed=0) -> CheckRecord:
 def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
     """Adaptive advantage capped by 2^(effective qubits) over non-adaptive
     on seeded random games, with certified duality gaps."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 3))
     worst_ratio_slack = math.inf
     worst_gap = 0.0
@@ -119,7 +105,7 @@ def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
         "worst_certificate_gap": worst_gap,
         "failures": failures[:10],
     }
-    return _finish(
+    return timed_record(
         "03-adaptive-vs-nonadaptive-games", not failures, values, 1e-6,
         worst_ratio_slack, "solver-certificate", {"criterion": 3, "count": count},
         started,
@@ -130,7 +116,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
     """Per-measurement lambda is tight (passes at the value, fails just
     below), never exceeds the effective-qubit count, and survives local
     processing."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 4))
     worst_margin = math.inf
     failures = []
@@ -179,7 +165,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
         "worst_zero_entropy_margin": worst_margin,
         "failures": failures[:10],
     }
-    return _finish(
+    return timed_record(
         "04-measurement-domination", not failures, values, 1e-8, worst_margin,
         "closed-form", {"criterion": 4, "n_states": n_states}, started,
     )
@@ -187,7 +173,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
 
 def criterion_05_norm_lemma(seed=0, pairs: int = 100) -> CheckRecord:
     """Spectral norm of a projector sum against one plus the product norm."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 5))
     worst = math.inf
     ok_all = True
@@ -199,7 +185,7 @@ def criterion_05_norm_lemma(seed=0, pairs: int = 100) -> CheckRecord:
         ok_all = ok_all and ok
         worst = min(worst, rhs + 1e-9 - lhs)
     values = {"pairs": pairs, "worst_slack": worst}
-    return _finish(
+    return timed_record(
         "05-norm-lemma", ok_all, values, 1e-9, worst, "closed-form",
         {"criterion": 5, "pairs": pairs}, started,
     )
@@ -208,7 +194,7 @@ def criterion_05_norm_lemma(seed=0, pairs: int = 100) -> CheckRecord:
 def criterion_06_cheat_state(seed=0, instances: int = 50) -> CheckRecord:
     """The constructed two-sided opening state succeeds perfectly on one
     projector and with probability at least epsilon squared on the other."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 6))
     built = 0
     worst_p0 = 1.0
@@ -236,7 +222,7 @@ def criterion_06_cheat_state(seed=0, instances: int = 50) -> CheckRecord:
         "worst_second_slack": worst_p1_slack,
         "failures": failures[:10],
     }
-    return _finish(
+    return timed_record(
         "06-cheat-state", not failures, values, None, worst_p1_slack,
         "closed-form", {"criterion": 6, "instances": instances}, started,
     )
@@ -246,7 +232,7 @@ def criterion_07_wrong_opening(seed=0, samples: int = 100) -> CheckRecord:
     """Wrong-opening acceptance on sampled small-support states over the
     [7,4] distance-3 code, plus the chained adaptive bound through the
     discrimination engine."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 7))
     code = coding.named_code("hamming74")
     delta = 1.0 / 7.0
@@ -277,7 +263,7 @@ def criterion_07_wrong_opening(seed=0, samples: int = 100) -> CheckRecord:
         "chain_checks": len(chain),
         "failures": failures[:10],
     }
-    return _finish(
+    return timed_record(
         "07-wrong-opening", not failures, values, bound + 1e-9,
         bound + 1e-9 - worst, "sampled-search",
         {"criterion": 7, "samples": samples}, started,
@@ -289,7 +275,7 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
     (where the pair bound is met with equality) and on [7,4] unless a
     sampling budget is given, with the overlap bound checked exactly on
     every evaluated pair."""
-    started = time.time()
+    started = time.perf_counter()
     inst3 = bcjl.BcjlInstance(
         code=coding.named_code("rep31"), delta=0.0, hash_member=1,
         syndrome_bits=(0, 0), masked_bit=0,
@@ -313,7 +299,7 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
         "large": {k: r7[k] for k in ("max_sum", "bound", "pairs_evaluated", "exhaustive")},
         "checks": checks,
     }
-    return _finish(
+    return timed_record(
         "08-ball-binding", all(checks.values()), values, r7["bound"] + 1e-9,
         r7["bound"] + 1e-9 - r7["max_sum"], "enumeration",
         {"criterion": 8, "budget": budget}, started,
@@ -322,7 +308,7 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
 
 def criterion_09_privacy_amplification(seed=0, instances: int = 50) -> CheckRecord:
     """Exact masked-bit distance against the certified min-entropy bound."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 9))
     worst_slack = math.inf
     failures = []
@@ -342,7 +328,7 @@ def criterion_09_privacy_amplification(seed=0, instances: int = 50) -> CheckReco
         if not ok:
             failures.append({"instance": k, "distance": distance, "bound": bound})
     values = {"instances": instances, "worst_slack": worst_slack, "failures": failures[:10]}
-    return _finish(
+    return timed_record(
         "09-privacy-amplification", not failures, values, None, worst_slack,
         "solver-certificate", {"criterion": 9, "instances": instances}, started,
     )
@@ -352,7 +338,7 @@ def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
     """Honest commit runs never fail a check; the size-abort frequency
     matches the exact binomial tail and sits under the stated exponential
     bound; the sampling-agreement frequency stays below its claim."""
-    started = time.time()
+    started = time.perf_counter()
     code = coding.named_code("rep31")
     results = {}
     ok = True
@@ -390,7 +376,7 @@ def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
     ok = ok and claim_ok and exact_ok
     results["sampling"] = {**{k: mc[k] for k in ("frequency", "exact", "claim_bound", "sigma")},
                            "ok": claim_ok and exact_ok}
-    return _finish(
+    return timed_record(
         "10-commit-tails", ok, results, None, None, "monte-carlo",
         {"criterion": 10, "runs": runs}, started,
     )
@@ -399,7 +385,7 @@ def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
 def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
     """Honest transfer completeness, the rushing-simulator comparison, and
     the exhaustive choice-functionality table."""
-    started = time.time()
+    started = time.perf_counter()
     correct = 0
     completed = 0
     for k in range(runs):
@@ -433,7 +419,7 @@ def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
         "table_exhaustive": table_ok,
     }
     passed = completeness_ok and demo_fixed["pass"] and demo_noisy["pass"] and table_ok
-    return _finish(
+    return timed_record(
         "11-uc-simulator-demos", passed, values, None, None, "monte-carlo",
         {"criterion": 11, "runs": runs}, started,
     )
@@ -442,7 +428,7 @@ def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
 def criterion_12_storage_reduction(seed=0, instances: int = 4) -> CheckRecord:
     """Measured two-sided opening advantage against the square-root
     non-adaptive bound for one stored qubit, via the exact projective optimum."""
-    started = time.time()
+    started = time.perf_counter()
     rng = rng_from_seed((seed, 12))
     failures = []
     trials_run = 0
@@ -473,7 +459,7 @@ def criterion_12_storage_reduction(seed=0, instances: int = 4) -> CheckRecord:
         "worst_slack": worst_slack,
         "failures": failures[:10],
     }
-    return _finish(
+    return timed_record(
         "12-storage-reduction", not failures, values, None, worst_slack,
         "closed-form", {"criterion": 12, "instances": instances}, started,
     )

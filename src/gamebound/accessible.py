@@ -14,11 +14,11 @@ measurements and the rank upper bound lg rank(rho_A) are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EQ_TOL, RANK_TOL, default_budget
+from .config import RANK_TOL, default_budget
 from .errors import InputError
 from .linalg import (
     apply_kraus,
@@ -218,50 +218,6 @@ def imax_acc_bounds(
         witness_sigma=best_sigma,
         searched=len(family),
     )
-
-
-def classical_conditional_bound(
-    rho_zab: DensityOperator,
-    budget: int | None = None,
-    seed=0,
-    weight_floor: float = 1e-12,
-) -> tuple[float, float]:
-    """Max over classical z of the per-z estimates (lower, upper).
-
-    The first register must be classical: off-diagonal z-blocks below 1e-10.
-    """
-    if len(rho_zab.shape.labels) != 3:
-        raise InputError("expected three registers (Z, A, B)")
-    dim_z, dim_a, dim_b = rho_zab.shape.dims
-    d = dim_a * dim_b
-    mat = rho_zab.matrix
-    for z1 in range(dim_z):
-        for z2 in range(dim_z):
-            if z1 == z2:
-                continue
-            block = mat[z1 * d : (z1 + 1) * d, z2 * d : (z2 + 1) * d]
-            if np.max(np.abs(block)) > 1e-10:
-                raise InputError(
-                    f"register {rho_zab.shape.labels[0]!r} is not classical: "
-                    f"off-diagonal block ({z1},{z2}) has weight {np.max(np.abs(block)):.2e}"
-                )
-    from .registers import RegisterShape
-
-    sub_shape = RegisterShape(rho_zab.shape.subsystems[1:])
-    best_lower = -math.inf
-    best_upper = -math.inf
-    for z in range(dim_z):
-        block = mat[z * d : (z + 1) * d, z * d : (z + 1) * d]
-        weight = float(np.real(np.trace(block)))
-        if weight <= weight_floor:
-            continue
-        cond = density_from_matrix(sub_shape, block / weight)
-        est = imax_acc_bounds(cond, budget=budget, seed=seed)
-        best_lower = max(best_lower, est.lower)
-        best_upper = max(best_upper, est.upper)
-    if best_lower == -math.inf:
-        raise InputError("no z-block carries probability weight")
-    return best_lower, best_upper
 
 
 def local_channel_monotonicity_check(

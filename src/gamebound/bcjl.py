@@ -17,7 +17,6 @@ from .coding import (
     bits_to_int,
     coset_members,
     hamming_ball_around,
-    syndrome,
 )
 from .errors import InputError
 from .hashing import XorHashFamily
@@ -292,10 +291,3 @@ def hiding_distance_exact(n: int, code: LinearCode) -> dict:
         "vacuous": bound >= 1.0,
         "pass": bound >= 1.0 or distance <= bound + 1e-9,
     }
-
-
-def hiding_proof_rate_condition(delta: float = 0.0, margin: float = 1e-12) -> float:
-    """The asymptotic-hiding threshold on 1 - k/n: positive requirement means a
-    rate near 1 is mandatory at desk scale."""
-    gamma = math.cos(math.pi / 8.0) ** 2
-    return math.log2(1.0 / gamma) - margin

@@ -14,7 +14,7 @@ import time
 
 from . import accessible, acceptance, bcjl, coding, commitments, games, onecc, ucsim
 from .errors import CapExceededError, InputError
-from .report import CheckRecord, ExperimentReport, digest_inputs
+from .report import CheckRecord, ExperimentReport, timed_record
 from .states import load_state
 
 
@@ -40,8 +40,7 @@ def _emit(report: ExperimentReport, out: str | None) -> int:
     return 0 if report.passed else 1
 
 
-def _game_record(tag: str, res: games.GameResult, runtime_s: float) -> CheckRecord:
-    ok = res.ok
+def _game_record(tag: str, res: games.GameResult, started: float) -> CheckRecord:
     values = {
         "non_adaptive": res.non_adaptive,
         "semi_adaptive": res.semi_adaptive,
@@ -55,11 +54,7 @@ def _game_record(tag: str, res: games.GameResult, runtime_s: float) -> CheckReco
             for c in res.bound_checks
         ],
     }
-    return CheckRecord(
-        name=tag, passed=ok, values=values, bound=None, slack=None,
-        provenance="solver-certificate", inputs_digest=digest_inputs(tag),
-        runtime_s=runtime_s,
-    )
+    return timed_record(tag, res.ok, values, None, None, "solver-certificate", tag, started)
 
 
 def _cmd_game(args) -> int:
@@ -76,44 +71,41 @@ def _cmd_game(args) -> int:
     for tag, game in games_to_run:
         started = time.perf_counter()
         res = games.verify_main_theorem(game, tol=args.tol)
-        checks.append(_game_record(tag, res, time.perf_counter() - started))
+        checks.append(_game_record(tag, res, started))
     if not checks:
         raise InputError("nothing to do: pass --bell, --random N, or --state/--family")
     return _emit(ExperimentReport("game", args.seed, checks), args.out)
 
 
 def _cmd_binding(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     scheme = commitments.load_scheme(args.scheme)
-    checks = []
-    eps_na = commitments.scheme_epsilon_na(scheme)
-    checks.append(CheckRecord(
-        name="non-adaptive-epsilon", passed=True,
-        values={"epsilon": eps_na}, provenance="closed-form",
-        inputs_digest=digest_inputs(args.scheme), runtime_s=time.time() - started,
-    ))
+    checks = [timed_record(
+        "non-adaptive-epsilon", True, {"epsilon": commitments.scheme_epsilon_na(scheme)},
+        None, None, "closed-form", args.scheme, started,
+    )]
     if args.state:
+        started = time.perf_counter()
         rho = load_state(args.state)
         report = commitments.adaptive_binding(scheme, rho, mode=args.mode,
                                               tol=args.tol)
-        checks.append(CheckRecord(
-            name="adaptive-binding", passed=True,
-            values={"p0": report.p0, "p1": report.p1, "epsilon": report.epsilon,
-                    "mode": report.mode},
-            provenance=("closed-form" if args.mode == "projective-bruteforce"
-                        else "solver-certificate"),
-            inputs_digest=digest_inputs(args.state),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "adaptive-binding", True,
+            {"p0": report.p0, "p1": report.p1, "epsilon": report.epsilon,
+             "mode": report.mode},
+            None, None,
+            "closed-form" if args.mode == "projective-bruteforce" else "solver-certificate",
+            args.state, started,
         ))
     if args.storage_q is not None:
+        started = time.perf_counter()
         rows = commitments.storage_reduction_check(
             scheme, q=args.storage_q, trials=args.trials, seed=args.seed
         )
         ok = all(row["pass"] is not False for row in rows)
-        checks.append(CheckRecord(
-            name="storage-reduction", passed=ok, values={"rows": rows},
-            provenance="closed-form", inputs_digest=digest_inputs(args.scheme),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "storage-reduction", ok, {"rows": rows}, None, None, "closed-form",
+            args.scheme, started,
         ))
     return _emit(ExperimentReport("binding", args.seed, checks), args.out)
 
@@ -121,28 +113,24 @@ def _cmd_binding(args) -> int:
 def _cmd_onecc(args) -> int:
     checks = []
     if args.guessing:
-        started = time.time()
+        started = time.perf_counter()
         cert = onecc.single_position_guessing(tol=args.tol)
-        checks.append(CheckRecord(
-            name="single-position-guessing", passed=cert.gap <= args.tol,
-            values={"value": cert.primal_value, "gap": cert.gap},
-            provenance="solver-certificate", inputs_digest=digest_inputs("guessing"),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "single-position-guessing", cert.gap <= args.tol,
+            {"value": cert.primal_value, "gap": cert.gap}, None, None,
+            "solver-certificate", "guessing", started,
         ))
     if args.commit_sim:
-        started = time.time()
+        started = time.perf_counter()
         instance = onecc.OneCcInstance(args.big_n, args.q, coding.named_code(args.code))
         sim = onecc.simulate_commit(instance, args.bit, runs=args.runs, seed=args.seed)
-        view = sim.pop("last_view", None)
-        checks.append(CheckRecord(
-            name="commit-simulation", passed=sim["aborts_check"] == 0,
-            values=sim, provenance="monte-carlo",
-            inputs_digest=digest_inputs([args.big_n, args.q, args.code]),
-            runtime_s=time.time() - started,
+        sim.pop("last_view", None)
+        checks.append(timed_record(
+            "commit-simulation", sim["aborts_check"] == 0, sim, None, None, "monte-carlo",
+            [args.big_n, args.q, args.code], started,
         ))
-        del view
     if args.wrong_opening:
-        started = time.time()
+        started = time.perf_counter()
         code = coding.named_code(args.code)
         worst = 0.0
         all_ok = True
@@ -159,13 +147,10 @@ def _cmd_onecc(args) -> int:
             worst = max(worst, chk["worst_value"])
             bound = chk["bound"]
             all_ok = all_ok and chk["pass"]
-        checks.append(CheckRecord(
-            name="wrong-opening", passed=all_ok,
-            values={"worst_value": worst, "samples": args.samples},
-            bound=bound, slack=None if bound is None else bound - worst,
-            provenance="sampled-search",
-            inputs_digest=digest_inputs([args.code, args.delta]),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "wrong-opening", all_ok, {"worst_value": worst, "samples": args.samples},
+            bound, None if bound is None else bound - worst, "sampled-search",
+            [args.code, args.delta], started,
         ))
     if not checks:
         raise InputError(
@@ -176,7 +161,7 @@ def _cmd_onecc(args) -> int:
 
 def _cmd_bcjl(args) -> int:
     checks = []
-    started = time.time()
+    started = time.perf_counter()
     code = coding.named_code(args.code)
     if args.n and args.n != code.n:
         raise InputError(f"--n {args.n} does not match code length {code.n}")
@@ -189,28 +174,23 @@ def _cmd_bcjl(args) -> int:
     )
     result = bcjl.na_binding(instance, budget=args.budget, seed=args.seed)
     if "note" in result:
-        checks.append(CheckRecord(
-            name="binding", passed=True, values=result, provenance="enumeration",
-            inputs_digest=digest_inputs([args.code, args.delta]),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "binding", True, result, None, None, "enumeration",
+            [args.code, args.delta], started,
         ))
     else:
-        checks.append(CheckRecord(
-            name="binding", passed=bool(result["pass"] and result["overlap_bound_ok"]),
-            values={k: result[k] for k in
-                    ("max_sum", "pairs_evaluated", "exhaustive", "overlap_bound_ok")},
-            bound=result["bound"], slack=result["bound"] - result["max_sum"],
-            provenance="enumeration",
-            inputs_digest=digest_inputs([args.code, args.delta, args.hash_member]),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "binding", result["pass"] and result["overlap_bound_ok"],
+            {k: result[k] for k in
+             ("max_sum", "pairs_evaluated", "exhaustive", "overlap_bound_ok")},
+            result["bound"], result["bound"] - result["max_sum"], "enumeration",
+            [args.code, args.delta, args.hash_member], started,
         ))
     if args.hiding_n:
-        started = time.time()
+        started = time.perf_counter()
         hide = bcjl.hiding_distance_exact(args.hiding_n, coding.named_code(args.code))
-        checks.append(CheckRecord(
-            name="hiding", passed=hide["pass"], values=hide,
-            provenance="enumeration", inputs_digest=digest_inputs(args.hiding_n),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "hiding", hide["pass"], hide, None, None, "enumeration", args.hiding_n, started,
         ))
     return _emit(ExperimentReport("bcjl", args.seed, checks), args.out)
 
@@ -218,14 +198,13 @@ def _cmd_bcjl(args) -> int:
 def _cmd_uc(args) -> int:
     checks = []
     if args.table:
-        started = time.time()
-        checks.append(CheckRecord(
-            name="one-cc-table", passed=True, values={"table": ucsim.one_cc_table()},
-            provenance="enumeration", inputs_digest=digest_inputs("table"),
-            runtime_s=time.time() - started,
+        started = time.perf_counter()
+        checks.append(timed_record(
+            "one-cc-table", True, {"table": ucsim.one_cc_table()}, None, None,
+            "enumeration", "table", started,
         ))
     if args.honest_ot:
-        started = time.time()
+        started = time.perf_counter()
         correct = completed = 0
         for k in range(args.runs):
             c = k % 2
@@ -234,24 +213,21 @@ def _cmd_uc(args) -> int:
                 continue
             completed += 1
             correct += tr.outputs["bob"] == (c,)
-        checks.append(CheckRecord(
-            name="honest-ot", passed=completed > 0 and correct == completed,
-            values={"runs": args.runs, "completed": completed, "correct": correct},
-            provenance="monte-carlo", inputs_digest=digest_inputs(args.n),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            "honest-ot", completed > 0 and correct == completed,
+            {"runs": args.runs, "completed": completed, "correct": correct}, None, None,
+            "monte-carlo", args.n, started,
         ))
     if args.demo:
-        started = time.time()
+        started = time.perf_counter()
         demo = ucsim.run_simulator_demo(
             args.demo, script=args.script, runs=args.runs, n=args.n,
             seed=args.seed,
         )
         values = {k: demo[k] for k in demo if k not in ("real", "ideal")}
-        checks.append(CheckRecord(
-            name=f"{args.demo}-demo-{args.script}", passed=demo["pass"],
-            values=values, provenance="monte-carlo",
-            inputs_digest=digest_inputs([args.demo, args.script]),
-            runtime_s=time.time() - started,
+        checks.append(timed_record(
+            f"{args.demo}-demo-{args.script}", demo["pass"], values, None, None,
+            "monte-carlo", [args.demo, args.script], started,
         ))
     if not checks:
         raise InputError("nothing to do: pass --table, --honest-ot, or --demo")
@@ -259,16 +235,15 @@ def _cmd_uc(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     rho = load_state(args.state)
     est = accessible.imax_acc_bounds(rho, budget=args.budget, seed=args.seed)
     h0 = accessible.zero_entropy(rho, "A")
-    checks = [CheckRecord(
-        name="accessible-info-bounds", passed=est.lower <= est.upper + args.tol,
-        values={"lower": est.lower, "upper": est.upper, "searched": est.searched,
-                "zero_entropy_a": h0},
-        bound=h0, slack=h0 - est.lower, provenance="sampled-search",
-        inputs_digest=digest_inputs(args.state), runtime_s=time.time() - started,
+    checks = [timed_record(
+        "accessible-info-bounds", est.lower <= est.upper + args.tol,
+        {"lower": est.lower, "upper": est.upper, "searched": est.searched,
+         "zero_entropy_a": h0},
+        h0, h0 - est.lower, "sampled-search", args.state, started,
     )]
     return _emit(ExperimentReport("info", args.seed, checks), args.out)
 

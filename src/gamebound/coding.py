@@ -74,12 +74,16 @@ def _null_space_gf2(reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
     return np.array(basis, dtype=np.uint8) if basis else np.zeros((0, n), np.uint8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """[n, k, d] binary linear code given by a full-rank generator matrix."""
+    """[n, k, d] binary linear code given by a full-rank generator matrix.
+
+    Codes compare and hash by identity: generated field-wise equality over
+    ndarrays would raise instead of returning a bool.
+    """
 
     generator: np.ndarray = field(repr=False)
-    parity_check: np.ndarray = field(init=False, repr=False, compare=False)
+    parity_check: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.generator, dtype=np.uint8) % 2
@@ -180,35 +184,6 @@ def hamming_ball_around(x, radius: int) -> list[np.ndarray]:
 
 def ball_size(n: int, radius: int) -> int:
     return sum(math.comb(n, w) for w in range(radius + 1))
-
-
-def gilbert_varshamov_sample(
-    n: int, rate: float, tau: float, n_seeds: int, seed=0
-) -> tuple[float, list[int]]:
-    """Frequency of min distance >= tau*n among random full-rank [n, k] codes.
-
-    k = round(rate * n). Generator matrices are drawn uniformly conditioned on
-    full rank (rejection sampling), matching the LinearCode invariant.
-    """
-    if n > BRUTE_FORCE_N_CAP:
-        raise InputError(f"n={n} exceeds brute-force cap {BRUTE_FORCE_N_CAP}")
-    k = round(rate * n)
-    if k < 1 or k > n:
-        raise InputError(f"rate {rate} gives invalid k={k} for n={n}")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    distances = []
-    hits = 0
-    threshold = tau * n
-    for _ in range(n_seeds):
-        while True:
-            g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-            if len(_row_reduce(g)[1]) == k:
-                break
-        d = LinearCode(g).min_distance()
-        distances.append(d)
-        if d >= threshold:
-            hits += 1
-    return hits / n_seeds, distances
 
 
 # Named codes for the CLI.

@@ -22,17 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EQ_TOL, SOLVER_MAX_ITER, SOLVER_TOL
-from .discrimination import (
-    DiscriminationInstance,
-    Povm,
-    SolverCertificate,
-    optimal_discrimination,
-)
+from .config import EQ_TOL, SOLVER_TOL
+from .discrimination import DiscriminationInstance, optimal_discrimination
 from .errors import InputError
 from .linalg import (
     check_psd,
     hermitize,
+    load_json,
+    matrix_from_json,
+    matrix_to_json,
     partial_trace_matrix,
     spectral_norm,
     tensor,
@@ -233,28 +231,6 @@ def _qubit_optimum(
     return best
 
 
-def opening_projectors(
-    scheme: ProjectiveCommitmentScheme,
-    strategy_zero: OpeningStrategy,
-    strategy_one: OpeningStrategy,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The accept projectors P_b = sum_y F_y (x) V_y on A (x) B."""
-    out = []
-    for strategy in (strategy_zero, strategy_one):
-        side = dict(scheme.openings(strategy.bit))
-        total = None
-        for label, f in strategy.elements:
-            if label not in side:
-                raise InputError(f"strategy names unknown opening {label!r}")
-            term = tensor(f, side[label])
-            total = term if total is None else total + term
-        p = hermitize(total)
-        if np.max(np.abs(p @ p - p)) > 1e-9:
-            raise InputError("accept operator is not a projector")  # unreachable
-        out.append(p)
-    return out[0], out[1]
-
-
 def norm_lemma_check(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> tuple[bool, float, float]:
     """||X + Y|| <= 1 + ||XY|| for projectors X, Y."""
     xp = _check_projector(x, "X")
@@ -338,27 +314,21 @@ def storage_reduction_check(
 
 def scheme_to_dict(scheme: ProjectiveCommitmentScheme) -> dict:
     def side(openings):
-        return [
-            {"label": label, "re": np.real(v).tolist(), "im": np.imag(v).tolist()}
-            for label, v in openings
-        ]
+        return [{"label": label, **matrix_to_json(v)} for label, v in openings]
 
     return {"openings": {"0": side(scheme.openings_zero), "1": side(scheme.openings_one)}}
 
 
 def scheme_from_dict(data: dict) -> ProjectiveCommitmentScheme:
     try:
-        sides = {}
-        for bit in ("0", "1"):
-            entries = []
-            for item in data["openings"][bit]:
-                re = np.asarray(item["re"], dtype=float)
-                im = np.asarray(item.get("im", np.zeros_like(re)), dtype=float)
-                entries.append((str(item["label"]), re + 1j * im))
-            sides[bit] = tuple(entries)
-    except (KeyError, TypeError, ValueError) as exc:
+        sides = [
+            tuple((str(item["label"]), matrix_from_json(item, "scheme file"))
+                  for item in data["openings"][bit])
+            for bit in ("0", "1")
+        ]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed scheme file: {exc}") from exc
-    return ProjectiveCommitmentScheme(sides["0"], sides["1"])
+    return ProjectiveCommitmentScheme(*sides)
 
 
 def save_scheme(scheme: ProjectiveCommitmentScheme, path: str) -> None:
@@ -367,9 +337,4 @@ def save_scheme(scheme: ProjectiveCommitmentScheme, path: str) -> None:
 
 
 def load_scheme(path: str) -> ProjectiveCommitmentScheme:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"scheme file is not valid JSON: {exc}") from exc
-    return scheme_from_dict(data)
+    return scheme_from_dict(load_json(path, "scheme"))

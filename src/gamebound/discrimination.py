@@ -1,4 +1,4 @@
-"""Certified operator-discrimination solver and min-entropy computations.
+"""Certified operator-discrimination solver and the cq min-entropy built on it.
 
 The primal problem maximized here: given PSD score operators K_j on one
 register, find a POVM {F_j} maximizing sum_j tr(F_j K_j). The dual minimizes
@@ -29,11 +29,8 @@ from .linalg import (
     eig_hermitian,
     hermitize,
     max_eig,
-    min_eig,
     positive_part,
-    tensor,
 )
-from .registers import RegisterShape
 from .states import DensityOperator
 
 
@@ -299,16 +296,6 @@ class CqState:
             tuple(w * c.matrix for w, c in zip(self.weights, self.conditionals))
         )
 
-    def joint_density(self) -> DensityOperator:
-        """Block-diagonal joint state on (X, B) in the symbol order given."""
-        n = len(self.symbols)
-        d = self.dim_b
-        mat = np.zeros((n * d, n * d), dtype=complex)
-        for i, (w, c) in enumerate(zip(self.weights, self.conditionals)):
-            mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = w * c.matrix
-        shape = RegisterShape((("X", n), ("B", d)))
-        return DensityOperator(shape, mat)
-
 
 def guessing_probability(
     cq: CqState, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER
@@ -327,187 +314,3 @@ def hmin_cq(
     """
     cert = guessing_probability(cq, tol=tol, max_iter=max_iter)
     return -float(np.log2(cert.primal_value)), cert
-
-
-# --- general conditional min-entropy ---------------------------------------
-
-
-@dataclass(frozen=True)
-class HminBracket:
-    """Certified bracket lower <= Hmin(A|B) <= upper with a feasible witness.
-
-    `sigma` satisfies I_A (x) sigma >= rho_AB exactly up to the recorded
-    feasibility defect, so `lower = -lg tr(sigma)` is the certified side.
-    """
-
-    lower: float
-    upper: float
-    sigma: np.ndarray = field(repr=False)
-    converged: bool
-    iterations: int
-
-
-def _feasibility_gap(rho: np.ndarray, sigma: np.ndarray, dim_a: int) -> float:
-    """lambda_max(rho - I_A (x) sigma); <= 0 means sigma is feasible."""
-    return max_eig(rho - tensor(np.eye(dim_a), sigma))
-
-
-def _force_dual_feasible(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Map an approximate dual iterate onto {X >= 0, Tr_A X = I_B} exactly."""
-    from .linalg import partial_trace_matrix
-
-    x = positive_part(x, tol=1.0)
-    r = hermitize(partial_trace_matrix(x, (dim_a, dim_b), (1,)))
-    rv, rw = np.linalg.eigh(r)
-    mask = rv > max(float(rv[-1]), 1.0) * 1e-13 if rv.size else np.zeros(0, bool)
-    if not np.any(mask):
-        return tensor(np.eye(dim_a) / dim_a, np.eye(dim_b))
-    w = rw[:, mask]
-    r_inv_sqrt = (w / np.sqrt(rv[mask])) @ w.conj().T
-    proj = w @ w.conj().T
-    scale = tensor(np.eye(dim_a), r_inv_sqrt)
-    out = hermitize(scale @ x @ scale)
-    complement = hermitize(np.eye(dim_b) - proj)
-    if max_eig(complement) > 1e-13:
-        out = out + tensor(np.eye(dim_a) / dim_a, complement)
-    return out
-
-
-def _dual_lower_bound(rho: np.ndarray, sigma: np.ndarray, dim_a: int, dim_b: int) -> float:
-    """Best dual value tr(rho X) over X >= 0 with Tr_A X = I_B.
-
-    Two routes, best kept: (a) rescaled projectors onto the active eigenspace
-    of (rho - I (x) sigma); (b) projected gradient ascent with a Dykstra-style
-    projection onto the feasible set. Every candidate is forced exactly
-    feasible before its value counts, so the result is a true lower bound.
-    """
-    from .linalg import partial_trace_matrix
-
-    best = np.real(np.trace(rho)) / dim_a  # X = I/d_A is always feasible
-    best_x = tensor(np.eye(dim_a) / dim_a, np.eye(dim_b))
-
-    delta = hermitize(rho - tensor(np.eye(dim_a), sigma))
-    vals, vecs = np.linalg.eigh(delta)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    top = vals[0]
-    for count in range(1, len(vals) + 1):
-        if count > 1 and vals[count - 1] < top - max(1e-6, abs(top)):
-            break
-        v = vecs[:, :count]
-        x = _force_dual_feasible(v @ v.conj().T, dim_a, dim_b)
-        value = float(np.real(np.trace(rho @ x)))
-        if value > best:
-            best, best_x = value, x
-
-    # Route (b): ascent from the best candidate so far.
-    x = best_x
-    eye_b = np.eye(dim_b)
-    step = 1.0 / max(max_eig(rho), 1e-12)
-    for k in range(1, 201):
-        y = x + step * rho
-        # Dykstra-style alternation between the affine slice and the PSD cone.
-        for _ in range(12):
-            r = hermitize(partial_trace_matrix(y, (dim_a, dim_b), (1,)))
-            y = y + tensor(np.eye(dim_a) / dim_a, eye_b - r)
-            y = positive_part(y, tol=1.0)
-        x = _force_dual_feasible(y, dim_a, dim_b)
-        value = float(np.real(np.trace(rho @ x)))
-        if value > best:
-            best = value
-        elif k > 20 and value < best - 1e-12:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return best
-
-
-def hmin_general(
-    rho_ab: DensityOperator,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-) -> HminBracket:
-    """Certified bracket for Hmin(A|B) of a bipartite state (first|second label).
-
-    Projected subgradient descent on tr(sigma) + penalty * positivity violation,
-    with a feasibility repair (add the violation times identity) giving the
-    certified upper side of tr(sigma) and an active-subspace dual construction
-    giving the certified lower side. A bracket wider than tol is flagged via
-    converged=False, never silently tightened.
-    """
-    if len(rho_ab.shape.labels) != 2:
-        raise InputError("hmin_general expects exactly two registers (A, B)")
-    dim_a, dim_b = rho_ab.shape.dims
-    rho = rho_ab.matrix
-    rho_b = partial_trace_b(rho, dim_a, dim_b)
-
-    def repaired(sig: np.ndarray) -> np.ndarray:
-        sig = positive_part(sig, tol=1.0)
-        gap = _feasibility_gap(rho, sig, dim_a)
-        if gap > 0.0:
-            sig = sig + gap * np.eye(dim_b)
-        return sig
-
-    # Warm-start candidates: scaled B-marginal (closed-form minimal scaling)
-    # and the repaired marginal itself.
-    candidates = [repaired(rho_b)]
-    bv, bw = np.linalg.eigh(rho_b)
-    mask = bv > max(float(bv[-1]), 1.0) * 1e-13
-    if np.any(mask):
-        w = bw[:, mask]
-        inv_sqrt = (w / np.sqrt(bv[mask])) @ w.conj().T
-        sandwich = tensor(np.eye(dim_a), inv_sqrt)
-        t_min = max_eig(sandwich @ rho @ sandwich)
-        candidates.append(repaired(t_min * rho_b))
-    sigma_best = min(candidates, key=lambda s: float(np.real(np.trace(s))))
-    upper_t = float(np.real(np.trace(sigma_best)))
-
-    from .linalg import partial_trace_matrix
-
-    penalty = 4.0 * dim_b
-    sigma = sigma_best.copy()
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        delta = hermitize(rho - tensor(np.eye(dim_a), sigma))
-        vals, vecs = np.linalg.eigh(delta)
-        violation = float(vals[-1])
-        value = float(np.real(np.trace(sigma))) + penalty * max(violation, 0.0)
-        grad = np.eye(dim_b, dtype=complex)
-        if violation > 0.0:
-            u = vecs[:, -1]
-            proj = np.outer(u, u.conj())
-            grad = grad - penalty * hermitize(
-                partial_trace_matrix(proj, (dim_a, dim_b), (1,))
-            )
-        # Polyak-style step against the best certified value seen so far.
-        gnorm2 = float(np.real(np.sum(grad * grad.conj())))
-        margin = 0.05 * max(upper_t, 1e-6) / np.sqrt(iterations)
-        step = max(value - upper_t + margin, margin) / max(gnorm2, 1e-12)
-        sigma = positive_part(sigma - step * grad, tol=1.0)
-        fixed = repaired(sigma)
-        t = float(np.real(np.trace(fixed)))
-        if t < upper_t:
-            upper_t = t
-            sigma_best = fixed
-
-    lower_t = _dual_lower_bound(rho, sigma_best, dim_a, dim_b)
-    lower_t = min(lower_t, upper_t)
-    if lower_t <= 0.0:
-        lower_t = min(upper_t, 1.0 / dim_a)
-    lower_h = -float(np.log2(upper_t))
-    upper_h = -float(np.log2(lower_t))
-    return HminBracket(
-        lower=lower_h,
-        upper=upper_h,
-        sigma=sigma_best,
-        converged=(upper_h - lower_h) <= tol,
-        iterations=iterations,
-    )
-
-
-def partial_trace_b(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Reduced B-part of a bipartite matrix laid out as A (x) B."""
-    from .linalg import partial_trace_matrix
-
-    return hermitize(partial_trace_matrix(rho, (dim_a, dim_b), (1,)))

@@ -15,13 +15,12 @@ K_j = Tr_B[(I (x) E1_j) rho] on the registers the attacker may measure.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accessible import imax_acc_bounds, imax_for_measurement
-from .config import EQ_TOL, SOLVER_MAX_ITER, SOLVER_TOL
+from .accessible import imax_acc_bounds
+from .config import SOLVER_MAX_ITER, SOLVER_TOL
 from .discrimination import (
     DiscriminationInstance,
     Povm,
@@ -29,7 +28,15 @@ from .discrimination import (
     optimal_discrimination,
 )
 from .errors import InputError
-from .linalg import check_psd, hermitize, partial_trace_matrix, tensor
+from .linalg import (
+    check_psd,
+    hermitize,
+    load_json,
+    matrix_from_json,
+    matrix_to_json,
+    partial_trace_matrix,
+    tensor,
+)
 from .rand import random_effect, random_pure_vector, rng_from_seed
 from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix, partial_trace, zero_entropy
@@ -364,24 +371,17 @@ def random_game(
 def family_to_dict(family: BinaryPovmFamily) -> dict:
     return {
         "labels": list(family.labels),
-        "effects": [
-            {"re": np.real(e).tolist(), "im": np.imag(e).tolist()}
-            for e in family.effects
-        ],
+        "effects": [matrix_to_json(e) for e in family.effects],
     }
 
 
 def family_from_dict(data: dict) -> BinaryPovmFamily:
     try:
         labels = tuple(str(x) for x in data["labels"])
-        effects = []
-        for block in data["effects"]:
-            re = np.asarray(block["re"], dtype=float)
-            im = np.asarray(block.get("im", np.zeros_like(re)), dtype=float)
-            effects.append(re + 1j * im)
-    except (KeyError, TypeError, ValueError) as exc:
+        effects = tuple(matrix_from_json(block, "family file") for block in data["effects"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed family file: {exc}") from exc
-    return BinaryPovmFamily(labels, tuple(effects))
+    return BinaryPovmFamily(labels, effects)
 
 
 def save_family(family: BinaryPovmFamily, path: str) -> None:
@@ -390,9 +390,4 @@ def save_family(family: BinaryPovmFamily, path: str) -> None:
 
 
 def load_family(path: str) -> BinaryPovmFamily:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"family file is not valid JSON: {exc}") from exc
-    return family_from_dict(data)
+    return family_from_dict(load_json(path, "family"))

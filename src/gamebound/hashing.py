@@ -6,7 +6,6 @@ the two-universal property used throughout.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,16 +33,6 @@ class XorHashFamily:
         if not 0 <= r < 2**self.n or not 0 <= x < 2**self.n:
             raise InputError("hash member or input out of range")
         return bin(r & x).count("1") % 2
-
-
-def collision_test(family: XorHashFamily, x: int, y: int) -> float:
-    """Fraction of members with g_r(x) = g_r(y); exactly 1/2 for x != y."""
-    if x == y:
-        raise InputError("collision test needs two distinct inputs")
-    same = sum(
-        1 for r in family.members() if family.evaluate(r, x) == family.evaluate(r, y)
-    )
-    return same / len(family)
 
 
 def privacy_amp_distance(cq: CqState, n: int) -> float:

@@ -6,9 +6,11 @@ rather than silently symmetrizing.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from .config import EQ_TOL, HERM_TOL
+from .config import HERM_TOL
 from .errors import InputError
 
 
@@ -93,15 +95,6 @@ def positive_part(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     return hermitize((vecs * clipped) @ vecs.conj().T)
 
 
-def loewner_leq(x: np.ndarray, y: np.ndarray, tol: float = EQ_TOL) -> bool:
-    """True iff X <= Y in the Loewner order, up to -tol on the smallest eigenvalue."""
-    xa = check_hermitian(x, max(tol, HERM_TOL), "X")
-    ya = check_hermitian(y, max(tol, HERM_TOL), "Y")
-    if xa.shape != ya.shape:
-        raise InputError(f"shape mismatch {xa.shape} vs {ya.shape}")
-    return min_eig(ya - xa) >= -tol
-
-
 def partial_trace_matrix(
     m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]
 ) -> np.ndarray:
@@ -150,3 +143,37 @@ def apply_kraus(m: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     for k in ops:
         out += k @ m @ k.conj().T
     return out
+
+
+# --- JSON matrix blocks, shared by the state, family and scheme files --------
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+
+
+def matrix_from_json(block, name: str) -> np.ndarray:
+    """Inverse of matrix_to_json; "im" may be omitted for a real matrix.
+
+    Python's json reads NaN and Infinity, and every later tolerance test is
+    False for NaN, so non-finite entries are rejected here.
+    """
+    try:
+        re = np.asarray(block["re"], dtype=float)
+        im = np.asarray(block["im"], dtype=float) if "im" in block else np.zeros_like(re)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {name}: {exc}") from exc
+    if re.shape != im.shape:
+        raise InputError(f"{name}: re/im blocks have different shapes {re.shape} and {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InputError(f"{name} has a non-finite entry")
+    return re + 1j * im
+
+
+def load_json(path: str, kind: str):
+    """Parsed contents of a JSON input file; bad JSON is an InputError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{kind} file is not valid JSON: {exc}") from exc

@@ -14,7 +14,6 @@ import numpy as np
 
 from .coding import (
     LinearCode,
-    ball_size,
     binary_entropy,
     bits_to_int,
     coset_members,
@@ -55,14 +54,6 @@ def encoded_vector(bits, theta) -> np.ndarray:
             v = _H @ v
         out = np.kron(out, v)
     return out
-
-
-def b92_encode(theta) -> StateVector:
-    """The honest committer's state |0...0>_theta."""
-    theta = np.asarray(theta, dtype=np.uint8)
-    vec = encoded_vector(np.zeros_like(theta), theta)
-    shape = RegisterShape((("B", 2 ** theta.size),))
-    return StateVector(shape, vec)
 
 
 GAMMA_TARGET = math.cos(math.pi / 8.0) ** 2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,20 @@ class CheckRecord:
             inputs_digest=data.get("inputs_digest", ""),
             runtime_s=data.get("runtime_s", 0.0),
         )
+
+
+def timed_record(name, passed, values, bound, slack, provenance, inputs, started) -> CheckRecord:
+    """A check record timed from `started`, a time.perf_counter() reading."""
+    return CheckRecord(
+        name=name,
+        passed=bool(passed),
+        values=values,
+        bound=bound,
+        slack=slack,
+        provenance=provenance,
+        inputs_digest=digest_inputs(inputs),
+        runtime_s=time.perf_counter() - started,
+    )
 
 
 @dataclass

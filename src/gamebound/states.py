@@ -13,6 +13,9 @@ from .linalg import (
     eig_hermitian,
     herm_defect,
     hermitize,
+    load_json,
+    matrix_from_json,
+    matrix_to_json,
     min_eig,
     partial_trace_matrix,
 )
@@ -79,10 +82,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.shape.dim
 
-    def restrict(self, labels: tuple[str, ...]) -> "DensityOperator":
-        """Reduced state on `labels` (partial trace over everything else)."""
-        return partial_trace(self, keep=labels)
-
 
 def density_from_matrix(shape: RegisterShape, matrix: np.ndarray) -> DensityOperator:
     """Build a DensityOperator, Hermitizing away float noise from construction."""
@@ -127,21 +126,16 @@ def zero_entropy(rho: DensityOperator, label: str, rank_tol: float = RANK_TOL) -
 def state_to_dict(rho: DensityOperator) -> dict:
     return {
         "shape": [[label, d] for label, d in rho.shape.subsystems],
-        "re": np.real(rho.matrix).tolist(),
-        "im": np.imag(rho.matrix).tolist(),
+        **matrix_to_json(rho.matrix),
     }
 
 
 def state_from_dict(data: dict) -> DensityOperator:
     try:
         subsystems = tuple((str(lbl), int(d)) for lbl, d in data["shape"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed state file: {exc}") from exc
-    if re.shape != im.shape:
-        raise InputError("re/im blocks have different shapes")
-    return DensityOperator(RegisterShape(subsystems), re + 1j * im)
+    return DensityOperator(RegisterShape(subsystems), matrix_from_json(data, "state file"))
 
 
 def save_state(rho: DensityOperator, path: str) -> None:
@@ -150,9 +144,4 @@ def save_state(rho: DensityOperator, path: str) -> None:
 
 
 def load_state(path: str) -> DensityOperator:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"state file is not valid JSON: {exc}") from exc
-    return state_from_dict(data)
+    return state_from_dict(load_json(path, "state"))

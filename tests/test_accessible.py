@@ -6,7 +6,6 @@ import pytest
 from gamebound.accessible import (
     MeasurementDescriptor,
     Povm,
-    classical_conditional_bound,
     dmax_relative,
     domination_defect,
     imax_acc_bounds,
@@ -120,22 +119,6 @@ def test_local_channels_respect_original_bound():
     )
     assert ok
     assert transformed <= original + 1e-8
-
-
-def test_classical_conditional_bound_takes_worst_block():
-    """Z=0 block is product (no information), Z=1 block is a classical copy;
-    the conditional estimate must track the copy block."""
-    rng = rng_from_seed(47)
-    prod = np.kron(random_density_matrix(2, rng), random_density_matrix(2, rng))
-    copy = np.zeros((4, 4), dtype=complex)
-    copy[0, 0] = copy[3, 3] = 0.5
-    mat = np.zeros((8, 8), dtype=complex)
-    mat[:4, :4] = 0.5 * prod
-    mat[4:, 4:] = 0.5 * copy
-    rho = density_from_matrix(shape(("Z", 2), ("A", 2), ("B", 2)), mat)
-    lower, upper = classical_conditional_bound(rho, budget=16, seed=5)
-    assert lower >= 1.0 - 1e-7
-    assert upper >= lower - 1e-9
 
 
 def test_estimate_bounds_ordered():

@@ -1,7 +1,6 @@
 """Ball-verified commitment: verifier projectors, opening-pair norms against
 the distance bound, sampling equivalence, and exact hiding enumeration."""
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from gamebound.bcjl import (
     BcjlInstance,
     ball_verifier,
     hiding_distance_exact,
-    hiding_proof_rate_condition,
     max_ball_overlap,
     na_binding,
     overlap_bound_check,
@@ -228,10 +226,3 @@ def test_hiding_distance_caps_and_length_check():
         hiding_distance_exact(7, named_code("hamming74"))
     with pytest.raises(InputError):
         hiding_distance_exact(3, LinearCode(np.eye(2, dtype=np.uint8)))
-
-
-def test_rate_condition_is_positive_guessing_gap():
-    got = hiding_proof_rate_condition()
-    gamma = math.cos(math.pi / 8.0) ** 2
-    assert got == pytest.approx(math.log2(1.0 / gamma), abs=1e-9)
-    assert got > 0.2

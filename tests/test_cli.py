@@ -1,4 +1,7 @@
 """Exit codes, report files, and argument plumbing for the console entry."""
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -48,8 +51,6 @@ def test_game_random_writes_report(tmp_path, capsys):
 
 
 def test_game_records_solve_time(tmp_path, monkeypatch, capsys):
-    import time
-
     from gamebound import games
 
     solve = games.verify_main_theorem
@@ -119,6 +120,97 @@ def test_binding_rejects_malformed_scheme_json(tmp_path, capsys):
     bad = tmp_path / "scheme.json"
     bad.write_text("{not json")
     assert main(["binding", "--scheme", str(bad)]) == 2
+
+
+def set_entry(path, keys, value):
+    """Set the entry at the key path `keys` in the JSON file at `path`."""
+    data = json.loads(path.read_text())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(data))
+
+
+def bell_files(tmp_path):
+    game = bell_game()
+    state_path = tmp_path / "state.json"
+    family_path = tmp_path / "family.json"
+    save_state(game.state, str(state_path))
+    save_family(game.family, str(family_path))
+    return state_path, family_path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_state_is_input_error(tmp_path, capsys, value):
+    state_path, family_path = bell_files(tmp_path)
+    set_entry(state_path, ("re", 0, 0), value)
+    assert main(["game", "--state", str(state_path), "--family", str(family_path)]) == 2
+    info_path = tmp_path / "info.json"
+    save_state(copy_state(), str(info_path))
+    set_entry(info_path, ("re", 0, 0), value)
+    assert main(["info", "--state", str(info_path), "--budget", "16"]) == 2
+    assert capsys.readouterr().err.count("non-finite") == 2
+    save_state(copy_state(), str(info_path))
+    set_entry(info_path, ("shape", 0, 1), value)
+    assert main(["info", "--state", str(info_path)]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_family_is_input_error(tmp_path, capsys, value):
+    state_path, family_path = bell_files(tmp_path)
+    set_entry(family_path, ("effects", 0, "re", 1, 1), value)
+    assert main(["game", "--state", str(state_path), "--family", str(family_path)]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_scheme_is_input_error(tmp_path, capsys, value):
+    scheme_path = tmp_path / "scheme.json"
+    save_scheme(basis_reveal_scheme(), str(scheme_path))
+    set_entry(scheme_path, ("openings", "0", 0, "re", 1, 1), value)
+    assert main(["binding", "--scheme", str(scheme_path)]) == 2
+
+
+def test_mismatched_im_shape_is_input_error(tmp_path, capsys):
+    """A 1-row im block must not broadcast over a square re block."""
+    state_path, family_path = bell_files(tmp_path)
+    set_entry(family_path, ("effects", 0, "im"), [[0.0] * 4])
+    assert main(["game", "--state", str(state_path), "--family", str(family_path)]) == 2
+    scheme_path = tmp_path / "scheme.json"
+    save_scheme(basis_reveal_scheme(), str(scheme_path))
+    set_entry(scheme_path, ("openings", "0", 0, "im"), [[0.0, 0.0]])
+    assert main(["binding", "--scheme", str(scheme_path)]) == 2
+    assert capsys.readouterr().err.count("different shapes") == 2
+
+
+def test_binding_times_each_check_from_its_own_start(tmp_path, monkeypatch, capsys):
+    from gamebound import commitments
+
+    exact = commitments.adaptive_binding
+    calls = []
+
+    def slow_first_call(*args, **kwargs):
+        # Only the adaptive-binding check sleeps; the storage-reduction
+        # check calls the same function and must not.
+        if not calls:
+            time.sleep(0.3)
+        calls.append(1)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(commitments, "adaptive_binding", slow_first_call)
+    scheme_path = tmp_path / "scheme.json"
+    save_scheme(basis_reveal_scheme(), str(scheme_path))
+    state_path = tmp_path / "attack.json"
+    save_state(copy_state(), str(state_path))
+    out_path = tmp_path / "binding.json"
+    rc = main([
+        "binding", "--scheme", str(scheme_path), "--state", str(state_path),
+        "--storage-q", "1", "--trials", "1", "--out", str(out_path),
+    ])
+    assert rc == 0
+    runtimes = {c.name: c.runtime_s for c in ExperimentReport.load(str(out_path)).checks}
+    assert runtimes["adaptive-binding"] >= 0.3
+    assert runtimes["storage-reduction"] < 0.3
 
 
 def test_onecc_guessing(capsys):

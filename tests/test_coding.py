@@ -11,7 +11,6 @@ from gamebound.coding import (
     binary_entropy,
     bits_to_int,
     coset_members,
-    gilbert_varshamov_sample,
     hamming_ball_around,
     named_code,
     nearest_coset_rep,
@@ -152,15 +151,14 @@ def test_bits_to_int_most_significant_first():
     assert bits_to_int(np.array([], dtype=np.uint8)) == 0
 
 
+def test_codes_compare_and_hash_by_identity():
+    code = named_code("hamming74")
+    assert code == code
+    assert (code == named_code("hamming74")) is False
+    assert {code: 1}[code] == 1
+    assert isinstance(hash(named_code("rep31")), int)
+
+
 def test_linear_code_rejects_rank_deficient_generator():
     with pytest.raises(InputError):
         LinearCode(np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8))
-
-
-def test_gilbert_varshamov_frequency_monotone_in_distance():
-    easy, dists = gilbert_varshamov_sample(10, 0.3, 0.05, 12, seed=3)
-    hard, dists2 = gilbert_varshamov_sample(10, 0.3, 0.45, 12, seed=3)
-    assert 0.0 <= hard <= easy <= 1.0
-    assert len(dists) == 12
-    assert all(d >= 1 for d in dists)
-    assert dists == dists2  # same seed, same codes

@@ -10,7 +10,6 @@ from gamebound.commitments import (
     load_scheme,
     na_binding,
     norm_lemma_check,
-    opening_projectors,
     save_scheme,
     scheme_epsilon_na,
     scheme_from_dict,
@@ -158,18 +157,10 @@ def test_exact_qubit_value_between_strategies_and_relaxation():
                 assert achieved <= value + 1e-9
 
 
-def test_opening_projectors_adaptive_copy_strategy():
-    """Measuring the basis copy on A and answering with the matching
-    opening accepts the copy state with certainty for bit 0."""
+def test_opening_strategy_must_resolve_identity():
     from gamebound.commitments import OpeningStrategy
 
-    scheme = basis_reveal_scheme()
-    strat0 = OpeningStrategy(0, (("a", Z0), ("b", Z1)))
-    strat1 = OpeningStrategy(1, (("c", np.eye(2, dtype=complex)),))
-    acc0, acc1 = opening_projectors(scheme, strat0, strat1)
-    rho = copy_state().matrix
-    assert np.trace(acc0 @ rho).real == pytest.approx(1.0, abs=1e-12)
-    assert np.trace(acc1 @ rho).real == pytest.approx(0.5, abs=1e-12)
+    OpeningStrategy(0, (("a", Z0), ("b", Z1)))
     with pytest.raises(InputError):
         OpeningStrategy(0, (("a", Z0),))  # does not resolve the identity
 

@@ -10,7 +10,6 @@ from gamebound.discrimination import (
     dual_feasibility_defect,
     guessing_probability,
     hmin_cq,
-    hmin_general,
     optimal_discrimination,
 )
 from gamebound.errors import InputError
@@ -142,33 +141,6 @@ def test_identical_states_give_max_weight():
     assert value == pytest.approx(0.7, abs=1e-12)
 
 
-def brute_force_hmin_dual(cq, grid=24):
-    """Coarse dual search: min lambda with K_x <= lambda*sigma over a grid of
-    sigma candidates built from the averaged state and perturbations."""
-    ks = cq.score_operators().operators
-    avg = sum(ks)
-    avg = avg / np.trace(avg).real
-    best = math.inf
-    rng = rng_from_seed(77)
-    candidates = [avg] + [
-        0.8 * avg + 0.2 * random_density_matrix(avg.shape[0], rng)
-        for _ in range(grid)
-    ]
-    for sigma in candidates:
-        vals = np.linalg.eigvalsh(sigma)
-        if np.min(vals) < 1e-10:
-            sigma = 0.99 * sigma + 0.01 * np.eye(sigma.shape[0]) / sigma.shape[0]
-        inv_sqrt = np.linalg.inv(
-            np.linalg.cholesky(sigma + 1e-14 * np.eye(sigma.shape[0]))
-        )
-        lam = max(
-            float(np.max(np.linalg.eigvalsh(inv_sqrt @ k @ inv_sqrt.conj().T)))
-            for k in ks
-        )
-        best = min(best, lam)
-    return -math.log2(best) if best > 0 else math.inf
-
-
 def make_cq(rng, n_symbols, dim):
     weights = rng.random(n_symbols)
     weights /= weights.sum()
@@ -186,36 +158,6 @@ def test_hmin_cq_is_minus_log_guessing():
     assert value == pytest.approx(-math.log2(cert.primal_value), abs=1e-12)
     g = guessing_probability(cq)
     assert cert.primal_value == pytest.approx(g.primal_value, abs=1e-12)
-
-
-def test_hmin_general_brackets_cq_value():
-    rng = rng_from_seed(37)
-    for k in range(5):
-        cq = make_cq(rng, 2, 2)
-        value, _ = hmin_cq(cq, tol=1e-9)
-        bracket = hmin_general(cq.joint_density())
-        assert bracket.lower <= value + 2e-3
-        assert bracket.upper >= value - 2e-3
-        assert bracket.lower <= bracket.upper + 1e-12
-
-
-def test_hmin_general_beats_grid_search_lower_bound():
-    rng = rng_from_seed(38)
-    cq = make_cq(rng, 2, 2)
-    bracket = hmin_general(cq.joint_density())
-    grid = brute_force_hmin_dual(cq)
-    # every feasible dual sigma certifies a lower bound, so the coarse grid
-    # can never rise above the solver's upper edge
-    assert grid <= bracket.upper + 2e-3
-
-
-def test_hmin_maximally_entangled_is_negative():
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 2**-0.5
-    rho = density_from_matrix(shape(("A", 2), ("B", 2)), np.outer(v, v.conj()))
-    bracket = hmin_general(rho)
-    assert bracket.upper <= -1.0 + 5e-3
-    assert bracket.lower >= -1.0 - 5e-3
 
 
 def test_cq_state_validation():

@@ -7,7 +7,6 @@ from gamebound.linalg import (
     apply_kraus,
     eig_hermitian,
     hermitize,
-    loewner_leq,
     partial_trace_matrix,
     positive_part,
     spectral_norm,
@@ -148,21 +147,6 @@ def test_hermitize_idempotent_and_fixes_drift():
     fixed = hermitize(drifted)
     np.testing.assert_allclose(fixed, fixed.conj().T, atol=0)
     np.testing.assert_allclose(hermitize(fixed), fixed, atol=0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_loewner_order_under_positive_shift(seed):
-    rng = rng_from_seed(seed)
-    mat = random_density_matrix(4, rng)
-    assert loewner_leq(mat, mat + 0.1 * np.eye(4))
-    assert not loewner_leq(mat + 0.1 * np.eye(4), mat)
-
-
-def test_loewner_reflexive_within_tolerance():
-    rng = rng_from_seed(10)
-    mat = random_density_matrix(3, rng)
-    assert loewner_leq(mat, mat)
 
 
 def test_apply_kraus_trace_preserving():

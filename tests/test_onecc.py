@@ -9,7 +9,6 @@ from gamebound.onecc import (
     GAMMA_TARGET,
     OneCcInstance,
     adaptive_wrong_opening,
-    b92_encode,
     basis_guessing_analysis,
     encoded_vector,
     extract_commit_bit,
@@ -44,13 +43,6 @@ def test_encoded_vector_overlap_per_basis_mismatch():
 def test_encoded_vector_cap():
     with pytest.raises(InputError):
         encoded_vector((0,) * 13, (0,) * 13)
-
-
-def test_b92_is_all_zeros_payload():
-    theta = (1, 0, 1)
-    sv = b92_encode(np.array(theta, dtype=np.uint8))
-    np.testing.assert_allclose(sv.amplitudes, encoded_vector((0, 0, 0), theta),
-                               atol=1e-12)
 
 
 def test_single_position_guessing_constant():

@@ -12,6 +12,7 @@ from gamebound.ucsim import (
     SENDER_SCRIPTS,
     IdealBitCommitment,
     ProtocolBitCommitment,
+    ReceiverProgram,
     SenderProgram,
     ideal_one_cc,
     ideal_two_cc_prime,
@@ -94,6 +95,27 @@ def test_ot_honest_completeness():
         completed += 1
         assert t.outputs["bob"] == ((0, 1, 1), (1, 0, 1))[c]
     assert completed > 20
+
+
+class LyingReceiver(ReceiverProgram):
+    """Reveals the complement of every measured bit in the 1CC."""
+
+    name = "lying"
+
+    def cc_input(self, i: int, measured: int) -> int:
+        return 1 - measured
+
+
+def test_lying_receiver_fails_the_senders_check():
+    reasons = set()
+    for seed in range(50):
+        t = run_ot_protocol((0, 1), (1, 0), 0, 8, receiver=LyingReceiver, seed=seed)
+        reasons.add(t.meta.get("reason"))
+        if t.meta.get("reason") == "check-abort":
+            assert t.aborted
+            assert t.outputs == {"alice": "abort", "bob": "abort"}
+            assert t.meta["parties"]["bob"] == "receiver:lying"
+    assert "check-abort" in reasons
 
 
 def test_ot_input_validation():
