@@ -3,6 +3,7 @@ counting. Everything is exact GF(2) arithmetic on small n (brute force is
 capped at n <= 24 for distance and coset searches)."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -111,13 +112,32 @@ class LinearCode:
         return self.generator.shape[0]
 
     def codewords(self) -> np.ndarray:
-        """All 2^k codewords as a (2^k, n) bit matrix (message order)."""
+        """All 2^k codewords as a read-only (2^k, n) bit matrix (message order)."""
+        return self._codewords
+
+    @functools.cached_property
+    def _codewords(self) -> np.ndarray:
         if self.n > BRUTE_FORCE_N_CAP:
             raise InputError(f"n={self.n} exceeds brute-force cap {BRUTE_FORCE_N_CAP}")
         msgs = np.array(
             list(itertools.product((0, 1), repeat=self.k)), dtype=np.uint8
         )
-        return (msgs @ self.generator) % 2
+        words = (msgs @ self.generator) % 2
+        words.setflags(write=False)
+        return words
+
+    @functools.cached_property
+    def _syndrome_solver(self) -> np.ndarray:
+        """P, an (n, n-k) bit matrix with H P = I, so x = P s solves H x = s.
+        Gauss-Jordan on [H | I] gives [R | E] with R = E H; P holds E in the
+        rows of H's pivot columns and 0 elsewhere."""
+        h = self.parity_check
+        aug, pivots = _row_reduce(
+            np.concatenate([h, np.eye(h.shape[0], dtype=np.uint8)], axis=1), h.shape[1])
+        solver = np.zeros((h.shape[1], h.shape[0]), dtype=np.uint8)
+        solver[pivots] = aug[:len(pivots), h.shape[1]:]
+        solver.setflags(write=False)
+        return solver
 
     def min_distance(self) -> int:
         """Exact minimum distance by weight enumeration (n <= 24)."""
@@ -137,14 +157,8 @@ def syndrome(code: LinearCode, x) -> np.ndarray:
 def coset_members(code: LinearCode, s) -> np.ndarray:
     """All strings with syndrome s, as a (2^k, n) bit matrix."""
     s_bits = _as_bit_array(s, code.n - code.k)
-    h = code.parity_check
-    # Solve H x0 = s by Gauss-Jordan elimination on [H | s].
-    aug, pivots = _row_reduce(np.concatenate([h, s_bits.reshape(-1, 1)], axis=1), h.shape[1])
-    if aug[len(pivots):, -1].any():
-        raise InputError("syndrome is inconsistent with the parity-check matrix")
-    x0 = np.zeros(h.shape[1], dtype=np.uint8)
-    x0[pivots] = aug[:len(pivots), -1]
-    return (code.codewords() ^ x0).astype(np.uint8)
+    x0 = (code._syndrome_solver @ s_bits) % 2  # H has full rank: every s occurs
+    return code.codewords() ^ x0.astype(np.uint8)
 
 
 def nearest_coset_rep(code: LinearCode, s, reference) -> np.ndarray:

@@ -5,33 +5,36 @@ register, find a POVM {F_j} maximizing sum_j tr(F_j K_j). The dual minimizes
 tr(Y) over Hermitian Y with Y >= K_j for all j; weak duality makes every
 (POVM, feasible Y) pair a certificate bracketing the optimum.
 
-The solver is a fixed-point iteration on the optimality conditions with an
-explicit dual-repair step each sweep:
-
-    Lambda      = sum_j K_j F_j K_j            (Hermitized)
-    F_j        <- Lambda^{-1/2} K_j F_j K_j Lambda^{-1/2}
-    Y0          = (1/2) sum_j (F_j K_j + K_j F_j)   (Hermitized)
-    Y           = Y0 + max(0, max_j lambda_max(K_j - Y0)) * I
-
-Y is dual feasible by construction, so `dual_value - primal_value` is a true
-optimality gap at every iteration, not a heuristic residual.
+The solver follows the central path of the dual log-barrier
+tr(Y) - mu sum_j log det(Y - K_j) over Hermitian Y, d^2 real coordinates
+(Boyd & Vandenberghe, Convex Optimization, ch. 11; Eldar, Megretski &
+Verghese, IEEE TIT 49(4), 2003). Each damped Newton step solves the d^2 x d^2
+system sum_j (S_j^{-1} (x) S_j^{-T}), S_j = Y - K_j; a Cholesky factorization
+of every S_j proves each iterate strictly feasible. At a centered point,
+F_j = mu S_j^{-1} renormalized by (sum_j F_j)^{-1/2} is a POVM, certified
+against the smaller of tr(Y) and the dual repaired from it,
+Y0 = (1/2) sum_j (F_j K_j + K_j F_j) shifted by max(0, max_j lambda_max(K_j - Y0)) I.
+On the path the gap is n*d*mu; mu shrinks by _MU_FACTOR per centering, and
+the solver stops once the certificate's own gap dual - primal is at most tol,
+or when a centering no longer shrinks it (rounding sets a floor near 1e-10).
+`iterations` counts Newton steps: 0 when a shortcut certifies (the indicator
+POVM for d = 1, the Helstrom measurement for two operators, or the uniform).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import EQ_TOL, HERM_TOL, SOLVER_MAX_ITER, SOLVER_TOL
 from .errors import InputError
-from .linalg import (
-    check_psd,
-    eig_hermitian,
-    hermitize,
-    max_eig,
-    positive_part,
-)
+from .linalg import check_psd, eig_hermitian, hermitize, max_eig
 from .states import DensityOperator
+
+# Newton steps whose squared decrement is at most _CENTERED count as centered
+# (full steps converge quadratically there); mu then shrinks by _MU_FACTOR.
+_CENTERED = 0.25
+_MU_FACTOR = 50.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def binary_optimal(k0: np.ndarray, k1: np.ndarray) -> tuple[float, Povm]:
     """Closed form for two score operators.
 
     The optimal F_0 is the projector onto the nonnegative eigenspace of
-    K_0 - K_1; the value is tr K_1 + tr positive_part(K_0 - K_1).
+    K_0 - K_1; the value is tr K_1 + tr (K_0 - K_1)_+, the positive part.
     """
     a = check_psd(k0, HERM_TOL, "K0")
     b = check_psd(k1, HERM_TOL, "K1")
@@ -152,21 +155,6 @@ def binary_optimal(k0: np.ndarray, k1: np.ndarray) -> tuple[float, Povm]:
     return value, Povm((f0, f1))
 
 
-def _pinv_sqrt(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Lambda^{-1/2} on the support, support projector)."""
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    top = float(vals[-1]) if vals.size else 0.0
-    cut = max(top, 1.0) * 1e-14
-    mask = vals > cut
-    if not np.any(mask):
-        d = m.shape[0]
-        return np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
-    v = vecs[:, mask]
-    inv = (v / np.sqrt(vals[mask])) @ v.conj().T
-    supp = v @ v.conj().T
-    return hermitize(inv), hermitize(supp)
-
-
 def _repaired_dual(instance: DiscriminationInstance, elements: list[np.ndarray]) -> np.ndarray:
     y0 = np.zeros((instance.dim, instance.dim), dtype=complex)
     for f, k in zip(elements, instance.operators):
@@ -176,91 +164,102 @@ def _repaired_dual(instance: DiscriminationInstance, elements: list[np.ndarray])
     return y0 + shift * np.eye(instance.dim)
 
 
+def _certificate(
+    instance: DiscriminationInstance, elements, witness, steps: int, tol: float
+) -> SolverCertificate:
+    """The POVM's value against the smaller of two feasible duals: the one
+    repaired from the POVM and `witness` (None for none)."""
+    povm = Povm(tuple(elements))
+    primal = primal_value(instance, povm)
+    y = _repaired_dual(instance, povm.elements)
+    if witness is not None and np.trace(witness).real < np.trace(y).real:
+        y = witness
+    dual = float(np.trace(y).real)
+    return SolverCertificate(primal, dual, povm, y, steps, dual - primal <= tol)
+
+
+def _cholesky(s: np.ndarray) -> np.ndarray | None:
+    """Cholesky factors of a stack of Hermitian matrices; None unless all are PD."""
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    # numpy returns NaN factors for a NaN input instead of raising.
+    return chol if np.isfinite(chol).all() else None
+
+
 def optimal_discrimination(
     instance: DiscriminationInstance,
     tol: float = SOLVER_TOL,
     max_iter: int = SOLVER_MAX_ITER,
-    init: str = "auto",
 ) -> SolverCertificate:
     """Solve the discrimination problem with a two-sided certificate.
 
-    init: "auto" seeds two-operator instances from the closed form and others
-    uniformly; "uniform" forces the uniform seed. The returned certificate is
-    valid either way because both sides are checked feasible explicitly.
+    Stops once dual - primal <= tol; max_iter caps the Newton steps. The
+    certificate is valid either way, since both sides are feasible by
+    construction.
     """
-    dim = len(instance.operators[0])
-    n = len(instance)
-    eye = np.eye(dim)
+    n, d = len(instance), instance.dim
+    if d == 1:
+        top = int(np.argmax([k[0, 0].real for k in instance.operators]))
+        elements = [np.eye(1) * float(j == top) for j in range(n)]
+        return _certificate(instance, elements, None, 0, tol)
+    if n == 2:
+        helstrom = binary_optimal(*instance.operators)[1].elements
+        cert = _certificate(instance, helstrom, None, 0, tol)
+        if cert.converged:
+            return cert
+    return _barrier_path(instance, tol, max_iter)
 
-    if init not in ("auto", "uniform"):
-        raise InputError(f"unknown init {init!r}")
-    if init == "auto" and n == 2:
-        _, seed_povm = binary_optimal(instance.operators[0], instance.operators[1])
-        elements = [np.array(e) for e in seed_povm.elements]
-    else:
-        elements = [eye / n for _ in range(n)]
 
-    def primal_of(els: list[np.ndarray]) -> float:
-        return float(
-            sum(np.real(np.trace(f @ k)) for f, k in zip(els, instance.operators))
-        )
-
-    best_elements = [e.copy() for e in elements]
-    best_primal = primal_of(elements)
-    best_dual = np.inf
-    best_y = None
-    iterations = 0
-    converged = False
-
-    for iterations in range(1, max_iter + 1):
-        y = _repaired_dual(instance, elements)
-        dual = float(np.real(np.trace(y)))
-        if dual < best_dual:
-            best_dual = dual
-            best_y = y
-        current = primal_of(elements)
-        if current > best_primal:
-            best_primal = current
-            best_elements = [e.copy() for e in elements]
-        if best_dual - best_primal <= tol:
-            converged = True
+def _barrier_path(
+    instance: DiscriminationInstance, tol: float, max_iter: int
+) -> SolverCertificate:
+    """The best certificate met on the central path, which starts from the
+    uniform POVM's certificate and returns it at once when it suffices."""
+    ops = np.array(instance.operators)
+    n, d = ops.shape[0], ops.shape[1]
+    eye = np.eye(d)
+    best = _certificate(instance, [eye / n] * n, None, 0, tol)
+    if best.converged:
+        return best
+    # A strictly feasible start, at the mu whose path gap n*d*mu is the uniform gap.
+    y = best.dual_witness + best.gap / d * eye
+    mu = best.gap / (n * d)
+    chol = _cholesky(y - ops)
+    steps, last_gap = 0, np.inf
+    while steps < max_iter and chol is not None:
+        steps += 1
+        inv_l = np.linalg.inv(chol)
+        s_inv = inv_l.conj().transpose(0, 2, 1) @ inv_l
+        grad = eye / mu - s_inv.sum(axis=0)
+        hess = np.einsum("nik,njl->ijkl", s_inv, s_inv.conj()).reshape(d * d, d * d)
+        step = hermitize(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
+        decrement = float(-np.vdot(grad, step).real)  # squared Newton decrement
+        # The damped step stays inside the Dikin ellipsoid, so it is feasible
+        # in exact arithmetic; halving covers rounding near the boundary.
+        t = 1.0 if decrement <= _CENTERED else 1.0 / (1.0 + np.sqrt(decrement))
+        chol = _cholesky(y + t * step - ops)
+        while chol is None and t > 1e-10:
+            t /= 2.0
+            chol = _cholesky(y + t * step - ops)
+        if chol is None:
             break
-
-        lam = np.zeros((dim, dim), dtype=complex)
-        updated = []
-        for f, k in zip(elements, instance.operators):
-            kfk = k @ f @ k
-            lam += kfk
-            updated.append(kfk)
-        inv_sqrt, supp = _pinv_sqrt(lam)
-        leftover = (eye - supp) / n
-        new_elements = []
-        for kfk in updated:
-            cand = hermitize(inv_sqrt @ kfk @ inv_sqrt) + leftover
-            # Clip eigenvalue noise so the iterate stays a valid POVM element.
-            new_elements.append(positive_part(cand, tol=1.0))
-        total = hermitize(sum(new_elements))
-        defect = float(np.max(np.abs(total - eye)))
-        if defect > 1e-12:
-            corr_vals, corr_vecs = np.linalg.eigh(total)
-            corr = (corr_vecs / np.sqrt(np.clip(corr_vals, 1e-15, None))) @ corr_vecs.conj().T
-            new_elements = [hermitize(corr @ e @ corr) for e in new_elements]
-        elements = new_elements
-
-    if best_y is None:
-        best_y = _repaired_dual(instance, elements)
-        best_dual = float(np.real(np.trace(best_y)))
-
-    povm = Povm(tuple(positive_part(e, tol=1.0) for e in best_elements))
-    cert_primal = primal_value(instance, povm)
-    return SolverCertificate(
-        primal_value=cert_primal,
-        dual_value=best_dual,
-        povm=povm,
-        dual_witness=best_y,
-        iterations=iterations,
-        converged=converged and best_dual - cert_primal <= tol,
-    )
+        y = y + t * step
+        if decrement > _CENTERED:
+            continue
+        inv_l = np.linalg.inv(chol)
+        f = mu * (inv_l.conj().transpose(0, 2, 1) @ inv_l)
+        vals, vecs = np.linalg.eigh(f.sum(axis=0))
+        norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        cert = _certificate(instance, [hermitize(norm @ e @ norm) for e in f], y, steps, tol)
+        if cert.gap < best.gap:
+            best = cert
+        if best.converged or cert.gap >= last_gap:
+            break
+        last_gap = cert.gap
+        mu /= _MU_FACTOR
+    return replace(best, iterations=steps)
 
 
 # --- classical-quantum states and min-entropy ------------------------------

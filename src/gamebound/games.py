@@ -42,6 +42,9 @@ from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix, partial_trace, zero_entropy
 
 A_LABEL, APRIME_LABEL, B_LABEL = "A", "A'", "B"
+# Name of check (i) in verify_main_theorem. Every check's name says which
+# certificate side (primal or dual) it reads.
+MAIN_BOUND = "adaptive-dual<=2^H0(A)*semi-primal"
 
 
 @dataclass(frozen=True)
@@ -217,13 +220,15 @@ def verify_main_theorem(
 ) -> GameResult:
     """Evaluate all three success modes and check the adaptive-bound chain.
 
-    Checks recorded:
-      (i)  adaptive <= 2^{H0(A)} * semi-adaptive + tol. Asserted when A' is
-           trivial or classical; for quantum A' a failure is recorded as an
-           expected violation rather than an error.
+    Checks recorded; each name says which certificate side it reads (the dual
+    bounds a value from above, the primal from below), and (i) and (ii) read
+    the side that makes them stricter:
+      (i)  adaptive dual <= 2^{H0(A)} * semi-adaptive primal + tol. Asserted
+           when A' is trivial or classical; for quantum A' a failure is
+           recorded as an expected violation rather than an error.
       (ii) for each searched measurement M on (A, A'): the strategy induced by
-           M achieves at most 2^{value(M)} * semi-adaptive + tol.
-      (iii) non-adaptive <= adaptive + 1e-8 (sanity direction).
+           M achieves at most 2^{value(M)} * semi-adaptive primal + tol.
+      (iii) non-adaptive <= adaptive dual + 1e-8 (sanity direction).
     """
     p_na = non_adaptive_success(game)
     ad = adaptive_success(game, tol=solver_tol)
@@ -232,12 +237,12 @@ def verify_main_theorem(
     classical = aprime_is_classical(game)
 
     checks: list[BoundCheck] = []
-    lhs = ad.primal_value
+    lhs = ad.dual_value
     rhs = (2.0**h0) * semi.primal_value + tol
     ok = lhs <= rhs
     checks.append(
         BoundCheck(
-            name="adaptive<=2^H0(A)*semi",
+            name=MAIN_BOUND,
             lhs=lhs,
             rhs=rhs,
             passed=ok,
@@ -246,7 +251,7 @@ def verify_main_theorem(
     )
     checks.append(
         BoundCheck(
-            name="non-adaptive<=adaptive",
+            name="non-adaptive<=adaptive-dual",
             lhs=p_na,
             rhs=ad.dual_value + 1e-8,
             passed=p_na <= ad.dual_value + 1e-8,
@@ -267,7 +272,7 @@ def verify_main_theorem(
         lam = est.lower
         checks.append(
             BoundCheck(
-                name="induced<=2^lambda(M)*semi",
+                name="induced<=2^lambda(M)*semi-primal",
                 lhs=induced,
                 rhs=(2.0**lam) * semi.primal_value + tol,
                 passed=induced <= (2.0**lam) * semi.primal_value + tol,
@@ -278,7 +283,7 @@ def verify_main_theorem(
         if p_na > 0.0 and ad.primal_value > 0.0:
             checks.append(
                 BoundCheck(
-                    name="info:-lg(na)<=imax_lower-lg(adaptive)",
+                    name="info:-lg(na)<=imax_lower-lg(adaptive-primal)",
                     lhs=-float(np.log2(p_na)),
                     rhs=est.lower - float(np.log2(ad.primal_value)),
                     passed=True,

@@ -18,6 +18,9 @@ def as_complex_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"{name} must be square 2-d, got shape {arr.shape}")
+    # Every later tolerance test is False for NaN, so non-finite values stop here.
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has a non-finite entry")
     return arr
 
 
@@ -84,17 +87,6 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(arr, 2))
 
 
-def positive_part(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Spectral projection onto nonnegative eigenvalues times the matrix.
-
-    Satisfies M = positive_part(M) - positive_part(-M) up to the eigensolver's
-    accuracy, with both parts PSD.
-    """
-    vals, vecs = eig_hermitian(m, tol)
-    clipped = np.clip(vals, 0.0, None)
-    return hermitize((vecs * clipped) @ vecs.conj().T)
-
-
 def partial_trace_matrix(
     m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]
 ) -> np.ndarray:
@@ -152,21 +144,28 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
+def _json_numbers(rows, name: str) -> np.ndarray:
+    """A nested list of JSON numbers as a float array. numpy would also turn
+    strings such as "1" and booleans into numbers; they are rejected."""
+    arr = np.asarray(rows, dtype=object)
+    if not all(type(x) in (int, float) for x in arr.flat):
+        raise InputError(f"{name} has an entry that is not a JSON number")
+    return arr.astype(float)
+
+
 def matrix_from_json(block, name: str) -> np.ndarray:
     """Inverse of matrix_to_json; "im" may be omitted for a real matrix.
 
-    Python's json reads NaN and Infinity, and every later tolerance test is
-    False for NaN, so non-finite entries are rejected here.
+    Non-finite entries pass here and are rejected by as_complex_matrix when
+    the matrix is validated.
     """
     try:
-        re = np.asarray(block["re"], dtype=float)
-        im = np.asarray(block["im"], dtype=float) if "im" in block else np.zeros_like(re)
-    except (KeyError, TypeError, ValueError) as exc:
+        re = _json_numbers(block["re"], name)
+        im = _json_numbers(block["im"], name) if "im" in block else np.zeros_like(re)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed {name}: {exc}") from exc
     if re.shape != im.shape:
         raise InputError(f"{name}: re/im blocks have different shapes {re.shape} and {im.shape}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise InputError(f"{name} has a non-finite entry")
     return re + 1j * im
 
 

@@ -171,6 +171,22 @@ def test_non_finite_scheme_is_input_error(tmp_path, capsys, value):
     assert main(["binding", "--scheme", str(scheme_path)]) == 2
 
 
+@pytest.mark.parametrize("keys, value", [
+    (("re", 0, 0), "0.5"),
+    (("re", 3, 3), " 0.5 "),
+    (("im", 0, 1), False),
+    (("im", 1, 0), None),
+    (("re", 0, 0), 10**400),
+], ids=["string", "padded-string", "boolean", "null", "huge-int"])
+def test_non_number_state_entry_is_input_error(tmp_path, capsys, keys, value):
+    """JSON strings, booleans and null are not numbers, even where numpy
+    would convert them; an integer too large for a float is no number either."""
+    save_state(copy_state(), str(tmp_path / "state.json"))
+    set_entry(tmp_path / "state.json", keys, value)
+    assert main(["info", "--state", str(tmp_path / "state.json")]) == 2
+    assert "state file" in capsys.readouterr().err
+
+
 def test_mismatched_im_shape_is_input_error(tmp_path, capsys):
     """A 1-row im block must not broadcast over a square re block."""
     state_path, family_path = bell_files(tmp_path)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gamebound.config import EQ_TOL, SOLVER_MAX_ITER
 from gamebound.discrimination import (
     CqState,
     DiscriminationInstance,
+    _barrier_path,
     binary_optimal,
     dual_feasibility_defect,
     guessing_probability,
@@ -13,6 +17,7 @@ from gamebound.discrimination import (
     optimal_discrimination,
 )
 from gamebound.errors import InputError
+from gamebound.games import adaptive_success, random_game
 from gamebound.rand import (
     random_density_matrix,
     random_pure_vector,
@@ -78,12 +83,59 @@ def test_solver_agrees_with_binary_closed_form():
         assert cert.gap <= 1e-9 + 1e-12
 
 
-def test_solver_uniform_init_matches_auto():
+def test_barrier_path_matches_two_operator_closed_form():
+    """The general path, which two-operator instances skip, reaches Helstrom."""
     rng = rng_from_seed(33)
-    inst = random_instance(rng, 2, 2)
-    a = optimal_discrimination(inst, tol=1e-9, init="auto")
-    b = optimal_discrimination(inst, tol=1e-9, init="uniform")
-    assert a.primal_value == pytest.approx(b.primal_value, abs=1e-7)
+    for dim in (2, 3, 4):
+        inst = random_instance(rng, dim, 2)
+        cert = _barrier_path(inst, 1e-9, SOLVER_MAX_ITER)
+        want = helstrom_value(*inst.operators)
+        assert cert.converged and cert.iterations > 0
+        assert cert.primal_value - 1e-12 <= want <= cert.dual_value + 1e-12
+        assert cert.gap <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_solver_certificate_properties(n_ops, dim, pure, seed):
+    """On random instances, full-rank or rank one: a feasible, bracketing
+    certificate within tol, well under the step cap."""
+    rng = rng_from_seed(seed)
+    weights = rng.random(n_ops) + 0.05
+    weights /= weights.sum()
+    inst = DiscriminationInstance(tuple(
+        w * random_density_matrix(dim, rng, rank=1 if pure else None) for w in weights))
+    cert = optimal_discrimination(inst, tol=1e-9)
+    assert cert.primal_value <= cert.dual_value + 1e-12  # the two sides round apart
+    assert dual_feasibility_defect(inst, cert.dual_witness) <= 1e-12
+    assert np.max(np.abs(sum(cert.povm.elements) - np.eye(dim))) <= EQ_TOL
+    assert cert.converged and cert.gap <= 1e-9
+    assert cert.iterations < SOLVER_MAX_ITER
+    if n_ops == 2:
+        want = helstrom_value(*inst.operators)
+        assert cert.primal_value - 1e-12 <= want <= cert.dual_value + 1e-12
+
+
+def test_one_dimensional_value_is_largest_weight():
+    inst = DiscriminationInstance(tuple(np.array([[w]], dtype=complex) for w in (0.2, 0.5, 0.3)))
+    cert = optimal_discrimination(inst, tol=0.0)
+    assert cert.primal_value == cert.dual_value == 0.5
+    assert cert.converged and cert.iterations == 0
+    assert [float(e[0, 0].real) for e in cert.povm.elements] == [0.0, 1.0, 0.0]
+
+
+def test_game_at_old_iteration_cap_converges():
+    """This adaptive solve stopped at 10,000 fixed-point iterations with a
+    gap of 1.1e-8; the barrier path certifies it in under a hundred steps."""
+    game = random_game(4, 2, 3, seed=(777, 110), dim_aprime=1)
+    cert = adaptive_success(game, tol=1e-9)
+    assert cert.converged and cert.gap <= 1e-9
+    assert cert.iterations < 500
 
 
 def test_trine_states_value():
@@ -102,6 +154,8 @@ def test_trine_states_value():
     srm = square_root_measurement_value(weights, vectors)
     assert srm == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert cert.primal_value == pytest.approx(2.0 / 3.0, abs=1e-7)
+    assert cert.primal_value - 1e-12 <= 2.0 / 3.0 <= cert.dual_value + 1e-12
+    assert cert.gap <= 1e-9
 
 
 def test_weak_duality_and_certificate():
@@ -172,3 +226,10 @@ def test_cq_state_validation():
 def test_instance_rejects_nonpsd():
     with pytest.raises(InputError):
         DiscriminationInstance((np.diag([1.0, -0.2]).astype(complex),))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_instance_rejects_non_finite(value):
+    bad = np.diag([0.5, value]).astype(complex)
+    with pytest.raises(InputError, match="non-finite"):
+        DiscriminationInstance((np.eye(2, dtype=complex) / 2, bad))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gamebound.games import (
+    MAIN_BOUND,
     AttackGame,
     BinaryPovmFamily,
     adaptive_success,
@@ -37,6 +38,7 @@ def test_bell_game_flags_conditional_bound_violation():
     res = verify_main_theorem(bell_game(), tol=1e-6, solver_tol=1e-9)
     flagged = [c for c in res.bound_checks if c.expected_violation]
     assert flagged, "the naive conditional bound should be marked"
+    assert [(c.name, c.lhs) for c in flagged] == [(MAIN_BOUND, res.adaptive_cert.dual_value)]
     assert any(not c.passed for c in flagged)
     # the violation is expected, so the aggregate verdict stays positive
     assert res.ok
@@ -50,9 +52,12 @@ def test_main_bound_on_random_games():
         dim_a = int(rng.choice([2, 4]))
         game = random_game(dim_a, 2, int(rng.integers(2, 5)), seed=(51, k))
         res = verify_main_theorem(game, tol=1e-6, solver_tol=1e-9)
-        assert res.adaptive <= 2.0**res.zero_entropy_a * res.non_adaptive + 1e-6
+        dual = res.adaptive_cert.dual_value
+        assert dual <= 2.0**res.zero_entropy_a * res.non_adaptive + 1e-6
         assert res.non_adaptive <= res.adaptive + 1e-8
         assert res.adaptive_cert.gap <= 1e-7
+        main = next(c for c in res.bound_checks if c.name == MAIN_BOUND)
+        assert main.passed and main.lhs == dual
 
 
 def test_semi_adaptive_between_modes():
@@ -72,7 +77,7 @@ def test_classical_aprime_obeys_conditional_bound():
             continue
         res = verify_main_theorem(game, tol=1e-6, solver_tol=1e-9)
         for chk in res.bound_checks:
-            if chk.name == "adaptive<=2^H0(A)*semi":
+            if chk.name == MAIN_BOUND:
                 assert chk.passed or chk.informational
 
 

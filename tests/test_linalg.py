@@ -8,7 +8,6 @@ from gamebound.linalg import (
     eig_hermitian,
     hermitize,
     partial_trace_matrix,
-    positive_part,
     spectral_norm,
     tensor,
 )
@@ -126,18 +125,6 @@ def test_eig_hermitian_reconstructs():
     vals, vecs = eig_hermitian(mat)
     np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, mat, atol=1e-10)
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
-
-
-def test_positive_part_decomposition():
-    """M = M_+ - M_- with both parts PSD and orthogonal supports."""
-    rng = rng_from_seed(8)
-    mat = hermitize(complex_matrix(rng, 5))
-    pos = positive_part(mat)
-    neg = positive_part(-mat)
-    np.testing.assert_allclose(pos - neg, mat, atol=1e-10)
-    assert np.min(np.linalg.eigvalsh(pos)) >= -1e-10
-    assert np.min(np.linalg.eigvalsh(neg)) >= -1e-10
-    assert spectral_norm(pos @ neg) < 1e-9
 
 
 def test_hermitize_idempotent_and_fixes_drift():

@@ -29,6 +29,14 @@ def test_density_validation_rejects_nonunit_trace():
         density_from_matrix(shape(("A", 2)), np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_density_validation_rejects_non_finite(value):
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat[1, 0] = value
+    with pytest.raises(InputError, match="non-finite"):
+        DensityOperator(shape(("A", 2)), mat)
+
+
 def test_density_validation_rejects_negative():
     with pytest.raises(InputError):
         density_from_matrix(shape(("A", 2)),
