@@ -15,7 +15,7 @@ from .errors import CapExceededError, InputError
 from .games import AttackGame, GameResult, bell_game, random_game, verify_main_theorem
 from .registers import RegisterShape, shape
 from .report import CheckRecord, ExperimentReport
-from .states import DensityOperator, StateVector, density_from_matrix, partial_trace
+from .states import DensityOperator, density_from_matrix, partial_trace
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "RegisterShape",
     "SOLVER_TOL",
     "SolverCertificate",
-    "StateVector",
     "bell_game",
     "density_from_matrix",
     "guessing_probability",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RANK_TOL, default_budget
+from .config import DEFAULT_SEARCH_BUDGET, RANK_TOL
 from .errors import InputError
 from .linalg import (
     apply_kraus,
@@ -196,7 +196,7 @@ def imax_acc_bounds(
     """Certified lower bound (best witness in the searched family) and the
     rank upper bound lg rank(rho_A)."""
     rng = rng_from_seed(seed)
-    budget = default_budget() if budget is None else budget
+    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     dim_a = rho_ab.shape.dims[0]
     a_label = rho_ab.shape.labels[0]
     upper = zero_entropy(rho_ab, a_label)

@@ -21,7 +21,7 @@ from .coding import (
 from .errors import InputError
 from .hashing import XorHashFamily
 from .linalg import hermitize, spectral_norm
-from .onecc import encoded_vector, single_position_guessing
+from .onecc import _gram, encoded_vector, single_position_guessing
 from .rand import rng_from_seed
 
 
@@ -49,23 +49,6 @@ def _ball(x, delta: float) -> np.ndarray:
     """The strings within floor(delta n) flips of x, as rows of a bit matrix."""
     x = np.asarray(x, dtype=np.uint8)
     return np.array(hamming_ball_around(x, math.floor(delta * x.size)), dtype=np.uint8)
-
-
-def _gram(ball0: np.ndarray, ball1: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Inner products <z|_theta0 |z'>_theta1 for z in ball0 and z' in ball1,
-    one (|ball0|, |ball1|) matrix per row m = theta0 xor theta1 of `masks`.
-
-    Positions where the bases agree must carry equal bits; each position
-    where they differ contributes (-1)^{z_i z'_i} / sqrt(2). The matrices
-    therefore depend on the bases only through m.
-    """
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1, ball0.shape[1])
-    differ = (ball0[:, None, :] != ball1[None, :, :]).astype(np.int64)
-    both = (ball0[:, None, :] & ball1[None, :, :]).astype(np.int64)
-    agree = differ @ (1 - masks).T == 0
-    signs = 1 - 2 * (both @ masks.T % 2)
-    scale = 2.0 ** (-masks.sum(axis=1) / 2.0)
-    return np.moveaxis(np.where(agree, signs * scale, 0.0), -1, 0)
 
 
 def max_ball_overlap(x, theta, xp, thetap, delta: float) -> float:

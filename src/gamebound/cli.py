@@ -13,6 +13,7 @@ import sys
 import time
 
 from . import accessible, acceptance, bcjl, coding, commitments, games, onecc, ucsim
+from .config import DEFAULT_SEARCH_BUDGET
 from .errors import CapExceededError, InputError
 from .report import CheckRecord, ExperimentReport, timed_record
 from .states import load_state
@@ -268,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--budget", type=int, default=None,
-                       help="search budget (default from GAMEBOUND_BUDGET)")
+                       help="search budget: sampled opening pairs for bcjl "
+                            "(default: exhaustive), searched measurements for "
+                            f"info (default {DEFAULT_SEARCH_BUDGET})")
         p.add_argument("--out", type=str, default=None,
                        help="write the full JSON report here")
 

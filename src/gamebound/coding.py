@@ -1,6 +1,7 @@
 """Binary linear codes, syndromes, coset representatives, and Hamming-ball
-counting. Everything is exact GF(2) arithmetic on small n (brute force is
-capped at n <= 24 for distance and coset searches)."""
+counting. Everything is exact GF(2) arithmetic; the caps bound what is
+enumerated: 2^k codewords for distance and coset searches (k <= 20) and the
+strings of a Hamming ball (at most 2^16)."""
 from __future__ import annotations
 
 import functools
@@ -12,7 +13,8 @@ import numpy as np
 
 from .errors import InputError
 
-BRUTE_FORCE_N_CAP = 24
+BRUTE_FORCE_K_CAP = 20
+BALL_SIZE_CAP = 2**16
 
 
 def binary_entropy(p: float) -> float:
@@ -117,8 +119,8 @@ class LinearCode:
 
     @functools.cached_property
     def _codewords(self) -> np.ndarray:
-        if self.n > BRUTE_FORCE_N_CAP:
-            raise InputError(f"n={self.n} exceeds brute-force cap {BRUTE_FORCE_N_CAP}")
+        if self.k > BRUTE_FORCE_K_CAP:
+            raise InputError(f"k={self.k} exceeds brute-force cap {BRUTE_FORCE_K_CAP}")
         msgs = np.array(
             list(itertools.product((0, 1), repeat=self.k)), dtype=np.uint8
         )
@@ -140,7 +142,7 @@ class LinearCode:
         return solver
 
     def min_distance(self) -> int:
-        """Exact minimum distance by weight enumeration (n <= 24)."""
+        """Exact minimum distance by weight enumeration (k <= 20)."""
         words = self.codewords()
         weights = words.sum(axis=1)
         nonzero = weights[np.any(words != 0, axis=1)]
@@ -176,11 +178,13 @@ def nearest_coset_rep(code: LinearCode, s, reference) -> np.ndarray:
 
 
 def hamming_ball(n: int, radius: int) -> list[np.ndarray]:
-    """All bit strings within `radius` flips of the zero string, n <= 16."""
-    if n > 16:
-        raise InputError(f"ball enumeration capped at n=16, got {n}")
+    """All bit strings within `radius` flips of the zero string, at most
+    BALL_SIZE_CAP of them."""
     if radius < 0 or radius > n:
         raise InputError(f"radius {radius} outside [0, {n}]")
+    size = ball_size(n, radius)
+    if size > BALL_SIZE_CAP:
+        raise InputError(f"ball of {size} strings exceeds the cap of {BALL_SIZE_CAP}")
     out = []
     for w in range(radius + 1):
         for support in itertools.combinations(range(n), w):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EQ_TOL, SOLVER_TOL
+from .config import SOLVER_TOL
 from .discrimination import DiscriminationInstance, optimal_discrimination
 from .errors import InputError
 from .linalg import (
@@ -90,34 +90,6 @@ class ProjectiveCommitmentScheme:
         if bit == 1:
             return self.openings_one
         raise InputError(f"bit must be 0 or 1, got {bit}")
-
-
-@dataclass(frozen=True)
-class OpeningStrategy:
-    """Projective measurement on A assigning one element per opening label."""
-
-    bit: int
-    elements: tuple[tuple[str, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise InputError("strategy bit must be 0 or 1")
-        dim = self.elements[0][1].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        frozen = []
-        for label, f in self.elements:
-            p = _check_projector(f, f"F[{label}]")
-            total += p
-            p = p.copy()
-            p.setflags(write=False)
-            frozen.append((label, p))
-        if np.max(np.abs(total - np.eye(dim))) > EQ_TOL:
-            raise InputError("strategy projectors do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(frozen))
-
-    @property
-    def dim_a(self) -> int:
-        return self.elements[0][1].shape[0]
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,15 @@
 """Global caps and default tolerances, overridable per call."""
 from __future__ import annotations
 
-import os
-
 # Hard caps so a bad input cannot allocate huge dense matrices.
 DEFAULT_MAX_DIM = 256
 DEFAULT_MAX_OPERATORS = 64
-DEFAULT_SEARCH_BUDGET = 200
-
-# Environment overrides for the default budget caps.
-ENV_MAX_DIM = "GAMEBOUND_MAX_DIM"
-ENV_BUDGET = "GAMEBOUND_BUDGET"
+DEFAULT_SEARCH_BUDGET = 200  # measurement families searched for accessible info
 
 # Numerical tolerances shared across modules.
 HERM_TOL = 1e-10          # Hermiticity / PSD checks on general operators
 DENSITY_HERM_TOL = 1e-12  # density operators are constructed, not measured
 EQ_TOL = 1e-9             # equality comparisons
 RANK_TOL = 1e-8           # rank decisions in zero-order entropy
-NORM_TOL = 1e-12          # state-vector normalization
 SOLVER_TOL = 1e-7
 SOLVER_MAX_ITER = 10000
-
-
-def max_dim() -> int:
-    """Dimension cap for any constructed register space."""
-    value = os.environ.get(ENV_MAX_DIM)
-    return int(value) if value else DEFAULT_MAX_DIM
-
-
-def default_budget() -> int:
-    """Default search budget (measurement families, sampled pairs)."""
-    value = os.environ.get(ENV_BUDGET)
-    return int(value) if value else DEFAULT_SEARCH_BUDGET

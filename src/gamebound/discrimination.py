@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import EQ_TOL, HERM_TOL, SOLVER_MAX_ITER, SOLVER_TOL
+from .config import DEFAULT_MAX_OPERATORS, EQ_TOL, HERM_TOL, SOLVER_MAX_ITER, SOLVER_TOL
 from .errors import InputError
 from .linalg import check_psd, eig_hermitian, hermitize, max_eig
 from .states import DensityOperator
@@ -77,8 +77,9 @@ class DiscriminationInstance:
     def __post_init__(self) -> None:
         if not self.operators:
             raise InputError("instance needs at least one score operator")
-        if len(self.operators) > 64:
-            raise InputError(f"instance has {len(self.operators)} operators, cap is 64")
+        if len(self.operators) > DEFAULT_MAX_OPERATORS:
+            raise InputError(f"instance has {len(self.operators)} operators, "
+                             f"cap is {DEFAULT_MAX_OPERATORS}")
         dim = self.operators[0].shape[0]
         frozen = []
         for i, k in enumerate(self.operators):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accessible import imax_acc_bounds
-from .config import SOLVER_MAX_ITER, SOLVER_TOL
+from .config import DEFAULT_MAX_OPERATORS, SOLVER_MAX_ITER, SOLVER_TOL
 from .discrimination import (
     DiscriminationInstance,
     Povm,
@@ -61,8 +61,9 @@ class BinaryPovmFamily:
             raise InputError("labels and effects must align")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("duplicate test labels")
-        if len(self.labels) > 64:
-            raise InputError(f"family size {len(self.labels)} exceeds cap 64")
+        if len(self.labels) > DEFAULT_MAX_OPERATORS:
+            raise InputError(f"family size {len(self.labels)} exceeds cap "
+                             f"{DEFAULT_MAX_OPERATORS}")
         dim = self.effects[0].shape[0]
         frozen = []
         for label, e in zip(self.labels, self.effects):

@@ -14,20 +14,29 @@ import numpy as np
 from .discrimination import CqState, guessing_probability
 from .errors import InputError
 
+MEMBERS_N_CAP = 20
+
 
 @dataclass(frozen=True)
 class XorHashFamily:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n > 20:
-            raise InputError(f"hash input length {self.n} outside [1, 20]")
+        if self.n < 1:
+            raise InputError(f"hash input length {self.n} is not positive")
 
     def __len__(self) -> int:
+        self._check_enumerable()
         return 2**self.n
 
     def members(self) -> list[int]:
+        self._check_enumerable()
         return list(range(2**self.n))
+
+    def _check_enumerable(self) -> None:
+        if self.n > MEMBERS_N_CAP:
+            raise InputError(f"enumerating 2^{self.n} hash members exceeds the cap "
+                             f"n <= {MEMBERS_N_CAP}")
 
     def evaluate(self, r: int, x: int) -> int:
         if not 0 <= r < 2**self.n or not 0 <= x < 2**self.n:

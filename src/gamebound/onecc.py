@@ -14,6 +14,7 @@ import numpy as np
 
 from .coding import (
     LinearCode,
+    ball_size,
     binary_entropy,
     bits_to_int,
     coset_members,
@@ -30,10 +31,9 @@ from .discrimination import (
 )
 from .errors import InputError
 from .hashing import XorHashFamily
-from .linalg import hermitize, partial_trace_matrix
 from .rand import random_pure_vector, rng_from_seed
 from .registers import RegisterShape
-from .states import DensityOperator, StateVector, density_from_matrix, zero_entropy
+from .states import density_from_matrix, zero_entropy
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _KET = {0: np.array([1, 0], dtype=complex), 1: np.array([0, 1], dtype=complex)}
@@ -111,58 +111,82 @@ def basis_guessing_analysis(big_n: int, q: float, rate: float) -> dict:
     }
 
 
+def _gram(ball0: np.ndarray, ball1: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Inner products <z|_theta0 |z'>_theta1 for z in ball0 and z' in ball1,
+    one (|ball0|, |ball1|) matrix per row m = theta0 xor theta1 of `masks`.
+
+    Positions where the bases agree must carry equal bits; each position
+    where they differ contributes (-1)^{z_i z'_i} / sqrt(2). The matrices
+    therefore depend on the bases only through m.
+    """
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1, ball0.shape[1])
+    differ = (ball0[:, None, :] != ball1[None, :, :]).astype(np.int64)
+    both = (ball0[:, None, :] & ball1[None, :, :]).astype(np.int64)
+    agree = differ @ (1 - masks).T == 0
+    signs = 1 - 2 * (both @ masks.T % 2)
+    scale = 2.0 ** (-masks.sum(axis=1) / 2.0)
+    return np.moveaxis(np.where(agree, signs * scale, 0.0), -1, 0)
+
+
+# Largest |ball| * dim A a small-support state may hold (n = 10, dim A = 16).
+SMALLSUP_ROWS_CAP = 2**10 * 16
+
+
 @dataclass(frozen=True)
 class SmallSupState:
-    """Pure state on A (x) register of n basis qubits supported, on the basis
-    side, inside the delta-ball around the all-zero string in basis theta."""
+    """Pure state sum_{y in ball} |W[y]>_A |y>_theta on A (x) register of n
+    basis qubits, supported inside the delta-ball around the all-zero string
+    in basis theta.
+
+    Row W[y] = alpha_y xi_y of the read-only (|ball|, dim A) array `rows` is
+    the A-part paired with ball string y. Ball states in one basis are
+    orthonormal, so the state's norm is the Frobenius norm of `rows`.
+    """
 
     theta: np.ndarray = field(repr=False)
     delta: float
     dim_a: int
     ball: tuple[tuple[int, ...], ...]
-    vector: StateVector = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.theta.size
 
-    def joint_density(self) -> DensityOperator:
-        return self.vector.density()
 
-    def b_reduction(self) -> np.ndarray:
-        rho = self.vector.density().matrix
-        return hermitize(
-            partial_trace_matrix(rho, (self.dim_a, 2**self.n), (1,))
-        )
+def _zero_parts(state: SmallSupState, candidates: np.ndarray) -> np.ndarray:
+    """v = (I (x) <0|_cand) psi = g_cand W for each row cand of `candidates`,
+    as a (len(candidates), dim A) array; g_cand is one _gram row."""
+    masks = np.asarray(candidates, dtype=np.uint8) ^ state.theta
+    zero = np.zeros((1, state.n), dtype=np.uint8)
+    return _gram(zero, np.array(state.ball, dtype=np.uint8), masks)[:, 0, :] @ state.rows
 
 
 def sample_smallsup_state(theta, delta: float, dim_a: int, seed=0) -> SmallSupState:
     """Random unit vector sum_{y in ball} alpha_y |xi_y>_A |y>_theta."""
     theta = np.asarray(theta, dtype=np.uint8)
     n = theta.size
-    if n > 10:
-        raise InputError("small-support sampling capped at n = 10")
     if dim_a < 1 or dim_a > 16:
         raise InputError("dim A must be in [1, 16]")
     if not 0.0 <= delta <= 0.5:
         raise InputError("delta must be in [0, 1/2]")
-    rng = rng_from_seed(seed)
     radius = math.floor(delta * n)
+    entries = ball_size(n, radius) * dim_a
+    if entries > SMALLSUP_ROWS_CAP:
+        raise InputError(f"|ball| * dim A = {entries} exceeds the cap of {SMALLSUP_ROWS_CAP}")
+    rng = rng_from_seed(seed)
     ball = hamming_ball(n, radius)
     amps = rng.normal(size=len(ball)) + 1j * rng.normal(size=len(ball))
     amps /= np.linalg.norm(amps)
-    total = np.zeros(dim_a * 2**n, dtype=complex)
-    for a, y in zip(amps, ball):
-        xi = random_pure_vector(dim_a, rng)
-        total += a * np.kron(xi, encoded_vector(y, theta))
-    total /= np.linalg.norm(total)
-    shape = RegisterShape((("A", dim_a), ("B", 2**n)))
+    rows = np.array([a * random_pure_vector(dim_a, rng) for a in amps])
+    rows /= np.linalg.norm(rows)
+    rows.setflags(write=False)
     return SmallSupState(
         theta=theta,
         delta=delta,
         dim_a=dim_a,
         ball=tuple(tuple(int(b) for b in y) for y in ball),
-        vector=StateVector(shape, total),
+        rows=rows,
     )
 
 
@@ -173,29 +197,24 @@ def wrong_opening_bound_check(
     accepted with probability at most 2^{-d/2 + n h(delta)}.
 
     Acceptance of announcement theta'' means the receiver's measurement of the
-    basis register in theta'' returns all zeros: tr((I (x) P0_theta'') rho).
+    basis register in theta'' returns all zeros: ||(I (x) <0|_theta'') psi||^2
+    = 2^{-|m|} ||sum_{y : y_S = 0} alpha_y xi_y||^2, with m = theta'' xor
+    theta and S the positions where m is 0.
     """
     n = state.n
     if code.n != n:
         raise InputError("code length does not match the state")
-    rho_b = state.b_reduction()
-    theta_ref = state.theta
-    rep = nearest_coset_rep(code, s, theta_ref)
+    rep = nearest_coset_rep(code, s, state.theta)
     d = code.min_distance()
     bound = 2.0 ** (-d / 2.0 + n * binary_entropy(state.delta))
-    worst = 0.0
-    worst_theta = None
-    for cand in coset_members(code, s):
-        if np.array_equal(cand, rep):
-            continue
-        zero_vec = encoded_vector(np.zeros(n, dtype=np.uint8), cand)
-        value = float(np.real(zero_vec.conj() @ rho_b @ zero_vec))
-        if value > worst:
-            worst = value
-            worst_theta = tuple(int(b) for b in cand)
+    members = coset_members(code, s)
+    values = np.sum(np.abs(_zero_parts(state, members)) ** 2, axis=1)
+    values[np.all(members == rep, axis=1)] = 0.0
+    k = int(np.argmax(values))
+    worst = float(values[k])
     return {
         "worst_value": worst,
-        "worst_theta": worst_theta,
+        "worst_theta": tuple(int(b) for b in members[k]) if worst > 0.0 else None,
         "bound": bound,
         "nearest_rep": tuple(int(b) for b in rep),
         "pass": worst <= bound + tol,
@@ -220,29 +239,19 @@ def adaptive_wrong_opening(
     family = XorHashFamily(n)
     rep = nearest_coset_rep(code, s, state.theta)
     c = family.evaluate(hash_member, bits_to_int(rep)) ^ (w & 1)
-    rho = state.joint_density()
-    dim_a = state.dim_a
-    ops = []
-    for cand in coset_members(code, s):
-        if family.evaluate(hash_member, bits_to_int(cand)) ^ (w & 1) != 1 - c:
-            continue
-        zero_vec = encoded_vector(np.zeros(n, dtype=np.uint8), cand)
-        proj = np.outer(zero_vec, zero_vec.conj())
-        lifted = np.kron(np.eye(dim_a), proj)
-        ops.append(
-            hermitize(partial_trace_matrix(lifted @ rho.matrix, (dim_a, 2**n), (0,)))
-        )
-    h0 = zero_entropy(rho, "A")
+    members = coset_members(code, s)
+    wrong = members[[family.evaluate(hash_member, bits_to_int(x)) ^ (w & 1) == 1 - c
+                     for x in members]]
+    ops = tuple(np.outer(v, v.conj()) for v in _zero_parts(state, wrong))
+    rho_a = density_from_matrix(RegisterShape((("A", state.dim_a),)),
+                                state.rows.T @ state.rows.conj())
+    h0 = zero_entropy(rho_a, "A")
     lemma_bound = 2.0 ** (-code.min_distance() / 2.0 + n * binary_entropy(state.delta))
-    if not ops:
-        return {
-            "extracted": c,
-            "wrong_open_success": 0.0,
-            "chain_bound": (2.0**h0) * lemma_bound,
-            "pass": True,
-        }
-    cert = optimal_discrimination(DiscriminationInstance(tuple(ops)), tol=tol)
     chain_bound = (2.0**h0) * lemma_bound
+    if not ops:
+        return {"extracted": c, "wrong_open_success": 0.0,
+                "chain_bound": chain_bound, "pass": True}
+    cert = optimal_discrimination(DiscriminationInstance(ops), tol=tol)
     return {
         "extracted": c,
         "wrong_open_success": cert.primal_value,

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import max_dim
+from .config import DEFAULT_MAX_DIM
 from .errors import CapExceededError, InputError
 
 
@@ -21,9 +21,9 @@ class RegisterShape:
         for label, d in self.subsystems:
             if not isinstance(d, int) or d < 1:
                 raise InputError(f"register {label!r} has invalid dimension {d!r}")
-        if self.dim > max_dim():
+        if self.dim > DEFAULT_MAX_DIM:
             raise CapExceededError(
-                f"total dimension {self.dim} exceeds cap {max_dim()}"
+                f"total dimension {self.dim} exceeds cap {DEFAULT_MAX_DIM}"
             )
 
     @property

@@ -1,4 +1,4 @@
-"""Labeled state vectors and density operators over named registers."""
+"""Labeled density operators over named registers."""
 from __future__ import annotations
 
 import json
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DENSITY_HERM_TOL, NORM_TOL, RANK_TOL
+from .config import DENSITY_HERM_TOL, RANK_TOL
 from .errors import InputError
 from .linalg import (
     as_complex_matrix,
@@ -20,36 +20,6 @@ from .linalg import (
     partial_trace_matrix,
 )
 from .registers import RegisterShape
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Unit vector on the registers named by `shape`."""
-
-    shape: RegisterShape
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if vec.size != self.shape.dim:
-            raise InputError(
-                f"vector length {vec.size} != shape dimension {self.shape.dim}"
-            )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InputError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "amplitudes", vec)
-
-    def density(self) -> "DensityOperator":
-        vec = self.amplitudes
-        return DensityOperator(self.shape, np.outer(vec, vec.conj()))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.shape.dims != other.shape.dims:
-            raise InputError("overlap requires matching dimensions")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)

@@ -157,14 +157,6 @@ def test_exact_qubit_value_between_strategies_and_relaxation():
                 assert achieved <= value + 1e-9
 
 
-def test_opening_strategy_must_resolve_identity():
-    from gamebound.commitments import OpeningStrategy
-
-    OpeningStrategy(0, (("a", Z0), ("b", Z1)))
-    with pytest.raises(InputError):
-        OpeningStrategy(0, (("a", Z0),))  # does not resolve the identity
-
-
 def test_scheme_json_round_trip(tmp_path):
     scheme = basis_reveal_scheme()
     path = str(tmp_path / "scheme.json")

@@ -1,10 +1,25 @@
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gamebound.coding import coset_members, named_code, syndrome
+from gamebound import bcjl, onecc
+from gamebound.acceptance import criterion_07_wrong_opening
+from gamebound.coding import (
+    LinearCode,
+    bits_to_int,
+    coset_members,
+    hamming_ball,
+    named_code,
+    syndrome,
+)
 from gamebound.errors import CapExceededError, InputError
+from gamebound.hashing import XorHashFamily
+from gamebound.linalg import partial_trace_matrix
+from gamebound.rand import random_pure_vector, rng_from_seed
 from gamebound.onecc import (
     GAMMA_TARGET,
     OneCcInstance,
@@ -75,11 +90,135 @@ def test_sample_smallsup_state_support_and_determinism():
     theta = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
     a = sample_smallsup_state(theta, 1.0 / 7.0, 2, seed=11)
     b = sample_smallsup_state(theta, 1.0 / 7.0, 2, seed=11)
-    np.testing.assert_allclose(a.vector.amplitudes, b.vector.amplitudes, atol=0)
-    assert np.linalg.norm(a.vector.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(a.rows, b.rows)
     assert len(a.ball) == 8  # radius-1 ball on 7 positions
+    assert a.rows.shape == (8, 2)
+    assert not a.rows.flags.writeable
+    # ball states are orthonormal, so the state's norm is that of the rows
+    assert np.linalg.norm(a.rows) == pytest.approx(1.0, abs=1e-12)
     # payload support sits within the ball around the honest all-zero string
     assert all(sum(member) <= 1 for member in a.ball)
+    # the draws: all amplitudes first, then one A vector per ball member
+    rng = rng_from_seed(11)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    want = np.array([amp * random_pure_vector(2, rng) for amp in amps])
+    np.testing.assert_allclose(a.rows, want / np.linalg.norm(want), atol=1e-15)
+
+
+def _dense_state(state) -> np.ndarray:
+    """sum_y W[y] (x) |y>_theta as a (dim A, 2^n) matrix, from encoded_vector."""
+    return sum(np.outer(w, encoded_vector(y, state.theta))
+               for w, y in zip(state.rows, state.ball))
+
+
+@pytest.mark.parametrize("name", ["rep31", "rep41", "hamming74"])
+@pytest.mark.parametrize("radius", [0, 1])
+def test_rows_match_dense_reference(name, radius, monkeypatch):
+    """Acceptances and adaptive operators from the rows equal the dense
+    2^n computation they replace, for every syndrome."""
+    code = named_code(name)
+    n = code.n
+    rng = rng_from_seed((31, n, radius))
+    state = sample_smallsup_state(rng.integers(0, 2, size=n), radius / n, 2, seed=rng)
+    psi = _dense_state(state)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    rho = np.outer(psi.reshape(-1), psi.reshape(-1).conj())
+    seen = []
+    solve = onecc.optimal_discrimination
+    monkeypatch.setattr(onecc, "optimal_discrimination",
+                        lambda inst, tol: seen.append(inst.operators) or solve(inst, tol=tol))
+    family = XorHashFamily(n)
+    for s in itertools.product((0, 1), repeat=n - code.k):
+        members = coset_members(code, s)
+        zeros = [encoded_vector(np.zeros(n, dtype=np.uint8), cand) for cand in members]
+        dense = np.array([np.linalg.norm(psi @ z) ** 2 for z in zeros])
+        rows = np.sum(np.abs(onecc._zero_parts(state, members)) ** 2, axis=1)
+        np.testing.assert_allclose(rows, dense, rtol=0, atol=1e-12)
+        chk = wrong_opening_bound_check(state, code, s)
+        others = [tuple(cand) != chk["nearest_rep"] for cand in members]
+        assert chk["worst_value"] == pytest.approx(dense[others].max(), abs=1e-12)
+
+        member = int(rng.integers(0, 2**n))
+        out = adaptive_wrong_opening(state, code, member, s, 0)
+        wrong = [family.evaluate(member, bits_to_int(cand)) ^ out["extracted"] == 1
+                 for cand in members]
+        want = [partial_trace_matrix(np.kron(np.eye(2), np.outer(z, z)) @ rho,
+                                     (2, 2**n), (0,))
+                for z, bad in zip(zeros, wrong) if bad]
+        got = seen.pop() if want else ()
+        assert len(got) == len(want)
+        for op, ref in zip(got, want):
+            np.testing.assert_allclose(op, ref, rtol=0, atol=1e-12)
+    assert not seen
+
+
+def _rm15() -> LinearCode:
+    """Reed-Muller RM(1,5) = [32, 6, 16]: the all-ones row and the five
+    coordinate-bit rows."""
+    cols = np.arange(32)
+    bits = (cols[None, :] >> np.arange(5)[:, None]) & 1
+    return LinearCode(np.vstack([np.ones(32, dtype=np.uint8), bits]).astype(np.uint8))
+
+
+def test_rm15_wrong_opening_exhaustive_and_non_vacuous():
+    """At [32,6,16], delta = 1/32 the 33-string ball makes both bounds
+    non-vacuous. The lemma check covers all 64 coset members; the hash
+    members r = e_0, e_1, e_2, e_4, e_8, e_16 put each non-nearest member on
+    the wrong side at least once, since every nonzero RM(1,5) codeword is 1
+    at one of those positions."""
+    code = _rm15()
+    assert (code.n, code.k, code.min_distance()) == (32, 6, 16)
+    rng = rng_from_seed(32)
+    theta = rng.integers(0, 2, size=32).astype(np.uint8)
+    s = rng.integers(0, 2, size=26).astype(np.uint8)
+    started = time.perf_counter()
+    state = sample_smallsup_state(theta, 1.0 / 32.0, 2, seed=rng)
+    chk = wrong_opening_bound_check(state, code, s)
+    family = XorHashFamily(32)
+    members = coset_members(code, s)
+    covered = np.zeros(len(members), dtype=bool)
+    for pos in (0, 1, 2, 4, 8, 16):
+        r = 1 << (31 - pos)
+        out = adaptive_wrong_opening(state, code, r, s, 1)
+        assert out["pass"]
+        assert out["chain_bound"] < 1.0
+        covered |= [family.evaluate(r, bits_to_int(cand)) ^ 1 != out["extracted"]
+                    for cand in members]
+    elapsed = time.perf_counter() - started
+    assert len(state.ball) == 33
+    assert chk["bound"] == pytest.approx(0.334, abs=5e-4)
+    assert chk["pass"] and chk["worst_value"] < chk["bound"]
+    assert covered.sum() == 63  # every member but the nearest one
+    assert elapsed < 1.0
+
+
+def test_criterion_07_builds_no_dense_state(monkeypatch):
+    """The criterion runs on ball rows alone: no 2^n vector or verifier."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 2^n construction on the criterion path")
+
+    monkeypatch.setattr(onecc, "encoded_vector", refuse)
+    monkeypatch.setattr(bcjl, "ball_verifier", refuse)
+    assert criterion_07_wrong_opening(seed=0).passed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hamming_ball(17, 17),  # 2^17 strings
+    lambda: LinearCode(np.eye(21, dtype=np.uint8)).codewords(),  # 2^21 words
+    lambda: XorHashFamily(21).members(),
+    lambda: len(XorHashFamily(21)),
+    lambda: sample_smallsup_state(np.zeros(14), 0.5, 2),  # 9,908 rows of dim 2
+])
+def test_enumeration_caps_reject_before_allocating(build):
+    """Each size cap raises before its enumeration allocates anything."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_wrong_opening_equality_on_distance_two_coset():

@@ -8,7 +8,6 @@ from gamebound.rand import random_density_matrix, random_pure_vector, rng_from_s
 from gamebound.registers import shape
 from gamebound.states import (
     DensityOperator,
-    StateVector,
     density_from_matrix,
     load_state,
     partial_trace,
@@ -41,11 +40,6 @@ def test_density_validation_rejects_negative():
     with pytest.raises(InputError):
         density_from_matrix(shape(("A", 2)),
                             np.diag([1.5, -0.5]).astype(complex))
-
-
-def test_state_vector_normalization_check():
-    with pytest.raises(InputError):
-        StateVector(shape(("A", 2)), np.array([1.0, 1.0], dtype=complex))
 
 
 def test_trace_distance_pure_states_closed_form():
