@@ -13,6 +13,7 @@ measurements and the rank upper bound lg rank(rho_A) are reported.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +23,11 @@ from .config import DEFAULT_SEARCH_BUDGET, RANK_TOL
 from .errors import InputError
 from .linalg import (
     apply_kraus,
+    as_complex_matrix,
+    check_hermitian,
     check_psd,
     hermitize,
     max_eig,
-    partial_trace_matrix,
     tensor,
 )
 from .discrimination import Povm
@@ -60,59 +62,61 @@ class ImaxEstimate:
 
 def dmax_relative(k: np.ndarray, rho: np.ndarray, rank_tol: float = RANK_TOL) -> float:
     """Smallest c >= 0 with K <= c * rho; inf when K has weight outside supp(rho)."""
-    ka = check_psd(k, 1e-10, "K")
-    ra = check_psd(rho, 1e-10, "rho")
+    ka = check_psd(as_complex_matrix(k, "K"), 1e-10, "K")
+    ra = check_hermitian(rho, 1e-10, "rho")
     if ka.shape != ra.shape:
         raise InputError("K and rho must share one dimension")
-    vals, vecs = np.linalg.eigh(hermitize(ra))
-    top = float(vals[-1]) if vals.size else 0.0
-    mask = vals > max(top, 1.0) * 1e-14
+    return float(_dmax_blocks(ka[None], hermitize(ra), rank_tol)[0])
+
+
+def _dmax_blocks(ks: np.ndarray, rho: np.ndarray, rank_tol: float) -> np.ndarray:
+    """dmax_relative for each block of a PSD (n, d, d) stack against one Hermitian rho, checked
+    PSD here: one eigh of rho whitens every block, then stacked eigvalsh calls."""
+    vals, vecs = np.linalg.eigh(rho)
+    if vals.size and vals[0] < -1e-10:
+        raise InputError(f"rho not PSD: min eigenvalue {vals[0]:.3e} < -1.0e-10")
+    mask = vals > vals.max(initial=1.0) * 1e-14
     if not np.any(mask):
-        return 0.0 if max_eig(ka) <= rank_tol else math.inf
+        return np.where(max_eig(ks) <= rank_tol, 0.0, math.inf)
     v = vecs[:, mask]
-    # Support check: weight of K outside supp(rho).
-    comp = np.eye(ka.shape[0]) - v @ v.conj().T
-    outside = max_eig(hermitize(comp @ ka @ comp))
-    if outside > rank_tol:
-        return math.inf
     inv_sqrt = (v / np.sqrt(vals[mask])) @ v.conj().T
-    return max(0.0, max_eig(hermitize(inv_sqrt @ ka @ inv_sqrt)))
+    c = np.maximum(0.0, max_eig(inv_sqrt @ ks @ inv_sqrt))
+    if mask.all():  # a full-rank rho supports every K
+        return c
+    # Support check: weight of each K outside supp(rho).
+    comp = np.eye(rho.shape[0]) - v @ v.conj().T
+    return np.where(max_eig(comp @ ks @ comp) > rank_tol, math.inf, c)
 
 
-def measurement_blocks(povm: Povm, rho_ab: DensityOperator) -> list[np.ndarray]:
-    """K_x = Tr_A[(F_x (x) I_B) rho_AB] for each POVM outcome."""
+def _reduced_b(rho_ab: DensityOperator) -> np.ndarray:
+    dim_a, dim_b = rho_ab.shape.dims
+    return hermitize(np.trace(rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b), axis1=0, axis2=2))
+
+
+def measurement_blocks(povm: Povm, rho_ab: DensityOperator) -> np.ndarray:
+    """K_x = Tr_A[(F_x (x) I_B) rho_AB] for each POVM outcome, as one
+    (n, d_B, d_B) array."""
     if len(rho_ab.shape.labels) != 2:
         raise InputError("expected a bipartite state (A, B)")
     dim_a, dim_b = rho_ab.shape.dims
     if povm.dim != dim_a:
         raise InputError(f"POVM dim {povm.dim} != A dim {dim_a}")
-    out = []
-    for f in povm.elements:
-        m = tensor(f, np.eye(dim_b)) @ rho_ab.matrix
-        out.append(hermitize(partial_trace_matrix(m, (dim_a, dim_b), (1,))))
-    return out
+    rho = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    return hermitize(np.einsum("xij,jbic->xbc", povm.stack, rho))
 
 
 def imax_for_measurement(
     povm: Povm, rho_ab: DensityOperator
 ) -> tuple[float, tuple[float, ...]]:
     """(value, sigma) for a fixed measurement on A; exact for that measurement."""
-    dim_a, dim_b = rho_ab.shape.dims
-    rho_b = hermitize(partial_trace_matrix(rho_ab.matrix, (dim_a, dim_b), (1,)))
-    blocks = measurement_blocks(povm, rho_ab)
-    cs = []
-    for k in blocks:
-        c = dmax_relative(k, rho_b)
-        if math.isinf(c):
-            raise InputError(
-                "measurement block has weight outside supp(rho_B); value unbounded"
-            )
-        cs.append(c)
-    total = sum(cs)
+    blocks = check_psd(measurement_blocks(povm, rho_ab), 1e-10, "K")
+    cs = _dmax_blocks(blocks, _reduced_b(rho_ab), RANK_TOL)
+    if np.isinf(cs).any():
+        raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
+    total = float(cs.sum())
     if total <= 0.0:
         return 0.0, tuple(1.0 / len(cs) for _ in cs)
-    sigma = tuple(c / total for c in cs)
-    return float(np.log2(total)), sigma
+    return float(np.log2(total)), tuple((cs / total).tolist())
 
 
 def domination_defect(
@@ -125,15 +129,11 @@ def domination_defect(
 
     <= 0 means the inequality holds blockwise for this sigma.
     """
-    dim_a, dim_b = rho_ab.shape.dims
-    rho_b = hermitize(partial_trace_matrix(rho_ab.matrix, (dim_a, dim_b), (1,)))
     blocks = measurement_blocks(povm, rho_ab)
     if len(sigma) != len(blocks):
         raise InputError("sigma length must match outcome count")
-    worst = -math.inf
-    for k, s in zip(blocks, sigma):
-        worst = max(worst, max_eig(k - (2.0**lam) * s * rho_b))
-    return worst
+    scale = (2.0**lam) * np.asarray(sigma, dtype=float)
+    return float(np.max(max_eig(blocks - scale[:, None, None] * _reduced_b(rho_ab))))
 
 
 def _fourier_basis(dim: int) -> np.ndarray:
@@ -147,6 +147,13 @@ def _basis_povm(u: np.ndarray) -> Povm:
 
 
 def standard_measurements(dim: int) -> list[MeasurementDescriptor]:
+    """Computational, Fourier and, for qubit registers, per-qubit mixed bases.
+    A fresh list of shared, immutable descriptors."""
+    return list(_standard_measurements(dim))
+
+
+@functools.lru_cache(maxsize=8)
+def _standard_measurements(dim: int) -> tuple[MeasurementDescriptor, ...]:
     out = [MeasurementDescriptor("computational", _basis_povm(np.eye(dim, dtype=complex)))]
     if dim > 1:
         out.append(MeasurementDescriptor("fourier", _basis_povm(_fourier_basis(dim))))
@@ -163,7 +170,7 @@ def standard_measurements(dim: int) -> list[MeasurementDescriptor]:
             for f in factors[1:]:
                 u = np.kron(u, f)
             out.append(MeasurementDescriptor(f"local-mix-{pattern}", _basis_povm(u)))
-    return out
+    return tuple(out)
 
 
 def search_measurements(

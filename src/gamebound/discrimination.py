@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_MAX_OPERATORS, EQ_TOL, HERM_TOL, SOLVER_MAX_ITER, SOLVER_TOL
 from .errors import InputError
-from .linalg import check_psd, eig_hermitian, hermitize, max_eig
+from .linalg import as_complex_stack, check_psd, eig_hermitian, hermitize, max_eig
 from .states import DensityOperator
 
 # Newton steps whose squared decrement is at most _CENTERED count as centered
@@ -39,30 +39,24 @@ _MU_FACTOR = 50.0
 
 @dataclass(frozen=True)
 class Povm:
-    """PSD elements summing to the identity."""
+    """PSD elements summing to the identity. `stack` holds them as one
+    read-only (n, d, d) array; `elements` are its views."""
 
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if not self.elements:
             raise InputError("POVM needs at least one element")
-        dim = self.elements[0].shape[0]
-        frozen = []
-        for i, e in enumerate(self.elements):
-            arr = check_psd(e, HERM_TOL, f"POVM element {i}")
-            if arr.shape[0] != dim:
-                raise InputError("POVM elements must share one dimension")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        total = sum(frozen)
-        if np.max(np.abs(total - np.eye(dim))) > EQ_TOL:
+        arr = check_psd(as_complex_stack(self.elements, "POVM element"), HERM_TOL, "POVM element")
+        if np.max(np.abs(arr.sum(axis=0) - np.eye(arr.shape[1]))) > EQ_TOL:
             raise InputError("POVM elements do not sum to the identity within 1e-9")
-        object.__setattr__(self, "elements", tuple(frozen))
+        arr.setflags(write=False)
+        object.__setattr__(self, "stack", arr)
+        object.__setattr__(self, "elements", tuple(arr))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -70,7 +64,9 @@ class Povm:
 
 @dataclass(frozen=True)
 class DiscriminationInstance:
-    """PSD score operators on one register; values are sums tr(F_j K_j)."""
+    """PSD score operators on one register; values are sums tr(F_j K_j).
+    `stack` holds them as one read-only (n, d, d) array; `operators` are its
+    views."""
 
     operators: tuple[np.ndarray, ...]
 
@@ -80,20 +76,15 @@ class DiscriminationInstance:
         if len(self.operators) > DEFAULT_MAX_OPERATORS:
             raise InputError(f"instance has {len(self.operators)} operators, "
                              f"cap is {DEFAULT_MAX_OPERATORS}")
-        dim = self.operators[0].shape[0]
-        frozen = []
-        for i, k in enumerate(self.operators):
-            arr = check_psd(k, HERM_TOL, f"score operator {i}")
-            if arr.shape[0] != dim:
-                raise InputError("score operators must share one dimension")
-            arr = hermitize(arr)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "operators", tuple(frozen))
+        arr = as_complex_stack(self.operators, "score operator")
+        arr = hermitize(check_psd(arr, HERM_TOL, "score operator"))
+        arr.setflags(write=False)
+        object.__setattr__(self, "stack", arr)
+        object.__setattr__(self, "operators", tuple(arr))
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -127,14 +118,12 @@ def primal_value(instance: DiscriminationInstance, povm: Povm) -> float:
         raise InputError("POVM dimension does not match score operators")
     if len(povm) != len(instance):
         raise InputError("POVM outcome count does not match score operators")
-    return float(
-        sum(np.real(np.trace(f @ k)) for f, k in zip(povm.elements, instance.operators))
-    )
+    return float(np.einsum("nij,nji->", povm.stack, instance.stack).real)
 
 
 def dual_feasibility_defect(instance: DiscriminationInstance, y: np.ndarray) -> float:
     """max_j lambda_max(K_j - Y); <= 0 means Y is dual feasible."""
-    return max(max_eig(k - y) for k in instance.operators)
+    return float(np.max(max_eig(instance.stack - y)))
 
 
 def binary_optimal(k0: np.ndarray, k1: np.ndarray) -> tuple[float, Povm]:
@@ -156,11 +145,9 @@ def binary_optimal(k0: np.ndarray, k1: np.ndarray) -> tuple[float, Povm]:
     return value, Povm((f0, f1))
 
 
-def _repaired_dual(instance: DiscriminationInstance, elements: list[np.ndarray]) -> np.ndarray:
-    y0 = np.zeros((instance.dim, instance.dim), dtype=complex)
-    for f, k in zip(elements, instance.operators):
-        y0 += f @ k + k @ f
-    y0 = hermitize(y0 / 2.0)
+def _repaired_dual(instance: DiscriminationInstance, povm: Povm) -> np.ndarray:
+    # (1/2) sum_j (F_j K_j + K_j F_j) is the Hermitian part of sum_j F_j K_j.
+    y0 = hermitize(np.einsum("nij,njk->ik", povm.stack, instance.stack))
     shift = max(0.0, dual_feasibility_defect(instance, y0))
     return y0 + shift * np.eye(instance.dim)
 
@@ -172,7 +159,7 @@ def _certificate(
     repaired from the POVM and `witness` (None for none)."""
     povm = Povm(tuple(elements))
     primal = primal_value(instance, povm)
-    y = _repaired_dual(instance, povm.elements)
+    y = _repaired_dual(instance, povm)
     if witness is not None and np.trace(witness).real < np.trace(y).real:
         y = witness
     dual = float(np.trace(y).real)
@@ -218,7 +205,7 @@ def _barrier_path(
 ) -> SolverCertificate:
     """The best certificate met on the central path, which starts from the
     uniform POVM's certificate and returns it at once when it suffices."""
-    ops = np.array(instance.operators)
+    ops = instance.stack
     n, d = ops.shape[0], ops.shape[1]
     eye = np.eye(d)
     best = _certificate(instance, [eye / n] * n, None, 0, tol)
@@ -253,7 +240,7 @@ def _barrier_path(
         f = mu * (inv_l.conj().transpose(0, 2, 1) @ inv_l)
         vals, vecs = np.linalg.eigh(f.sum(axis=0))
         norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        cert = _certificate(instance, [hermitize(norm @ e @ norm) for e in f], y, steps, tol)
+        cert = _certificate(instance, hermitize(norm @ f @ norm), y, steps, tol)
         if cert.gap < best.gap:
             best = cert
         if best.converged or cert.gap >= last_gap:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessible import imax_acc_bounds
+from .accessible import imax_acc_bounds, measurement_blocks
 from .config import DEFAULT_MAX_OPERATORS, SOLVER_MAX_ITER, SOLVER_TOL
 from .discrimination import (
     DiscriminationInstance,
@@ -34,8 +34,6 @@ from .linalg import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_matrix,
-    tensor,
 )
 from .rand import random_effect, random_pure_vector, rng_from_seed
 from .registers import RegisterShape
@@ -157,21 +155,12 @@ class GameResult:
         }
 
 
-def _score_operators(
-    rho: DensityOperator, family: BinaryPovmFamily, measured: tuple[str, ...]
-) -> DiscriminationInstance:
-    """K_j = Tr_B[(I (x) E1_j) rho] on the `measured` registers."""
-    dims = rho.shape.dims
-    labels = rho.shape.labels
-    b_index = labels.index(B_LABEL)
-    keep = tuple(labels.index(m) for m in measured)
-    eye = np.eye(int(np.prod([d for i, d in enumerate(dims) if i != b_index])))
-    ops = []
-    for e1 in family.effects:
-        lifted = tensor(eye, e1)  # B is last, so I (x) E1 is the right layout
-        m = lifted @ rho.matrix
-        ops.append(hermitize(partial_trace_matrix(m, dims, keep)))
-    return DiscriminationInstance(tuple(ops))
+def _score_operators(rho: DensityOperator, family: BinaryPovmFamily) -> DiscriminationInstance:
+    """K_j = Tr_B[(I (x) E1_j) rho] on every register but B, which is last."""
+    dim_b = rho.shape.dim_of(B_LABEL)
+    dim_s = rho.dim // dim_b
+    t = rho.matrix.reshape(dim_s, dim_b, dim_s, dim_b)
+    return DiscriminationInstance(tuple(np.einsum("jxy,sytx->jst", family.effects, t)))
 
 
 def non_adaptive_success(game: AttackGame) -> float:
@@ -186,7 +175,7 @@ def adaptive_success(
 ) -> SolverCertificate:
     """Optimal joint (A, A') measure-then-choose success, with certificate."""
     rho = partial_trace(game.state, (A_LABEL, APRIME_LABEL, B_LABEL))
-    instance = _score_operators(rho, game.family, (A_LABEL, APRIME_LABEL))
+    instance = _score_operators(rho, game.family)
     return optimal_discrimination(instance, tol=tol, max_iter=max_iter)
 
 
@@ -195,7 +184,7 @@ def semi_adaptive_success(
 ) -> SolverCertificate:
     """Same, with only A' available to the attacker."""
     reduced = partial_trace(game.state, (APRIME_LABEL, B_LABEL))
-    instance = _score_operators(reduced, game.family, (APRIME_LABEL,))
+    instance = _score_operators(reduced, game.family)
     return optimal_discrimination(instance, tol=tol, max_iter=max_iter)
 
 
@@ -308,15 +297,9 @@ def _induced_strategy_value(
 ) -> float:
     """Success of: measure the A side with `povm`, then play the best test for
     each outcome."""
-    dim_a, dim_b = merged.shape.dims
-    total = 0.0
-    for f in povm.elements:
-        m = tensor(f, np.eye(dim_b)) @ merged.matrix
-        k = hermitize(partial_trace_matrix(m, (dim_a, dim_b), (1,)))
-        total += max(
-            float(np.real(np.trace(e1 @ k))) for e1 in family.effects
-        )
-    return total
+    blocks = measurement_blocks(povm, merged)
+    scores = np.einsum("xij,eji->xe", blocks, family.effects).real
+    return float(scores.max(axis=1).sum())
 
 
 # --- canonical instances ----------------------------------------------------

@@ -24,22 +24,50 @@ def as_complex_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def herm_defect(m: np.ndarray) -> float:
-    """Largest entry of |M - M^dagger|."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def _reject_first(bad, name: str, what) -> None:
+    """Raise InputError for the first flagged matrix: `bad` flags one matrix, named `name`, or
+    each element of a stack, named f"{name} {i}"; what(i) ends the message."""
+    if isinstance(bad, np.ndarray) and bad.ndim:
+        if bad.any():
+            i = int(bad.argmax())
+            raise InputError(f"{name} {i} {what(i)}")
+    elif bad:
+        raise InputError(f"{name} {what(0)}")
+
+
+def herm_defect(m: np.ndarray) -> float | np.ndarray:
+    """Largest entry of |M - M^dagger|; one per element of an (n, d, d) stack."""
+    out = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def as_complex_stack(ms, name: str = "matrix") -> np.ndarray:
+    """Square matrices of one shape, a sequence or an (n, d, d) array, as one finite complex
+    (n, d, d) array. Errors name the first bad element as f"{name} {i}"."""
+    try:
+        arr = np.asarray(ms, dtype=complex)
+    except ValueError:  # matrices of different shapes
+        arr = None
+    if arr is None or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise InputError(f"each {name} must be a square matrix of one shared shape")
+    _reject_first(~np.isfinite(arr).all(axis=(1, 2)), name, lambda i: "has a non-finite entry")
+    return arr
 
 
 def check_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
-    arr = as_complex_matrix(m, name)
+    """A square matrix, or each element of an (n, d, d) stack, as a finite complex array
+    Hermitian within tol; a stack's errors name its first bad element as f"{name} {i}"."""
+    arr = np.asarray(m, dtype=complex)
+    arr = as_complex_stack(arr, name) if arr.ndim == 3 else as_complex_matrix(arr, name)
     defect = herm_defect(arr)
-    if defect > tol:
-        raise InputError(f"{name} not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    _reject_first(defect > tol, name, lambda i: f"not Hermitian: defect "
+                  f"{np.atleast_1d(defect)[i]:.3e} > {tol:.1e}")
     return arr
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger)/2 — used on results that are Hermitian in exact arithmetic."""
-    return (m + m.conj().T) / 2.0
+    """(M + M^dagger)/2 per matrix — used on results that are Hermitian in exact arithmetic."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -60,22 +88,26 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.
     return vals[order], vecs[:, order]
 
 
-def min_eig(m: np.ndarray) -> float:
-    """Smallest eigenvalue; input is Hermitized without validation (internal use)."""
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
+def min_eig(m: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue (one per stack element) of the Hermitized input, unvalidated."""
+    return _extreme_eig(m, 0)
 
 
-def max_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(m))[-1]) if m.shape[0] else 0.0
+def max_eig(m: np.ndarray) -> float | np.ndarray:
+    return _extreme_eig(m, -1)
+
+
+def _extreme_eig(m: np.ndarray, end: int) -> float | np.ndarray:
+    out = np.linalg.eigvalsh(hermitize(m))[..., end] if m.shape[-1] else np.zeros(m.shape[:-2])
+    return float(out) if out.ndim == 0 else out
 
 
 def check_psd(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+    """check_hermitian, then PSD within tol, with one eigvalsh for a stack."""
     arr = check_hermitian(m, tol, name)
     low = min_eig(arr)
-    if low < -tol:
-        raise InputError(f"{name} not PSD: min eigenvalue {low:.3e} < -{tol:.1e}")
+    _reject_first(low < -tol, name, lambda i: f"not PSD: min eigenvalue "
+                  f"{np.atleast_1d(low)[i]:.3e} < -{tol:.1e}")
     return arr
 
 
@@ -120,21 +152,18 @@ def partial_trace_matrix(
 
 def apply_kraus(m: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     """sum_k K m K^dagger. Rectangular Kraus operators are allowed."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus]
-    if not ops:
+    if not kraus:
         raise InputError("empty Kraus list")
-    d_in = ops[0].shape[1]
-    d_out = ops[0].shape[0]
-    for k in ops:
-        if k.shape != (d_out, d_in):
-            raise InputError("Kraus operators must share one shape")
-    comp = sum(k.conj().T @ k for k in ops)
-    if np.max(np.abs(comp - np.eye(d_in))) > 1e-9:
+    try:
+        ops = np.asarray(kraus, dtype=complex)
+    except ValueError:  # operators of different shapes
+        ops = None
+    if ops is None or ops.ndim != 3:
+        raise InputError("Kraus operators must share one shape")
+    adj = ops.conj().swapaxes(-1, -2)
+    if np.max(np.abs((adj @ ops).sum(axis=0) - np.eye(ops.shape[2]))) > 1e-9:
         raise InputError("Kraus operators do not satisfy the completeness sum")
-    out = np.zeros((d_out, d_out), dtype=complex)
-    for k in ops:
-        out += k @ m @ k.conj().T
-    return out
+    return (ops @ m @ adj).sum(axis=0)
 
 
 # --- JSON matrix blocks, shared by the state, family and scheme files --------
@@ -157,7 +186,8 @@ def matrix_from_json(block, name: str) -> np.ndarray:
     """Inverse of matrix_to_json; "im" may be omitted for a real matrix.
 
     Non-finite entries pass here and are rejected by as_complex_matrix when
-    the matrix is validated.
+    the matrix is validated. A block must be 2-d, because the checks that
+    validate it also accept (n, d, d) stacks.
     """
     try:
         re = _json_numbers(block["re"], name)
@@ -166,6 +196,8 @@ def matrix_from_json(block, name: str) -> np.ndarray:
         raise InputError(f"malformed {name}: {exc}") from exc
     if re.shape != im.shape:
         raise InputError(f"{name}: re/im blocks have different shapes {re.shape} and {im.shape}")
+    if re.ndim != 2:
+        raise InputError(f"{name}: a matrix block must be 2-d, got shape {re.shape}")
     return re + 1j * im
 
 

@@ -310,6 +310,8 @@ def simulate_commit(
     for p in flagged_positions:
         if not 0 <= p < big_n:
             raise InputError(f"flagged position {p} outside [0, {big_n})")
+    flagged = np.zeros(big_n, dtype=bool)
+    flagged[list(flagged_positions)] = True
     rng = rng_from_seed(seed)
     family = XorHashFamily(big_n) if big_n <= 20 else None
     aborts_check = 0
@@ -317,44 +319,35 @@ def simulate_commit(
     catches_at_flagged = 0
     checks_at_flagged = 0
     sizes = []
-    last_view = None
+    last = None  # (theta, hash member) of the latest non-aborting run
     for _ in range(runs):
         theta = rng.integers(0, 2, size=big_n, dtype=np.uint8)
         checked = rng.random(big_n) < q
         sizes.append(int(checked.sum()))
-        caught = False
-        for pos in range(big_n):
-            if not checked[pos]:
-                continue
-            if script == "honest" or pos not in flagged_positions:
-                outcome = 0
-            elif script == "flip_state":
-                outcome = 1
-            else:  # flip_basis: declared basis mismatches the state
-                outcome = int(rng.random() < 0.5)
-            if pos in flagged_positions:
-                checks_at_flagged += 1
-                if outcome == 1:
-                    catches_at_flagged += 1
-            if outcome == 1:
-                caught = True
+        # Only a checked flagged position can return 1; flip_basis draws one
+        # coin per such position, in position order.
+        hits = int(np.count_nonzero(checked & flagged))
+        checks_at_flagged += hits
+        caught = hits if script == "flip_state" else 0
+        if script == "flip_basis":
+            caught = int(np.count_nonzero(rng.random(hits) < 0.5))
+        catches_at_flagged += caught
         if caught:
             aborts_check += 1
             continue
         if sizes[-1] > 2.0 * q * big_n:
             aborts_size += 1
             continue
+        last = (theta, None if family is None else int(rng.integers(0, 2**big_n)))
+    last_view = None
+    if last is not None:
+        theta, r = last
         s = syndrome(instance.code, theta) if instance.code.n == big_n else None
-        if family is not None:
-            r = int(rng.integers(0, 2**big_n))
-            w = family.evaluate(r, bits_to_int(theta)) ^ bit
-        else:
-            r, w = None, None
         last_view = {
             "theta": tuple(int(t) for t in theta),
             "hash_member": r,
             "syndrome": None if s is None else tuple(int(b) for b in s),
-            "masked_bit": w,
+            "masked_bit": None if r is None else family.evaluate(r, bits_to_int(theta)) ^ bit,
         }
     return {
         "runs": runs,

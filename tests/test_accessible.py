@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gamebound import accessible
+from gamebound.acceptance import criterion_04_measurement_domination
 from gamebound.accessible import (
     MeasurementDescriptor,
     Povm,
@@ -13,7 +15,14 @@ from gamebound.accessible import (
     local_channel_monotonicity_check,
     standard_measurements,
 )
-from gamebound.rand import random_density_matrix, random_povm_elements, rng_from_seed
+from gamebound.errors import InputError
+from gamebound.linalg import hermitize, partial_trace_matrix
+from gamebound.rand import (
+    random_density_matrix,
+    random_povm_elements,
+    random_pure_vector,
+    rng_from_seed,
+)
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix, zero_entropy
 
@@ -128,3 +137,122 @@ def test_estimate_bounds_ordered():
     est = imax_acc_bounds(rho, budget=12, seed=4)
     assert est.lower <= est.upper + 1e-9
     assert est.searched >= 1
+
+
+# --- per-block reference for the stacked lambda(M) ---------------------------
+
+
+def _blocks_ref(povm, rho):
+    dim_a, dim_b = rho.shape.dims
+    return [
+        hermitize(partial_trace_matrix(np.kron(f, np.eye(dim_b)) @ rho.matrix,
+                                       (dim_a, dim_b), (1,)))
+        for f in povm.elements
+    ]
+
+
+def _rho_b_ref(rho):
+    return hermitize(partial_trace_matrix(rho.matrix, rho.shape.dims, (1,)))
+
+
+def _dmax_ref(k, rho_b, rank_tol=1e-8):
+    """One eigh of rho_B per block, as the unstacked computation made."""
+    vals, vecs = np.linalg.eigh(rho_b)
+    mask = vals > max(float(vals[-1]), 1.0) * 1e-14
+    if not mask.any():
+        return 0.0 if np.linalg.eigvalsh(k)[-1] <= rank_tol else math.inf
+    v = vecs[:, mask]
+    comp = np.eye(k.shape[0]) - v @ v.conj().T
+    if np.linalg.eigvalsh(hermitize(comp @ k @ comp))[-1] > rank_tol:
+        return math.inf
+    inv_sqrt = (v / np.sqrt(vals[mask])) @ v.conj().T
+    return max(0.0, float(np.linalg.eigvalsh(hermitize(inv_sqrt @ k @ inv_sqrt))[-1]))
+
+
+def _lambda_ref(povm, rho):
+    rho_b = _rho_b_ref(rho)
+    cs = [_dmax_ref(k, rho_b) for k in _blocks_ref(povm, rho)]
+    total = sum(cs)
+    if total <= 0.0:
+        return 0.0, tuple(1.0 / len(cs) for _ in cs)
+    return math.log2(total), tuple(c / total for c in cs)
+
+
+def _defect_ref(povm, rho, lam, sigma):
+    rho_b = _rho_b_ref(rho)
+    return max(float(np.linalg.eigvalsh(k - (2.0**lam) * s * rho_b)[-1])
+               for k, s in zip(_blocks_ref(povm, rho), sigma))
+
+
+def _assert_matches_reference(povm, rho):
+    lam, sigma = imax_for_measurement(povm, rho)
+    want_lam, want_sigma = _lambda_ref(povm, rho)
+    assert lam == pytest.approx(want_lam, abs=1e-12)
+    np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
+    for shift in (0.0, 1e-4):
+        assert domination_defect(povm, rho, lam - shift, sigma) == pytest.approx(
+            _defect_ref(povm, rho, want_lam - shift, want_sigma), abs=1e-12)
+    np.testing.assert_allclose(accessible.measurement_blocks(povm, rho),
+                               _blocks_ref(povm, rho), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim_a", [2, 4])
+@pytest.mark.parametrize("dim_b", [2, 3, 4])
+def test_stacked_lambda_matches_per_block_reference(dim_a, dim_b):
+    rng = rng_from_seed((60, dim_a, dim_b))
+    full = density_from_matrix(shape(("A", dim_a), ("B", dim_b)),
+                               random_density_matrix(dim_a * dim_b, rng))
+    psi = random_pure_vector(dim_a * dim_b, rng)
+    pure = density_from_matrix(full.shape, np.outer(psi, psi.conj()))
+    povms = [d.povm for d in standard_measurements(dim_a)]
+    povms.append(Povm(tuple(random_povm_elements(dim_a, 5, rng))))
+    for rho in (full, pure):  # rho_B is rank-deficient for a pure state with dim_a < dim_b
+        for povm in povms:
+            _assert_matches_reference(povm, rho)
+
+
+def test_stacked_lambda_zero_support_block():
+    """An outcome that never fires gives a zero block, c_x = 0 and sigma_x = 0."""
+    rng = rng_from_seed(61)
+    rho = density_from_matrix(
+        shape(("A", 2), ("B", 3)),
+        np.kron(np.diag([1.0, 0.0]), random_density_matrix(3, rng)))
+    povm = standard_measurements(2)[0].povm
+    assert not accessible.measurement_blocks(povm, rho)[1].any()
+    _assert_matches_reference(povm, rho)
+    lam, sigma = imax_for_measurement(povm, rho)
+    assert lam == pytest.approx(0.0, abs=1e-12)
+    assert sigma[1] == 0.0
+    zero = np.zeros((3, 3), dtype=complex)
+    assert dmax_relative(zero, zero) == _dmax_ref(zero, zero) == 0.0
+    assert dmax_relative(np.eye(3) / 3, zero) == _dmax_ref(np.eye(3) / 3, zero) == math.inf
+
+
+def test_weight_outside_rank_deficient_support(monkeypatch):
+    """A block with weight outside supp(rho_B) has no finite c_x: dmax_relative
+    says inf and imax_for_measurement refuses the measurement."""
+    rho_b = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    outside = np.diag([0.2, 0.0, 0.1]).astype(complex)
+    assert dmax_relative(outside, rho_b) == _dmax_ref(outside, rho_b) == math.inf
+    inside = np.diag([0.2, 0.1, 0.0]).astype(complex)
+    assert dmax_relative(inside, rho_b) == pytest.approx(_dmax_ref(inside, rho_b), abs=1e-12)
+    rho = density_from_matrix(shape(("A", 2), ("B", 3)),
+                              np.kron(np.eye(2) / 2, rho_b * 2) / 2)
+    povm = standard_measurements(2)[0].povm
+    monkeypatch.setattr(accessible, "measurement_blocks",
+                        lambda *_: np.stack([inside, outside]))
+    with pytest.raises(InputError, match="outside supp"):
+        imax_for_measurement(povm, rho)
+
+
+def test_criterion_04_makes_few_eigendecompositions(monkeypatch):
+    """Blocks are checked and whitened with stacked calls: at most a third
+    of the 1,672 eigh/eigvalsh calls that one decomposition per block made."""
+    calls = []
+    for kind in ("eigh", "eigvalsh"):
+        def counted(*args, _orig=getattr(np.linalg, kind), **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, kind, counted)
+    assert criterion_04_measurement_domination(seed=0, n_states=10).passed
+    assert len(calls) <= 1672 // 3

@@ -282,3 +282,18 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "gamebound" in capsys.readouterr().out
+
+
+def test_three_dimensional_block_is_input_error(tmp_path, capsys):
+    """A matrix block is 2-d: the validators also take (n, d, d) stacks, so
+    a stacked block in a file must stop at the file boundary."""
+    state_path, family_path = bell_files(tmp_path)
+    for part in ("re", "im"):
+        set_entry(family_path, ("effects", 0, part), [np.eye(4).tolist()] * 4)
+    assert main(["game", "--state", str(state_path), "--family", str(family_path)]) == 2
+    scheme_path = tmp_path / "scheme.json"
+    save_scheme(basis_reveal_scheme(), str(scheme_path))
+    set_entry(scheme_path, ("openings", "0", 0, "re"), [np.eye(2).tolist()] * 2)
+    set_entry(scheme_path, ("openings", "0", 0, "im"), [np.zeros((2, 2)).tolist()] * 2)
+    assert main(["binding", "--scheme", str(scheme_path)]) == 2
+    assert capsys.readouterr().err.count("must be 2-d") == 2

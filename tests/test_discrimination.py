@@ -9,6 +9,7 @@ from gamebound.config import EQ_TOL, SOLVER_MAX_ITER
 from gamebound.discrimination import (
     CqState,
     DiscriminationInstance,
+    Povm,
     _barrier_path,
     binary_optimal,
     dual_feasibility_defect,
@@ -233,3 +234,39 @@ def test_instance_rejects_non_finite(value):
     bad = np.diag([0.5, value]).astype(complex)
     with pytest.raises(InputError, match="non-finite"):
         DiscriminationInstance((np.eye(2, dtype=complex) / 2, bad))
+
+
+_BAD_ELEMENTS = {
+    "non-finite": np.diag([1.0 / 3.0, np.nan]).astype(complex),
+    "not Hermitian": np.array([[1.0 / 3.0, 0.1], [0.0, 1.0 / 3.0]], dtype=complex),
+    "not PSD": np.diag([1.0 / 3.0 + 0.5, 1.0 / 3.0 - 0.5]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_ELEMENTS))
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("container, label", [
+    (Povm, "POVM element"), (DiscriminationInstance, "score operator")])
+def test_stacked_validation_names_the_bad_element(kind, index, container, label):
+    """One stacked check still names the failing element, first or last."""
+    elements = [np.eye(2, dtype=complex) / 4.0] * 4
+    elements[index] = _BAD_ELEMENTS[kind]
+    with pytest.raises(InputError, match=f"{label} {index} (has a )?{kind}"):
+        container(tuple(elements))
+
+
+@pytest.mark.parametrize("container", [Povm, DiscriminationInstance])
+def test_stacked_validation_rejects_mixed_shapes_and_freezes(container):
+    with pytest.raises(InputError, match="one shared shape"):
+        container((np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 2))
+    with pytest.raises(InputError, match="one shared shape"):
+        container((np.eye(2, dtype=complex)[0], np.eye(2, dtype=complex)[1]))
+    source = np.stack([np.eye(2, dtype=complex) / 2] * 2)
+    built = container(tuple(source))
+    assert source.flags.writeable  # the caller's matrices are copied, not frozen
+    stored = built.elements if container is Povm else built.operators
+    for arr in (built.stack, *stored):
+        assert not arr.flags.writeable
+        assert arr.base is built.stack or arr is built.stack
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0

@@ -304,3 +304,73 @@ def test_simulate_commit_rejects_unknown_script():
         simulate_commit(inst, 0, runs=1, script="cheat-hard")
     with pytest.raises(InputError):
         simulate_commit(inst, 2, runs=1)
+
+
+def _simulate_commit_loop(instance, bit, runs, seed, script, flagged_positions):
+    """Per-run, per-position reference for simulate_commit: one coin per
+    checked flagged position, a view dict built for every accepted run."""
+    big_n, q = instance.big_n, instance.q
+    rng = rng_from_seed(seed)
+    family = XorHashFamily(big_n) if big_n <= 20 else None
+    out = {"aborts_check": 0, "aborts_size": 0, "flagged_checks": 0,
+           "flagged_catches": 0, "check_set_sizes": [], "last_view": None}
+    for _ in range(runs):
+        theta = rng.integers(0, 2, size=big_n, dtype=np.uint8)
+        checked = rng.random(big_n) < q
+        out["check_set_sizes"].append(int(checked.sum()))
+        caught = False
+        for pos in range(big_n):
+            if not checked[pos]:
+                continue
+            if script == "honest" or pos not in flagged_positions:
+                outcome = 0
+            elif script == "flip_state":
+                outcome = 1
+            else:
+                outcome = int(rng.random() < 0.5)
+            if pos in flagged_positions:
+                out["flagged_checks"] += 1
+                out["flagged_catches"] += outcome
+            caught = caught or outcome == 1
+        if caught:
+            out["aborts_check"] += 1
+            continue
+        if out["check_set_sizes"][-1] > 2.0 * q * big_n:
+            out["aborts_size"] += 1
+            continue
+        s = syndrome(instance.code, theta) if instance.code.n == big_n else None
+        r = int(rng.integers(0, 2**big_n)) if family is not None else None
+        out["last_view"] = {
+            "theta": tuple(int(t) for t in theta),
+            "hash_member": r,
+            "syndrome": None if s is None else tuple(int(b) for b in s),
+            "masked_bit": None if r is None else family.evaluate(r, bits_to_int(theta)) ^ bit,
+        }
+    return out
+
+
+@pytest.mark.parametrize("script", onecc.COMMIT_SCRIPTS)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_simulate_commit_matches_loop_reference(script, seed):
+    """Every tally and the final view equal the per-position loop's, so the
+    random stream is drawn in the same order."""
+    cases = [
+        (OneCcInstance(7, 0.4, named_code("hamming74")), (1, 3, 3, 6)),
+        (OneCcInstance(20, 0.3, named_code("rep31")), (0, 19)),
+        (OneCcInstance(40, 0.1, named_code("rep31")), ()),
+    ]
+    for instance, flagged in cases:
+        for bit in (0, 1):
+            args = (instance, bit, 60, (seed, bit), script, flagged)
+            got = simulate_commit(*args)
+            want = _simulate_commit_loop(*args)
+            assert {k: got[k] for k in want} == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_sampling_equivalence_matches_loop_reference(seed):
+    """One (runs, n) draw is the stream of one random(n) call per run."""
+    rng = rng_from_seed(seed)
+    hits = sum(not np.any((rng.random(16) < 0.5)[:5]) for _ in range(3000))
+    res = bcjl.sampling_equivalence_mc(n=16, delta=0.25, mismatches=5, runs=3000, seed=seed)
+    assert res["frequency"] == hits / 3000
