@@ -142,8 +142,8 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
             )
         for desc in descriptors[:5]:
             value, sigma = accessible.imax_for_measurement(desc.povm, rho)
-            at_value = accessible.domination_defect(desc.povm, rho, value, sigma)
-            below = accessible.domination_defect(desc.povm, rho, value - 1e-4, sigma)
+            at_value, below = accessible.domination_defect(
+                desc.povm, rho, (value, value - 1e-4), sigma)
             if at_value > 1e-9:
                 failures.append({"state": k, "kind": "fails-at-value"})
             if below <= 0.0:

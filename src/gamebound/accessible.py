@@ -122,18 +122,20 @@ def imax_for_measurement(
 def domination_defect(
     povm: Povm,
     rho_ab: DensityOperator,
-    lam: float,
+    lam: float | tuple[float, ...],
     sigma: tuple[float, ...],
-) -> float:
-    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B.
+) -> float | np.ndarray:
+    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B, a
+    float for one lam and an array for a sequence of them (one stacked call).
 
     <= 0 means the inequality holds blockwise for this sigma.
     """
     blocks = measurement_blocks(povm, rho_ab)
     if len(sigma) != len(blocks):
         raise InputError("sigma length must match outcome count")
-    scale = (2.0**lam) * np.asarray(sigma, dtype=float)
-    return float(np.max(max_eig(blocks - scale[:, None, None] * _reduced_b(rho_ab))))
+    scale = np.array([[2.0 ** float(v)] for v in np.atleast_1d(lam)]) * np.asarray(sigma, float)
+    defects = np.max(max_eig(blocks - scale[..., None, None] * _reduced_b(rho_ab)), axis=-1)
+    return defects if np.ndim(lam) else float(defects[0])
 
 
 def _fourier_basis(dim: int) -> np.ndarray:

@@ -19,6 +19,13 @@ from .report import CheckRecord, ExperimentReport, timed_record
 from .states import load_state
 
 
+def non_negative_int(text: str) -> int:
+    """A --seed value: numpy seeds only non-negative integers."""
+    if int(text) < 0:  # argparse reports a ValueError as an invalid value
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_bits(text: str) -> tuple[int, ...]:
     try:
         bits = tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--budget", type=int, default=None,
                        help="search budget: sampled opening pairs for bcjl "

@@ -31,9 +31,7 @@ from .linalg import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_matrix,
     spectral_norm,
-    tensor,
 )
 from .rand import random_pure_vector, rng_from_seed
 from .registers import RegisterShape
@@ -136,14 +134,13 @@ def scheme_epsilon_na(scheme: ProjectiveCommitmentScheme) -> float:
 def _score_operators(
     scheme: ProjectiveCommitmentScheme, rho_ab: DensityOperator, bit: int
 ) -> DiscriminationInstance:
+    """K_y = Tr_B[(I (x) V_y) rho] for every opening of `bit`, in one einsum."""
     dim_a, dim_b = rho_ab.shape.dims
     if dim_b != scheme.dim_b:
         raise InputError("state B dimension does not match the scheme")
-    ops = []
-    for _, v in scheme.openings(bit):
-        m = tensor(np.eye(dim_a), v) @ rho_ab.matrix
-        ops.append(hermitize(partial_trace_matrix(m, (dim_a, dim_b), (0,))))
-    return DiscriminationInstance(tuple(ops))
+    vs = np.stack([v for _, v in scheme.openings(bit)])
+    t = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    return DiscriminationInstance(tuple(hermitize(np.einsum("yxz,sztx->yst", vs, t))))
 
 
 def adaptive_binding(
@@ -192,15 +189,11 @@ def _qubit_optimum(
     on I - P scores tr K_y' + tr P (K_y - K_y'), whose maximum over P is
     tr K_y' + lambda_max(K_y - K_y').
     """
-    ops = _score_operators(scheme, rho_ab, bit).operators
-    traces = [float(np.real(np.trace(k))) for k in ops]
-    best = max(traces)
-    for i, k_y in enumerate(ops):
-        for j, k_other in enumerate(ops):
-            if i != j:
-                top = float(np.linalg.eigvalsh(k_y - k_other)[-1])
-                best = max(best, traces[j] + top)
-    return best
+    ops = _score_operators(scheme, rho_ab, bit).stack
+    traces = np.real(np.trace(ops, axis1=1, axis2=2))
+    i, j = np.nonzero(~np.eye(len(ops), dtype=bool))
+    tops = np.linalg.eigvalsh(ops[i] - ops[j])[:, -1]
+    return float(max(traces.max(), (traces[j] + tops).max(initial=-math.inf)))
 
 
 def norm_lemma_check(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> tuple[bool, float, float]:

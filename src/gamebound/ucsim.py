@@ -9,7 +9,9 @@ once. The simulators are party programs that also call the ideal transfer:
 a rushing receiver against a corrupted sender, an extracting sender against
 a corrupted receiver. Lane 0 of a run's seed drives Born-rule measurement,
 the commitments and the rushing receiver, lane 1 the sender, lane 2 the
-receiver, so real and simulated runs abort on the same seeds.
+receiver, so real and simulated runs abort on the same seeds. The tapes are
+seeded from one seed-word array, and each batch of draws (bases, outcomes, 1CC
+choices) is one call that consumes the tape as per-position draws would.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -30,7 +32,6 @@ from .coding import LinearCode, bits_to_int, syndrome
 from .errors import InputError
 from .hashing import XorHashFamily
 from .onecc import encoded_vector, extract_commit_bit
-from .rand import rng_from_seed
 
 MAX_POSITIONS = 10
 MAX_STRING_BITS = 8
@@ -38,9 +39,21 @@ MAX_STRING_BITS = 8
 
 def _stream(seed, lane: int):
     """Derived seed for one party's random tape; keeps runs replayable."""
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(v) for v in seed) + (lane,)
-    return (int(seed), lane)
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(int(v) for v in entries) + (lane,)
+
+
+def _seed_words(seed) -> list[int]:
+    """`seed`'s entries as the little-endian uint32 words SeedSequence makes of
+    them, so `_tape(words, lane)` draws exactly as `default_rng(_stream(seed, lane))`."""
+    entries = _stream(seed, 0)[:-1]
+    if any(v < 0 for v in entries):
+        raise InputError("seeds must be non-negative integers")
+    return [(v >> s) & 0xFFFFFFFF for v in entries for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _tape(words: list[int], lane: int) -> np.random.Generator:
+    return np.random.default_rng(np.array(words + [lane], dtype=np.uint32))
 
 
 def _clean(value):
@@ -57,7 +70,7 @@ def _clean(value):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TranscriptEvent:
     index: int
     actor: str
@@ -271,13 +284,13 @@ def _make_commitment(backend: str, rng: np.random.Generator, params: dict | None
 # two-bit cut-and-choose from commitment + one-bit cut-and-choose
 
 
-def _two_cc_step(t, bc, committer: str, s0: int, choose, s1_for, *, refuse=False, position=None):
-    """One 2CC' step: `committer` commits s0, the 1CC passes s1_for(c) under
-    the choice c = choose(), and on c = 1 the commitment is opened, or
-    refused. Returns (c, revealed s1, opened s0): c is None when the
-    commitment aborts, and opened is None for c = 0 and "abort" for a
-    refused or failed opening. A transfer run tags the events of each step
-    with its position; a stand-alone run has one step and no tag.
+def _two_cc_step(t, bc, committer: str, s0: int, c: int, s1_for, *, position=None, refuse=False):
+    """One 2CC' step: `committer` commits s0, the 1CC passes s1_for(position,
+    c) under the choice c, and on c = 1 the commitment is opened, or refused.
+    Returns (c, revealed s1, opened s0): c is None when the commitment aborts,
+    and opened is None for c = 0 and "abort" for a refused or failed opening.
+    A transfer run tags the events of each step with its position; a
+    stand-alone run has one step and no tag.
     """
     status = bc.commit(s0)
     if position is None:
@@ -286,8 +299,7 @@ def _two_cc_step(t, bc, committer: str, s0: int, choose, s1_for, *, refuse=False
         t.log(committer, "bc-commit", position=position, status=status)
     if status == "abort":
         return None, None, None
-    c = choose()
-    revealed = ideal_one_cc(sender_bit=s1_for(c), chooser_bit=c)["chooser_receives"]
+    revealed = ideal_one_cc(sender_bit=s1_for(position, c), chooser_bit=c)["chooser_receives"]
     if position is None:
         t.log("functionality", "one-cc", sender_learns=c, chooser_receives=revealed)
     else:
@@ -321,9 +333,9 @@ def run_2cc_protocol(
         if b not in (0, 1):
             raise InputError("protocol inputs must be bits")
     t = ExecutionTranscript(seed=_stream(seed, 0))
-    bc = _make_commitment(bc_backend, rng_from_seed(_stream(seed, 0)), commit_params)
+    bc = _make_commitment(bc_backend, _tape(_seed_words(seed), 0), commit_params)
     choice, revealed, opened = _two_cc_step(
-        t, bc, "alice", s0, lambda: c, lambda _: s1, refuse=refuse_open)
+        t, bc, "alice", s0, c, lambda _i, _c: s1, refuse=refuse_open)
     if choice is None:
         t.aborted = True
         t.outputs = {"alice": None, "bob": "abort"}
@@ -354,23 +366,27 @@ def qubit_state(bit: int, basis: int) -> np.ndarray:
     return _QUBIT_STATES[int(bit), int(basis)]
 
 
-def measure_qubit(psi: np.ndarray, basis: int, rng: np.random.Generator) -> int:
-    """Born-rule sample of the conjugate-coding measurement outcome."""
-    b0 = qubit_state(0, basis)
-    p0 = float(abs(np.vdot(b0, psi)) ** 2)
-    return 0 if rng.random() < min(max(p0, 0.0), 1.0) else 1
+# P(outcome 0) of the qubit with state index 2·bit + basis, measured in basis b.
+_BORN_P0 = np.array([[min(max(float(abs(np.vdot(qubit_state(0, b), psi)) ** 2), 0.0), 1.0)
+                      for b in (0, 1)] for psi in _QUBIT_STATES.reshape(4, 2)])
+
+
+def _measure(qubits, bases, rng: np.random.Generator):
+    """Born-rule outcomes (True for 1) of qubits, a numpy array or scalar,
+    measured in `bases`: one uniform draw per qubit, in order, with outcome 0
+    below the qubit's probability of 0."""
+    return rng.random(qubits.shape or None) >= _BORN_P0[qubits, bases]
 
 
 def _xor_hash(bits, mask: np.ndarray, positions, values) -> tuple:
     """`bits` XOR the mask's hash of `values` restricted to `positions`."""
-    v = np.zeros(mask.shape[1], dtype=np.uint8)
-    for p in positions:
-        v[p] = values[p]
-    return tuple(a ^ int(b) for a, b in zip(bits, (mask @ v) % 2))
+    v = values.tolist()
+    return tuple(a ^ (sum(row[p] & v[p] for p in positions) & 1)
+                 for a, row in zip(bits, mask.tolist()))
 
 
 def _random_partition(rng: np.random.Generator, nhat: int) -> tuple[tuple, tuple]:
-    side = rng.integers(0, 2, size=nhat)
+    side = rng.integers(0, 2, size=nhat).tolist()
     return (tuple(j for j in range(nhat) if side[j] == 0),
             tuple(j for j in range(nhat) if side[j] == 1))
 
@@ -396,18 +412,19 @@ class SenderProgram:
     def party(self) -> str:
         return "sender:" + self.name
 
-    def prepare(self) -> list[np.ndarray]:
-        x = self.rng.integers(0, 2, size=self.n).astype(np.uint8)
-        theta = self.rng.integers(0, 2, size=self.n).astype(np.uint8)
+    def prepare(self) -> np.ndarray:
+        """The qubits |x_i>_theta_i, as state indices 2·x_i + theta_i."""
+        x, theta = self.rng.integers(0, 2, size=(2, self.n)).astype(np.uint8)
         self.memory["x"] = x
         self.memory["theta"] = theta
-        return [qubit_state(x[i], theta[i]) for i in range(self.n)]
+        return 2 * x + theta
+
+    def select_bits(self) -> np.ndarray:
+        """Every position's 1CC choice, in one draw."""
+        return self.rng.integers(0, 2, size=self.n)
 
     def observe_commit(self, i: int, bc) -> None:
         """A real sender learns only that position i is committed."""
-
-    def select_bit(self, i: int) -> int:
-        return int(self.rng.integers(0, 2))
 
     def observe_check(self, i: int, revealed_x: int, opened_basis) -> str | None:
         if opened_basis == "abort":
@@ -441,10 +458,10 @@ class FixedStateSender(SenderProgram):
         if self._x.size != n or self._theta.size != n:
             raise InputError("fixed configuration must cover every position")
 
-    def prepare(self) -> list[np.ndarray]:
+    def prepare(self) -> np.ndarray:
         self.memory["x"] = self._x
         self.memory["theta"] = self._theta
-        return [qubit_state(self._x[i], self._theta[i]) for i in range(self.n)]
+        return 2 * self._x + self._theta
 
 
 class RandomAnnounceSender(SenderProgram):
@@ -486,31 +503,24 @@ class ReceiverProgram:
     def choose_bases(self) -> np.ndarray:
         return self.rng.integers(0, 2, size=self.n).astype(np.uint8)
 
-    def measure(self, qubits: list[np.ndarray], bases: np.ndarray, rng: np.random.Generator) -> None:
+    def measure(self, qubits: np.ndarray, bases: np.ndarray, rng: np.random.Generator) -> None:
         """Measures every qubit on arrival, drawing on the run's Born-rule tape."""
-        self.memory["x"] = np.array(
-            [measure_qubit(qubits[i], int(bases[i]), rng) for i in range(self.n)], dtype=np.uint8
-        )
+        self.memory["x"] = _measure(qubits, bases, rng).astype(np.uint8)
 
     def commit_value(self, i: int, basis: int) -> int:
         return int(basis)
 
     def one_cc_input(self, i: int, chooser_bit: int) -> int:
         """Position i's 1CC input; only a rushing simulator reads the choice."""
-        return self.cc_input(i, int(self.memory["x"][i]))
-
-    def cc_input(self, i: int, measured: int) -> int:
-        return int(measured)
+        return int(self.memory["x"][i])
 
     def size_abort(self, total_checked: int) -> bool:
         return total_checked > 3 * self.n / 5
 
     def partition(self, theta_hat_a: np.ndarray, theta_hat_b: np.ndarray, nhat: int):
-        matched = [j for j in range(nhat) if int(theta_hat_a[j]) == int(theta_hat_b[j])]
-        rest = [j for j in range(nhat) if j not in matched]
-        if self.choice == 0:
-            return tuple(matched), tuple(rest)
-        return tuple(rest), tuple(matched)
+        same = (theta_hat_a == theta_hat_b).tolist()
+        sides = tuple(j for j in range(nhat) if same[j]), tuple(j for j in range(nhat) if not same[j])
+        return sides if self.choice == 0 else sides[::-1]
 
     def decode(self, mask, m0, m1, x_hat_b: np.ndarray, i0, i1) -> tuple:
         return _xor_hash((m0, m1)[self.choice], mask, (i0, i1)[self.choice], x_hat_b)
@@ -605,14 +615,13 @@ class _RushingReceiver(ReceiverProgram):
         if chooser_bit == 0:
             return 0
         self.memory["rushed"].append(i)
-        self.memory["x"][i] = measure_qubit(self.memory["qubits"][i], int(self.memory["bases"][i]), self.rng)
+        self.memory["x"][i] = _measure(self.memory["qubits"][i], self.memory["bases"][i], self.rng)
         return int(self.memory["x"][i])
 
     def partition(self, theta_hat_a, theta_hat_b, nhat):
         i0, i1 = _random_partition(self.rng, nhat)
         kept = [i for i in range(self.n) if i not in self.memory["rushed"]]
-        for j, i in enumerate(kept):
-            self.memory["x"][i] = measure_qubit(self.memory["qubits"][i], int(theta_hat_a[j]), self.rng)
+        self.memory["x"][kept] = _measure(self.memory["qubits"][kept], theta_hat_a, self.rng)
         return i0, i1
 
     def decode(self, mask, m0, m1, x_hat_b, i0, i1):
@@ -683,13 +692,10 @@ class _Execution:
             raise InputError("choice must be a bit")
         if not 2 <= n <= MAX_POSITIONS:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
-        self.n, self.seed = n, seed
+        self.n, self.words = n, _seed_words(seed)
         self.bc_backend, self.commit_params = bc_backend, commit_params
         self.t = ExecutionTranscript(seed=_stream(seed, 0))
-        self.rng = rng_from_seed(_stream(seed, 0))
-
-    def tape(self, lane: int) -> np.random.Generator:
-        return rng_from_seed(_stream(self.seed, lane))
+        self.rng = _tape(self.words, 0)
 
     def _abort(self, reason: str, alice_output) -> None:
         self.t.aborted = True
@@ -709,13 +715,11 @@ class _Execution:
         t.log(bob.actor, "measure", bases=theta_b)
 
         checked = []
+        bases, choices = theta_b.tolist(), alice.select_bits().tolist()
         for i in range(n):
             bc = _make_commitment(self.bc_backend, self.rng, self.commit_params)
-            t_i, revealed, opened = _two_cc_step(
-                t, bc, bob.actor, bob.commit_value(i, int(theta_b[i])),
-                functools.partial(alice.select_bit, i), functools.partial(bob.one_cc_input, i),
-                position=i,
-            )
+            t_i, revealed, opened = _two_cc_step(t, bc, bob.actor, bob.commit_value(i, bases[i]),
+                                                 choices[i], bob.one_cc_input, position=i)
             if t_i is None:
                 return self._abort("commit-abort", "abort")
             alice.observe_commit(i, bc)
@@ -757,8 +761,8 @@ def run_ot_protocol(
 ) -> ExecutionTranscript:
     """One seeded execution; scripted parties replace the honest programs."""
     run = _Execution(s0, s1, c, n, seed, bc_backend, commit_params)
-    alice = (sender or SenderProgram)(run.tape(1), n, run.strings)
-    bob = (receiver or ReceiverProgram)(run.tape(2), n, c)
+    alice = (sender or SenderProgram)(_tape(run.words, 1), n, run.strings)
+    bob = (receiver or ReceiverProgram)(_tape(run.words, 2), n, c)
     checked = run.play(alice, bob)
     if checked is not None:
         run.t.meta["checked"] = checked
@@ -772,7 +776,7 @@ def simulate_corrupted_sender(script, c: int, n: int, strings: tuple, seed=0) ->
     strings are then reconstructed and handed to the ideal transfer.
     """
     run = _Execution(strings[0], strings[1], c, n, seed)
-    alice = script(run.tape(1), n, run.strings)
+    alice = script(_tape(run.words, 1), n, run.strings)
     bob = _RushingReceiver(run.rng, n, c, run.t)
     run.play(alice, bob)
     return {"transcript": run.t, "extracted": run.t.meta.get("extracted"), "output": _output(run.t)}
@@ -796,8 +800,8 @@ def simulate_corrupted_receiver(
     that choice.
     """
     run = _Execution(s0, s1, choice, n, seed, bc_backend, commit_params)
-    alice = _ExtractingSender(run.tape(1), n, run.strings, run.t)
-    bob = script(run.tape(2), n, choice)
+    alice = _ExtractingSender(_tape(run.words, 1), n, run.strings, run.t)
+    bob = script(_tape(run.words, 2), n, choice)
     run.play(alice, bob)
     return {
         "transcript": run.t,

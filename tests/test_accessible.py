@@ -192,6 +192,10 @@ def _assert_matches_reference(povm, rho):
     for shift in (0.0, 1e-4):
         assert domination_defect(povm, rho, lam - shift, sigma) == pytest.approx(
             _defect_ref(povm, rho, want_lam - shift, want_sigma), abs=1e-12)
+    # both lambdas in one stacked call, bit for bit the two single calls
+    stacked = domination_defect(povm, rho, (lam, lam - 1e-4), sigma)
+    assert stacked.tolist() == [domination_defect(povm, rho, lam, sigma),
+                                domination_defect(povm, rho, lam - 1e-4, sigma)]
     np.testing.assert_allclose(accessible.measurement_blocks(povm, rho),
                                _blocks_ref(povm, rho), rtol=0, atol=1e-14)
 

@@ -1,10 +1,15 @@
 """Exit codes, report files, and argument plumbing for the console entry."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gamebound
 from gamebound.cli import main
 from gamebound.commitments import ProjectiveCommitmentScheme, save_scheme
 from gamebound.games import bell_game, save_family
@@ -275,8 +280,29 @@ def test_verify_all_subset(tmp_path, capsys):
     assert names == {"01-basis-guessing-constant", "05-norm-lemma"}
 
 
+def test_negative_seed_is_usage_error(capsys):
+    """numpy seeds only non-negative integers: the parser rejects the rest
+    (exit 2) before any criterion runs, instead of a crash (exit 3)."""
+    for bad in ("-1", "-7"):
+        assert main(["verify-all", "--seed", bad, "--only", "4"]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+    for bad in ("1.5", "seven"):
+        assert main(["verify-all", "--seed", bad, "--only", "4"]) == 2
+        assert "argument --seed: invalid" in capsys.readouterr().err
+    assert main(["uc", "--seed", "-2", "--runs", "4"]) == 2
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(gamebound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "gamebound", "verify-all", "--seed", "-1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "usage: gamebound verify-all" in done.stderr
 
 
 def test_help_exits_cleanly(capsys):

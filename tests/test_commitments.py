@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from gamebound.commitments import (
     ProjectiveCommitmentScheme,
+    _qubit_optimum,
+    _score_operators,
     adaptive_binding,
     cheat_state,
     load_scheme,
@@ -17,6 +19,7 @@ from gamebound.commitments import (
     storage_reduction_check,
 )
 from gamebound.errors import InputError
+from gamebound.linalg import partial_trace_matrix
 from gamebound.rand import random_projector, random_pure_vector, rng_from_seed
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix
@@ -155,6 +158,33 @@ def test_exact_qubit_value_between_strategies_and_relaxation():
                 achieved = sum(np.trace(np.kron(f, openings[label]) @ rho.matrix).real
                                for label, f in strategy)
                 assert achieved <= value + 1e-9
+
+
+def test_score_operators_match_kron_partial_trace_reference():
+    """The one-einsum score operators equal Tr_B[(I (x) V_y) rho] built with
+    np.kron and partial_trace_matrix, and the stacked qubit optimum equals
+    the pairwise eigvalsh loop."""
+    rng = rng_from_seed(65)
+    for dim_a, dim_b in ((1, 2), (2, 2), (2, 4), (3, 3), (2, 6)):
+        scheme = ProjectiveCommitmentScheme(*(
+            tuple((f"{side}{j}", random_projector(dim_b, int(rng.integers(1, dim_b + 1)), rng))
+                  for j in range(int(rng.integers(1, 4))))
+            for side in "zo"
+        ))
+        vec = random_pure_vector(dim_a * dim_b, rng)
+        rho = density_from_matrix(shape(("A", dim_a), ("B", dim_b)), np.outer(vec, vec.conj()))
+        for bit in (0, 1):
+            ops = _score_operators(scheme, rho, bit).stack
+            reference = [partial_trace_matrix(np.kron(np.eye(dim_a), v) @ rho.matrix,
+                                              (dim_a, dim_b), (0,))
+                         for _, v in scheme.openings(bit)]
+            np.testing.assert_allclose(ops, np.stack(reference), rtol=0, atol=1e-12)
+            if dim_a <= 2:
+                traces = [np.trace(k).real for k in reference]
+                pairwise = max([max(traces)] + [
+                    traces[j] + np.linalg.eigvalsh(reference[i] - reference[j])[-1]
+                    for i in range(len(reference)) for j in range(len(reference)) if i != j])
+                assert _qubit_optimum(scheme, rho, bit) == pytest.approx(pairwise, abs=1e-12)
 
 
 def test_scheme_json_round_trip(tmp_path):

@@ -3,20 +3,27 @@ and the simulator constructions that must match them at the environment."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from gamebound.errors import InputError
 from gamebound.rand import rng_from_seed
 from gamebound.ucsim import (
+    _BORN_P0,
+    _QUBIT_STATES,
     RECEIVER_SCRIPTS,
     SENDER_SCRIPTS,
     IdealBitCommitment,
     ProtocolBitCommitment,
     ReceiverProgram,
     SenderProgram,
+    _measure,
+    _seed_words,
+    _tape,
     ideal_one_cc,
     ideal_two_cc_prime,
     one_cc_table,
+    qubit_state,
     receiver_script,
     run_2cc_protocol,
     run_ot_protocol,
@@ -102,8 +109,8 @@ class LyingReceiver(ReceiverProgram):
 
     name = "lying"
 
-    def cc_input(self, i: int, measured: int) -> int:
-        return 1 - measured
+    def one_cc_input(self, i: int, chooser_bit: int) -> int:
+        return 1 - int(self.memory["x"][i])
 
 
 def test_lying_receiver_fails_the_senders_check():
@@ -313,3 +320,73 @@ def test_pinned_2cc_runs():
         for k in range(5)
     ]
     assert _digest(records) == TWO_CC_RUNS_SHA256
+
+
+# A run with a seed entry of 2**40 (two seed words), pinned on the engine
+# that seeded every tape from the seed tuple itself.
+BIG_SEED_RUNS_SHA256 = "163b6e8ed0d22d9c017ae006bc82684771d9046c147f1fe6f02d35a16879fd91"
+
+
+def test_pinned_run_with_a_multi_word_seed_entry():
+    records = [
+        run_ot_protocol(*PINNED_STRINGS, c, 6, seed=(2**40, 3), bc_backend=backend).to_dict()
+        for backend in ("ideal", "protocol")
+        for c in (0, 1)
+    ]
+    assert _digest(records) == BIG_SEED_RUNS_SHA256
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+def test_seed_words_replay_the_seed_tuple_streams(length):
+    entries = (0, 2**32 - 1, 2**32, 2**64 + 5)
+    for k in range(len(entries) ** 2):
+        seed = tuple(entries[(k + j * (k + 1)) % len(entries)] for j in range(length))
+        for given in (seed, list(seed)) + ((seed[0],) if length == 1 else ()):
+            words = _seed_words(given)
+            for lane in (0, 1, 2):
+                reference = np.random.default_rng(seed + (lane,))
+                tape = _tape(words, lane)
+                assert tape.bit_generator.state == reference.bit_generator.state
+                assert tape.random(3).tolist() == reference.random(3).tolist()
+
+
+def test_seed_words_reject_negative_entries():
+    with pytest.raises(InputError):
+        _seed_words((3, -1))
+    with pytest.raises(InputError):
+        run_ot_protocol((0,), (1,), 0, 4, seed=-5)
+
+
+def _p0(psi, basis) -> float:
+    return min(max(float(abs(np.vdot(qubit_state(0, basis), psi)) ** 2), 0.0), 1.0)
+
+
+def _measure_qubit(psi, basis, rng) -> int:
+    """The scalar Born draw, one qubit at a time: the reference for `_measure`."""
+    return 0 if rng.random() < _p0(psi, basis) else 1
+
+
+def test_vectorised_born_draws_match_the_scalar_loop():
+    states = _QUBIT_STATES.reshape(4, 2)
+    # the tabulated probabilities are the scalar draw's floats, bit for bit
+    # (a vectorised overlap can differ from np.vdot in the last bits)
+    assert _BORN_P0.tolist() == [[_p0(psi, basis) for basis in (0, 1)] for psi in states]
+    for seed in range(100):
+        setup = np.random.default_rng((seed, 1))
+        n = int(setup.integers(1, 11))
+        qubits, bases = setup.integers(0, 4, size=n), setup.integers(0, 2, size=n)
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [_measure_qubit(states[q], b, scalar) for q, b in zip(qubits, bases)]
+        assert _measure(qubits, bases, batched).astype(int).tolist() == expected
+        one = _measure_qubit(states[qubits[0]], bases[0], scalar)
+        assert int(_measure(qubits[0], bases[0], batched)) == one
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def test_batched_bit_draws_consume_the_stream_like_scalar_draws():
+    for seed in range(300):
+        n = 2 + seed % 9
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [int(scalar.integers(0, 2)) for _ in range(n)]
+        assert batched.integers(0, 2, size=n).tolist() == expected
+        assert batched.bit_generator.state == scalar.bit_generator.state
