@@ -140,10 +140,11 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
                     f"random-{len(descriptors)}", accessible.Povm(tuple(elems))
                 )
             )
+        rho_b = accessible.reduced_b(rho)
         for desc in descriptors[:5]:
-            value, sigma = accessible.imax_for_measurement(desc.povm, rho)
+            value, sigma, blocks = accessible.imax_for_measurement(desc.povm, rho)
             at_value, below = accessible.domination_defect(
-                desc.povm, rho, (value, value - 1e-4), sigma)
+                blocks, rho_b, (value, value - 1e-4), sigma)
             if at_value > 1e-9:
                 failures.append({"state": k, "kind": "fails-at-value"})
             if below <= 0.0:

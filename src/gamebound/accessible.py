@@ -88,7 +88,8 @@ def _dmax_blocks(ks: np.ndarray, rho: np.ndarray, rank_tol: float) -> np.ndarray
     return np.where(max_eig(comp @ ks @ comp) > rank_tol, math.inf, c)
 
 
-def _reduced_b(rho_ab: DensityOperator) -> np.ndarray:
+def reduced_b(rho_ab: DensityOperator) -> np.ndarray:
+    """rho_B = Tr_A rho_AB as a Hermitian matrix."""
     dim_a, dim_b = rho_ab.shape.dims
     return hermitize(np.trace(rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b), axis1=0, axis2=2))
 
@@ -107,34 +108,35 @@ def measurement_blocks(povm: Povm, rho_ab: DensityOperator) -> np.ndarray:
 
 def imax_for_measurement(
     povm: Povm, rho_ab: DensityOperator
-) -> tuple[float, tuple[float, ...]]:
-    """(value, sigma) for a fixed measurement on A; exact for that measurement."""
+) -> tuple[float, tuple[float, ...], np.ndarray]:
+    """(value, sigma, blocks) for a fixed measurement on A; exact for that
+    measurement. `blocks` are its measurement_blocks, checked PSD."""
     blocks = check_psd(measurement_blocks(povm, rho_ab), 1e-10, "K")
-    cs = _dmax_blocks(blocks, _reduced_b(rho_ab), RANK_TOL)
+    cs = _dmax_blocks(blocks, reduced_b(rho_ab), RANK_TOL)
     if np.isinf(cs).any():
         raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
     total = float(cs.sum())
     if total <= 0.0:
-        return 0.0, tuple(1.0 / len(cs) for _ in cs)
-    return float(np.log2(total)), tuple((cs / total).tolist())
+        return 0.0, tuple(1.0 / len(cs) for _ in cs), blocks
+    return float(np.log2(total)), tuple((cs / total).tolist()), blocks
 
 
 def domination_defect(
-    povm: Povm,
-    rho_ab: DensityOperator,
+    blocks: np.ndarray,
+    rho_b: np.ndarray,
     lam: float | tuple[float, ...],
     sigma: tuple[float, ...],
 ) -> float | np.ndarray:
-    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B, a
-    float for one lam and an array for a sequence of them (one stacked call).
+    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B, for a
+    measurement's blocks K_x and rho_B; a float for one lam and an array for
+    a sequence of them (one stacked call).
 
     <= 0 means the inequality holds blockwise for this sigma.
     """
-    blocks = measurement_blocks(povm, rho_ab)
     if len(sigma) != len(blocks):
         raise InputError("sigma length must match outcome count")
     scale = np.array([[2.0 ** float(v)] for v in np.atleast_1d(lam)]) * np.asarray(sigma, float)
-    defects = np.max(max_eig(blocks - scale[..., None, None] * _reduced_b(rho_ab)), axis=-1)
+    defects = np.max(max_eig(blocks - scale[..., None, None] * rho_b), axis=-1)
     return defects if np.ndim(lam) else float(defects[0])
 
 
@@ -216,7 +218,7 @@ def imax_acc_bounds(
     best = None
     best_sigma: tuple[float, ...] = ()
     for desc in family:
-        value, sigma = imax_for_measurement(desc.povm, rho_ab)
+        value, sigma, _ = imax_for_measurement(desc.povm, rho_ab)
         if value > best_value:
             best_value, best, best_sigma = value, desc, sigma
     assert best is not None

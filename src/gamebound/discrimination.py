@@ -8,17 +8,29 @@ tr(Y) over Hermitian Y with Y >= K_j for all j; weak duality makes every
 The solver follows the central path of the dual log-barrier
 tr(Y) - mu sum_j log det(Y - K_j) over Hermitian Y, d^2 real coordinates
 (Boyd & Vandenberghe, Convex Optimization, ch. 11; Eldar, Megretski &
-Verghese, IEEE TIT 49(4), 2003). Each damped Newton step solves the d^2 x d^2
-system sum_j (S_j^{-1} (x) S_j^{-T}), S_j = Y - K_j; a Cholesky factorization
-of every S_j proves each iterate strictly feasible. At a centered point,
-F_j = mu S_j^{-1} renormalized by (sum_j F_j)^{-1/2} is a POVM, certified
-against the smaller of tr(Y) and the dual repaired from it,
-Y0 = (1/2) sum_j (F_j K_j + K_j F_j) shifted by max(0, max_j lambda_max(K_j - Y0)) I.
-On the path the gap is n*d*mu; mu shrinks by _MU_FACTOR per centering, and
-the solver stops once the certificate's own gap dual - primal is at most tol,
-or when a centering no longer shrinks it (rounding sets a floor near 1e-10).
-`iterations` counts Newton steps: 0 when a shortcut certifies (the indicator
-POVM for d = 1, the Helstrom measurement for two operators, or the uniform).
+Verghese, IEEE TIT 49(4), 2003), as a predictor-corrector path follower.
+Each Newton step solves the d^2 x d^2 system H = sum_j (S_j^{-1} (x) S_j^{-T}),
+S_j = Y - K_j, assembled as one (d^2, n) (n, d^2) product; a Cholesky
+factorization of every S_j proves each iterate strictly feasible, and a step
+is halved until one exists. Corrector steps are damped by 1/(1 + lambda),
+lambda the Newton decrement, until lambda^2 <= 1/4, and full after that.
+A point is centered, and certified, after a step from lambda^2 <= 1e-4:
+F_j = mu S_j^{-1} renormalized by (sum_j F_j)^{-1/2} is then a POVM whose
+value lags the optimum by about ||sum_j F_j - I||^2 cond(S_j), an error that
+does not shrink with mu, so a loose centering leaves the primal behind.
+Each POVM is certified against the smaller of tr(Y) and the dual repaired
+from it, Y0 = (1/2) sum_j (F_j K_j + K_j F_j) shifted by
+max(0, max_j lambda_max(K_j - Y0)) I. On the path the gap is n*d*mu; mu
+shrinks by _MU_FACTOR per centering. Near the optimum the path is nearly
+affine in mu, so after each certificate the predictor steps along its
+tangent dY/dmu = H^{-1}[I] / mu^2, with H built from the certificate's
+S_j^{-1}, to the next mu (halved until feasible), and the corrector starts
+there. The solver stops once the certificate's own gap dual - primal is at
+most tol, or when two certificates in a row fail to shrink it (rounding
+sets a floor near 1e-10). `iterations` counts corrector Newton steps; the
+predictor adds one more solve of H per centering, which it does not count.
+It is 0 when a shortcut certifies (the indicator POVM for d = 1, the
+Helstrom measurement for two operators, or the uniform).
 """
 from __future__ import annotations
 
@@ -31,10 +43,14 @@ from .errors import InputError
 from .linalg import as_complex_stack, check_psd, eig_hermitian, hermitize, max_eig
 from .states import DensityOperator
 
-# Newton steps whose squared decrement is at most _CENTERED count as centered
-# (full steps converge quadratically there); mu then shrinks by _MU_FACTOR.
-_CENTERED = 0.25
+# Newton steps are full once the squared decrement is at most _FULL_STEP
+# (they converge quadratically there); a step from at most _CENTERED ends at
+# a centered point, which is certified; mu then shrinks by _MU_FACTOR. The
+# path stops after _STALLS certificates in a row fail to shrink the gap.
+_FULL_STEP = 0.25
+_CENTERED = 1e-4
 _MU_FACTOR = 50.0
+_STALLS = 2
 
 
 @dataclass(frozen=True)
@@ -176,6 +192,35 @@ def _cholesky(s: np.ndarray) -> np.ndarray | None:
     return chol if np.isfinite(chol).all() else None
 
 
+def _inverses(chol: np.ndarray) -> np.ndarray:
+    """S_j^{-1} for each S_j = L_j L_j^H, from its Cholesky factors."""
+    inv_l = np.linalg.inv(chol)
+    return inv_l.conj().transpose(0, 2, 1) @ inv_l
+
+
+def _newton_solve(s_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Hermitian X with sum_j S_j^{-1} X S_j^{-1} = rhs."""
+    n, d = s_inv.shape[0], s_inv.shape[1]
+    # sum_j S_j^{-1} (x) S_j^{-T}: one (d^2, n) (n, d^2) product indexed
+    # [(i,k), (j,l)], then reordered to [(i,j), (k,l)].
+    flat = s_inv.reshape(n, d * d)
+    hess = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    return hermitize(np.linalg.solve(hess.reshape(d * d, d * d), rhs.reshape(-1)).reshape(d, d))
+
+
+def _feasible_step(y: np.ndarray, step: np.ndarray, ops: np.ndarray):
+    """(Y + t step, its Cholesky factors) for the first t = 1, 1/2, 1/4, ...
+    that keeps every Y + t step - K_j positive definite; (Y, None) if none
+    above 1e-10 does."""
+    t = 1.0
+    while t > 1e-10:
+        chol = _cholesky(y + t * step - ops)
+        if chol is not None:
+            return y + t * step, chol
+        t /= 2.0
+    return y, None
+
+
 def optimal_discrimination(
     instance: DiscriminationInstance,
     tol: float = SOLVER_TOL,
@@ -215,37 +260,33 @@ def _barrier_path(
     y = best.dual_witness + best.gap / d * eye
     mu = best.gap / (n * d)
     chol = _cholesky(y - ops)
-    steps, last_gap = 0, np.inf
+    steps, last_gap, stalls = 0, np.inf, 0
     while steps < max_iter and chol is not None:
         steps += 1
-        inv_l = np.linalg.inv(chol)
-        s_inv = inv_l.conj().transpose(0, 2, 1) @ inv_l
+        s_inv = _inverses(chol)
         grad = eye / mu - s_inv.sum(axis=0)
-        hess = np.einsum("nik,njl->ijkl", s_inv, s_inv.conj()).reshape(d * d, d * d)
-        step = hermitize(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
+        step = _newton_solve(s_inv, -grad)
         decrement = float(-np.vdot(grad, step).real)  # squared Newton decrement
         # The damped step stays inside the Dikin ellipsoid, so it is feasible
         # in exact arithmetic; halving covers rounding near the boundary.
-        t = 1.0 if decrement <= _CENTERED else 1.0 / (1.0 + np.sqrt(decrement))
-        chol = _cholesky(y + t * step - ops)
-        while chol is None and t > 1e-10:
-            t /= 2.0
-            chol = _cholesky(y + t * step - ops)
-        if chol is None:
-            break
-        y = y + t * step
-        if decrement > _CENTERED:
+        t = 1.0 if decrement <= _FULL_STEP else 1.0 / (1.0 + np.sqrt(decrement))
+        y, chol = _feasible_step(y, t * step, ops)
+        if chol is None or decrement > _CENTERED:
             continue
-        inv_l = np.linalg.inv(chol)
-        f = mu * (inv_l.conj().transpose(0, 2, 1) @ inv_l)
+        s_inv = _inverses(chol)
+        f = mu * s_inv
         vals, vecs = np.linalg.eigh(f.sum(axis=0))
         norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
         cert = _certificate(instance, hermitize(norm @ f @ norm), y, steps, tol)
         if cert.gap < best.gap:
             best = cert
-        if best.converged or cert.gap >= last_gap:
+        stalls = stalls + 1 if cert.gap >= last_gap else 0
+        if best.converged or stalls == _STALLS:
             break
         last_gap = cert.gap
+        # Predictor: along the tangent dY/dmu = H^{-1}[I] / mu^2 to the next mu.
+        tangent = _newton_solve(s_inv, eye)
+        y, chol = _feasible_step(y, -(1.0 - 1.0 / _MU_FACTOR) / mu * tangent, ops)
         mu /= _MU_FACTOR
     return replace(best, iterations=steps)
 

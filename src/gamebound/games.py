@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessible import imax_acc_bounds, measurement_blocks
 from .config import DEFAULT_MAX_OPERATORS, SOLVER_MAX_ITER, SOLVER_TOL
-from .discrimination import (
-    DiscriminationInstance,
-    Povm,
-    SolverCertificate,
-    optimal_discrimination,
-)
+from .discrimination import DiscriminationInstance, SolverCertificate, optimal_discrimination
 from .errors import InputError
 from .linalg import (
     check_psd,
@@ -174,8 +168,7 @@ def adaptive_success(
     game: AttackGame, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER
 ) -> SolverCertificate:
     """Optimal joint (A, A') measure-then-choose success, with certificate."""
-    rho = partial_trace(game.state, (A_LABEL, APRIME_LABEL, B_LABEL))
-    instance = _score_operators(rho, game.family)
+    instance = _score_operators(game.state, game.family)
     return optimal_discrimination(instance, tol=tol, max_iter=max_iter)
 
 
@@ -205,20 +198,16 @@ def verify_main_theorem(
     game: AttackGame,
     tol: float = 1e-6,
     solver_tol: float = SOLVER_TOL,
-    witness_budget: int = 0,
-    seed=0,
 ) -> GameResult:
     """Evaluate all three success modes and check the adaptive-bound chain.
 
     Checks recorded; each name says which certificate side it reads (the dual
-    bounds a value from above, the primal from below), and (i) and (ii) read
-    the side that makes them stricter:
-      (i)  adaptive dual <= 2^{H0(A)} * semi-adaptive primal + tol. Asserted
-           when A' is trivial or classical; for quantum A' a failure is
-           recorded as an expected violation rather than an error.
-      (ii) for each searched measurement M on (A, A'): the strategy induced by
-           M achieves at most 2^{value(M)} * semi-adaptive primal + tol.
-      (iii) non-adaptive <= adaptive dual + 1e-8 (sanity direction).
+    bounds a value from above, the primal from below):
+      (i)  adaptive dual <= 2^{H0(A)} * semi-adaptive primal + tol, the side
+           that makes it stricter. Asserted when A' is trivial or classical;
+           for quantum A' a failure is recorded as an expected violation
+           rather than an error.
+      (ii) non-adaptive <= adaptive dual + 1e-8 (sanity direction).
     """
     p_na = non_adaptive_success(game)
     ad = adaptive_success(game, tol=solver_tol)
@@ -226,61 +215,24 @@ def verify_main_theorem(
     h0 = zero_entropy(game.state, A_LABEL)
     classical = aprime_is_classical(game)
 
-    checks: list[BoundCheck] = []
     lhs = ad.dual_value
     rhs = (2.0**h0) * semi.primal_value + tol
     ok = lhs <= rhs
-    checks.append(
+    checks = (
         BoundCheck(
             name=MAIN_BOUND,
             lhs=lhs,
             rhs=rhs,
             passed=ok,
             expected_violation=(not ok and not classical),
-        )
-    )
-    checks.append(
+        ),
         BoundCheck(
             name="non-adaptive<=adaptive-dual",
             lhs=p_na,
             rhs=ad.dual_value + 1e-8,
             passed=p_na <= ad.dual_value + 1e-8,
-        )
+        ),
     )
-
-    # Per-measurement form: the induced strategy "measure M, pick the best j
-    # per outcome" is bounded by 2^{value(M)} times the no-A success.
-    dims = game.dims
-    joint = partial_trace(game.state, (A_LABEL, APRIME_LABEL, B_LABEL))
-    merged_shape = RegisterShape(
-        (("AA'", dims[0] * dims[1]), (B_LABEL, dims[2]))
-    )
-    merged = DensityOperator(merged_shape, joint.matrix)
-    if witness_budget > 0:
-        est = imax_acc_bounds(merged, budget=witness_budget, seed=seed)
-        induced = _induced_strategy_value(merged, est.witness.povm, game.family)
-        lam = est.lower
-        checks.append(
-            BoundCheck(
-                name="induced<=2^lambda(M)*semi-primal",
-                lhs=induced,
-                rhs=(2.0**lam) * semi.primal_value + tol,
-                passed=induced <= (2.0**lam) * semi.primal_value + tol,
-            )
-        )
-        # Informational commitment-style slack record: -lg p_na vs witness
-        # lower bound plus -lg p_adaptive.
-        if p_na > 0.0 and ad.primal_value > 0.0:
-            checks.append(
-                BoundCheck(
-                    name="info:-lg(na)<=imax_lower-lg(adaptive-primal)",
-                    lhs=-float(np.log2(p_na)),
-                    rhs=est.lower - float(np.log2(ad.primal_value)),
-                    passed=True,
-                    informational=True,
-                )
-            )
-
     return GameResult(
         non_adaptive=p_na,
         semi_adaptive=semi.primal_value,
@@ -288,18 +240,8 @@ def verify_main_theorem(
         zero_entropy_a=h0,
         adaptive_cert=ad,
         semi_cert=semi,
-        bound_checks=tuple(checks),
+        bound_checks=checks,
     )
-
-
-def _induced_strategy_value(
-    merged: DensityOperator, povm: Povm, family: BinaryPovmFamily
-) -> float:
-    """Success of: measure the A side with `povm`, then play the best test for
-    each outcome."""
-    blocks = measurement_blocks(povm, merged)
-    scores = np.einsum("xij,eji->xe", blocks, family.effects).real
-    return float(scores.max(axis=1).sum())
 
 
 # --- canonical instances ----------------------------------------------------

@@ -71,7 +71,7 @@ def test_classical_copy_gives_one_bit():
 def test_copy_state_witness_is_computational():
     rho = copy_state(2)
     comp = standard_measurements(2)[0]
-    value, _ = imax_for_measurement(comp.povm, rho)
+    value, _, _ = imax_for_measurement(comp.povm, rho)
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -91,9 +91,10 @@ def test_imax_value_is_max_over_outcome_dmax():
     rho = density_from_matrix(shape(("A", 2), ("B", 3)),
                               random_density_matrix(6, rng))
     povm = Povm(tuple(random_povm_elements(2, 3, rng)))
-    value, sigma = imax_for_measurement(povm, rho)
-    assert domination_defect(povm, rho, value, sigma) <= 1e-9
-    assert domination_defect(povm, rho, value - 1e-4, sigma) > 0.0
+    value, sigma, blocks = imax_for_measurement(povm, rho)
+    rho_b = accessible.reduced_b(rho)
+    assert domination_defect(blocks, rho_b, value, sigma) <= 1e-9
+    assert domination_defect(blocks, rho_b, value - 1e-4, sigma) > 0.0
 
 
 def test_imax_never_exceeds_zero_entropy():
@@ -114,8 +115,8 @@ def test_coarse_graining_never_raises_value():
     elems = random_povm_elements(3, 4, rng)
     fine = Povm(tuple(elems))
     coarse = Povm((elems[0] + elems[1], elems[2], elems[3]))
-    v_fine, _ = imax_for_measurement(fine, rho)
-    v_coarse, _ = imax_for_measurement(coarse, rho)
+    v_fine = imax_for_measurement(fine, rho)[0]
+    v_coarse = imax_for_measurement(coarse, rho)[0]
     assert v_coarse <= v_fine + 1e-9
 
 
@@ -185,17 +186,21 @@ def _defect_ref(povm, rho, lam, sigma):
 
 
 def _assert_matches_reference(povm, rho):
-    lam, sigma = imax_for_measurement(povm, rho)
+    lam, sigma, blocks = imax_for_measurement(povm, rho)
     want_lam, want_sigma = _lambda_ref(povm, rho)
     assert lam == pytest.approx(want_lam, abs=1e-12)
     np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
+    # the returned blocks are the measurement's blocks, built once
+    assert np.array_equal(blocks, accessible.measurement_blocks(povm, rho))
+    rho_b = accessible.reduced_b(rho)
+    np.testing.assert_allclose(rho_b, _rho_b_ref(rho), rtol=0, atol=1e-14)
     for shift in (0.0, 1e-4):
-        assert domination_defect(povm, rho, lam - shift, sigma) == pytest.approx(
+        assert domination_defect(blocks, rho_b, lam - shift, sigma) == pytest.approx(
             _defect_ref(povm, rho, want_lam - shift, want_sigma), abs=1e-12)
     # both lambdas in one stacked call, bit for bit the two single calls
-    stacked = domination_defect(povm, rho, (lam, lam - 1e-4), sigma)
-    assert stacked.tolist() == [domination_defect(povm, rho, lam, sigma),
-                                domination_defect(povm, rho, lam - 1e-4, sigma)]
+    stacked = domination_defect(blocks, rho_b, (lam, lam - 1e-4), sigma)
+    assert stacked.tolist() == [domination_defect(blocks, rho_b, lam, sigma),
+                                domination_defect(blocks, rho_b, lam - 1e-4, sigma)]
     np.testing.assert_allclose(accessible.measurement_blocks(povm, rho),
                                _blocks_ref(povm, rho), rtol=0, atol=1e-14)
 
@@ -224,7 +229,7 @@ def test_stacked_lambda_zero_support_block():
     povm = standard_measurements(2)[0].povm
     assert not accessible.measurement_blocks(povm, rho)[1].any()
     _assert_matches_reference(povm, rho)
-    lam, sigma = imax_for_measurement(povm, rho)
+    lam, sigma, _ = imax_for_measurement(povm, rho)
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert sigma[1] == 0.0
     zero = np.zeros((3, 3), dtype=complex)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamebound import discrimination
+from gamebound.acceptance import criterion_03_random_games
 from gamebound.config import EQ_TOL, SOLVER_MAX_ITER
 from gamebound.discrimination import (
     CqState,
@@ -98,14 +100,15 @@ def test_barrier_path_matches_two_operator_closed_form():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
     st.booleans(),
     st.integers(min_value=0, max_value=10**6),
 )
 def test_solver_certificate_properties(n_ops, dim, pure, seed):
-    """On random instances, full-rank or rank one: a feasible, bracketing
-    certificate within tol, well under the step cap."""
+    """On random instances of the shapes the benchmark solves (up to 8
+    operators of dimension up to 8), full-rank or rank one: a feasible,
+    bracketing certificate within tol, well under the step cap."""
     rng = rng_from_seed(seed)
     weights = rng.random(n_ops) + 0.05
     weights /= weights.sum()
@@ -132,11 +135,27 @@ def test_one_dimensional_value_is_largest_weight():
 
 def test_game_at_old_iteration_cap_converges():
     """This adaptive solve stopped at 10,000 fixed-point iterations with a
-    gap of 1.1e-8; the barrier path certifies it in under a hundred steps."""
+    gap of 1.1e-8; the damped path without a predictor took 77 Newton steps,
+    the predictor-corrector path takes under 60."""
     game = random_game(4, 2, 3, seed=(777, 110), dim_aprime=1)
     cert = adaptive_success(game, tol=1e-9)
     assert cert.converged and cert.gap <= 1e-9
-    assert cert.iterations < 500
+    assert cert.iterations < 60
+
+
+def test_criterion_03_newton_solve_budget(monkeypatch):
+    """Criterion 03's 200 seed-0 games take at most 4,303 Newton-system
+    solves, predictor solves included (3,623 corrector steps plus one
+    predictor per centering); the damped path without a predictor took 5,862."""
+    solves = []
+
+    def counted(*args, _orig=discrimination._newton_solve):
+        solves.append(1)
+        return _orig(*args)
+
+    monkeypatch.setattr(discrimination, "_newton_solve", counted)
+    assert criterion_03_random_games(seed=0).passed
+    assert len(solves) <= 4303
 
 
 def test_trine_states_value():

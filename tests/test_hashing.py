@@ -97,6 +97,28 @@ def test_distance_matches_independent_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_stacked_distance_matches_loop_on_benchmark_shapes():
+    """The stacked parity-table form against the per-member loop on the 45
+    cq states of the benchmark's shapes (2-4 bits, dim E 2-4), and with
+    missing symbols, which carry weight zero."""
+    cq_shapes = [(bits, dim_e) for bits in (2, 3, 4) for dim_e in (2, 3, 4)]
+    for k in range(45):
+        bits, dim_e = cq_shapes[k % len(cq_shapes)]
+        rng = rng_from_seed((777, 9, k))
+        weights = rng.random(2**bits)
+        weights /= weights.sum()
+        conds = [random_density_matrix(dim_e, rng) for _ in range(2**bits)]
+        cq = make_cq([float(w) for w in weights], conds, dim_e)
+        assert privacy_amp_distance(cq, bits) == pytest.approx(
+            distance_oracle(cq, bits), abs=1e-12)
+    rng = rng_from_seed(83)
+    conds = tuple(density_from_matrix(shape(("E", 2)), random_density_matrix(2, rng))
+                  for _ in range(3))
+    sparse = CqState((1, 6, 3), (0.2, 0.5, 0.3), conds)
+    assert privacy_amp_distance(sparse, 3) == pytest.approx(
+        distance_oracle(sparse, 3), abs=1e-12)
+
+
 def test_privacy_amp_bound_holds_on_random_states():
     rng = rng_from_seed(82)
     for _ in range(10):
@@ -115,5 +137,11 @@ def test_symbol_range_validated():
     eye = np.eye(1, dtype=complex)
     conds = tuple(density_from_matrix(shape(("E", 1)), eye) for _ in range(2))
     cq = CqState((0, 5), (0.5, 0.5), conds)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="symbol 5 outside 0..3"):
         privacy_amp_distance(cq, 2)
+    with pytest.raises(InputError, match="symbol -1 outside"):
+        privacy_amp_distance(CqState((0, -1), (0.5, 0.5), conds), 2)
+    with pytest.raises(InputError, match="outside"):
+        privacy_amp_distance(CqState((0, 2**70), (0.5, 0.5), conds), 2)
+    with pytest.raises(InputError, match="exceeds the cap"):
+        privacy_amp_distance(cq, 21)
