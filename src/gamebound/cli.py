@@ -19,11 +19,20 @@ from .report import CheckRecord, ExperimentReport, timed_record
 from .states import load_state
 
 
-def non_negative_int(text: str) -> int:
-    """A --seed value: numpy seeds only non-negative integers."""
-    if int(text) < 0:  # argparse reports a ValueError as an invalid value
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _int_at_least(lo: int, what: str):
+    """An argparse type for integers of at least `lo`; `what` names them in
+    the usage error."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return integer
+
+
+# numpy seeds only non-negative integers; a check over no runs passes vacuously
+seed_int = _int_at_least(0, "a non-negative integer")
+runs_int = _int_at_least(1, "a positive integer")
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -57,8 +66,7 @@ def _game_record(tag: str, res: games.GameResult, started: float) -> CheckRecord
         "certificate_gap": res.adaptive_cert.gap,
         "bounds": [
             {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed,
-             "expected_violation": c.expected_violation,
-             "informational": c.informational}
+             "expected_violation": c.expected_violation}
             for c in res.bound_checks
         ],
     }
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=non_negative_int, default=0)
+        p.add_argument("--seed", type=seed_int, default=0)
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--budget", type=int, default=None,
                        help="search budget: sampled opening pairs for bcjl "
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big-n", type=int, default=40)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--bit", type=int, default=0)
-    p.add_argument("--runs", type=int, default=200)
+    p.add_argument("--runs", type=runs_int, default=200)
     p.add_argument("--wrong-opening", action="store_true")
     p.add_argument("--code", type=str, default="rep31")
     p.add_argument("--delta", type=float, default=0.0)
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--honest-ot", action="store_true")
     p.add_argument("--demo", type=str, choices=("sender", "receiver"), default=None)
     p.add_argument("--script", type=str, default="honest")
-    p.add_argument("--runs", type=int, default=200)
+    p.add_argument("--runs", type=runs_int, default=200)
     p.add_argument("--n", type=int, default=8)
     p.set_defaults(func=_cmd_uc)
 

@@ -171,10 +171,9 @@ def nearest_coset_rep(code: LinearCode, s, reference) -> np.ndarray:
     ref = _as_bit_array(reference, code.n)
     members = coset_members(code, s)
     dists = (members ^ ref).sum(axis=1)
-    best = int(dists.min())
-    candidates = members[dists == best]
-    keys = [bits_to_int(c) for c in candidates]
-    return candidates[int(np.argmin(keys))].copy()
+    candidates = members[dists == dists.min()]
+    # lexsort's last key is its primary one: column 0, the most significant bit
+    return candidates[np.lexsort(candidates.T[::-1])[0]].copy()
 
 
 def hamming_ball(n: int, radius: int) -> list[np.ndarray]:

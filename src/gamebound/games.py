@@ -108,7 +108,6 @@ class BoundCheck:
     rhs: float
     passed: bool
     expected_violation: bool = False
-    informational: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -117,7 +116,6 @@ class BoundCheck:
             "rhs": self.rhs,
             "pass": self.passed,
             "expected_violation": self.expected_violation,
-            "informational": self.informational,
         }
 
 
@@ -133,8 +131,7 @@ class GameResult:
 
     @property
     def ok(self) -> bool:
-        return all(c.passed or c.expected_violation or c.informational
-                   for c in self.bound_checks)
+        return all(c.passed or c.expected_violation for c in self.bound_checks)
 
     def to_dict(self) -> dict:
         return {

@@ -306,6 +306,8 @@ def simulate_commit(
         raise InputError(f"unknown script {script!r}; options {COMMIT_SCRIPTS}")
     if bit not in (0, 1):
         raise InputError("committed bit must be 0 or 1")
+    if runs < 1:
+        raise InputError("a simulation needs at least one run")
     big_n, q = instance.big_n, instance.q
     for p in flagged_positions:
         if not 0 <= p < big_n:

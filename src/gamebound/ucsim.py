@@ -28,10 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import LinearCode, bits_to_int, syndrome
 from .errors import InputError
-from .hashing import XorHashFamily
-from .onecc import encoded_vector, extract_commit_bit
+from .onecc import encoded_vector
 
 MAX_POSITIONS = 10
 MAX_STRING_BITS = 8
@@ -40,16 +38,21 @@ MAX_STRING_BITS = 8
 def _stream(seed, lane: int):
     """Derived seed for one party's random tape; keeps runs replayable."""
     entries = seed if isinstance(seed, (tuple, list)) else (seed,)
-    return tuple(int(v) for v in entries) + (lane,)
+    return (*map(int, entries), lane)
 
 
 def _seed_words(seed) -> list[int]:
     """`seed`'s entries as the little-endian uint32 words SeedSequence makes of
     them, so `_tape(words, lane)` draws exactly as `default_rng(_stream(seed, lane))`."""
-    entries = _stream(seed, 0)[:-1]
-    if any(v < 0 for v in entries):
-        raise InputError("seeds must be non-negative integers")
-    return [(v >> s) & 0xFFFFFFFF for v in entries for s in range(0, max(v.bit_length(), 1), 32)]
+    words = []
+    for v in _stream(seed, 0)[:-1]:
+        if v < 0:
+            raise InputError("seeds must be non-negative integers")
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return words
 
 
 def _tape(words: list[int], lane: int) -> np.random.Generator:
@@ -156,10 +159,8 @@ class IdealBitCommitment:
     """Commit/open state machine; the backing simulator can read the bit."""
 
     backend = "ideal"
-
-    def __init__(self) -> None:
-        self._bit = None
-        self._state = "empty"
+    _bit = None
+    _state = "empty"
 
     def _accept(self, bit: int) -> None:
         if self._state != "empty":
@@ -189,19 +190,17 @@ class IdealBitCommitment:
         return self._bit
 
 
-@functools.cache
-def _even_weight_code(n: int) -> LinearCode:
-    """Built once per length; LinearCode is frozen, so runs share it."""
-    gen = np.hstack([np.eye(n - 1, dtype=np.uint8), np.ones((n - 1, 1), dtype=np.uint8)])
-    return LinearCode(gen)
-
-
 class ProtocolBitCommitment(IdealBitCommitment):
     """The conjugate-coding commitment run honestly at desk scale.
 
     The committer's per-position basis bits travel through the cut-and-choose
     functionality, so a simulator that runs the functionality can extract the
     committed bit from the announced hash/syndrome pair even before opening.
+    Run honestly, the unchecked basis string has the announced syndrome, so it
+    is its own nearest coset member, and both opening and `extract_commit_bit`
+    on it return the committed bit. Commit therefore makes the protocol's
+    draws (bases, checked positions, hash member) and applies its abort rule;
+    opening and extraction are the ideal commitment's.
     """
 
     backend = "protocol"
@@ -211,72 +210,33 @@ class ProtocolBitCommitment(IdealBitCommitment):
             raise InputError("protocol commitment supports 6..20 qubits")
         if not 0.0 < check_prob <= 0.5:
             raise InputError("check probability must be in (0, 1/2]")
-        super().__init__()
         self._rng = rng
         self._n_qubits = n_qubits
         self._check_prob = check_prob
-        self._record: dict = {}
 
     def commit(self, bit: int) -> str:
         self._accept(bit)
         big_n = self._n_qubits
-        theta = self._rng.integers(0, 2, size=big_n).astype(np.uint8)
-        checked = self._rng.random(big_n) < self._check_prob
+        self._rng.integers(0, 2, size=big_n)  # the bases theta
+        n_checked = int((self._rng.random(big_n) < self._check_prob).sum())
         # honest committer: every checked position measures to 0, no mismatch
-        if int(checked.sum()) > 2.0 * self._check_prob * big_n:
+        if n_checked > 2.0 * self._check_prob * big_n:
             self._state = "aborted"
             return "abort"
-        tbar = ~checked
-        theta_rest = theta[tbar]
-        n = int(theta_rest.size)
-        code = _even_weight_code(n)
-        family = XorHashFamily(n)
-        member = int(self._rng.integers(0, 2**n))
-        s = syndrome(code, theta_rest)
-        w = family.evaluate(member, bits_to_int(theta_rest)) ^ bit
-        self._bit = int(bit)
-        self._record = {
-            "theta_rest": theta_rest,
-            "code": code,
-            "member": member,
-            "syndrome": s,
-            "masked": int(w),
-        }
-        self._state = "committed"
-        return "committed"
-
-    def open(self):
-        if self._state != "committed":
-            raise InputError("nothing to open")
-        rec = self._record
-        code, family = rec["code"], XorHashFamily(rec["code"].n)
-        if not np.array_equal(syndrome(code, rec["theta_rest"]), rec["syndrome"]):
-            return "abort"
-        if family.evaluate(rec["member"], bits_to_int(rec["theta_rest"])) ^ rec["masked"] != self._bit:
-            return "abort"
-        self._state = "opened"
-        return self._bit
-
-    def extract(self) -> int:
-        """Recover the bit from the functionality-visible basis string."""
-        if self._state == "empty":
-            raise InputError("nothing committed yet")
-        rec = self._record
-        return extract_commit_bit(
-            rec["code"], rec["member"], rec["syndrome"], rec["masked"], rec["theta_rest"]
-        )
+        self._rng.integers(0, 2**(big_n - n_checked))  # the hash member
+        return super().commit(bit)
 
 
-def _make_commitment(backend: str, rng: np.random.Generator, params: dict | None):
+def _commitment_factory(backend: str, params: dict | None):
+    """The maker of one fresh commitment on a given tape; the backend is
+    chosen and its params read once per run."""
     if backend == "ideal":
-        return IdealBitCommitment()
+        return lambda _rng: IdealBitCommitment()
     if backend == "protocol":
         params = params or {}
-        return ProtocolBitCommitment(
-            rng,
-            n_qubits=int(params.get("n_qubits", 10)),
-            check_prob=float(params.get("check_prob", 0.2)),
-        )
+        return functools.partial(ProtocolBitCommitment,
+                                 n_qubits=int(params.get("n_qubits", 10)),
+                                 check_prob=float(params.get("check_prob", 0.2)))
     raise InputError("commitment backend must be 'ideal' or 'protocol'")
 
 
@@ -333,7 +293,7 @@ def run_2cc_protocol(
         if b not in (0, 1):
             raise InputError("protocol inputs must be bits")
     t = ExecutionTranscript(seed=_stream(seed, 0))
-    bc = _make_commitment(bc_backend, _tape(_seed_words(seed), 0), commit_params)
+    bc = _commitment_factory(bc_backend, commit_params)(_tape(_seed_words(seed), 0))
     choice, revealed, opened = _two_cc_step(
         t, bc, "alice", s0, c, lambda _i, _c: s1, refuse=refuse_open)
     if choice is None:
@@ -429,14 +389,14 @@ class SenderProgram:
     def observe_check(self, i: int, revealed_x: int, opened_basis) -> str | None:
         if opened_basis == "abort":
             return "abort"
-        if int(opened_basis) == int(self.memory["theta"][i]) and revealed_x != int(self.memory["x"][i]):
+        if opened_basis == self.memory["theta"][i] and revealed_x != self.memory["x"][i]:
             return "abort"
         return None
 
-    def announce_bases(self, kept: list[int]) -> np.ndarray:
+    def announce_bases(self, kept: np.ndarray) -> np.ndarray:
         return self.memory["theta"][kept]
 
-    def masks(self, kept: list[int], i0, i1) -> tuple[np.ndarray, tuple, tuple]:
+    def masks(self, kept: np.ndarray, i0, i1) -> tuple[np.ndarray, tuple, tuple]:
         nhat = len(kept)
         mask = self.rng.integers(0, 2, size=(self.ell, nhat)).astype(np.uint8)
         x_hat = self.memory["x"][kept]
@@ -470,7 +430,7 @@ class RandomAnnounceSender(SenderProgram):
 
     name = "random-announce"
 
-    def announce_bases(self, kept: list[int]) -> np.ndarray:
+    def announce_bases(self, kept: np.ndarray) -> np.ndarray:
         return self.rng.integers(0, 2, size=len(kept)).astype(np.uint8)
 
 
@@ -508,7 +468,7 @@ class ReceiverProgram:
         self.memory["x"] = _measure(qubits, bases, rng).astype(np.uint8)
 
     def commit_value(self, i: int, basis: int) -> int:
-        return int(basis)
+        return basis
 
     def one_cc_input(self, i: int, chooser_bit: int) -> int:
         """Position i's 1CC input; only a rushing simulator reads the choice."""
@@ -579,12 +539,10 @@ def receiver_script(name: str, **kwargs):
 
 
 def _as_string(bits) -> tuple:
-    if isinstance(bits, int):
-        bits = (bits,)
-    out = tuple(int(b) for b in bits)
+    out = (int(bits),) if isinstance(bits, int) else tuple(map(int, bits))
     if not 1 <= len(out) <= MAX_STRING_BITS:
         raise InputError(f"transferred strings carry 1..{MAX_STRING_BITS} bits")
-    if any(b not in (0, 1) for b in out):
+    if not {0, 1}.issuperset(out):
         raise InputError("transferred strings must be bit tuples")
     return out
 
@@ -608,19 +566,20 @@ class _RushingReceiver(ReceiverProgram):
         self.transcript = transcript
 
     def measure(self, qubits, bases, rng) -> None:
-        self.memory.update(qubits=qubits, bases=bases, rushed=[],
-                           x=np.zeros(self.n, dtype=np.uint8))
+        self.memory.update(qubits=qubits, p0=_BORN_P0[qubits, bases].tolist(),
+                           rushed=np.zeros(self.n, dtype=bool), x=np.zeros(self.n, dtype=np.uint8))
 
     def one_cc_input(self, i, chooser_bit):
         if chooser_bit == 0:
             return 0
-        self.memory["rushed"].append(i)
-        self.memory["x"][i] = _measure(self.memory["qubits"][i], self.memory["bases"][i], self.rng)
-        return int(self.memory["x"][i])
+        self.memory["rushed"][i] = True
+        bit = int(self.rng.random() >= self.memory["p0"][i])  # `_measure` on one qubit
+        self.memory["x"][i] = bit
+        return bit
 
     def partition(self, theta_hat_a, theta_hat_b, nhat):
         i0, i1 = _random_partition(self.rng, nhat)
-        kept = [i for i in range(self.n) if i not in self.memory["rushed"]]
+        kept = ~self.memory["rushed"]
         self.memory["x"][kept] = _measure(self.memory["qubits"][kept], theta_hat_a, self.rng)
         return i0, i1
 
@@ -646,14 +605,15 @@ class _ExtractingSender(SenderProgram):
     def __init__(self, rng, n, strings, transcript: ExecutionTranscript):
         super().__init__(rng, n, strings)
         self.transcript = transcript
-        self.memory["committed"] = np.zeros(n, dtype=np.uint8)
+        self.memory["committed"] = [0] * n
 
     def observe_commit(self, i, bc) -> None:
         self.memory["committed"][i] = bc.extract()
 
     def masks(self, kept, i0, i1):
-        theta_hat, committed = self.memory["theta"][kept], self.memory["committed"][kept]
-        matched = {j for j in range(len(kept)) if int(theta_hat[j]) == int(committed[j])}
+        committed = [self.memory["committed"][i] for i in kept.tolist()]
+        theta_hat = self.memory["theta"][kept].tolist()
+        matched = {j for j in range(len(kept)) if theta_hat[j] == committed[j]}
         side0, side1 = set(i0), set(i1)
         if side0 == matched:
             c_hat = 0
@@ -692,9 +652,9 @@ class _Execution:
             raise InputError("choice must be a bit")
         if not 2 <= n <= MAX_POSITIONS:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
-        self.n, self.words = n, _seed_words(seed)
-        self.bc_backend, self.commit_params = bc_backend, commit_params
         self.t = ExecutionTranscript(seed=_stream(seed, 0))
+        self.n, self.words = n, _seed_words(self.t.seed[:-1])
+        self.new_commitment = _commitment_factory(bc_backend, commit_params)
         self.rng = _tape(self.words, 0)
 
     def _abort(self, reason: str, alice_output) -> None:
@@ -714,23 +674,23 @@ class _Execution:
         bob.measure(qubits, theta_b, self.rng)
         t.log(bob.actor, "measure", bases=theta_b)
 
-        checked = []
-        bases, choices = theta_b.tolist(), alice.select_bits().tolist()
-        for i in range(n):
-            bc = _make_commitment(self.bc_backend, self.rng, self.commit_params)
-            t_i, revealed, opened = _two_cc_step(t, bc, bob.actor, bob.commit_value(i, bases[i]),
+        kept, choices = [], alice.select_bits().tolist()
+        for i, basis in enumerate(theta_b.tolist()):
+            bc = self.new_commitment(self.rng)
+            t_i, revealed, opened = _two_cc_step(t, bc, bob.actor, bob.commit_value(i, basis),
                                                  choices[i], bob.one_cc_input, position=i)
             if t_i is None:
                 return self._abort("commit-abort", "abort")
             alice.observe_commit(i, bc)
-            if t_i == 1:
-                checked.append(i)
-                if alice.observe_check(i, revealed, opened) == "abort":
-                    return self._abort("check-abort", "abort")
-        if bob.size_abort(len(checked)):
+            if t_i == 0:
+                kept.append(i)
+            elif alice.observe_check(i, revealed, opened) == "abort":
+                return self._abort("check-abort", "abort")
+        checked = n - len(kept)
+        if bob.size_abort(checked):
             return self._abort("size-abort", None)
 
-        kept = [i for i in range(n) if i not in checked]
+        kept = np.array(kept, dtype=np.intp)
         theta_hat_a = np.asarray(alice.announce_bases(kept), dtype=np.uint8)
         t.log(alice.actor, "announce-bases", bases=theta_hat_a)
         i0, i1 = bob.partition(theta_hat_a, theta_b[kept], len(kept))
@@ -740,7 +700,7 @@ class _Execution:
         out = bob.decode(mask, m0, m1, bob.memory["x"][kept], i0, i1)
         t.outputs = {"alice": None, "bob": out}
         t.log(bob.actor, "output", value=out)
-        return len(checked)
+        return checked
 
 
 def _output(t: ExecutionTranscript):
@@ -857,6 +817,8 @@ def run_simulator_demo(
     construction feeding the ideal functionality; reports per-output-category
     agreement of the environment-visible outputs at three sigma.
     """
+    if runs < 1:
+        raise InputError("a demo needs at least one run")
     kwargs = script_kwargs or {}
     if corruption == "sender":
         factory = sender_script(script, **kwargs)

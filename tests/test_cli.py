@@ -292,6 +292,30 @@ def test_negative_seed_is_usage_error(capsys):
     assert main(["uc", "--seed", "-2", "--runs", "4"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["uc", "--demo", "sender"],
+    ["uc", "--demo", "receiver"],
+    ["uc", "--honest-ot"],
+    ["onecc", "--commit-sim"],
+])
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_non_positive_run_count_is_usage_error(argv, runs, capsys):
+    """Zero runs would pass a Monte-Carlo check vacuously: the parser rejects
+    them (exit 2) instead of printing PASS."""
+    assert main(argv + ["--runs", runs]) == 2
+    captured = capsys.readouterr()
+    assert "positive integer" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_game_record_lists_each_bound_check(tmp_path):
+    out_path = tmp_path / "game.json"
+    assert main(["game", "--bell", "--out", str(out_path)]) == 0
+    (chk,) = ExperimentReport.load(str(out_path)).checks
+    assert [set(b) for b in chk.values["bounds"]] == [
+        {"name", "lhs", "rhs", "passed", "expected_violation"}] * 2
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

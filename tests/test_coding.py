@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamebound.coding import (
     LinearCode,
@@ -106,6 +108,54 @@ def test_nearest_coset_rep_brute_force_oracle():
         np.testing.assert_array_equal(syndrome(code, rep), s)
         best = min(int(np.sum((m + ref) % 2)) for m in coset_members(code, s))
         assert int(np.sum((rep + ref) % 2)) == best
+
+
+def _exhaustive_nearest(code, s, ref):
+    """Every syndrome-s string in lexicographic order, the first nearest one
+    to ref, and how many are equally near."""
+    strings = np.array(list(itertools.product((0, 1), repeat=code.n)), dtype=np.uint8)
+    coset = strings[np.all((strings @ code.parity_check.T) % 2 == s, axis=1)]
+    dists = (coset ^ ref).sum(axis=1)
+    return coset[int(np.argmin(dists))], int(np.count_nonzero(dists == dists.min()))
+
+
+def _bits(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda b: np.array(b, dtype=np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nearest_coset_rep_matches_exhaustive_enumeration(data):
+    # Random [n, k] codes with k <= 6: a systematic generator with its columns
+    # permuted; the reference either lies in the coset (distance 0) or not.
+    n = data.draw(st.integers(2, 8))
+    k = data.draw(st.integers(1, min(n, 6)))
+    parity = np.array([data.draw(_bits(n - k)) for _ in range(k)], dtype=np.uint8)
+    columns = data.draw(st.permutations(range(n)))
+    code = LinearCode(np.hstack([np.eye(k, dtype=np.uint8), parity.reshape(k, n - k)])[:, columns])
+    ref = data.draw(_bits(n))
+    s = syndrome(code, ref) if data.draw(st.booleans()) else data.draw(_bits(n - k))
+    best, ties = _exhaustive_nearest(code, s, ref)
+    assert nearest_coset_rep(code, s, ref).tolist() == best.tolist()
+    if np.array_equal(syndrome(code, ref), s):
+        assert ties == 1 and best.tolist() == ref.tolist()
+
+
+def test_nearest_coset_rep_breaks_ties_lexicographically():
+    # Every syndrome and reference of the named codes; rep41's cosets of
+    # weight-2 strings have tied nearest members (rep31 and hamming74 are
+    # perfect, so theirs never tie).
+    tied = 0
+    for name in ("rep31", "rep41", "hamming74"):
+        code = named_code(name)
+        for s in itertools.product((0, 1), repeat=code.n - code.k):
+            for ref in itertools.product((0, 1), repeat=code.n):
+                ref = np.array(ref, dtype=np.uint8)
+                best, ties = _exhaustive_nearest(code, np.array(s, dtype=np.uint8), ref)
+                assert nearest_coset_rep(code, s, ref).tolist() == best.tolist()
+                tied += ties > 1
+    assert tied > 0
 
 
 def test_nearest_coset_rep_tie_is_deterministic():

@@ -306,6 +306,13 @@ def test_simulate_commit_rejects_unknown_script():
         simulate_commit(inst, 2, runs=1)
 
 
+@pytest.mark.parametrize("runs", [0, -5])
+def test_simulate_commit_rejects_non_positive_runs(runs):
+    inst = OneCcInstance(10, 0.2, named_code("rep31"))
+    with pytest.raises(InputError):
+        simulate_commit(inst, 0, runs=runs)
+
+
 def _simulate_commit_loop(instance, bit, runs, seed, script, flagged_positions):
     """Per-run, per-position reference for simulate_commit: one coin per
     checked flagged position, a view dict built for every accepted run."""

@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from gamebound.coding import LinearCode, bits_to_int, syndrome
 from gamebound.errors import InputError
+from gamebound.hashing import XorHashFamily
+from gamebound.onecc import extract_commit_bit
 from gamebound.rand import rng_from_seed
 from gamebound.ucsim import (
     _BORN_P0,
@@ -209,6 +212,55 @@ def test_protocol_commitment_round_trip_and_extraction():
     if bc2.commit(0) == "committed":
         assert bc2.extract() == 0
         assert bc2.open() == 0
+
+
+def test_protocol_commitment_agrees_with_the_extractor():
+    # Over 600 seeds (23 of them abort) the commitment's three draws are
+    # replayed from the same seed: the syndrome of the unchecked bases, the
+    # hash under the drawn member and the extractor run on those bases give
+    # the bit that `extract()` and `open()` return, and the tape ends where
+    # the replay does.
+    aborts = 0
+    for seed in range(600):
+        bit = seed % 2
+        tape, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        bc = ProtocolBitCommitment(tape)
+        outcome = bc.commit(bit)
+        theta = replay.integers(0, 2, size=10).astype(np.uint8)
+        checked = replay.random(10) < 0.2
+        if checked.sum() > 4:
+            aborts += 1
+            assert outcome == "abort"
+            with pytest.raises(InputError):
+                bc.extract()
+            continue
+        theta_rest = theta[~checked]
+        n = theta_rest.size
+        member = int(replay.integers(0, 2**n))
+        code = LinearCode(np.hstack([np.eye(n - 1, dtype=np.uint8), np.ones((n - 1, 1), dtype=np.uint8)]))
+        s = syndrome(code, theta_rest)
+        masked = XorHashFamily(n).evaluate(member, bits_to_int(theta_rest)) ^ bit
+        assert extract_commit_bit(code, member, s, masked, theta_rest) == bit
+        assert bc.extract() == bit
+        assert bc.open() == bit
+        assert tape.random() == replay.random()
+    assert aborts == 23
+
+
+def test_extract_after_an_aborted_commit_is_an_input_error():
+    bc = ProtocolBitCommitment(np.random.default_rng(73))
+    assert bc.commit(1) == "abort"
+    with pytest.raises(InputError):
+        bc.extract()
+    with pytest.raises(InputError):
+        bc.open()
+
+
+@pytest.mark.parametrize("corruption", ["sender", "receiver"])
+@pytest.mark.parametrize("runs", [0, -5])
+def test_demo_rejects_non_positive_runs(corruption, runs):
+    with pytest.raises(InputError):
+        run_simulator_demo(corruption, runs=runs)
 
 
 def test_protocol_commitment_param_validation():
