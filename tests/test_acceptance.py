@@ -5,8 +5,8 @@ import pytest
 from gamebound import acceptance
 
 
-def _run(fn, seed=0):
-    rec = fn(seed=seed)
+def _run(fn, seed0_record):
+    rec = seed0_record(fn)
     status = "PASS" if rec.passed else "FAIL"
     headline = {
         k: v
@@ -18,60 +18,60 @@ def _run(fn, seed=0):
     return rec
 
 
-def test_criterion_01_guessing_constant():
-    rec = _run(acceptance.criterion_01_guessing_constant)
+def test_criterion_01_guessing_constant(seed0_record):
+    rec = _run(acceptance.criterion_01_guessing_constant, seed0_record)
     assert rec.values["error"] <= 1e-9
 
 
-def test_criterion_02_bell_counterexample():
-    rec = _run(acceptance.criterion_02_bell_counterexample)
+def test_criterion_02_bell_counterexample(seed0_record):
+    rec = _run(acceptance.criterion_02_bell_counterexample, seed0_record)
     assert rec.values["checks"]["violation_flagged"]
 
 
-def test_criterion_03_random_games():
-    rec = _run(acceptance.criterion_03_random_games)
+def test_criterion_03_random_games(seed0_record):
+    rec = _run(acceptance.criterion_03_random_games, seed0_record)
     assert rec.values["games"] == 200
 
 
-def test_criterion_04_measurement_domination():
-    rec = _run(acceptance.criterion_04_measurement_domination)
+def test_criterion_04_measurement_domination(seed0_record):
+    rec = _run(acceptance.criterion_04_measurement_domination, seed0_record)
     assert rec.values["states"] == 100
 
 
-def test_criterion_05_norm_lemma():
-    rec = _run(acceptance.criterion_05_norm_lemma)
+def test_criterion_05_norm_lemma(seed0_record):
+    rec = _run(acceptance.criterion_05_norm_lemma, seed0_record)
     assert rec.values["pairs"] == 100
 
 
-def test_criterion_06_cheat_state():
-    rec = _run(acceptance.criterion_06_cheat_state)
+def test_criterion_06_cheat_state(seed0_record):
+    rec = _run(acceptance.criterion_06_cheat_state, seed0_record)
     assert rec.values["instances"] == 50
 
 
-def test_criterion_07_wrong_opening():
-    rec = _run(acceptance.criterion_07_wrong_opening)
+def test_criterion_07_wrong_opening(seed0_record):
+    rec = _run(acceptance.criterion_07_wrong_opening, seed0_record)
     assert rec.values["samples"] == 100
 
 
-def test_criterion_08_ball_binding():
-    rec = _run(acceptance.criterion_08_ball_binding)
+def test_criterion_08_ball_binding(seed0_record):
+    rec = _run(acceptance.criterion_08_ball_binding, seed0_record)
 
 
-def test_criterion_09_privacy_amplification():
-    rec = _run(acceptance.criterion_09_privacy_amplification)
+def test_criterion_09_privacy_amplification(seed0_record):
+    rec = _run(acceptance.criterion_09_privacy_amplification, seed0_record)
     assert rec.values["instances"] == 50
 
 
-def test_criterion_10_commit_tails():
-    rec = _run(acceptance.criterion_10_commit_tails)
+def test_criterion_10_commit_tails(seed0_record):
+    rec = _run(acceptance.criterion_10_commit_tails, seed0_record)
 
 
-def test_criterion_11_uc_demos():
-    rec = _run(acceptance.criterion_11_uc_demos)
+def test_criterion_11_uc_demos(seed0_record):
+    rec = _run(acceptance.criterion_11_uc_demos, seed0_record)
 
 
-def test_criterion_12_storage_reduction():
-    rec = _run(acceptance.criterion_12_storage_reduction)
+def test_criterion_12_storage_reduction(seed0_record):
+    rec = _run(acceptance.criterion_12_storage_reduction, seed0_record)
 
 
 def test_run_all_collects_every_criterion():
