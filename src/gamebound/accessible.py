@@ -202,7 +202,6 @@ def imax_acc_bounds(
     rho_ab: DensityOperator,
     budget: int | None = None,
     seed=0,
-    extra: list[MeasurementDescriptor] | None = None,
 ) -> ImaxEstimate:
     """Certified lower bound (best witness in the searched family) and the
     rank upper bound lg rank(rho_A)."""
@@ -212,8 +211,6 @@ def imax_acc_bounds(
     a_label = rho_ab.shape.labels[0]
     upper = zero_entropy(rho_ab, a_label)
     family = search_measurements(dim_a, budget, rng)
-    if extra:
-        family = family + list(extra)
     best_value = -math.inf
     best = None
     best_sigma: tuple[float, ...] = ()

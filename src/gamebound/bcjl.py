@@ -51,12 +51,6 @@ def _ball(x, delta: float) -> np.ndarray:
     return np.array(hamming_ball_around(x, math.floor(delta * x.size)), dtype=np.uint8)
 
 
-def max_ball_overlap(x, theta, xp, thetap, delta: float) -> float:
-    """max |<z|_theta <z'|_theta'>| over the two balls."""
-    mask = np.asarray(theta, dtype=np.uint8) ^ np.asarray(thetap, dtype=np.uint8)
-    return float(np.max(np.abs(_gram(_ball(x, delta), _ball(xp, delta), mask))))
-
-
 def overlap_bound_check(x, theta, xp, thetap, delta: float, tol: float = 1e-9) -> dict:
     """||V V'|| <= (max single overlap) * sqrt(|ball| * |ball'|).
 
@@ -117,6 +111,8 @@ def na_binding(instance: BcjlInstance, budget: int | None = None, seed=0) -> dic
     `pairs_evaluated` counts pairs, not classes. Same-opening pairs never
     appear because the two openings hash to different bits.
     """
+    if budget is not None and budget < 1:
+        raise InputError("a sampling budget needs at least one pair")
     n = instance.n
     d = instance.code.min_distance()
     bound = 1.0 + 2.0 ** (

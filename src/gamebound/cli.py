@@ -74,13 +74,15 @@ def _game_record(tag: str, res: games.GameResult, started: float) -> CheckRecord
 
 
 def _cmd_game(args) -> int:
+    if (args.state is None) != (args.family is None):
+        raise InputError("--state and --family must be given together")
     games_to_run = []
     if args.bell:
         games_to_run.append(("bell", games.bell_game()))
     for k in range(args.random):
         games_to_run.append((f"random-{k}", games.random_game(
             args.dim_a, args.dim_b, args.tests, seed=(args.seed, k))))
-    if args.state and args.family:
+    if args.state:
         games_to_run.append(("from-files", games.AttackGame(
             load_state(args.state), games.load_family(args.family))))
     checks = []
@@ -282,16 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=seed_int, default=0)
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--budget", type=int, default=None,
-                       help="search budget: sampled opening pairs for bcjl "
-                            "(default: exhaustive), searched measurements for "
-                            f"info (default {DEFAULT_SEARCH_BUDGET})")
         p.add_argument("--out", type=str, default=None,
                        help="write the full JSON report here")
 
+    def tol(p):
+        p.add_argument("--tol", type=float, default=1e-7)
+
+    def budget(p, text):
+        p.add_argument("--budget", type=runs_int, default=None, help=text)
+
     p = sub.add_parser("game", help="attack game values and bound checks")
     common(p)
+    tol(p)
     p.add_argument("--bell", action="store_true")
     p.add_argument("--random", type=int, default=0, metavar="N")
     p.add_argument("--dim-a", type=int, default=2)
@@ -303,15 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binding", help="commitment binding analyses")
     common(p)
+    tol(p)
     p.add_argument("--scheme", type=str, required=True, help="scheme JSON")
     p.add_argument("--state", type=str, default=None, help="attack state JSON")
     p.add_argument("--mode", type=str, default="povm-relaxation")
     p.add_argument("--storage-q", type=int, default=None, metavar="Q")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=runs_int, default=3)
     p.set_defaults(func=_cmd_binding)
 
     p = sub.add_parser("onecc", help="commit-from-choice protocol checks")
     common(p)
+    tol(p)
     p.add_argument("--guessing", action="store_true")
     p.add_argument("--commit-sim", action="store_true")
     p.add_argument("--big-n", type=int, default=40)
@@ -321,11 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wrong-opening", action="store_true")
     p.add_argument("--code", type=str, default="rep31")
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=runs_int, default=10)
     p.set_defaults(func=_cmd_onecc)
 
     p = sub.add_parser("bcjl", help="ball-verifier commitment checks")
     common(p)
+    budget(p, "sampled opening pairs (default: exhaustive)")
     p.add_argument("--code", type=str, default="rep31")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta", type=float, default=0.0)
@@ -347,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="accessible-information bounds")
     common(p)
+    tol(p)
+    budget(p, f"searched measurements (default {DEFAULT_SEARCH_BUDGET})")
     p.add_argument("--state", type=str, required=True, help="joint state JSON")
     p.set_defaults(func=_cmd_info)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SOLVER_TOL
-from .discrimination import DiscriminationInstance, optimal_discrimination
+from .discrimination import optimal_discrimination, score_operators
 from .errors import InputError
 from .linalg import (
     check_psd,
@@ -98,15 +98,6 @@ class BindingReport:
     mode: str
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "p1": self.p1,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "details": self.details,
-        }
-
 
 def na_binding(scheme: ProjectiveCommitmentScheme, rho_b: DensityOperator) -> BindingReport:
     """Best fixed openings for a committer with no side register."""
@@ -131,18 +122,6 @@ def scheme_epsilon_na(scheme: ProjectiveCommitmentScheme) -> float:
     return max(0.0, best - 1.0)
 
 
-def _score_operators(
-    scheme: ProjectiveCommitmentScheme, rho_ab: DensityOperator, bit: int
-) -> DiscriminationInstance:
-    """K_y = Tr_B[(I (x) V_y) rho] for every opening of `bit`, in one einsum."""
-    dim_a, dim_b = rho_ab.shape.dims
-    if dim_b != scheme.dim_b:
-        raise InputError("state B dimension does not match the scheme")
-    vs = np.stack([v for _, v in scheme.openings(bit)])
-    t = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    return DiscriminationInstance(tuple(hermitize(np.einsum("yxz,sztx->yst", vs, t))))
-
-
 def adaptive_binding(
     scheme: ProjectiveCommitmentScheme,
     rho_ab: DensityOperator,
@@ -150,11 +129,14 @@ def adaptive_binding(
     tol: float = SOLVER_TOL,
 ) -> BindingReport:
     """Adaptive opening probabilities for a committer holding register A."""
+    if rho_ab.shape.dims[1:] != (scheme.dim_b,):
+        raise InputError("attack state must be on registers (A, B), B of the scheme's dimension")
     if mode == "povm-relaxation":
         values = {}
         certs = {}
         for bit in (0, 1):
-            cert = optimal_discrimination(_score_operators(scheme, rho_ab, bit), tol=tol)
+            ops = score_operators(rho_ab, [v for _, v in scheme.openings(bit)])
+            cert = optimal_discrimination(ops, tol=tol)
             values[bit] = cert.primal_value
             certs[bit] = cert.to_dict()
         eps = max(0.0, values[0] + values[1] - 1.0)
@@ -189,7 +171,7 @@ def _qubit_optimum(
     on I - P scores tr K_y' + tr P (K_y - K_y'), whose maximum over P is
     tr K_y' + lambda_max(K_y - K_y').
     """
-    ops = _score_operators(scheme, rho_ab, bit).stack
+    ops = score_operators(rho_ab, [v for _, v in scheme.openings(bit)]).stack
     traces = np.real(np.trace(ops, axis1=1, axis2=2))
     i, j = np.nonzero(~np.eye(len(ops), dtype=bool))
     tops = np.linalg.eigvalsh(ops[i] - ops[j])[:, -1]
@@ -248,6 +230,8 @@ def storage_reduction_check(
     """
     if q < 0:
         raise InputError("q must be >= 0")
+    if trials < 1:
+        raise InputError("a storage-reduction check needs at least one trial")
     rng = rng_from_seed(seed)
     eps_na = scheme_epsilon_na(scheme)
     bound = (2.0 ** (q / 2.0)) * math.sqrt(eps_na)

@@ -106,6 +106,16 @@ class DiscriminationInstance:
         return len(self.operators)
 
 
+def score_operators(rho: DensityOperator, effects) -> DiscriminationInstance:
+    """K_j = Tr_B[(I (x) E_j) rho] for the effects E_j on B, the last register
+    of rho, in one einsum."""
+    effects = np.asarray(effects)
+    dim_b = effects.shape[-1]
+    dim_s = rho.dim // dim_b
+    t = rho.matrix.reshape(dim_s, dim_b, dim_s, dim_b)
+    return DiscriminationInstance(tuple(np.einsum("jxy,sytx->jst", effects, t)))
+
+
 @dataclass(frozen=True)
 class SolverCertificate:
     primal_value: float
@@ -222,14 +232,12 @@ def _feasible_step(y: np.ndarray, step: np.ndarray, ops: np.ndarray):
 
 
 def optimal_discrimination(
-    instance: DiscriminationInstance,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
+    instance: DiscriminationInstance, tol: float = SOLVER_TOL
 ) -> SolverCertificate:
     """Solve the discrimination problem with a two-sided certificate.
 
-    Stops once dual - primal <= tol; max_iter caps the Newton steps. The
-    certificate is valid either way, since both sides are feasible by
+    Stops once dual - primal <= tol; SOLVER_MAX_ITER caps the Newton steps.
+    The certificate is valid either way, since both sides are feasible by
     construction.
     """
     n, d = len(instance), instance.dim
@@ -242,12 +250,10 @@ def optimal_discrimination(
         cert = _certificate(instance, helstrom, None, 0, tol)
         if cert.converged:
             return cert
-    return _barrier_path(instance, tol, max_iter)
+    return _barrier_path(instance, tol)
 
 
-def _barrier_path(
-    instance: DiscriminationInstance, tol: float, max_iter: int
-) -> SolverCertificate:
+def _barrier_path(instance: DiscriminationInstance, tol: float) -> SolverCertificate:
     """The best certificate met on the central path, which starts from the
     uniform POVM's certificate and returns it at once when it suffices."""
     ops = instance.stack
@@ -261,7 +267,7 @@ def _barrier_path(
     mu = best.gap / (n * d)
     chol = _cholesky(y - ops)
     steps, last_gap, stalls = 0, np.inf, 0
-    while steps < max_iter and chol is not None:
+    while steps < SOLVER_MAX_ITER and chol is not None:
         steps += 1
         s_inv = _inverses(chol)
         grad = eye / mu - s_inv.sum(axis=0)
@@ -325,20 +331,16 @@ class CqState:
         )
 
 
-def guessing_probability(
-    cq: CqState, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER
-) -> SolverCertificate:
+def guessing_probability(cq: CqState, tol: float = SOLVER_TOL) -> SolverCertificate:
     """Best probability of guessing x from the B register, with certificate."""
-    return optimal_discrimination(cq.score_operators(), tol=tol, max_iter=max_iter)
+    return optimal_discrimination(cq.score_operators(), tol=tol)
 
 
-def hmin_cq(
-    cq: CqState, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER
-) -> tuple[float, SolverCertificate]:
+def hmin_cq(cq: CqState, tol: float = SOLVER_TOL) -> tuple[float, SolverCertificate]:
     """Conditional min-entropy of the classical symbol given B: -lg p_guess.
 
     Returns (-lg primal, certificate); the certificate's dual gives the
     certified other side (-lg dual <= true value <= -lg primal).
     """
-    cert = guessing_probability(cq, tol=tol, max_iter=max_iter)
+    cert = guessing_probability(cq, tol=tol)
     return -float(np.log2(cert.primal_value)), cert

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_MAX_OPERATORS, SOLVER_MAX_ITER, SOLVER_TOL
-from .discrimination import DiscriminationInstance, SolverCertificate, optimal_discrimination
+from .config import DEFAULT_MAX_OPERATORS, SOLVER_TOL
+from .discrimination import SolverCertificate, optimal_discrimination, score_operators
 from .errors import InputError
 from .linalg import (
     check_psd,
@@ -109,15 +109,6 @@ class BoundCheck:
     passed: bool
     expected_violation: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-            "expected_violation": self.expected_violation,
-        }
-
 
 @dataclass(frozen=True)
 class GameResult:
@@ -133,26 +124,6 @@ class GameResult:
     def ok(self) -> bool:
         return all(c.passed or c.expected_violation for c in self.bound_checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "non_adaptive": self.non_adaptive,
-            "semi_adaptive": self.semi_adaptive,
-            "adaptive": self.adaptive,
-            "zero_entropy_a": self.zero_entropy_a,
-            "adaptive_certificate": self.adaptive_cert.to_dict(),
-            "semi_certificate": self.semi_cert.to_dict(),
-            "bound_checks": [c.to_dict() for c in self.bound_checks],
-            "ok": self.ok,
-        }
-
-
-def _score_operators(rho: DensityOperator, family: BinaryPovmFamily) -> DiscriminationInstance:
-    """K_j = Tr_B[(I (x) E1_j) rho] on every register but B, which is last."""
-    dim_b = rho.shape.dim_of(B_LABEL)
-    dim_s = rho.dim // dim_b
-    t = rho.matrix.reshape(dim_s, dim_b, dim_s, dim_b)
-    return DiscriminationInstance(tuple(np.einsum("jxy,sytx->jst", family.effects, t)))
-
 
 def non_adaptive_success(game: AttackGame) -> float:
     rho_b = partial_trace(game.state, (B_LABEL,))
@@ -161,21 +132,15 @@ def non_adaptive_success(game: AttackGame) -> float:
     )
 
 
-def adaptive_success(
-    game: AttackGame, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER
-) -> SolverCertificate:
+def adaptive_success(game: AttackGame, tol: float = SOLVER_TOL) -> SolverCertificate:
     """Optimal joint (A, A') measure-then-choose success, with certificate."""
-    instance = _score_operators(game.state, game.family)
-    return optimal_discrimination(instance, tol=tol, max_iter=max_iter)
+    return optimal_discrimination(score_operators(game.state, game.family.effects), tol=tol)
 
 
-def semi_adaptive_success(
-    game: AttackGame, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER
-) -> SolverCertificate:
+def semi_adaptive_success(game: AttackGame, tol: float = SOLVER_TOL) -> SolverCertificate:
     """Same, with only A' available to the attacker."""
     reduced = partial_trace(game.state, (APRIME_LABEL, B_LABEL))
-    instance = _score_operators(reduced, game.family)
-    return optimal_discrimination(instance, tol=tol, max_iter=max_iter)
+    return optimal_discrimination(score_operators(reduced, game.family.effects), tol=tol)
 
 
 def aprime_is_classical(game: AttackGame, tol: float = 1e-10) -> bool:

@@ -1,5 +1,5 @@
 """Commitment from one-out-of-two bit commitment channels: conjugate-coding
-states, the basis-guessing accounting behind hiding, small-support adversary
+states, the basis-guessing value behind hiding, small-support adversary
 states behind binding, and a classical round-by-round simulator.
 
 Encoding convention: basis bit 0 is computational, basis bit 1 is diagonal,
@@ -71,44 +71,6 @@ def single_position_guessing(tol: float = 1e-12) -> SolverCertificate:
         (density_from_matrix(shape, zero), density_from_matrix(shape, plus)),
     )
     return guessing_probability(cq, tol=tol)
-
-
-def multi_position_guessing(n: int, tol: float = 1e-9) -> SolverCertificate:
-    """Joint guess of n basis bits from n encoded qubits (n <= 3)."""
-    if n < 1 or n > 3:
-        raise InputError("joint guessing check supports 1 <= n <= 3")
-    symbols = []
-    conds = []
-    shape = RegisterShape((("B", 2**n),))
-    for t in range(2**n):
-        theta = np.array([(t >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-        vec = encoded_vector(np.zeros(n, dtype=np.uint8), theta)
-        symbols.append(t)
-        conds.append(density_from_matrix(shape, np.outer(vec, vec.conj())))
-    cq = CqState(tuple(symbols), tuple([1.0 / 2**n] * 2**n), tuple(conds))
-    return guessing_probability(cq, tol=tol)
-
-
-def basis_guessing_analysis(big_n: int, q: float, rate: float) -> dict:
-    """Hiding-side accounting: per-position guessing value gamma, the
-    min-entropy rate after checking and syndrome disclosure, and the distance
-    bound 2^{-(1/2) N (lg(1/gamma) - 2q - (1 - rate))}."""
-    if big_n < 1:
-        raise InputError("N must be positive")
-    if not 0.0 <= q <= 1.0:
-        raise InputError("q must be a probability")
-    if not 0.0 < rate <= 1.0:
-        raise InputError("rate must be in (0, 1]")
-    gamma = single_position_guessing().primal_value
-    hmin_lower = big_n * (math.log2(1.0 / gamma) - 2.0 * q)
-    exponent = math.log2(1.0 / gamma) - 2.0 * q - (1.0 - rate)
-    hiding_bound = 2.0 ** (-0.5 * big_n * exponent)
-    return {
-        "gamma": gamma,
-        "hmin_lower": hmin_lower,
-        "hiding_bound": hiding_bound,
-        "vacuous": hiding_bound >= 1.0,
-    }
 
 
 def _gram(ball0: np.ndarray, ball1: np.ndarray, masks: np.ndarray) -> np.ndarray:

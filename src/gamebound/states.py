@@ -66,14 +66,6 @@ def partial_trace(rho: DensityOperator, keep: tuple[str, ...]) -> DensityOperato
     return DensityOperator(new_shape, hermitize(reduced))
 
 
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2)||rho - sigma||_1 via the eigenvalues of the difference."""
-    if rho.shape.dims != sigma.shape.dims:
-        raise InputError("trace distance requires matching dimensions")
-    vals, _ = eig_hermitian(rho.matrix - sigma.matrix, tol=1e-9)
-    return float(np.sum(np.abs(vals)) / 2.0)
-
-
 def zero_entropy(rho: DensityOperator, label: str, rank_tol: float = RANK_TOL) -> float:
     """lg rank of the reduced state on `label`.
 

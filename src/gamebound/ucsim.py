@@ -3,15 +3,14 @@ transfer), the protocols built on them, and the simulator constructions run
 as seeded programs against scripted adversaries.
 
 One engine (`_Execution`) runs the transfer's message flow over a sender
-program and a receiver program; each position is one 2CC' step (commit,
-1CC, then open), which the stand-alone two-bit cut-and-choose protocol runs
-once. The simulators are party programs that also call the ideal transfer:
-a rushing receiver against a corrupted sender, an extracting sender against
-a corrupted receiver. Lane 0 of a run's seed drives Born-rule measurement,
-the commitments and the rushing receiver, lane 1 the sender, lane 2 the
-receiver, so real and simulated runs abort on the same seeds. The tapes are
-seeded from one seed-word array, and each batch of draws (bases, outcomes, 1CC
-choices) is one call that consumes the tape as per-position draws would.
+program and a receiver program; each position is one 2CC' step (commit, 1CC,
+then open). The simulators are party programs that also call the ideal
+transfer: a rushing receiver against a corrupted sender, an extracting sender
+against a corrupted receiver. Lane 0 of a run's seed drives Born-rule
+measurement, the commitments and the rushing receiver, lane 1 the sender, lane
+2 the receiver, so real and simulated runs abort on the same seeds. The tapes
+are seeded from one seed-word array, and each batch of draws (bases, outcomes,
+1CC choices) is one call that consumes the tape as per-position draws would.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -21,7 +20,6 @@ seeded runs, not proven.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,6 +31,9 @@ from .onecc import encoded_vector
 
 MAX_POSITIONS = 10
 MAX_STRING_BITS = 8
+# Qubits and check probability of each conjugate-coding commitment.
+COMMIT_QUBITS = 10
+COMMIT_CHECK_PROB = 0.2
 
 
 def _stream(seed, lane: int):
@@ -135,20 +136,6 @@ def one_cc_table() -> list[dict]:
     return rows
 
 
-def ideal_two_cc_prime(s0: int, s1: int, c: int, sender_decision: str = "continue") -> dict:
-    """Cut-and-choose over two bits with a sender abort branch after seeing c."""
-    for b in (s0, s1, c):
-        if b not in (0, 1):
-            raise InputError("functionality inputs must be bits")
-    if c == 0:
-        return {"sender_learns": 0, "receiver_receives": None}
-    if sender_decision == "continue":
-        return {"sender_learns": 1, "receiver_receives": (s0, s1)}
-    if sender_decision == "abort":
-        return {"sender_learns": 1, "receiver_receives": "abort"}
-    raise InputError("sender decision must be 'continue' or 'abort'")
-
-
 def ideal_ot(strings: tuple, c: int):
     if c not in (0, 1):
         raise InputError("choice must be a bit")
@@ -158,7 +145,6 @@ def ideal_ot(strings: tuple, c: int):
 class IdealBitCommitment:
     """Commit/open state machine; the backing simulator can read the bit."""
 
-    backend = "ideal"
     _bit = None
     _state = "empty"
 
@@ -180,10 +166,6 @@ class IdealBitCommitment:
         self._state = "opened"
         return self._bit
 
-    def refuse(self) -> str:
-        self._state = "refused"
-        return "abort"
-
     def extract(self) -> int:
         if self._bit is None:
             raise InputError("nothing committed yet")
@@ -203,113 +185,46 @@ class ProtocolBitCommitment(IdealBitCommitment):
     opening and extraction are the ideal commitment's.
     """
 
-    backend = "protocol"
-
-    def __init__(self, rng: np.random.Generator, n_qubits: int = 10, check_prob: float = 0.2):
-        if not 6 <= n_qubits <= 20:
-            raise InputError("protocol commitment supports 6..20 qubits")
-        if not 0.0 < check_prob <= 0.5:
-            raise InputError("check probability must be in (0, 1/2]")
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._n_qubits = n_qubits
-        self._check_prob = check_prob
 
     def commit(self, bit: int) -> str:
         self._accept(bit)
-        big_n = self._n_qubits
-        self._rng.integers(0, 2, size=big_n)  # the bases theta
-        n_checked = int((self._rng.random(big_n) < self._check_prob).sum())
+        self._rng.integers(0, 2, size=COMMIT_QUBITS)  # the bases theta
+        n_checked = int((self._rng.random(COMMIT_QUBITS) < COMMIT_CHECK_PROB).sum())
         # honest committer: every checked position measures to 0, no mismatch
-        if n_checked > 2.0 * self._check_prob * big_n:
+        if n_checked > 2.0 * COMMIT_CHECK_PROB * COMMIT_QUBITS:
             self._state = "aborted"
             return "abort"
-        self._rng.integers(0, 2**(big_n - n_checked))  # the hash member
+        self._rng.integers(0, 2**(COMMIT_QUBITS - n_checked))  # the hash member
         return super().commit(bit)
 
 
-def _commitment_factory(backend: str, params: dict | None):
-    """The maker of one fresh commitment on a given tape; the backend is
-    chosen and its params read once per run."""
-    if backend == "ideal":
-        return lambda _rng: IdealBitCommitment()
-    if backend == "protocol":
-        params = params or {}
-        return functools.partial(ProtocolBitCommitment,
-                                 n_qubits=int(params.get("n_qubits", 10)),
-                                 check_prob=float(params.get("check_prob", 0.2)))
-    raise InputError("commitment backend must be 'ideal' or 'protocol'")
+# The maker of one fresh commitment on a run's lane-0 tape, per backend.
+COMMITMENTS = {"ideal": lambda _rng: IdealBitCommitment(), "protocol": ProtocolBitCommitment}
 
 
 # ---------------------------------------------------------------------------
 # two-bit cut-and-choose from commitment + one-bit cut-and-choose
 
 
-def _two_cc_step(t, bc, committer: str, s0: int, c: int, s1_for, *, position=None, refuse=False):
-    """One 2CC' step: `committer` commits s0, the 1CC passes s1_for(position,
-    c) under the choice c, and on c = 1 the commitment is opened, or refused.
-    Returns (c, revealed s1, opened s0): c is None when the commitment aborts,
-    and opened is None for c = 0 and "abort" for a refused or failed opening.
-    A transfer run tags the events of each step with its position; a
-    stand-alone run has one step and no tag.
+def _two_cc_step(t, bc, committer: str, s0: int, c: int, s1_for, position: int):
+    """One 2CC' step at a transfer position: `committer` commits s0, the 1CC
+    passes s1_for(position, c) under the choice c, and on c = 1 the
+    commitment is opened. Returns (c, revealed s1, opened s0): c is None when
+    the commitment aborts, and opened is None for c = 0.
     """
     status = bc.commit(s0)
-    if position is None:
-        t.log(committer, "bc-commit", status=status, backend=bc.backend)
-    else:
-        t.log(committer, "bc-commit", position=position, status=status)
+    t.log(committer, "bc-commit", position=position, status=status)
     if status == "abort":
         return None, None, None
     revealed = ideal_one_cc(sender_bit=s1_for(position, c), chooser_bit=c)["chooser_receives"]
-    if position is None:
-        t.log("functionality", "one-cc", sender_learns=c, chooser_receives=revealed)
-    else:
-        t.log("functionality", "one-cc", position=position, chooser_bit=c, revealed=revealed)
+    t.log("functionality", "one-cc", position=position, chooser_bit=c, revealed=revealed)
     if c == 0:
         return c, revealed, None
-    at = {} if position is None else {"position": position}
-    if refuse:
-        t.log(committer, "bc-refuse", **at)
-        return c, revealed, bc.refuse()
     opened = bc.open()
-    t.log(committer, "bc-open", value=opened, **at)
+    t.log(committer, "bc-open", value=opened, position=position)
     return c, revealed, opened
-
-
-def run_2cc_protocol(
-    s0: int,
-    s1: int,
-    c: int,
-    *,
-    seed=0,
-    refuse_open: bool = False,
-    bc_backend: str = "ideal",
-    commit_params: dict | None = None,
-) -> ExecutionTranscript:
-    """Sender commits the first bit, routes the second through the choice
-    functionality, opens only when asked; the receiver learns both bits or
-    nothing, with an explicit abort branch when the opening is refused.
-    """
-    for b in (s0, s1, c):
-        if b not in (0, 1):
-            raise InputError("protocol inputs must be bits")
-    t = ExecutionTranscript(seed=_stream(seed, 0))
-    bc = _commitment_factory(bc_backend, commit_params)(_tape(_seed_words(seed), 0))
-    choice, revealed, opened = _two_cc_step(
-        t, bc, "alice", s0, c, lambda _i, _c: s1, refuse=refuse_open)
-    if choice is None:
-        t.aborted = True
-        t.outputs = {"alice": None, "bob": "abort"}
-        t.meta["reason"] = "commit-abort"
-    elif choice == 0:
-        t.outputs = {"alice": 0, "bob": None}
-        t.log("bob", "output", value=None)
-    elif opened == "abort":
-        t.aborted = True
-        t.outputs = {"alice": 1, "bob": "abort"}
-    else:
-        t.outputs = {"alice": 1, "bob": (int(opened), int(revealed))}
-        t.log("bob", "output", value=t.outputs["bob"])
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +301,7 @@ class SenderProgram:
     def observe_commit(self, i: int, bc) -> None:
         """A real sender learns only that position i is committed."""
 
-    def observe_check(self, i: int, revealed_x: int, opened_basis) -> str | None:
-        if opened_basis == "abort":
-            return "abort"
+    def observe_check(self, i: int, revealed_x: int, opened_basis: int) -> str | None:
         if opened_basis == self.memory["theta"][i] and revealed_x != self.memory["x"][i]:
             return "abort"
         return None
@@ -405,23 +318,15 @@ class SenderProgram:
 
 
 class FixedStateSender(SenderProgram):
-    """Prepares a fixed, announced configuration instead of a random one."""
+    """Prepares the fixed configuration x = 0...0 in alternating bases
+    0, 1, 0, ... instead of a random one."""
 
     name = "fixed-state"
 
-    def __init__(self, rng, n, strings, x=None, theta=None):
-        super().__init__(rng, n, strings)
-        self._x = np.zeros(n, dtype=np.uint8) if x is None else np.asarray(x, dtype=np.uint8)
-        self._theta = (
-            np.arange(n, dtype=np.uint8) % 2 if theta is None else np.asarray(theta, dtype=np.uint8)
-        )
-        if self._x.size != n or self._theta.size != n:
-            raise InputError("fixed configuration must cover every position")
-
     def prepare(self) -> np.ndarray:
-        self.memory["x"] = self._x
-        self.memory["theta"] = self._theta
-        return 2 * self._x + self._theta
+        x = self.memory["x"] = np.zeros(self.n, dtype=np.uint8)
+        theta = self.memory["theta"] = np.arange(self.n, dtype=np.uint8) % 2
+        return 2 * x + theta
 
 
 class RandomAnnounceSender(SenderProgram):
@@ -524,18 +429,16 @@ RECEIVER_SCRIPTS = {
 }
 
 
-def sender_script(name: str, **kwargs):
+def sender_script(name: str) -> type[SenderProgram]:
     if name not in SENDER_SCRIPTS:
         raise InputError(f"unknown sender script '{name}'")
-    cls = SENDER_SCRIPTS[name]
-    return lambda rng, n, strings: cls(rng, n, strings, **kwargs)
+    return SENDER_SCRIPTS[name]
 
 
-def receiver_script(name: str, **kwargs):
+def receiver_script(name: str) -> type[ReceiverProgram]:
     if name not in RECEIVER_SCRIPTS:
         raise InputError(f"unknown receiver script '{name}'")
-    cls = RECEIVER_SCRIPTS[name]
-    return lambda rng, n, choice: cls(rng, n, choice, **kwargs)
+    return RECEIVER_SCRIPTS[name]
 
 
 def _as_string(bits) -> tuple:
@@ -644,7 +547,7 @@ class _Execution:
     program and fills in the transcript.
     """
 
-    def __init__(self, s0, s1, c, n: int, seed, bc_backend="ideal", commit_params=None):
+    def __init__(self, s0, s1, c, n: int, seed, bc_backend="ideal"):
         self.strings = (_as_string(s0), _as_string(s1))
         if len(self.strings[0]) != len(self.strings[1]):
             raise InputError("the two strings must have equal length")
@@ -654,7 +557,9 @@ class _Execution:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
         self.t = ExecutionTranscript(seed=_stream(seed, 0))
         self.n, self.words = n, _seed_words(self.t.seed[:-1])
-        self.new_commitment = _commitment_factory(bc_backend, commit_params)
+        if bc_backend not in COMMITMENTS:
+            raise InputError("commitment backend must be 'ideal' or 'protocol'")
+        self.new_commitment = COMMITMENTS[bc_backend]
         self.rng = _tape(self.words, 0)
 
     def _abort(self, reason: str, alice_output) -> None:
@@ -678,7 +583,7 @@ class _Execution:
         for i, basis in enumerate(theta_b.tolist()):
             bc = self.new_commitment(self.rng)
             t_i, revealed, opened = _two_cc_step(t, bc, bob.actor, bob.commit_value(i, basis),
-                                                 choices[i], bob.one_cc_input, position=i)
+                                                 choices[i], bob.one_cc_input, i)
             if t_i is None:
                 return self._abort("commit-abort", "abort")
             alice.observe_commit(i, bc)
@@ -717,10 +622,9 @@ def run_ot_protocol(
     receiver=None,
     seed=0,
     bc_backend: str = "ideal",
-    commit_params: dict | None = None,
 ) -> ExecutionTranscript:
     """One seeded execution; scripted parties replace the honest programs."""
-    run = _Execution(s0, s1, c, n, seed, bc_backend, commit_params)
+    run = _Execution(s0, s1, c, n, seed, bc_backend)
     alice = (sender or SenderProgram)(_tape(run.words, 1), n, run.strings)
     bob = (receiver or ReceiverProgram)(_tape(run.words, 2), n, c)
     checked = run.play(alice, bob)
@@ -751,7 +655,6 @@ def simulate_corrupted_receiver(
     choice: int = 0,
     seed=0,
     bc_backend: str = "protocol",
-    commit_params: dict | None = None,
 ) -> dict:
     """Runs the scripted receiver against the extracting sender, which
     simulates the honest sender, extracts the committed bases from the
@@ -759,7 +662,7 @@ def simulate_corrupted_receiver(
     partition, and completes the run with the ideal transfer's answer for
     that choice.
     """
-    run = _Execution(s0, s1, choice, n, seed, bc_backend, commit_params)
+    run = _Execution(s0, s1, choice, n, seed, bc_backend)
     alice = _ExtractingSender(_tape(run.words, 1), n, run.strings, run.t)
     bob = script(_tape(run.words, 2), n, choice)
     run.play(alice, bob)
@@ -809,31 +712,26 @@ def run_simulator_demo(
     s0=(0,),
     s1=(1,),
     c: int = 0,
-    script_kwargs: dict | None = None,
-    bc_backend: str | None = None,
-    commit_params: dict | None = None,
 ) -> dict:
     """Real executions against the scripted adversary versus the simulator
     construction feeding the ideal functionality; reports per-output-category
-    agreement of the environment-visible outputs at three sigma.
+    agreement of the environment-visible outputs at three sigma. Receiver
+    demos run the protocol commitment.
     """
     if runs < 1:
         raise InputError("a demo needs at least one run")
-    kwargs = script_kwargs or {}
     if corruption == "sender":
-        factory = sender_script(script, **kwargs)
-        real_args = {"sender": factory}
+        program = sender_script(script)
+        real_args = {"sender": program}
 
         def simulate(run_seed):
-            return simulate_corrupted_sender(factory, c, n, (s0, s1), seed=run_seed)
+            return simulate_corrupted_sender(program, c, n, (s0, s1), seed=run_seed)
     elif corruption == "receiver":
-        factory = receiver_script(script, **kwargs)
-        backend = {"bc_backend": bc_backend or "protocol", "commit_params": commit_params}
-        real_args = {"receiver": factory, **backend}
+        program = receiver_script(script)
+        real_args = {"receiver": program, "bc_backend": "protocol"}
 
         def simulate(run_seed):
-            return simulate_corrupted_receiver(
-                factory, s0, s1, n, choice=c, seed=run_seed, **backend)
+            return simulate_corrupted_receiver(program, s0, s1, n, choice=c, seed=run_seed)
     else:
         raise InputError("corruption must be 'sender' or 'receiver'")
     real_counts: Counter = Counter()

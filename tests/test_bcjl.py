@@ -9,7 +9,6 @@ from gamebound.bcjl import (
     BcjlInstance,
     ball_verifier,
     hiding_distance_exact,
-    max_ball_overlap,
     na_binding,
     overlap_bound_check,
     sampling_equivalence_mc,
@@ -36,7 +35,6 @@ def test_orthogonal_verifiers_same_basis():
     x = np.zeros(3, dtype=np.uint8)
     xp = np.ones(3, dtype=np.uint8)
     theta = np.zeros(3, dtype=np.uint8)
-    assert max_ball_overlap(x, theta, xp, theta, 0.0) == 0.0
     check = overlap_bound_check(x, theta, xp, theta, 0.0)
     assert check["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert check["pass"]
@@ -47,10 +45,10 @@ def test_overlap_equality_fully_conjugate_bases():
     xp = np.ones(3, dtype=np.uint8)
     theta = np.zeros(3, dtype=np.uint8)
     thetap = np.ones(3, dtype=np.uint8)
-    got = max_ball_overlap(x, theta, xp, thetap, 0.0)
-    assert got == pytest.approx(2.0 ** (-1.5), abs=1e-12)
     check = overlap_bound_check(x, theta, xp, thetap, 0.0)
-    # rank-one verifiers make the norm bound an equality
+    # rank-one verifiers: the norm is the one overlap |<000|_0 |111>_1|, and
+    # the norm bound is an equality
+    assert check["lhs"] == pytest.approx(2.0 ** (-1.5), abs=1e-12)
     assert check["lhs"] == pytest.approx(check["rhs"], abs=1e-12)
 
 

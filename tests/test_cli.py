@@ -12,6 +12,7 @@ import pytest
 import gamebound
 from gamebound.cli import main
 from gamebound.commitments import ProjectiveCommitmentScheme, save_scheme
+from gamebound.errors import InputError
 from gamebound.games import bell_game, save_family
 from gamebound.registers import shape
 from gamebound.report import ExperimentReport
@@ -347,3 +348,68 @@ def test_three_dimensional_block_is_input_error(tmp_path, capsys):
     set_entry(scheme_path, ("openings", "0", 0, "im"), [np.zeros((2, 2)).tolist()] * 2)
     assert main(["binding", "--scheme", str(scheme_path)]) == 2
     assert capsys.readouterr().err.count("must be 2-d") == 2
+
+
+def _scheme_file(tmp_path):
+    scheme_path = tmp_path / "scheme.json"
+    save_scheme(basis_reveal_scheme(), str(scheme_path))
+    return str(scheme_path)
+
+
+BCJL_HAMMING74 = ["bcjl", "--code", "hamming74", "--delta", "0.142857", "--hash-member", "5",
+                  "--syndrome", "0,1,0", "--masked-bit", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["onecc", "--wrong-opening", "--samples", "0"],
+    ["onecc", "--wrong-opening", "--samples", "-4"],
+    ["binding", "--scheme", "SCHEME", "--storage-q", "1", "--trials", "0"],
+    ["binding", "--scheme", "SCHEME", "--storage-q", "1", "--trials", "-2"],
+    BCJL_HAMMING74 + ["--budget", "0"],
+    BCJL_HAMMING74 + ["--budget", "-3"],
+])
+def test_non_positive_count_is_usage_error(argv, tmp_path, capsys):
+    """Zero or negative samples, trials or pairs would pass vacuously: the
+    parser rejects them (exit 2) instead of printing PASS."""
+    argv = [_scheme_file(tmp_path) if a == "SCHEME" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "positive integer" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_library_rejects_non_positive_counts():
+    from gamebound import bcjl, coding, commitments
+
+    instance = bcjl.BcjlInstance(code=coding.named_code("hamming74"), delta=1.0 / 7.0,
+                                 hash_member=5, syndrome_bits=(0, 1, 0), masked_bit=1)
+    for budget in (0, -3):
+        with pytest.raises(InputError):
+            bcjl.na_binding(instance, budget=budget)
+    for trials in (0, -2):
+        with pytest.raises(InputError):
+            commitments.storage_reduction_check(basis_reveal_scheme(), q=1, trials=trials)
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "--bell", "--budget", "3"],
+    ["binding", "--scheme", "SCHEME", "--budget", "3"],
+    ["onecc", "--guessing", "--budget", "3"],
+    ["bcjl", "--tol", "1"],
+    ["uc", "--table", "--tol", "1"],
+    ["uc", "--table", "--budget", "5"],
+    ["verify-all", "--only", "1", "--tol", "5"],
+    ["verify-all", "--only", "1", "--budget", "3"],
+])
+def test_flag_a_subcommand_does_not_read_is_usage_error(argv, tmp_path, capsys):
+    argv = [_scheme_file(tmp_path) if a == "SCHEME" else a for a in argv]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_state_without_family_is_usage_error(tmp_path, capsys):
+    state_path, family_path = bell_files(tmp_path)
+    assert main(["game", "--bell", "--state", str(state_path)]) == 2
+    assert main(["game", "--bell", "--family", str(family_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("--state and --family must be given together") == 2

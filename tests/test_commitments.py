@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gamebound.commitments import (
     ProjectiveCommitmentScheme,
     _qubit_optimum,
-    _score_operators,
     adaptive_binding,
     cheat_state,
     load_scheme,
@@ -18,6 +17,7 @@ from gamebound.commitments import (
     scheme_to_dict,
     storage_reduction_check,
 )
+from gamebound.discrimination import score_operators
 from gamebound.errors import InputError
 from gamebound.linalg import partial_trace_matrix
 from gamebound.rand import random_projector, random_pure_vector, rng_from_seed
@@ -50,6 +50,17 @@ def test_scheme_validation():
         ProjectiveCommitmentScheme((("a", Z0), ("a", Z1)), (("c", PLUS),))
     with pytest.raises(InputError):
         ProjectiveCommitmentScheme((("a", np.diag([1.0, 0.5])),), (("c", PLUS),))
+
+
+@pytest.mark.parametrize("mode", ["povm-relaxation", "projective-bruteforce"])
+def test_attack_state_must_be_a_and_b_of_the_schemes_dimension(mode):
+    # a third register would be read as part of A, which the qubit closed form
+    # does not cover; a B of the wrong size does not fit the projectors
+    three = density_from_matrix(shape(("A", 2), ("A2", 2), ("B", 2)), np.eye(8) / 8)
+    wide = density_from_matrix(shape(("A", 2), ("B", 4)), np.eye(8) / 8)
+    for rho in (three, wide):
+        with pytest.raises(InputError, match="registers"):
+            adaptive_binding(basis_reveal_scheme(), rho, mode=mode)
 
 
 def test_epsilon_na_is_worst_pair_overlap():
@@ -174,7 +185,7 @@ def test_score_operators_match_kron_partial_trace_reference():
         vec = random_pure_vector(dim_a * dim_b, rng)
         rho = density_from_matrix(shape(("A", dim_a), ("B", dim_b)), np.outer(vec, vec.conj()))
         for bit in (0, 1):
-            ops = _score_operators(scheme, rho, bit).stack
+            ops = score_operators(rho, [v for _, v in scheme.openings(bit)]).stack
             reference = [partial_trace_matrix(np.kron(np.eye(dim_a), v) @ rho.matrix,
                                               (dim_a, dim_b), (0,))
                          for _, v in scheme.openings(bit)]

@@ -91,7 +91,7 @@ def test_barrier_path_matches_two_operator_closed_form():
     rng = rng_from_seed(33)
     for dim in (2, 3, 4):
         inst = random_instance(rng, dim, 2)
-        cert = _barrier_path(inst, 1e-9, SOLVER_MAX_ITER)
+        cert = _barrier_path(inst, 1e-9)
         want = helstrom_value(*inst.operators)
         assert cert.converged and cert.iterations > 0
         assert cert.primal_value - 1e-12 <= want <= cert.dual_value + 1e-12

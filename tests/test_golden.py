@@ -10,7 +10,6 @@ lists the moved value. To regenerate a fixture, write the report with
 """
 import copy
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -59,8 +58,6 @@ def _mismatches(actual, expected, tol: float, path: str) -> list[str]:
                 for m in _mismatches(a, e, tol, f"{path}[{i}]")]
     if type(actual) is float and type(expected) is float:
         if actual == expected or abs(actual - expected) <= tol:
-            return []
-        if math.isnan(actual) and math.isnan(expected):
             return []
         return [f"{path}: {actual!r} != {expected!r} (tol {tol:g})"]
     if type(actual) is not type(expected) or actual != expected:

@@ -16,18 +16,19 @@ from gamebound.coding import (
     named_code,
     syndrome,
 )
+from gamebound.discrimination import CqState, guessing_probability
 from gamebound.errors import CapExceededError, InputError
 from gamebound.hashing import XorHashFamily
 from gamebound.linalg import partial_trace_matrix
 from gamebound.rand import random_pure_vector, rng_from_seed
+from gamebound.registers import shape
+from gamebound.states import density_from_matrix
 from gamebound.onecc import (
     GAMMA_TARGET,
     OneCcInstance,
     adaptive_wrong_opening,
-    basis_guessing_analysis,
     encoded_vector,
     extract_commit_bit,
-    multi_position_guessing,
     sample_smallsup_state,
     simulate_commit,
     single_position_guessing,
@@ -68,22 +69,16 @@ def test_single_position_guessing_constant():
 
 
 def test_multi_position_guessing_is_power_of_gamma():
+    # joint guess of n uniform basis bits from |0...0>_theta: gamma^n
     for big_n in (1, 2, 3):
-        cert = multi_position_guessing(big_n)
+        thetas = list(itertools.product((0, 1), repeat=big_n))
+        conditionals = tuple(
+            density_from_matrix(shape(("B", 2**big_n)), np.outer(v, v.conj()))
+            for v in (encoded_vector((0,) * big_n, theta) for theta in thetas))
+        cq = CqState(tuple(range(len(thetas))), (1.0 / len(thetas),) * len(thetas), conditionals)
+        cert = guessing_probability(cq, tol=1e-9)
         assert cert.primal_value == pytest.approx(GAMMA**big_n, abs=1e-7)
         assert cert.gap <= 1e-6
-
-
-def test_basis_guessing_analysis_accounting():
-    report = basis_guessing_analysis(400, 0.05, 0.9)
-    assert report["gamma"] == pytest.approx(GAMMA, abs=1e-9)
-    hmin = 400 * (math.log2(1.0 / GAMMA) - 2 * 0.05)
-    assert report["hmin_lower"] == pytest.approx(hmin, rel=1e-9)
-    want = 2.0 ** (-0.5 * 400 * (math.log2(1.0 / GAMMA) - 2 * 0.05 - (1 - 0.9)))
-    assert report["hiding_bound"] == pytest.approx(want, rel=1e-9)
-    assert not report["vacuous"]
-    # a short rate-starved run has nothing left and is flagged vacuous
-    assert basis_guessing_analysis(400, 0.05, 0.2)["vacuous"]
 
 
 def test_sample_smallsup_state_support_and_determinism():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gamebound.errors import InputError
-from gamebound.rand import random_density_matrix, random_pure_vector, rng_from_seed
+from gamebound.rand import random_density_matrix, rng_from_seed
 from gamebound.registers import shape
 from gamebound.states import (
     DensityOperator,
@@ -12,7 +12,6 @@ from gamebound.states import (
     load_state,
     partial_trace,
     save_state,
-    trace_distance,
     zero_entropy,
 )
 
@@ -40,32 +39,6 @@ def test_density_validation_rejects_negative():
     with pytest.raises(InputError):
         density_from_matrix(shape(("A", 2)),
                             np.diag([1.5, -0.5]).astype(complex))
-
-
-def test_trace_distance_pure_states_closed_form():
-    """For pure states the distance is sqrt(1 - |<psi|phi>|^2)."""
-    rng = rng_from_seed(21)
-    s = shape(("A", 4))
-    for _ in range(20):
-        psi = random_pure_vector(4, rng)
-        phi = random_pure_vector(4, rng)
-        want = math.sqrt(max(0.0, 1.0 - abs(np.vdot(psi, phi)) ** 2))
-        got = trace_distance(
-            density_from_matrix(s, np.outer(psi, psi.conj())),
-            density_from_matrix(s, np.outer(phi, phi.conj())),
-        )
-        assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_trace_distance_bounds_and_symmetry():
-    rng = rng_from_seed(22)
-    s = shape(("A", 3))
-    a = density_from_matrix(s, random_density_matrix(3, rng))
-    b = density_from_matrix(s, random_density_matrix(3, rng))
-    d = trace_distance(a, b)
-    assert 0.0 <= d <= 1.0 + 1e-12
-    assert d == pytest.approx(trace_distance(b, a), abs=1e-12)
-    assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_trace_of_bell_state_is_maximally_mixed():

@@ -16,6 +16,7 @@ from gamebound.ucsim import (
     _QUBIT_STATES,
     RECEIVER_SCRIPTS,
     SENDER_SCRIPTS,
+    ExecutionTranscript,
     IdealBitCommitment,
     ProtocolBitCommitment,
     ReceiverProgram,
@@ -23,12 +24,11 @@ from gamebound.ucsim import (
     _measure,
     _seed_words,
     _tape,
+    _two_cc_step,
     ideal_one_cc,
-    ideal_two_cc_prime,
     one_cc_table,
     qubit_state,
     receiver_script,
-    run_2cc_protocol,
     run_ot_protocol,
     run_simulator_demo,
     sender_script,
@@ -50,48 +50,42 @@ def test_one_cc_table_exhaustive():
         ideal_one_cc(2, 0)
 
 
-def test_ideal_two_cc_prime_branches():
-    assert ideal_two_cc_prime(1, 0, 0) == {"sender_learns": 0, "receiver_receives": None}
-    assert ideal_two_cc_prime(1, 0, 1) == {
-        "sender_learns": 1,
-        "receiver_receives": (1, 0),
-    }
-    assert ideal_two_cc_prime(1, 0, 1, "abort")["receiver_receives"] == "abort"
-    with pytest.raises(InputError):
-        ideal_two_cc_prime(1, 0, 1, "stall")
+def _step(bc, s0, s1_for, c):
+    """One 2CC' step at position 3, as the transfer engine runs it."""
+    t = ExecutionTranscript(seed=(0,))
+    return _two_cc_step(t, bc, "bob", s0, c, s1_for, 3), [e.kind for e in t.events]
 
 
 def test_2cc_protocol_honest_outputs():
-    t = run_2cc_protocol(1, 0, 1, seed=5)
-    assert not t.aborted
-    assert t.outputs == {"alice": 1, "bob": (1, 0)}
-    t = run_2cc_protocol(1, 0, 0, seed=5)
-    assert t.outputs == {"alice": 0, "bob": None}
-
-
-def test_2cc_protocol_refusal_aborts():
-    t = run_2cc_protocol(1, 0, 1, seed=5, refuse_open=True)
-    assert t.aborted
-    assert t.outputs["bob"] == "abort"
-
-
-def test_2cc_protocol_replay_is_deterministic():
-    a = run_2cc_protocol(0, 1, 1, seed=(12, 3), bc_backend="protocol")
-    b = run_2cc_protocol(0, 1, 1, seed=(12, 3), bc_backend="protocol")
-    assert a.to_dict() == b.to_dict()
+    # on c = 1 the chooser learns both bits, on c = 0 neither
+    for s0 in (0, 1):
+        for s1 in (0, 1):
+            step, kinds = _step(IdealBitCommitment(), s0, lambda i, c: s1, 1)
+            assert step == (1, s1, s0)
+            assert kinds == ["bc-commit", "one-cc", "bc-open"]
+            step, kinds = _step(IdealBitCommitment(), s0, lambda i, c: s1, 0)
+            assert step == (0, None, None)
+            assert kinds == ["bc-commit", "one-cc"]
 
 
 def test_2cc_over_protocol_commitments_preserves_outputs():
-    # the commitment swap must not change what the parties output when the
-    # backing run commits cleanly
-    hits = 0
-    for k in range(20):
-        t = run_2cc_protocol(1, 1, 1, seed=(31, k), bc_backend="protocol")
-        if t.aborted:
+    # the protocol commitment must not change what the step outputs when it
+    # commits cleanly; on an abort the 1CC input is never asked for, so the
+    # tape is not drawn on for it
+    def never(i, c):
+        raise AssertionError("1CC input asked for after an aborted commit")
+
+    hits = aborts = 0
+    for k in range(40):
+        rng = rng_from_seed((31, k))
+        if ProtocolBitCommitment(rng_from_seed((31, k))).commit(1) == "abort":
+            aborts += 1
+            assert _step(ProtocolBitCommitment(rng), 1, never, 1) == ((None, None, None), ["bc-commit"])
             continue
-        assert t.outputs["bob"] == (1, 1)
         hits += 1
-    assert hits > 0
+        step, _ = _step(ProtocolBitCommitment(rng), 1, lambda i, c: int((i, c) == (3, 1)), 1)
+        assert step == (1, 1, 1)
+    assert hits > 0 and aborts > 0
 
 
 def test_ot_honest_completeness():
@@ -204,11 +198,11 @@ def test_ideal_commitment_state_machine():
 
 def test_protocol_commitment_round_trip_and_extraction():
     rng = rng_from_seed((42, 0))
-    bc = ProtocolBitCommitment(rng, n_qubits=10, check_prob=0.2)
+    bc = ProtocolBitCommitment(rng)
     assert bc.commit(1) == "committed"
     assert bc.extract() == 1
     assert bc.open() == 1
-    bc2 = ProtocolBitCommitment(rng_from_seed((42, 1)), n_qubits=10, check_prob=0.2)
+    bc2 = ProtocolBitCommitment(rng_from_seed((42, 1)))
     if bc2.commit(0) == "committed":
         assert bc2.extract() == 0
         assert bc2.open() == 0
@@ -264,12 +258,7 @@ def test_demo_rejects_non_positive_runs(corruption, runs):
 
 
 def test_protocol_commitment_param_validation():
-    rng = rng_from_seed(0)
-    with pytest.raises(InputError):
-        ProtocolBitCommitment(rng, n_qubits=5)
-    with pytest.raises(InputError):
-        ProtocolBitCommitment(rng, check_prob=0.0)
-    bc = ProtocolBitCommitment(rng)
+    bc = ProtocolBitCommitment(rng_from_seed(0))
     with pytest.raises(InputError):
         bc.open()
     with pytest.raises(InputError):
@@ -306,14 +295,13 @@ def test_receiver_simulator_rejects_bad_choice():
 
 
 # Pinned digests of real runs over every script pairing, both commitment
-# backends and both choices, of both simulators' results (the transcript cut
-# to outputs, abort flag and meta) and of stand-alone 2CC runs: any change to
-# a random draw, an event or an output changes them.
+# backends and both choices, and of both simulators' results (the transcript
+# cut to outputs, abort flag and meta): any change to a random draw, an event
+# or an output changes them.
 PINNED_SEEDS = range(20)
 PINNED_STRINGS = ((0, 1), (1, 1))
 REAL_RUNS_SHA256 = "6e6161a0f9cdc3a8381020aec5e2e137b6c2a5988cd2eea6eed7dce4f77028cb"
 SIMULATIONS_SHA256 = "7e9c08c144e43924c0cff0109eb627933954cfa25941778714865e88cce0bb3a"
-TWO_CC_RUNS_SHA256 = "b3f649e2c68c0ec9e6ba26c92130a38a7bc167b2449c705ccc57e731d4c41de1"
 
 
 def _digest(records) -> str:
@@ -360,18 +348,6 @@ def test_pinned_simulations():
         for k in PINNED_SEEDS
     ]
     assert _digest(records) == SIMULATIONS_SHA256
-
-
-def test_pinned_2cc_runs():
-    records = [
-        run_2cc_protocol(bits >> 2, (bits >> 1) & 1, bits & 1, seed=(20, k),
-                         refuse_open=refuse, bc_backend=backend).to_dict()
-        for backend in ("ideal", "protocol")
-        for refuse in (False, True)
-        for bits in range(8)
-        for k in range(5)
-    ]
-    assert _digest(records) == TWO_CC_RUNS_SHA256
 
 
 # A run with a seed entry of 2**40 (two seed words), pinned on the engine
