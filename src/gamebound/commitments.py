@@ -99,19 +99,6 @@ class BindingReport:
     details: dict = field(default_factory=dict)
 
 
-def na_binding(scheme: ProjectiveCommitmentScheme, rho_b: DensityOperator) -> BindingReport:
-    """Best fixed openings for a committer with no side register."""
-    if rho_b.dim != scheme.dim_b:
-        raise InputError("state dimension does not match the scheme")
-    best = {}
-    for bit in (0, 1):
-        best[bit] = max(
-            float(np.real(np.trace(v @ rho_b.matrix))) for _, v in scheme.openings(bit)
-        )
-    eps = max(0.0, best[0] + best[1] - 1.0)
-    return BindingReport(best[0], best[1], eps, mode="non-adaptive")
-
-
 def scheme_epsilon_na(scheme: ProjectiveCommitmentScheme) -> float:
     """Worst-case non-adaptive epsilon over all states: the best opening pair
     satisfies max_rho (p0 + p1) = ||V_{y0} + V_{y1}||."""
@@ -133,17 +120,11 @@ def adaptive_binding(
         raise InputError("attack state must be on registers (A, B), B of the scheme's dimension")
     if mode == "povm-relaxation":
         values = {}
-        certs = {}
         for bit in (0, 1):
             ops = score_operators(rho_ab, [v for _, v in scheme.openings(bit)])
-            cert = optimal_discrimination(ops, tol=tol)
-            values[bit] = cert.primal_value
-            certs[bit] = cert.to_dict()
+            values[bit] = optimal_discrimination(ops, tol=tol).primal_value
         eps = max(0.0, values[0] + values[1] - 1.0)
-        return BindingReport(
-            values[0], values[1], eps, mode=mode,
-            details={"certificates": certs},
-        )
+        return BindingReport(values[0], values[1], eps, mode=mode)
     if mode == "projective-bruteforce":
         dim_a = rho_ab.shape.dims[0]
         if dim_a > 2:
@@ -218,15 +199,10 @@ def storage_reduction_check(
     q: int,
     trials: int,
     seed=0,
-    mode: str = "projective-bruteforce",
-    slack: float = 1e-9,
 ) -> list[dict]:
     """Sampled check of: q-qubit committer register implies
-    p0 + p1 - 1 <= 2^{q/2} sqrt(eps_na).
-
-    Assertable in projective-bruteforce mode, which is exact; the
-    povm-relaxation mode is recorded as diagnostic because the relaxation may
-    legitimately exceed the projective bound.
+    p0 + p1 - 1 <= 2^{q/2} sqrt(eps_na), with the exact projective-bruteforce
+    values (the POVM relaxation may legitimately exceed the bound).
     """
     if q < 0:
         raise InputError("q must be >= 0")
@@ -242,17 +218,10 @@ def storage_reduction_check(
         vec = random_pure_vector(dim_a * dim_b, rng)
         shape = RegisterShape((("A", dim_a), ("B", dim_b)))
         rho = density_from_matrix(shape, np.outer(vec, vec.conj()))
-        report = adaptive_binding(scheme, rho, mode=mode)
+        report = adaptive_binding(scheme, rho, mode="projective-bruteforce")
         alpha = report.p0 + report.p1 - 1.0
-        results.append(
-            {
-                "trial": t,
-                "alpha": alpha,
-                "bound": bound,
-                "mode": mode,
-                "pass": bool(alpha <= bound + slack) if mode == "projective-bruteforce" else None,
-            }
-        )
+        results.append({"trial": t, "alpha": alpha, "bound": bound,
+                        "pass": bool(alpha <= bound + 1e-9)})
     return results
 
 

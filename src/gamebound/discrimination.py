@@ -129,15 +129,6 @@ class SolverCertificate:
     def gap(self) -> float:
         return self.dual_value - self.primal_value
 
-    def to_dict(self) -> dict:
-        return {
-            "primal": self.primal_value,
-            "dual": self.dual_value,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 def primal_value(instance: DiscriminationInstance, povm: Povm) -> float:
     if povm.dim != instance.dim:

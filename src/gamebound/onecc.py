@@ -1,6 +1,6 @@
 """Commitment from one-out-of-two bit commitment channels: conjugate-coding
 states, the basis-guessing value behind hiding, small-support adversary
-states behind binding, and a classical round-by-round simulator.
+states behind binding, and a classical simulator of the honest commit phase.
 
 Encoding convention: basis bit 0 is computational, basis bit 1 is diagonal,
 so the honest committer sends |0>_theta = (x) H^{theta_i} |0> per position.
@@ -20,7 +20,6 @@ from .coding import (
     coset_members,
     hamming_ball,
     nearest_coset_rep,
-    syndrome,
 )
 from .discrimination import (
     CqState,
@@ -225,101 +224,37 @@ def adaptive_wrong_opening(
 # --- round-by-round classical simulation ------------------------------------
 
 
-@dataclass(frozen=True)
-class OneCcInstance:
-    """Public parameters of the commitment protocol."""
-
-    big_n: int
-    q: float
-    code: LinearCode
-
-    def __post_init__(self) -> None:
-        if self.big_n < 1:
-            raise InputError("N must be positive")
-        if not 0.0 <= self.q <= 1.0:
-            raise InputError("q must be a probability")
-
-
-# P(check measurement at a flagged position returns 1) per adversary script.
-COMMIT_SCRIPTS = ("honest", "flip_state", "flip_basis")
-
-
-def simulate_commit(
-    instance: OneCcInstance,
-    bit: int,
-    runs: int,
-    seed=0,
-    script: str = "honest",
-    flagged_positions: tuple[int, ...] = (),
-) -> dict:
-    """Classical simulation of the commit phase.
+def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
+    """Classical simulation of the honest committer's commit phase.
 
     Per position the committer routes (state, basis) into the one-out-of-two
-    channel; the receiver checks with probability q and aborts on outcome 1.
-    Honest positions never fail a check. The scripted deviations flip the sent
-    state (caught with certainty when checked) or the declared basis (caught
-    with probability 1/2 when checked).
+    channel; the receiver checks with probability q and aborts when more
+    than 2qN positions are checked. An honest position never fails a check.
 
-    Returns abort statistics, the exact per-run tally of checked positions,
-    and the transcript pieces (syndrome, hash member, masked bit) of the final
-    non-aborting run, if any.
+    Returns the size-abort count, the exact per-run tally of checked
+    positions and the Hoeffding bound on the size-abort probability.
     """
-    if script not in COMMIT_SCRIPTS:
-        raise InputError(f"unknown script {script!r}; options {COMMIT_SCRIPTS}")
-    if bit not in (0, 1):
-        raise InputError("committed bit must be 0 or 1")
+    if big_n < 1:
+        raise InputError("N must be positive")
+    if not 0.0 <= q <= 1.0:
+        raise InputError("q must be a probability")
     if runs < 1:
         raise InputError("a simulation needs at least one run")
-    big_n, q = instance.big_n, instance.q
-    for p in flagged_positions:
-        if not 0 <= p < big_n:
-            raise InputError(f"flagged position {p} outside [0, {big_n})")
-    flagged = np.zeros(big_n, dtype=bool)
-    flagged[list(flagged_positions)] = True
     rng = rng_from_seed(seed)
-    family = XorHashFamily(big_n) if big_n <= 20 else None
-    aborts_check = 0
     aborts_size = 0
-    catches_at_flagged = 0
-    checks_at_flagged = 0
     sizes = []
-    last = None  # (theta, hash member) of the latest non-aborting run
+    # The bases and, for N <= 20, the hash member of each accepted run are
+    # drawn but not read, so the check coins keep their place in the stream.
     for _ in range(runs):
-        theta = rng.integers(0, 2, size=big_n, dtype=np.uint8)
-        checked = rng.random(big_n) < q
-        sizes.append(int(checked.sum()))
-        # Only a checked flagged position can return 1; flip_basis draws one
-        # coin per such position, in position order.
-        hits = int(np.count_nonzero(checked & flagged))
-        checks_at_flagged += hits
-        caught = hits if script == "flip_state" else 0
-        if script == "flip_basis":
-            caught = int(np.count_nonzero(rng.random(hits) < 0.5))
-        catches_at_flagged += caught
-        if caught:
-            aborts_check += 1
-            continue
+        rng.integers(0, 2, size=big_n, dtype=np.uint8)
+        sizes.append(int(np.count_nonzero(rng.random(big_n) < q)))
         if sizes[-1] > 2.0 * q * big_n:
             aborts_size += 1
-            continue
-        last = (theta, None if family is None else int(rng.integers(0, 2**big_n)))
-    last_view = None
-    if last is not None:
-        theta, r = last
-        s = syndrome(instance.code, theta) if instance.code.n == big_n else None
-        last_view = {
-            "theta": tuple(int(t) for t in theta),
-            "hash_member": r,
-            "syndrome": None if s is None else tuple(int(b) for b in s),
-            "masked_bit": None if r is None else family.evaluate(r, bits_to_int(theta)) ^ bit,
-        }
+        elif big_n <= 20:
+            rng.integers(0, 2**big_n)
     return {
         "runs": runs,
-        "aborts_check": aborts_check,
         "aborts_size": aborts_size,
         "check_set_sizes": sizes,
         "size_abort_bound": 2.0 * math.exp(-2.0 * q * q * big_n),
-        "flagged_checks": checks_at_flagged,
-        "flagged_catches": catches_at_flagged,
-        "last_view": last_view,
     }

@@ -1,8 +1,8 @@
 """Machine-readable experiment records.
 
 Serialization is stable: dictionary keys are sorted and floats keep their
-shortest round-trip representation, so parse(write(report)) writes back the
-identical bytes.
+shortest round-trip representation, so a report file parsed with json and
+dumped back the same way gives the identical bytes.
 """
 from __future__ import annotations
 
@@ -71,19 +71,6 @@ class CheckRecord:
             "runtime_s": self.runtime_s,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckRecord":
-        return cls(
-            name=data["name"],
-            passed=data["passed"],
-            values=data.get("values", {}),
-            bound=data.get("bound"),
-            slack=data.get("slack"),
-            provenance=data.get("provenance", "computed"),
-            inputs_digest=data.get("inputs_digest", ""),
-            runtime_s=data.get("runtime_s", 0.0),
-        )
-
 
 def timed_record(name, passed, values, bound, slack, provenance, inputs, started) -> CheckRecord:
     """A check record timed from `started`, a time.perf_counter() reading."""
@@ -124,25 +111,6 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            suite=data["suite"],
-            seed=data["seed"],
-            checks=[CheckRecord.from_dict(c) for c in data.get("checks", [])],
-            tool_version=data.get("tool_version", TOOL_VERSION),
-            schema_version=data.get("schema_version", SCHEMA_VERSION),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_dict(json.loads(text))
-
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "ExperimentReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())

@@ -6,7 +6,6 @@ import pytest
 from gamebound import accessible
 from gamebound.acceptance import criterion_04_measurement_domination
 from gamebound.accessible import (
-    MeasurementDescriptor,
     Povm,
     dmax_relative,
     domination_defect,
@@ -70,8 +69,7 @@ def test_classical_copy_gives_one_bit():
 
 def test_copy_state_witness_is_computational():
     rho = copy_state(2)
-    comp = standard_measurements(2)[0]
-    value, _, _ = imax_for_measurement(comp.povm, rho)
+    value, _, _ = imax_for_measurement(standard_measurements(2)[0], rho)
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -213,7 +211,7 @@ def test_stacked_lambda_matches_per_block_reference(dim_a, dim_b):
                                random_density_matrix(dim_a * dim_b, rng))
     psi = random_pure_vector(dim_a * dim_b, rng)
     pure = density_from_matrix(full.shape, np.outer(psi, psi.conj()))
-    povms = [d.povm for d in standard_measurements(dim_a)]
+    povms = standard_measurements(dim_a)
     povms.append(Povm(tuple(random_povm_elements(dim_a, 5, rng))))
     for rho in (full, pure):  # rho_B is rank-deficient for a pure state with dim_a < dim_b
         for povm in povms:
@@ -226,7 +224,7 @@ def test_stacked_lambda_zero_support_block():
     rho = density_from_matrix(
         shape(("A", 2), ("B", 3)),
         np.kron(np.diag([1.0, 0.0]), random_density_matrix(3, rng)))
-    povm = standard_measurements(2)[0].povm
+    povm = standard_measurements(2)[0]
     assert not accessible.measurement_blocks(povm, rho)[1].any()
     _assert_matches_reference(povm, rho)
     lam, sigma, _ = imax_for_measurement(povm, rho)
@@ -247,7 +245,7 @@ def test_weight_outside_rank_deficient_support(monkeypatch):
     assert dmax_relative(inside, rho_b) == pytest.approx(_dmax_ref(inside, rho_b), abs=1e-12)
     rho = density_from_matrix(shape(("A", 2), ("B", 3)),
                               np.kron(np.eye(2) / 2, rho_b * 2) / 2)
-    povm = standard_measurements(2)[0].povm
+    povm = standard_measurements(2)[0]
     monkeypatch.setattr(accessible, "measurement_blocks",
                         lambda *_: np.stack([inside, outside]))
     with pytest.raises(InputError, match="outside supp"):

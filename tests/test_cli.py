@@ -15,7 +15,6 @@ from gamebound.commitments import ProjectiveCommitmentScheme, save_scheme
 from gamebound.errors import InputError
 from gamebound.games import bell_game, save_family
 from gamebound.registers import shape
-from gamebound.report import ExperimentReport
 from gamebound.states import density_from_matrix, save_state
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -48,12 +47,13 @@ def test_game_random_writes_report(tmp_path, capsys):
         "--tests", "2", "--seed", "4", "--out", str(out_path),
     ])
     assert rc == 0
-    report = ExperimentReport.load(str(out_path))
-    assert report.suite == "game"
-    assert [c.name for c in report.checks] == ["random-0", "random-1", "random-2"]
-    assert report.passed
+    text = out_path.read_text()
+    report = json.loads(text)
+    assert report["suite"] == "game"
+    assert [c["name"] for c in report["checks"]] == ["random-0", "random-1", "random-2"]
+    assert report["passed"]
     # the saved file is exactly the serialized report
-    assert out_path.read_text() == report.to_json()
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == text
 
 
 def test_game_records_solve_time(tmp_path, monkeypatch, capsys):
@@ -68,8 +68,8 @@ def test_game_records_solve_time(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(games, "verify_main_theorem", slow_solve)
     out_path = tmp_path / "game.json"
     assert main(["game", "--random", "1", "--out", str(out_path)]) == 0
-    (chk,) = ExperimentReport.load(str(out_path)).checks
-    assert chk.runtime_s >= 0.05
+    (chk,) = json.loads(out_path.read_text())["checks"]
+    assert chk["runtime_s"] >= 0.05
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
@@ -230,7 +230,7 @@ def test_binding_times_each_check_from_its_own_start(tmp_path, monkeypatch, caps
         "--storage-q", "1", "--trials", "1", "--out", str(out_path),
     ])
     assert rc == 0
-    runtimes = {c.name: c.runtime_s for c in ExperimentReport.load(str(out_path)).checks}
+    runtimes = {c["name"]: c["runtime_s"] for c in json.loads(out_path.read_text())["checks"]}
     assert runtimes["adaptive-binding"] >= 0.3
     assert runtimes["storage-reduction"] < 0.3
 
@@ -247,11 +247,10 @@ def test_bcjl_exhaustive_instance(tmp_path, capsys):
         "--syndrome", "0,0", "--masked-bit", "0", "--out", str(out_path),
     ])
     assert rc == 0
-    report = ExperimentReport.load(str(out_path))
-    (chk,) = report.checks
-    assert chk.name == "binding"
-    assert chk.values["exhaustive"]
-    assert chk.slack == pytest.approx(0.0, abs=1e-9)
+    (chk,) = json.loads(out_path.read_text())["checks"]
+    assert chk["name"] == "binding"
+    assert chk["values"]["exhaustive"]
+    assert chk["slack"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_uc_table_and_demo(capsys):
@@ -274,10 +273,10 @@ def test_verify_all_subset(tmp_path, capsys):
     out_path = tmp_path / "acc.json"
     rc = main(["verify-all", "--only", "1,5", "--out", str(out_path)])
     assert rc == 0
-    report = ExperimentReport.load(str(out_path))
-    assert report.suite == "acceptance"
-    assert len(report.checks) == 2
-    names = {c.name for c in report.checks}
+    report = json.loads(out_path.read_text())
+    assert report["suite"] == "acceptance"
+    assert len(report["checks"]) == 2
+    names = {c["name"] for c in report["checks"]}
     assert names == {"01-basis-guessing-constant", "05-norm-lemma"}
 
 
@@ -312,8 +311,8 @@ def test_non_positive_run_count_is_usage_error(argv, runs, capsys):
 def test_game_record_lists_each_bound_check(tmp_path):
     out_path = tmp_path / "game.json"
     assert main(["game", "--bell", "--out", str(out_path)]) == 0
-    (chk,) = ExperimentReport.load(str(out_path)).checks
-    assert [set(b) for b in chk.values["bounds"]] == [
+    (chk,) = json.loads(out_path.read_text())["checks"]
+    assert [set(b) for b in chk["values"]["bounds"]] == [
         {"name", "lhs", "rhs", "passed", "expected_violation"}] * 2
 
 
@@ -375,6 +374,23 @@ def test_non_positive_count_is_usage_error(argv, tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "positive integer" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "--bell", "--random", "-3"],
+    ["game", "--random", "1", "--dim-a", "-2"],
+    ["game", "--random", "1", "--dim-b", "-2"],
+    ["bcjl", "--hiding-n", "0"],
+    ["bcjl", "--n", "0"],
+])
+def test_out_of_range_count_or_dimension_is_usage_error(argv, capsys):
+    """A negative game count would run no games, a zero code length would
+    skip its check and a negative dimension would crash: the parser rejects
+    them (exit 2) instead."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "integer" in captured.err
     assert "PASS" not in captured.out
 
 

@@ -9,7 +9,6 @@ from gamebound.commitments import (
     adaptive_binding,
     cheat_state,
     load_scheme,
-    na_binding,
     norm_lemma_check,
     save_scheme,
     scheme_epsilon_na,
@@ -76,10 +75,11 @@ def test_adaptive_beats_non_adaptive_with_side_information():
     rep = adaptive_binding(scheme, copy_state())
     assert rep.p0 == pytest.approx(1.0, abs=1e-9)
     assert rep.p1 == pytest.approx(0.5, abs=1e-9)
-    rho_b = density_from_matrix(shape(("B", 2)), (np.eye(2) / 2).astype(complex))
-    na = na_binding(scheme, rho_b)
-    assert na.p0 == pytest.approx(0.5, abs=1e-9)
-    assert na.p1 == pytest.approx(0.5, abs=1e-9)
+    # best fixed openings on the maximally mixed rho_B
+    na_p0, na_p1 = (max(np.trace(v).real / 2 for _, v in scheme.openings(bit))
+                    for bit in (0, 1))
+    assert na_p0 == pytest.approx(0.5, abs=1e-9)
+    assert na_p1 == pytest.approx(0.5, abs=1e-9)
     # the sum still respects 1 + epsilon of the scheme
     assert rep.p0 + rep.p1 <= 1.0 + scheme_epsilon_na(scheme) + 1e-9
 
@@ -94,12 +94,10 @@ def test_na_binding_sum_bound_random_schemes():
             tuple((f"o{j}", random_projector(dim, int(rng.integers(1, dim)), rng))
                   for j in range(int(rng.integers(1, 3)))),
         )
-        rho_b = density_from_matrix(
-            shape(("B", dim)),
-            (np.eye(dim) / dim).astype(complex),
-        )
-        rep = na_binding(scheme, rho_b)
-        assert rep.p0 + rep.p1 <= 1.0 + scheme_epsilon_na(scheme) + 1e-9
+        # best fixed openings on the maximally mixed rho_B
+        p0, p1 = (max(np.trace(v).real / dim for _, v in scheme.openings(bit))
+                  for bit in (0, 1))
+        assert p0 + p1 <= 1.0 + scheme_epsilon_na(scheme) + 1e-9
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,10 +25,8 @@ from gamebound.registers import shape
 from gamebound.states import density_from_matrix
 from gamebound.onecc import (
     GAMMA_TARGET,
-    OneCcInstance,
     adaptive_wrong_opening,
     encoded_vector,
-    extract_commit_bit,
     sample_smallsup_state,
     simulate_commit,
     single_position_guessing,
@@ -252,121 +250,43 @@ def test_adaptive_wrong_opening_chain():
     assert out["pass"]
 
 
-def test_extractor_recovers_honest_commit():
-    code = named_code("rep31")
-    inst = OneCcInstance(3, 0.3, code)
-    for bit in (0, 1):
-        sim = simulate_commit(inst, bit, runs=40, seed=(14, bit))
-        view = sim["last_view"]
-        assert view is not None
-        theta = np.array(view["theta"], dtype=np.uint8)
-        got = extract_commit_bit(code, view["hash_member"],
-                                 np.array(view["syndrome"], dtype=np.uint8),
-                                 view["masked_bit"], theta)
-        assert got == bit
-
-
-def test_simulate_commit_honest_never_fails_checks():
-    inst = OneCcInstance(30, 0.15, named_code("rep31"))
-    sim = simulate_commit(inst, 0, runs=300, seed=15)
-    assert sim["aborts_check"] == 0
-    assert len(sim["check_set_sizes"]) == 300
-    assert sim["size_abort_bound"] == pytest.approx(
-        2.0 * math.exp(-2.0 * 0.15**2 * 30), rel=1e-12)
-
-
-def test_simulate_commit_flip_state_always_caught_when_checked():
-    inst = OneCcInstance(20, 0.4, named_code("rep31"))
-    sim = simulate_commit(inst, 0, runs=200, seed=16, script="flip_state",
-                          flagged_positions=(3,))
-    assert sim["flagged_checks"] > 0
-    assert sim["flagged_catches"] == sim["flagged_checks"]
-
-
-def test_simulate_commit_flip_basis_caught_half_the_time():
-    inst = OneCcInstance(20, 0.4, named_code("rep31"))
-    sim = simulate_commit(inst, 0, runs=2000, seed=17, script="flip_basis",
-                          flagged_positions=(3,))
-    checks = sim["flagged_checks"]
-    rate = sim["flagged_catches"] / checks
-    sigma = math.sqrt(0.25 / checks)
-    assert abs(rate - 0.5) <= 4 * sigma
-
-
-def test_simulate_commit_rejects_unknown_script():
-    inst = OneCcInstance(10, 0.2, named_code("rep31"))
-    with pytest.raises(InputError):
-        simulate_commit(inst, 0, runs=1, script="cheat-hard")
-    with pytest.raises(InputError):
-        simulate_commit(inst, 2, runs=1)
-
-
 @pytest.mark.parametrize("runs", [0, -5])
 def test_simulate_commit_rejects_non_positive_runs(runs):
-    inst = OneCcInstance(10, 0.2, named_code("rep31"))
     with pytest.raises(InputError):
-        simulate_commit(inst, 0, runs=runs)
+        simulate_commit(10, 0.2, runs=runs)
 
 
-def _simulate_commit_loop(instance, bit, runs, seed, script, flagged_positions):
-    """Per-run, per-position reference for simulate_commit: one coin per
-    checked flagged position, a view dict built for every accepted run."""
-    big_n, q = instance.big_n, instance.q
+@pytest.mark.parametrize("big_n, q", [(0, 0.2), (-3, 0.2), (10, -0.1), (10, 1.5)])
+def test_simulate_commit_rejects_bad_parameters(big_n, q):
+    with pytest.raises(InputError):
+        simulate_commit(big_n, q, runs=1)
+
+
+def _simulate_commit_loop(big_n, q, runs, seed):
+    """Per-run, per-position reference for simulate_commit: the bases, one
+    scalar check coin per position, and a hash member for every accepted run
+    when N <= 20."""
     rng = rng_from_seed(seed)
-    family = XorHashFamily(big_n) if big_n <= 20 else None
-    out = {"aborts_check": 0, "aborts_size": 0, "flagged_checks": 0,
-           "flagged_catches": 0, "check_set_sizes": [], "last_view": None}
+    out = {"runs": runs, "aborts_size": 0, "check_set_sizes": [],
+           "size_abort_bound": 2.0 * math.exp(-2.0 * q * q * big_n)}
     for _ in range(runs):
-        theta = rng.integers(0, 2, size=big_n, dtype=np.uint8)
-        checked = rng.random(big_n) < q
-        out["check_set_sizes"].append(int(checked.sum()))
-        caught = False
-        for pos in range(big_n):
-            if not checked[pos]:
-                continue
-            if script == "honest" or pos not in flagged_positions:
-                outcome = 0
-            elif script == "flip_state":
-                outcome = 1
-            else:
-                outcome = int(rng.random() < 0.5)
-            if pos in flagged_positions:
-                out["flagged_checks"] += 1
-                out["flagged_catches"] += outcome
-            caught = caught or outcome == 1
-        if caught:
-            out["aborts_check"] += 1
-            continue
-        if out["check_set_sizes"][-1] > 2.0 * q * big_n:
+        rng.integers(0, 2, size=big_n, dtype=np.uint8)
+        size = sum(rng.random() < q for _ in range(big_n))
+        out["check_set_sizes"].append(size)
+        if size > 2.0 * q * big_n:
             out["aborts_size"] += 1
-            continue
-        s = syndrome(instance.code, theta) if instance.code.n == big_n else None
-        r = int(rng.integers(0, 2**big_n)) if family is not None else None
-        out["last_view"] = {
-            "theta": tuple(int(t) for t in theta),
-            "hash_member": r,
-            "syndrome": None if s is None else tuple(int(b) for b in s),
-            "masked_bit": None if r is None else family.evaluate(r, bits_to_int(theta)) ^ bit,
-        }
+        elif big_n <= 20:
+            rng.integers(0, 2**big_n)
     return out
 
 
-@pytest.mark.parametrize("script", onecc.COMMIT_SCRIPTS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_simulate_commit_matches_loop_reference(script, seed):
-    """Every tally and the final view equal the per-position loop's, so the
-    random stream is drawn in the same order."""
-    cases = [
-        (OneCcInstance(7, 0.4, named_code("hamming74")), (1, 3, 3, 6)),
-        (OneCcInstance(20, 0.3, named_code("rep31")), (0, 19)),
-        (OneCcInstance(40, 0.1, named_code("rep31")), ()),
-    ]
-    for instance, flagged in cases:
-        for bit in (0, 1):
-            args = (instance, bit, 60, (seed, bit), script, flagged)
-            got = simulate_commit(*args)
-            want = _simulate_commit_loop(*args)
-            assert {k: got[k] for k in want} == want
+def test_simulate_commit_matches_loop_reference(seed):
+    """The result equals the per-position loop's, so the random stream is
+    drawn in the same order."""
+    for big_n, q in ((7, 0.4), (20, 0.3), (40, 0.1)):
+        args = (big_n, q, 60, (seed, big_n))
+        assert simulate_commit(*args) == _simulate_commit_loop(*args)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
