@@ -262,6 +262,16 @@ def test_simulate_commit_rejects_bad_parameters(big_n, q):
         simulate_commit(big_n, q, runs=1)
 
 
+def test_simulate_commit_honest_never_fails_checks():
+    """An honest committer's only aborts are check sets larger than 2qN."""
+    sim = simulate_commit(30, 0.15, runs=300, seed=15)
+    assert sim["runs"] == 300
+    assert len(sim["check_set_sizes"]) == 300
+    assert sim["aborts_size"] == sum(size > 2.0 * 0.15 * 30 for size in sim["check_set_sizes"])
+    assert sim["size_abort_bound"] == pytest.approx(
+        2.0 * math.exp(-2.0 * 0.15**2 * 30), rel=1e-12)
+
+
 def _simulate_commit_loop(big_n, q, runs, seed):
     """Per-run, per-position reference for simulate_commit: the bases, one
     scalar check coin per position, and a hash member for every accepted run
@@ -280,7 +290,7 @@ def _simulate_commit_loop(big_n, q, runs, seed):
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3], ids=lambda seed: f"{seed}-honest")
 def test_simulate_commit_matches_loop_reference(seed):
     """The result equals the per-position loop's, so the random stream is
     drawn in the same order."""
