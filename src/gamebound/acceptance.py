@@ -382,17 +382,8 @@ def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
     """Honest transfer completeness, the rushing-simulator comparison, and
     the exhaustive choice-functionality table."""
     started = time.perf_counter()
-    correct = 0
-    completed = 0
-    for k in range(runs):
-        c = k % 2
-        tr = ucsim.run_ot_protocol((0,), (1,), c, 8, seed=(seed, 11, k))
-        if tr.aborted:
-            continue
-        completed += 1
-        if tr.outputs["bob"] == (c,):
-            correct += 1
-    completeness_ok = completed > 0 and correct == completed
+    ot = ucsim.honest_ot_completeness(runs, 8, (seed, 11))
+    completeness_ok = ot["completed"] > 0 and ot["correct"] == ot["completed"]
     demo_fixed = ucsim.run_simulator_demo(
         "sender", script="fixed-state", runs=runs, n=8, seed=(seed, 11, 1001),
         s0=(0,), s1=(1,), c=1,
@@ -408,8 +399,8 @@ def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
     ]
     table_ok = ucsim.one_cc_table() == expected
     values = {
-        "completed_runs": completed,
-        "correct_runs": correct,
+        "completed_runs": ot["completed"],
+        "correct_runs": ot["correct"],
         "fixed_state_demo": {"pass": demo_fixed["pass"], "max_z": demo_fixed["max_z"]},
         "random_announce_demo": {"pass": demo_noisy["pass"], "max_z": demo_noisy["max_z"]},
         "table_exhaustive": table_ok,

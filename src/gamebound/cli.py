@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -34,6 +35,14 @@ def _int_at_least(lo: int, what: str):
 # over no runs, or on an empty register, passes vacuously
 nonneg_int = _int_at_least(0, "a non-negative integer")
 runs_int = _int_at_least(1, "a positive integer")
+
+
+def positive_float(text: str) -> float:
+    """An argparse type for tolerances: finite floats above zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -221,18 +230,10 @@ def _cmd_uc(args) -> int:
         ))
     if args.honest_ot:
         started = time.perf_counter()
-        correct = completed = 0
-        for k in range(args.runs):
-            c = k % 2
-            tr = ucsim.run_ot_protocol((0,), (1,), c, args.n, seed=(args.seed, k))
-            if tr.aborted:
-                continue
-            completed += 1
-            correct += tr.outputs["bob"] == (c,)
+        ot = ucsim.honest_ot_completeness(args.runs, args.n, args.seed)
         checks.append(timed_record(
-            "honest-ot", completed > 0 and correct == completed,
-            {"runs": args.runs, "completed": completed, "correct": correct}, None, None,
-            "monte-carlo", args.n, started,
+            "honest-ot", ot["completed"] > 0 and ot["correct"] == ot["completed"], ot,
+            None, None, "monte-carlo", args.n, started,
         ))
     if args.demo:
         started = time.perf_counter()
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the full JSON report here")
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=1e-7)
+        p.add_argument("--tol", type=positive_float, default=1e-7)
 
     def budget(p, text):
         p.add_argument("--budget", type=runs_int, default=None, help=text)
@@ -307,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     tol(p)
     p.add_argument("--scheme", type=str, required=True, help="scheme JSON")
     p.add_argument("--state", type=str, default=None, help="attack state JSON")
-    p.add_argument("--mode", type=str, default="povm-relaxation")
-    p.add_argument("--storage-q", type=int, default=None, metavar="Q")
+    p.add_argument("--mode", type=str, default="povm-relaxation",
+                   choices=("povm-relaxation", "projective-bruteforce"))
+    p.add_argument("--storage-q", type=nonneg_int, default=None, metavar="Q")
     p.add_argument("--trials", type=runs_int, default=3)
     p.set_defaults(func=_cmd_binding)
 

@@ -208,15 +208,14 @@ def storage_reduction_check(
         raise InputError("q must be >= 0")
     if trials < 1:
         raise InputError("a storage-reduction check needs at least one trial")
+    # the dimension cap rejects a large q before any draw
+    shape = RegisterShape((("A", 2**q), ("B", scheme.dim_b)))
     rng = rng_from_seed(seed)
     eps_na = scheme_epsilon_na(scheme)
     bound = (2.0 ** (q / 2.0)) * math.sqrt(eps_na)
-    dim_a = 2**q
-    dim_b = scheme.dim_b
     results = []
     for t in range(trials):
-        vec = random_pure_vector(dim_a * dim_b, rng)
-        shape = RegisterShape((("A", dim_a), ("B", dim_b)))
+        vec = random_pure_vector(shape.dim, rng)
         rho = density_from_matrix(shape, np.outer(vec, vec.conj()))
         report = adaptive_binding(scheme, rho, mode="projective-bruteforce")
         alpha = report.p0 + report.p1 - 1.0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,57 +60,12 @@ def _tape(words: list[int], lane: int) -> np.random.Generator:
     return np.random.default_rng(np.array(words + [lane], dtype=np.uint32))
 
 
-def _clean(value):
-    if isinstance(value, np.ndarray):
-        return tuple(int(v) for v in value.reshape(-1))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return tuple(_clean(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), _clean(v)) for k, v in value.items()))
-    return value
-
-
-@dataclass(slots=True)
-class TranscriptEvent:
-    index: int
-    actor: str
-    kind: str
-    payload: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "actor": self.actor,
-            "kind": self.kind,
-            "payload": [[k, _clean(self.payload[k])] for k in sorted(self.payload)],
-        }
-
-
 @dataclass
 class ExecutionTranscript:
     seed: tuple
-    events: list[TranscriptEvent] = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
-    aborted: bool = False
-    meta: dict = field(default_factory=dict)
-
-    def log(self, actor: str, kind: str, **payload) -> None:
-        """Keeps the payload as given; `to_dict` cleans it, so a logged
-        value must not be mutated afterwards."""
-        self.events.append(TranscriptEvent(len(self.events), actor, kind, payload))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": list(self.seed) if isinstance(self.seed, tuple) else self.seed,
-            "events": [e.to_dict() for e in self.events],
-            "outputs": {k: _clean(v) for k, v in self.outputs.items()},
-            "aborted": self.aborted,
-            "meta": {k: _clean(v) for k, v in self.meta.items()},
-        }
+    outputs: dict
+    aborted: bool
+    meta: dict
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +163,18 @@ COMMITMENTS = {"ideal": lambda _rng: IdealBitCommitment(), "protocol": ProtocolB
 # two-bit cut-and-choose from commitment + one-bit cut-and-choose
 
 
-def _two_cc_step(t, bc, committer: str, s0: int, c: int, s1_for, position: int):
-    """One 2CC' step at a transfer position: `committer` commits s0, the 1CC
-    passes s1_for(position, c) under the choice c, and on c = 1 the
-    commitment is opened. Returns (c, revealed s1, opened s0): c is None when
-    the commitment aborts, and opened is None for c = 0.
+def _two_cc_step(bc, s0: int, c: int, s1_for, position: int):
+    """One 2CC' step at a transfer position: the committer commits s0 to
+    `bc`, the 1CC passes s1_for(position, c) under the choice c, and on c = 1
+    the commitment is opened. Returns (c, revealed s1, opened s0): c is None
+    when the commitment aborts, and opened is None for c = 0.
     """
-    status = bc.commit(s0)
-    t.log(committer, "bc-commit", position=position, status=status)
-    if status == "abort":
+    if bc.commit(s0) == "abort":
         return None, None, None
     revealed = ideal_one_cc(sender_bit=s1_for(position, c), chooser_bit=c)["chooser_receives"]
-    t.log("functionality", "one-cc", position=position, chooser_bit=c, revealed=revealed)
     if c == 0:
         return c, revealed, None
-    opened = bc.open()
-    t.log(committer, "bc-open", value=opened, position=position)
-    return c, revealed, opened
+    return c, revealed, bc.open()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +224,6 @@ class SenderProgram:
     """Alice side of the transfer protocol; hooks mirror the message order."""
 
     name = "honest"
-    actor = "alice"
 
     def __init__(self, rng: np.random.Generator, n: int, strings: tuple):
         self.rng = rng
@@ -353,7 +302,6 @@ class ReceiverProgram:
     """Bob side; hooks mirror the message order."""
 
     name = "honest"
-    actor = "bob"
 
     def __init__(self, rng: np.random.Generator, n: int, choice: int):
         self.rng = rng
@@ -462,7 +410,7 @@ class _RushingReceiver(ReceiverProgram):
     lane-0 tape, which it uses for every draw.
     """
 
-    actor = party = "simulator"
+    party = "simulator"
 
     def __init__(self, rng, n, choice, transcript: ExecutionTranscript):
         super().__init__(rng, n, choice)
@@ -490,7 +438,6 @@ class _RushingReceiver(ReceiverProgram):
         strings = (_xor_hash(m0, mask, i0, x_hat_b), _xor_hash(m1, mask, i1, x_hat_b))
         out = ideal_ot(strings, self.choice)
         self.transcript.meta["extracted"] = strings
-        self.transcript.log("simulator", "ideal-ot", s0=strings[0], s1=strings[1], output=out)
         return out
 
 
@@ -503,15 +450,10 @@ class _ExtractingSender(SenderProgram):
     `ideal_ot` reads them.
     """
 
-    actor = party = "simulator"
-
-    def __init__(self, rng, n, strings, transcript: ExecutionTranscript):
-        super().__init__(rng, n, strings)
-        self.transcript = transcript
-        self.memory["committed"] = [0] * n
+    party = "simulator"
 
     def observe_commit(self, i, bc) -> None:
-        self.memory["committed"][i] = bc.extract()
+        self.memory.setdefault("committed", {})[i] = bc.extract()
 
     def masks(self, kept, i0, i1):
         committed = [self.memory["committed"][i] for i in kept.tolist()]
@@ -530,7 +472,6 @@ class _ExtractingSender(SenderProgram):
             c_hat = 0 if len(matched & side0) >= len(matched & side1) else 1
         value = ideal_ot(self.strings, c_hat)
         self.memory["c_hat"] = c_hat
-        self.transcript.log("simulator", "ideal-ot", choice=c_hat, value=value)
         mask = self.rng.integers(0, 2, size=(self.ell, len(kept))).astype(np.uint8)
         m_chat = _xor_hash(value, mask, (i0, i1)[c_hat], self.memory["x"][kept])
         m_other = tuple(int(b) for b in self.rng.integers(0, 2, size=self.ell))
@@ -555,7 +496,7 @@ class _Execution:
             raise InputError("choice must be a bit")
         if not 2 <= n <= MAX_POSITIONS:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
-        self.t = ExecutionTranscript(seed=_stream(seed, 0))
+        self.t = ExecutionTranscript(_stream(seed, 0), outputs={}, aborted=False, meta={})
         self.n, self.words = n, _seed_words(self.t.seed[:-1])
         if bc_backend not in COMMITMENTS:
             raise InputError("commitment backend must be 'ideal' or 'protocol'")
@@ -574,16 +515,14 @@ class _Execution:
         qubits = alice.prepare()
         if len(qubits) != n:
             raise InputError("sender script must supply one qubit per position")
-        t.log(alice.actor, "send-qubits", count=n)
         theta_b = bob.choose_bases()
         bob.measure(qubits, theta_b, self.rng)
-        t.log(bob.actor, "measure", bases=theta_b)
 
         kept, choices = [], alice.select_bits().tolist()
         for i, basis in enumerate(theta_b.tolist()):
             bc = self.new_commitment(self.rng)
-            t_i, revealed, opened = _two_cc_step(t, bc, bob.actor, bob.commit_value(i, basis),
-                                                 choices[i], bob.one_cc_input, i)
+            t_i, revealed, opened = _two_cc_step(bc, bob.commit_value(i, basis), choices[i],
+                                                 bob.one_cc_input, i)
             if t_i is None:
                 return self._abort("commit-abort", "abort")
             alice.observe_commit(i, bc)
@@ -597,14 +536,10 @@ class _Execution:
 
         kept = np.array(kept, dtype=np.intp)
         theta_hat_a = np.asarray(alice.announce_bases(kept), dtype=np.uint8)
-        t.log(alice.actor, "announce-bases", bases=theta_hat_a)
         i0, i1 = bob.partition(theta_hat_a, theta_b[kept], len(kept))
-        t.log(bob.actor, "partition", i0=i0, i1=i1)
         mask, m0, m1 = alice.masks(kept, i0, i1)
-        t.log(alice.actor, "masked-strings", m0=m0, m1=m1)
         out = bob.decode(mask, m0, m1, bob.memory["x"][kept], i0, i1)
         t.outputs = {"alice": None, "bob": out}
-        t.log(bob.actor, "output", value=out)
         return checked
 
 
@@ -663,7 +598,7 @@ def simulate_corrupted_receiver(
     that choice.
     """
     run = _Execution(s0, s1, choice, n, seed, bc_backend)
-    alice = _ExtractingSender(_tape(run.words, 1), n, run.strings, run.t)
+    alice = _ExtractingSender(_tape(run.words, 1), n, run.strings)
     bob = script(_tape(run.words, 2), n, choice)
     run.play(alice, bob)
     return {
@@ -672,6 +607,16 @@ def simulate_corrupted_receiver(
         "effective_choice": bob.effective_choice(),
         "output": _output(run.t),
     }
+
+
+def honest_ot_completeness(runs: int, n: int, seed) -> dict:
+    """Completed and correct honest transfers at choice k % 2, run k on `_stream(seed, k)`."""
+    completed = correct = 0
+    for k in range(runs):
+        t = run_ot_protocol((0,), (1,), k % 2, n, seed=_stream(seed, k))
+        completed += not t.aborted
+        correct += _output(t) == (k % 2,)
+    return {"runs": runs, "completed": completed, "correct": correct}
 
 
 # ---------------------------------------------------------------------------

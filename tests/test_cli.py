@@ -394,6 +394,39 @@ def test_out_of_range_count_or_dimension_is_usage_error(argv, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["game", "--bell"],
+    ["onecc", "--guessing"],
+    ["binding", "--scheme", "SCHEME"],
+    ["info", "--state", "STATE", "--budget", "4"],
+])
+def test_non_positive_or_non_finite_tolerance_is_usage_error(argv, tol, tmp_path, capsys):
+    """A negative, NaN or infinite tolerance would read as a PASS or a FAIL:
+    the parser rejects it (exit 2) instead."""
+    state_path = tmp_path / "state.json"
+    save_state(copy_state(), str(state_path))
+    files = {"SCHEME": _scheme_file(tmp_path), "STATE": str(state_path)}
+    assert main([files.get(a, a) for a in argv] + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "positive finite number" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--storage-q", "-1"], "non-negative integer"),
+    (["--storage-q", "70"], "exceeds cap"),
+    (["--mode", "bogus"], "invalid choice"),
+])
+def test_binding_out_of_range_option_is_usage_error(argv, message, tmp_path, capsys):
+    """A negative stored register, one past the dimension cap (rejected
+    before any state is drawn) or an unknown mode is a usage error (exit 2)."""
+    assert main(["binding", "--scheme", _scheme_file(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_library_rejects_non_positive_counts():
     from gamebound import bcjl, coding, commitments
 

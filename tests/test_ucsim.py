@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import gamebound.ucsim as ucsim
 from gamebound.coding import LinearCode, bits_to_int, syndrome
 from gamebound.errors import InputError
 from gamebound.hashing import XorHashFamily
@@ -16,7 +17,6 @@ from gamebound.ucsim import (
     _QUBIT_STATES,
     RECEIVER_SCRIPTS,
     SENDER_SCRIPTS,
-    ExecutionTranscript,
     IdealBitCommitment,
     ProtocolBitCommitment,
     ReceiverProgram,
@@ -50,22 +50,43 @@ def test_one_cc_table_exhaustive():
         ideal_one_cc(2, 0)
 
 
-def _step(bc, s0, s1_for, c):
-    """One 2CC' step at position 3, as the transfer engine runs it."""
-    t = ExecutionTranscript(seed=(0,))
-    return _two_cc_step(t, bc, "bob", s0, c, s1_for, 3), [e.kind for e in t.events]
+class RecordingCommitment:
+    """Passes commit and open to `bc` and appends each call to `calls`."""
+
+    def __init__(self, bc, calls: list):
+        self.bc, self.calls = bc, calls
+
+    def commit(self, bit: int) -> str:
+        self.calls.append("commit")
+        return self.bc.commit(bit)
+
+    def open(self):
+        self.calls.append("open")
+        return self.bc.open()
+
+
+def _step(bc, s0, s1, c):
+    """One 2CC' step at position 3, as the transfer engine runs it, and its
+    commit, 1CC-input and open calls in order."""
+    calls = []
+
+    def s1_for(i, chooser_bit):
+        calls.append(("one-cc", i, chooser_bit))
+        return s1
+
+    return _two_cc_step(RecordingCommitment(bc, calls), s0, c, s1_for, 3), calls
 
 
 def test_2cc_protocol_honest_outputs():
     # on c = 1 the chooser learns both bits, on c = 0 neither
     for s0 in (0, 1):
         for s1 in (0, 1):
-            step, kinds = _step(IdealBitCommitment(), s0, lambda i, c: s1, 1)
+            step, calls = _step(IdealBitCommitment(), s0, s1, 1)
             assert step == (1, s1, s0)
-            assert kinds == ["bc-commit", "one-cc", "bc-open"]
-            step, kinds = _step(IdealBitCommitment(), s0, lambda i, c: s1, 0)
+            assert calls == ["commit", ("one-cc", 3, 1), "open"]
+            step, calls = _step(IdealBitCommitment(), s0, s1, 0)
             assert step == (0, None, None)
-            assert kinds == ["bc-commit", "one-cc"]
+            assert calls == ["commit", ("one-cc", 3, 0)]
 
 
 def test_2cc_over_protocol_commitments_preserves_outputs():
@@ -74,15 +95,13 @@ def test_2cc_over_protocol_commitments_preserves_outputs():
     # tape is not drawn on for it
     hits = aborts = 0
     for k in range(40):
-        asked = []
-        step, kinds = _step(ProtocolBitCommitment(rng_from_seed((31, k))), 1,
-                            lambda i, c: asked.append((i, c)) or 1, 1)
+        step, calls = _step(ProtocolBitCommitment(rng_from_seed((31, k))), 1, 1, 1)
         if step[0] is None:
             aborts += 1
-            assert (step, kinds, asked) == ((None, None, None), ["bc-commit"], [])
+            assert (step, calls) == ((None, None, None), ["commit"])
         else:
             hits += 1
-            assert (step, asked) == ((1, 1, 1), [(3, 1)])
+            assert (step, calls) == ((1, 1, 1), ["commit", ("one-cc", 3, 1), "open"])
     assert hits > 0 and aborts > 0
 
 
@@ -97,6 +116,22 @@ def test_ot_honest_completeness():
         completed += 1
         assert t.outputs["bob"] == ((0, 1, 1), (1, 0, 1))[c]
     assert completed > 20
+
+
+@pytest.mark.parametrize("seed", [5, (5, 11)])
+def test_honest_ot_completeness_counts_like_the_inline_loop(seed):
+    runs, n = 40, 6
+    entries = seed if isinstance(seed, tuple) else (seed,)
+    completed = correct = 0
+    for k in range(runs):
+        c = k % 2
+        t = run_ot_protocol((0,), (1,), c, n, seed=(*entries, k))
+        if not t.aborted:
+            completed += 1
+            correct += t.outputs["bob"] == (c,)
+    assert 0 < completed < runs
+    assert ucsim.honest_ot_completeness(runs, n, seed) == {
+        "runs": runs, "completed": completed, "correct": correct}
 
 
 class LyingReceiver(ReceiverProgram):
@@ -263,16 +298,6 @@ def test_protocol_commitment_param_validation():
         bc.commit(2)
 
 
-def test_transcript_events_are_jsonable():
-    import json
-
-    t = run_ot_protocol((0,), (1,), 0, 6, seed=(4, 4))
-    d = t.to_dict()
-    assert isinstance(d["events"], list)
-    assert all(isinstance(e["actor"], str) for e in d["events"])
-    json.dumps(d)  # raises on any ndarray left in a payload
-
-
 def test_sender_simulator_rejects_bad_choice_on_every_seed():
     # rejected before the run, so a seed whose run aborts cannot hide it
     for k in range(30):
@@ -293,13 +318,13 @@ def test_receiver_simulator_rejects_bad_choice():
 
 
 # Pinned digests of real runs over every script pairing, both commitment
-# backends and both choices, and of both simulators' results (the transcript
-# cut to outputs, abort flag and meta): any change to a random draw, an event
-# or an output changes them.
+# backends and both choices, and of both simulators' results, each run seen as
+# its seed, outputs, abort flag and meta: any change to a random draw or an
+# output changes them.
 PINNED_SEEDS = range(20)
 PINNED_STRINGS = ((0, 1), (1, 1))
-REAL_RUNS_SHA256 = "6e6161a0f9cdc3a8381020aec5e2e137b6c2a5988cd2eea6eed7dce4f77028cb"
-SIMULATIONS_SHA256 = "7e9c08c144e43924c0cff0109eb627933954cfa25941778714865e88cce0bb3a"
+REAL_RUNS_SHA256 = "5dad20243dc1fa93315b50bf01a41890404e2b7948f8e15611848514772ec195"
+SIMULATIONS_SHA256 = "2ee1ef8845d7b29cb1dd0ede71af9f0dad3ae8198067871c4fedcea43bf3a876"
 
 
 def _digest(records) -> str:
@@ -309,18 +334,20 @@ def _digest(records) -> str:
     return h.hexdigest()
 
 
+def _view(t) -> dict:
+    return {"seed": list(t.seed), "outputs": t.outputs, "aborted": t.aborted, "meta": t.meta}
+
+
 def _reduced(sim: dict) -> dict:
-    view = sim["transcript"].to_dict()
-    rest = {k: v for k, v in sim.items() if k != "transcript"}
-    return {"transcript": {k: view[k] for k in ("outputs", "aborted", "meta")}, **rest}
+    return {**sim, "transcript": _view(sim["transcript"])}
 
 
 def test_pinned_real_runs():
     records = [
-        run_ot_protocol(
+        _view(run_ot_protocol(
             *PINNED_STRINGS, c, 6, seed=(17, k), bc_backend=backend,
             sender=sender_script(sender), receiver=receiver_script(receiver),
-        ).to_dict()
+        ))
         for sender in sorted(SENDER_SCRIPTS)
         for receiver in sorted(RECEIVER_SCRIPTS)
         for backend in ("ideal", "protocol")
@@ -350,12 +377,12 @@ def test_pinned_simulations():
 
 # A run with a seed entry of 2**40 (two seed words), pinned on the engine
 # that seeded every tape from the seed tuple itself.
-BIG_SEED_RUNS_SHA256 = "163b6e8ed0d22d9c017ae006bc82684771d9046c147f1fe6f02d35a16879fd91"
+BIG_SEED_RUNS_SHA256 = "c21dc4e5204abbfc1cc4af6bbcad717dda0c42ae658d5ec2b7116f245c1dff8c"
 
 
 def test_pinned_run_with_a_multi_word_seed_entry():
     records = [
-        run_ot_protocol(*PINNED_STRINGS, c, 6, seed=(2**40, 3), bc_backend=backend).to_dict()
+        _view(run_ot_protocol(*PINNED_STRINGS, c, 6, seed=(2**40, 3), bc_backend=backend))
         for backend in ("ideal", "protocol")
         for c in (0, 1)
     ]
