@@ -137,8 +137,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
             elems = random_povm_elements(dim_a, int(rng.integers(2, 5)), rng)
             povms.append(accessible.Povm(tuple(elems)))
         rho_b = accessible.reduced_b(rho)
-        for povm in povms:
-            value, sigma, blocks = accessible.imax_for_measurement(povm, rho)
+        for value, sigma, blocks in accessible.imax_for_measurements(povms, rho):
             at_value, below = accessible.domination_defect(
                 blocks, rho_b, (value, value - 1e-4), sigma)
             if at_value > 1e-9:

@@ -102,14 +102,28 @@ def imax_for_measurement(
 ) -> tuple[float, tuple[float, ...], np.ndarray]:
     """(value, sigma, blocks) for a fixed measurement on A; exact for that
     measurement. `blocks` are its measurement_blocks, checked PSD."""
-    blocks = check_psd(measurement_blocks(povm, rho_ab), 1e-10, "K")
+    return imax_for_measurements([povm], rho_ab)[0]
+
+
+def imax_for_measurements(
+    povms, rho_ab: DensityOperator
+) -> list[tuple[float, tuple[float, ...], np.ndarray]]:
+    """imax_for_measurement of each POVM on one state. Every POVM's blocks are
+    checked PSD together, rho_B is decomposed once, and all blocks are
+    whitened and scored in one stacked call."""
+    parts = [measurement_blocks(povm, rho_ab) for povm in povms]
+    blocks = check_psd(np.concatenate(parts), 1e-10, "K")
     cs = _dmax_blocks(blocks, reduced_b(rho_ab), RANK_TOL)
     if np.isinf(cs).any():
         raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
-    total = float(cs.sum())
-    if total <= 0.0:
-        return 0.0, tuple(1.0 / len(cs) for _ in cs), blocks
-    return float(np.log2(total)), tuple((cs / total).tolist()), blocks
+    out = []
+    ends = np.cumsum([len(part) for part in parts])[:-1]
+    for part_cs, part_blocks in zip(np.split(cs, ends), np.split(blocks, ends)):
+        total = float(part_cs.sum())
+        sigma = part_cs / total if total > 0.0 else np.full(len(part_cs), 1.0 / len(part_cs))
+        lam = float(np.log2(total)) if total > 0.0 else 0.0
+        out.append((lam, tuple(sigma.tolist()), part_blocks))
+    return out
 
 
 def domination_defect(
@@ -194,7 +208,7 @@ def imax_acc_bounds(
     a_label = rho_ab.shape.labels[0]
     upper = zero_entropy(rho_ab, a_label)
     family = search_measurements(dim_a, budget, rng)
-    lower = max(imax_for_measurement(povm, rho_ab)[0] for povm in family)
+    lower = max(value for value, _, _ in imax_for_measurements(family, rho_ab))
     return ImaxEstimate(lower=lower, upper=upper, searched=len(family))
 
 

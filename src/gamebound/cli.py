@@ -55,6 +55,12 @@ def _parse_bits(text: str) -> tuple[int, ...]:
     return bits
 
 
+def _unread(flag: str, value, reader: str) -> None:
+    """A flag that none of the chosen checks reads is a usage error."""
+    if value is not None:
+        raise InputError(f"{flag} is read only with {reader}")
+
+
 def _emit(report: ExperimentReport, out: str | None) -> int:
     for chk in report.checks:
         status = "PASS" if chk.passed else "FAIL"
@@ -138,6 +144,8 @@ def _cmd_binding(args) -> int:
 
 
 def _cmd_onecc(args) -> int:
+    if not args.wrong_opening:
+        _unread("--code", args.code, "--wrong-opening")
     checks = []
     if args.guessing:
         started = time.perf_counter()
@@ -156,7 +164,8 @@ def _cmd_onecc(args) -> int:
         ))
     if args.wrong_opening:
         started = time.perf_counter()
-        code = coding.named_code(args.code)
+        code_name = args.code or "rep31"
+        code = coding.named_code(code_name)
         worst = 0.0
         all_ok = True
         bound = None
@@ -175,7 +184,7 @@ def _cmd_onecc(args) -> int:
         checks.append(timed_record(
             "wrong-opening", all_ok, {"worst_value": worst, "samples": args.samples},
             bound, None if bound is None else bound - worst, "sampled-search",
-            [args.code, args.delta], started,
+            [code_name, args.delta], started,
         ))
     if not checks:
         raise InputError(
@@ -221,6 +230,14 @@ def _cmd_bcjl(args) -> int:
 
 
 def _cmd_uc(args) -> int:
+    if not args.demo:
+        _unread("--script", args.script, "--demo")
+    if not (args.honest_ot or args.demo):
+        _unread("--runs", args.runs, "--honest-ot or --demo")
+        _unread("--n", args.n, "--honest-ot or --demo")
+    script = args.script or "honest"
+    runs = args.runs or 200
+    n = 8 if args.n is None else args.n
     checks = []
     if args.table:
         started = time.perf_counter()
@@ -230,20 +247,19 @@ def _cmd_uc(args) -> int:
         ))
     if args.honest_ot:
         started = time.perf_counter()
-        ot = ucsim.honest_ot_completeness(args.runs, args.n, args.seed)
+        ot = ucsim.honest_ot_completeness(runs, n, args.seed)
         checks.append(timed_record(
             "honest-ot", ot["completed"] > 0 and ot["correct"] == ot["completed"], ot,
-            None, None, "monte-carlo", args.n, started,
+            None, None, "monte-carlo", n, started,
         ))
     if args.demo:
         started = time.perf_counter()
         demo = ucsim.run_simulator_demo(
-            args.demo, script=args.script, runs=args.runs, n=args.n,
-            seed=args.seed,
+            args.demo, script=script, runs=runs, n=n, seed=args.seed,
         )
         checks.append(timed_record(
-            f"{args.demo}-demo-{args.script}", demo["pass"], demo, None, None,
-            "monte-carlo", [args.demo, args.script], started,
+            f"{args.demo}-demo-{script}", demo["pass"], demo, None, None,
+            "monte-carlo", [args.demo, script], started,
         ))
     if not checks:
         raise InputError("nothing to do: pass --table, --honest-ot, or --demo")
@@ -323,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--runs", type=runs_int, default=200)
     p.add_argument("--wrong-opening", action="store_true")
-    p.add_argument("--code", type=str, default="rep31")
+    p.add_argument("--code", type=str, default=None, help="code name (default rep31)")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--samples", type=runs_int, default=10)
     p.set_defaults(func=_cmd_onecc)
@@ -345,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true")
     p.add_argument("--honest-ot", action="store_true")
     p.add_argument("--demo", type=str, choices=("sender", "receiver"), default=None)
-    p.add_argument("--script", type=str, default="honest")
-    p.add_argument("--runs", type=runs_int, default=200)
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--script", type=str, default=None, help="adversary script (default honest)")
+    p.add_argument("--runs", type=runs_int, default=None, help="runs (default 200)")
+    p.add_argument("--n", type=int, default=None, help="positions (default 8)")
     p.set_defaults(func=_cmd_uc)
 
     p = sub.add_parser("info", help="accessible-information bounds")

@@ -8,9 +8,12 @@ then open). The simulators are party programs that also call the ideal
 transfer: a rushing receiver against a corrupted sender, an extracting sender
 against a corrupted receiver. Lane 0 of a run's seed drives Born-rule
 measurement, the commitments and the rushing receiver, lane 1 the sender, lane
-2 the receiver, so real and simulated runs abort on the same seeds. The tapes
-are seeded from one seed-word array, and each batch of draws (bases, outcomes,
-1CC choices) is one call that consumes the tape as per-position draws would.
+2 the receiver, so real and simulated runs abort on the same seeds. A single
+run seeds its tapes with numpy's SeedSequence; a loop of runs derives every
+run's seed states in one vectorised pass of the same hash, and a real run and
+its simulation build their tapes from the same states, so every tape draws the
+stream that seeding it would give. Each batch of draws (bases, outcomes, 1CC
+choices) is one call that consumes the tape as per-position draws would.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -20,6 +23,7 @@ seeded runs, not proven.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,6 +38,12 @@ MAX_STRING_BITS = 8
 # Qubits and check probability of each conjugate-coding commitment.
 COMMIT_QUBITS = 10
 COMMIT_CHECK_PROB = 0.2
+# Runs whose seed states one vectorised derivation computes at a time, which
+# keeps a loop's memory flat whatever its run count.
+_STATE_BLOCK = 1000
+# numpy's SeedSequence constants: O'Neill's seed_seq hash over a 4-word pool.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 def _stream(seed, lane: int):
@@ -58,6 +68,67 @@ def _seed_words(seed) -> list[int]:
 
 def _tape(words: list[int], lane: int) -> np.random.Generator:
     return np.random.default_rng(np.array(words + [lane], dtype=np.uint32))
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """The (runs, 3, 4) uint64 array of
+    `SeedSequence(_seed_words(seed) + [lane]).generate_state(4, np.uint64)` for
+    every seed and lane 0-2, hashed for all of them at once in uint32 arrays."""
+    words = [_seed_words(seed) for seed in seeds]
+    lengths = np.repeat([len(w) + 1 for w in words], 3)
+    # zero words past a seed's end hash as the pool fill of a short seed does
+    entropy = np.zeros((len(words), 3, max(4, lengths.max(initial=0))), dtype=np.uint32)
+    for k, w in enumerate(words):
+        entropy[k, :, :len(w) + 1] = [w + [lane] for lane in range(3)]
+    entropy = entropy.reshape(-1, entropy.shape[-1])
+
+    def hasher(const: int, mult: int):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return hashmix
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ out >> np.uint32(16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        live = lengths > src
+        for dst in range(4):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    hashmix = hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64).reshape(len(words), 3, 4)
+
+
+@functools.cache
+def _state_seed() -> type:
+    """numpy's seed-sequence interface over one precomputed PCG64 state, made
+    on first use so that importing this module does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for its (4, uint64) seed state only
+
+    return StateSeed
+
+
+def _state_tape(state: np.ndarray) -> np.random.Generator:
+    """The tape `_tape` builds for the words and lane whose seed state this is."""
+    return np.random.Generator(np.random.PCG64(_state_seed()(state)))
 
 
 @dataclass
@@ -485,10 +556,11 @@ class _ExtractingSender(SenderProgram):
 class _Execution:
     """One seeded run of the transfer protocol. The constructor checks the
     inputs; `play` runs the message flow over a sender and a receiver
-    program and fills in the transcript.
+    program and fills in the transcript. `states`, the run's row of
+    `_seed_states`, builds its tapes without seeding them.
     """
 
-    def __init__(self, s0, s1, c, n: int, seed, bc_backend="ideal"):
+    def __init__(self, s0, s1, c, n: int, seed, bc_backend="ideal", states=None):
         self.strings = (_as_string(s0), _as_string(s1))
         if len(self.strings[0]) != len(self.strings[1]):
             raise InputError("the two strings must have equal length")
@@ -497,11 +569,18 @@ class _Execution:
         if not 2 <= n <= MAX_POSITIONS:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
         self.t = ExecutionTranscript(_stream(seed, 0), outputs={}, aborted=False, meta={})
-        self.n, self.words = n, _seed_words(self.t.seed[:-1])
+        self.c, self.n, self.states = c, n, states
+        if states is None:
+            self.words = _seed_words(self.t.seed[:-1])
         if bc_backend not in COMMITMENTS:
             raise InputError("commitment backend must be 'ideal' or 'protocol'")
         self.new_commitment = COMMITMENTS[bc_backend]
-        self.rng = _tape(self.words, 0)
+        self.rng = self.tape(0)
+
+    def tape(self, lane: int) -> np.random.Generator:
+        if self.states is None:
+            return _tape(self.words, lane)
+        return _state_tape(self.states[lane])
 
     def _abort(self, reason: str, alice_output) -> None:
         self.t.aborted = True
@@ -547,25 +626,26 @@ def _output(t: ExecutionTranscript):
     return "abort" if t.aborted else t.outputs["bob"]
 
 
-def run_ot_protocol(
-    s0,
-    s1,
-    c: int,
-    n: int,
-    *,
-    sender=None,
-    receiver=None,
-    seed=0,
-    bc_backend: str = "ideal",
-) -> ExecutionTranscript:
-    """One seeded execution; scripted parties replace the honest programs."""
-    run = _Execution(s0, s1, c, n, seed, bc_backend)
-    alice = (sender or SenderProgram)(_tape(run.words, 1), n, run.strings)
-    bob = (receiver or ReceiverProgram)(_tape(run.words, 2), n, c)
+def _run_real(run: _Execution, sender=None, receiver=None) -> ExecutionTranscript:
+    alice = (sender or SenderProgram)(run.tape(1), run.n, run.strings)
+    bob = (receiver or ReceiverProgram)(run.tape(2), run.n, run.c)
     checked = run.play(alice, bob)
     if checked is not None:
         run.t.meta["checked"] = checked
     return run.t
+
+
+def run_ot_protocol(s0, s1, c: int, n: int, *, sender=None, receiver=None, seed=0,
+                    bc_backend: str = "ideal") -> ExecutionTranscript:
+    """One seeded execution; scripted parties replace the honest programs."""
+    return _run_real(_Execution(s0, s1, c, n, seed, bc_backend), sender, receiver)
+
+
+def _simulate_sender(run: _Execution, script) -> dict:
+    alice = script(run.tape(1), run.n, run.strings)
+    bob = _RushingReceiver(run.rng, run.n, run.c, run.t)
+    run.play(alice, bob)
+    return {"transcript": run.t, "extracted": run.t.meta.get("extracted"), "output": _output(run.t)}
 
 
 def simulate_corrupted_sender(script, c: int, n: int, strings: tuple, seed=0) -> dict:
@@ -574,32 +654,12 @@ def simulate_corrupted_sender(script, c: int, n: int, strings: tuple, seed=0) ->
     everything else after the announcement, in the announced bases. Both
     strings are then reconstructed and handed to the ideal transfer.
     """
-    run = _Execution(strings[0], strings[1], c, n, seed)
-    alice = script(_tape(run.words, 1), n, run.strings)
-    bob = _RushingReceiver(run.rng, n, c, run.t)
-    run.play(alice, bob)
-    return {"transcript": run.t, "extracted": run.t.meta.get("extracted"), "output": _output(run.t)}
+    return _simulate_sender(_Execution(strings[0], strings[1], c, n, seed), script)
 
 
-def simulate_corrupted_receiver(
-    script,
-    s0,
-    s1,
-    n: int,
-    *,
-    choice: int = 0,
-    seed=0,
-    bc_backend: str = "protocol",
-) -> dict:
-    """Runs the scripted receiver against the extracting sender, which
-    simulates the honest sender, extracts the committed bases from the
-    commitment instances, infers the receiver's effective choice from its
-    partition, and completes the run with the ideal transfer's answer for
-    that choice.
-    """
-    run = _Execution(s0, s1, choice, n, seed, bc_backend)
-    alice = _ExtractingSender(_tape(run.words, 1), n, run.strings)
-    bob = script(_tape(run.words, 2), n, choice)
+def _simulate_receiver(run: _Execution, script) -> dict:
+    alice = _ExtractingSender(run.tape(1), run.n, run.strings)
+    bob = script(run.tape(2), run.n, run.c)
     run.play(alice, bob)
     return {
         "transcript": run.t,
@@ -609,11 +669,30 @@ def simulate_corrupted_receiver(
     }
 
 
+def simulate_corrupted_receiver(script, s0, s1, n: int, *, choice: int = 0, seed=0,
+                                bc_backend: str = "protocol") -> dict:
+    """Runs the scripted receiver against the extracting sender, which
+    simulates the honest sender, extracts the committed bases from the
+    commitment instances, infers the receiver's effective choice from its
+    partition, and completes the run with the ideal transfer's answer for
+    that choice.
+    """
+    return _simulate_receiver(_Execution(s0, s1, choice, n, seed, bc_backend), script)
+
+
+def _seeded_runs(runs: int, seed):
+    """(run seed, seed states) of runs k = 0..runs-1 on `_stream(seed, k)`,
+    the states derived _STATE_BLOCK runs at a time."""
+    for start in range(0, runs, _STATE_BLOCK):
+        seeds = [_stream(seed, k) for k in range(start, min(start + _STATE_BLOCK, runs))]
+        yield from zip(seeds, _seed_states(seeds))
+
+
 def honest_ot_completeness(runs: int, n: int, seed) -> dict:
     """Completed and correct honest transfers at choice k % 2, run k on `_stream(seed, k)`."""
     completed = correct = 0
-    for k in range(runs):
-        t = run_ot_protocol((0,), (1,), k % 2, n, seed=_stream(seed, k))
+    for k, (run_seed, states) in enumerate(_seeded_runs(runs, seed)):
+        t = _run_real(_Execution((0,), (1,), k % 2, n, run_seed, states=states))
         completed += not t.aborted
         correct += _output(t) == (k % 2,)
     return {"runs": runs, "completed": completed, "correct": correct}
@@ -647,17 +726,8 @@ def _compare_counts(real: dict, ideal: dict, runs: int) -> dict:
     return {"categories": rows, "max_z": worst, "pass": ok}
 
 
-def run_simulator_demo(
-    corruption: str,
-    *,
-    script: str = "honest",
-    runs: int = 1000,
-    n: int = 8,
-    seed=0,
-    s0=(0,),
-    s1=(1,),
-    c: int = 0,
-) -> dict:
+def run_simulator_demo(corruption: str, *, script: str = "honest", runs: int = 1000, n: int = 8,
+                       seed=0, s0=(0,), s1=(1,), c: int = 0) -> dict:
     """Real executions against the scripted adversary versus the simulator
     construction feeding the ideal functionality; reports per-output-category
     agreement of the environment-visible outputs at three sigma. Receiver
@@ -666,40 +736,28 @@ def run_simulator_demo(
     if runs < 1:
         raise InputError("a demo needs at least one run")
     if corruption == "sender":
-        program = sender_script(script)
-        real_args = {"sender": program}
-
-        def simulate(run_seed):
-            return simulate_corrupted_sender(program, c, n, (s0, s1), seed=run_seed)
+        program, backend = sender_script(script), "ideal"
+        real = functools.partial(_run_real, sender=program)
+        simulate = functools.partial(_simulate_sender, script=program)
     elif corruption == "receiver":
-        program = receiver_script(script)
-        real_args = {"receiver": program, "bc_backend": "protocol"}
-
-        def simulate(run_seed):
-            return simulate_corrupted_receiver(program, s0, s1, n, choice=c, seed=run_seed)
+        program, backend = receiver_script(script), "protocol"
+        real = functools.partial(_run_real, receiver=program)
+        simulate = functools.partial(_simulate_receiver, script=program)
     else:
         raise InputError("corruption must be 'sender' or 'receiver'")
     real_counts: Counter = Counter()
     ideal_counts: Counter = Counter()
     extraction = {"checked": 0, "correct": 0}
-    for k in range(runs):
-        run_seed = _stream(seed, k)
-        real_counts[_label(_output(run_ot_protocol(s0, s1, c, n, seed=run_seed, **real_args)))] += 1
-        sim = simulate(run_seed)
+    for run_seed, states in _seeded_runs(runs, seed):
+        # the real run and its simulation build their tapes from the same states
+        real_counts[_label(_output(real(_Execution(s0, s1, c, n, run_seed, backend, states))))] += 1
+        sim = simulate(_Execution(s0, s1, c, n, run_seed, backend, states))
         ideal_counts[_label(sim["output"])] += 1
         if sim.get("effective_choice") is not None and sim.get("inferred_choice") is not None:
             extraction["checked"] += 1
             extraction["correct"] += int(sim["inferred_choice"] == sim["effective_choice"])
     report = _compare_counts(real_counts, ideal_counts, runs)
-    report.update(
-        {
-            "corruption": corruption,
-            "script": script,
-            "runs": runs,
-            "positions": n,
-            "choice": c,
-        }
-    )
+    report.update(corruption=corruption, script=script, runs=runs, positions=n, choice=c)
     if corruption == "receiver":
         report["extraction"] = extraction
     return report

@@ -11,6 +11,7 @@ from gamebound.accessible import (
     domination_defect,
     imax_acc_bounds,
     imax_for_measurement,
+    imax_for_measurements,
     local_channel_monotonicity_check,
     standard_measurements,
 )
@@ -250,6 +251,46 @@ def test_weight_outside_rank_deficient_support(monkeypatch):
                         lambda *_: np.stack([inside, outside]))
     with pytest.raises(InputError, match="outside supp"):
         imax_for_measurement(povm, rho)
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (4, 2), (4, 4)])
+def test_measurements_in_one_call_match_one_at_a_time(dim_a, dim_b):
+    """POVMs with different outcome counts scored in one stacked call give
+    each POVM's single-call value, sigma and blocks, for full-rank and
+    rank-deficient rho_B (a pure state with dim_a < dim_b)."""
+    rng = rng_from_seed((62, dim_a, dim_b))
+    full = density_from_matrix(shape(("A", dim_a), ("B", dim_b)),
+                               random_density_matrix(dim_a * dim_b, rng))
+    psi = random_pure_vector(dim_a * dim_b, rng)
+    pure = density_from_matrix(full.shape, np.outer(psi, psi.conj()))
+    povms = standard_measurements(dim_a) + [
+        Povm(tuple(random_povm_elements(dim_a, k, rng))) for k in (2, 3, 7)]
+    for rho in (full, pure):
+        batch = imax_for_measurements(povms, rho)
+        assert len(batch) == len(povms)
+        for povm, (lam, sigma, blocks) in zip(povms, batch):
+            want_lam, want_sigma, want_blocks = imax_for_measurement(povm, rho)
+            assert len(sigma) == len(povm.elements) == len(blocks)
+            assert lam == pytest.approx(want_lam, abs=1e-12)
+            np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(blocks, want_blocks, rtol=0, atol=1e-12)
+
+
+def test_one_unbounded_block_fails_the_whole_call(monkeypatch):
+    """A block outside a rank-deficient supp(rho_B) is an input error when it
+    is scored with other measurements, as when it is scored alone."""
+    rho_b = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    inside = np.diag([0.2, 0.1, 0.0]).astype(complex)
+    outside = np.diag([0.2, 0.0, 0.1]).astype(complex)
+    rho = density_from_matrix(shape(("A", 2), ("B", 3)),
+                              np.kron(np.eye(2) / 2, rho_b * 2) / 2)
+    bounded, unbounded = standard_measurements(2)
+    stacks = {id(bounded): np.stack([inside, inside]), id(unbounded): np.stack([inside, outside])}
+    monkeypatch.setattr(accessible, "measurement_blocks", lambda povm, _: stacks[id(povm)])
+    assert len(imax_for_measurements([bounded, bounded], rho)) == 2
+    for povms in ([bounded, unbounded], [unbounded, bounded], [unbounded]):
+        with pytest.raises(InputError, match="outside supp"):
+            imax_for_measurements(povms, rho)
 
 
 def test_criterion_04_makes_few_eigendecompositions(monkeypatch):

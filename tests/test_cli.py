@@ -329,6 +329,17 @@ def test_module_entry_point_runs_the_cli():
     assert "usage: gamebound verify-all" in done.stderr
 
 
+def test_importing_the_cli_does_not_load_numpy_random():
+    """numpy.random costs start-up time; it loads only when a run draws."""
+    src = str(Path(gamebound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, gamebound.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "gamebound" in capsys.readouterr().out
@@ -454,6 +465,23 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(argv, tmp_path, capsys):
     argv = [_scheme_file(tmp_path) if a == "SCHEME" else a for a in argv]
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["uc", "--table", "--script", "bogus"], "--script is read only with --demo"),
+    (["uc", "--honest-ot", "--runs", "4", "--script", "fixed-state"],
+     "--script is read only with --demo"),
+    (["uc", "--table", "--runs", "3"], "--runs is read only with --honest-ot or --demo"),
+    (["uc", "--table", "--n", "5"], "--n is read only with --honest-ot or --demo"),
+    (["onecc", "--guessing", "--code", "bogus"], "--code is read only with --wrong-opening"),
+])
+def test_flag_the_chosen_checks_do_not_read_is_usage_error(argv, message, capsys):
+    """A flag that the subcommand takes but none of the chosen checks reads
+    is a usage error (exit 2), not a PASS that ignored it."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_state_without_family_is_usage_error(tmp_path, capsys):

@@ -22,7 +22,10 @@ from gamebound.ucsim import (
     ReceiverProgram,
     SenderProgram,
     _measure,
+    _seed_states,
     _seed_words,
+    _state_tape,
+    _stream,
     _tape,
     _two_cc_step,
     ideal_one_cc,
@@ -401,6 +404,76 @@ def test_seed_words_replay_the_seed_tuple_streams(length):
                 tape = _tape(words, lane)
                 assert tape.bit_generator.state == reference.bit_generator.state
                 assert tape.random(3).tolist() == reference.random(3).tolist()
+
+
+def test_seed_states_equal_numpys_seed_sequence():
+    # seeds of 1-6 entries, one to three words each, hashed in one call
+    entries = (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5)
+    seeds = [0, 5, 2**32] + [
+        tuple(entries[(k * 5 + j * (k + 2)) % len(entries)] for j in range(length))
+        for length in range(1, 7) for k in range(6)]
+    states = _seed_states(seeds)
+    assert states.shape == (len(seeds), 3, 4) and states.dtype == np.uint64
+    for seed, rows in zip(seeds, states):
+        words = _seed_words(seed)
+        for lane in (0, 1, 2):
+            expected = np.random.SeedSequence(words + [lane]).generate_state(4, np.uint64)
+            assert rows[lane].tolist() == expected.tolist()
+    assert _seed_states([]).shape == (0, 3, 4)
+    with pytest.raises(InputError):
+        _seed_states([(1, 2), (3, -1)])
+
+
+def test_a_tape_from_its_state_draws_as_the_seeded_tape():
+    seeds = [(k, 2**33 + k, 11) if k % 3 else (k,) for k in range(40)]
+    for seed, rows in zip(seeds, _seed_states(seeds)):
+        words = _seed_words(seed)
+        for lane in (0, 1, 2):
+            tape, reference = _state_tape(rows[lane]), _tape(words, lane)
+            for size in (1, 3, 10):
+                assert tape.random(size).tolist() == reference.random(size).tolist()
+                assert (tape.integers(0, 2, size=size).tolist()
+                        == reference.integers(0, 2, size=size).tolist())
+                assert int(tape.integers(0, 2**size)) == int(reference.integers(0, 2**size))
+                assert tape.random() == reference.random()
+            assert tape.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("corruption, script, c", [
+    ("receiver", "honest", 1), ("sender", "random-announce", 0)])
+def test_demo_runs_equal_the_public_single_runs(corruption, script, c, monkeypatch):
+    """Each real run and simulation of a demo, whose tapes come from seed
+    states derived a block at a time, equals the public single run on the
+    same run seed, whose tapes numpy seeds. Receiver demos run the protocol
+    commitment."""
+    runs, n, seed, strings = 20, 6, (23, 4), ((0, 1), (1, 1))
+    simulator = "_simulate_receiver" if corruption == "receiver" else "_simulate_sender"
+    real, simulated = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(ucsim, "_STATE_BLOCK", 7)  # three blocks: 7, 7 and 6 runs
+        for name, record in (("_run_real", real), (simulator, simulated)):
+            def recording(*args, _orig=getattr(ucsim, name), _record=record, **kwargs):
+                _record.append(_orig(*args, **kwargs))
+                return _record[-1]
+            patch.setattr(ucsim, name, recording)
+        run_simulator_demo(corruption, script=script, runs=runs, n=n, seed=seed,
+                           s0=strings[0], s1=strings[1], c=c)
+    expected_real, expected_sim = [], []
+    for k in range(runs):
+        run_seed = _stream(seed, k)
+        if corruption == "receiver":
+            program = receiver_script(script)
+            expected_real.append(run_ot_protocol(*strings, c, n, receiver=program, seed=run_seed,
+                                                 bc_backend="protocol"))
+            expected_sim.append(simulate_corrupted_receiver(program, *strings, n, choice=c,
+                                                            seed=run_seed))
+        else:
+            program = sender_script(script)
+            expected_real.append(run_ot_protocol(*strings, c, n, sender=program, seed=run_seed))
+            expected_sim.append(simulate_corrupted_sender(program, c, n, strings, seed=run_seed))
+    assert [_view(t) for t in real] == [_view(t) for t in expected_real]
+    assert [_reduced(s) for s in simulated] == [_reduced(s) for s in expected_sim]
+    assert len({_view(t)["aborted"] for t in real}) == 2  # aborted and completed runs
 
 
 def test_seed_words_reject_negative_entries():
