@@ -145,7 +145,12 @@ def _cmd_binding(args) -> int:
 
 def _cmd_onecc(args) -> int:
     if not args.wrong_opening:
-        _unread("--code", args.code, "--wrong-opening")
+        for flag, value in (("--code", args.code), ("--delta", args.delta),
+                            ("--samples", args.samples)):
+            _unread(flag, value, "--wrong-opening")
+    if not args.commit_sim:
+        for flag, value in (("--big-n", args.big_n), ("--q", args.q), ("--runs", args.runs)):
+            _unread(flag, value, "--commit-sim")
     checks = []
     if args.guessing:
         started = time.perf_counter()
@@ -157,34 +162,35 @@ def _cmd_onecc(args) -> int:
         ))
     if args.commit_sim:
         started = time.perf_counter()
-        sim = onecc.simulate_commit(args.big_n, args.q, runs=args.runs, seed=args.seed)
+        big_n = 40 if args.big_n is None else args.big_n
+        q = 0.1 if args.q is None else args.q
+        sim = onecc.simulate_commit(big_n, q, runs=args.runs or 200, seed=args.seed)
         checks.append(timed_record(
-            "commit-simulation", True, sim, None, None, "monte-carlo",
-            [args.big_n, args.q], started,
+            "commit-simulation", True, sim, None, None, "monte-carlo", [big_n, q], started,
         ))
     if args.wrong_opening:
         started = time.perf_counter()
         code_name = args.code or "rep31"
         code = coding.named_code(code_name)
+        delta, samples = args.delta or 0.0, args.samples or 10
         worst = 0.0
         all_ok = True
         bound = None
         import numpy as np
         from .rand import rng_from_seed
         rng = rng_from_seed((args.seed, 71))
-        for k in range(args.samples):
+        for k in range(samples):
             theta = rng.integers(0, 2, size=code.n).astype(np.uint8)
             s = rng.integers(0, 2, size=code.n - code.k).astype(np.uint8)
-            state = onecc.sample_smallsup_state(theta, args.delta, 2,
-                                                seed=(args.seed, 71, k))
+            state = onecc.sample_smallsup_state(theta, delta, 2, seed=(args.seed, 71, k))
             chk = onecc.wrong_opening_bound_check(state, code, s, tol=args.tol)
             worst = max(worst, chk["worst_value"])
             bound = chk["bound"]
             all_ok = all_ok and chk["pass"]
         checks.append(timed_record(
-            "wrong-opening", all_ok, {"worst_value": worst, "samples": args.samples},
+            "wrong-opening", all_ok, {"worst_value": worst, "samples": samples},
             bound, None if bound is None else bound - worst, "sampled-search",
-            [code_name, args.delta], started,
+            [code_name, delta], started,
         ))
     if not checks:
         raise InputError(
@@ -335,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     tol(p)
     p.add_argument("--guessing", action="store_true")
     p.add_argument("--commit-sim", action="store_true")
-    p.add_argument("--big-n", type=int, default=40)
-    p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--runs", type=runs_int, default=200)
+    p.add_argument("--big-n", type=int, default=None, help="qubits (default 40)")
+    p.add_argument("--q", type=float, default=None, help="check probability (default 0.1)")
+    p.add_argument("--runs", type=runs_int, default=None, help="runs (default 200)")
     p.add_argument("--wrong-opening", action="store_true")
     p.add_argument("--code", type=str, default=None, help="code name (default rep31)")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--samples", type=runs_int, default=10)
+    p.add_argument("--delta", type=float, default=None, help="ball radius (default 0)")
+    p.add_argument("--samples", type=runs_int, default=None, help="samples (default 10)")
     p.set_defaults(func=_cmd_onecc)
 
     p = sub.add_parser("bcjl", help="ball-verifier commitment checks")

@@ -2,18 +2,23 @@
 transfer), the protocols built on them, and the simulator constructions run
 as seeded programs against scripted adversaries.
 
-One engine (`_Execution`) runs the transfer's message flow over a sender
-program and a receiver program; each position is one 2CC' step (commit, 1CC,
-then open). The simulators are party programs that also call the ideal
-transfer: a rushing receiver against a corrupted sender, an extracting sender
-against a corrupted receiver. Lane 0 of a run's seed drives Born-rule
-measurement, the commitments and the rushing receiver, lane 1 the sender, lane
-2 the receiver, so real and simulated runs abort on the same seeds. A single
-run seeds its tapes with numpy's SeedSequence; a loop of runs derives every
-run's seed states in one vectorised pass of the same hash, and a real run and
-its simulation build their tapes from the same states, so every tape draws the
-stream that seeding it would give. Each batch of draws (bases, outcomes, 1CC
-choices) is one call that consumes the tape as per-position draws would.
+One engine (`_play`) plays a batch of runs at once: each phase (prepare,
+bases, Born measurement, the n 2CC' steps of commit, 1CC and open with their
+aborts, announce, partition, masks, decode) is a few array operations over
+(runs, positions) arrays, which the party programs' hooks take and return. A
+single public run is a batch of one. The simulators are party programs that
+also call the ideal transfer: a rushing receiver against a corrupted sender,
+an extracting sender against a corrupted receiver. Lane 0 of a run's seed
+drives Born-rule measurement, the commitments and the rushing receiver, lane
+1 the sender, lane 2 the receiver, so real and simulated runs abort alike.
+
+A run's tape on a lane is a block of raw outputs of numpy's own PCG64, seeded
+as `default_rng(seed + (lane,))` is and read as numpy's Generator reads the
+stream (`tapes.Tape`), so every draw is the seeded generator's. A single run
+mixes its seed pools with numpy's SeedSequence; a loop hashes its runs' seed
+states in one vectorised pass per `_STATE_BLOCK` runs, and a real run and its
+simulation read the same blocks. Where a count depends on the run, each
+run's cursor moves by its own count.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -32,103 +37,18 @@ import numpy as np
 
 from .errors import InputError
 from .onecc import encoded_vector
+from .tapes import Tape, run_index, seed_states, seed_words, state_blocks, stream, word_states
 
 MAX_POSITIONS = 10
 MAX_STRING_BITS = 8
 # Qubits and check probability of each conjugate-coding commitment.
 COMMIT_QUBITS = 10
 COMMIT_CHECK_PROB = 0.2
-# Runs whose seed states one vectorised derivation computes at a time, which
-# keeps a loop's memory flat whatever its run count.
+# Runs one batch plays: their seed states are hashed and their tapes drawn
+# together, which keeps a loop's memory flat whatever its run count.
 _STATE_BLOCK = 1000
-# numpy's SeedSequence constants: O'Neill's seed_seq hash over a 4-word pool.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _stream(seed, lane: int):
-    """Derived seed for one party's random tape; keeps runs replayable."""
-    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
-    return (*map(int, entries), lane)
-
-
-def _seed_words(seed) -> list[int]:
-    """`seed`'s entries as the little-endian uint32 words SeedSequence makes of
-    them, so `_tape(words, lane)` draws exactly as `default_rng(_stream(seed, lane))`."""
-    words = []
-    for v in _stream(seed, 0)[:-1]:
-        if v < 0:
-            raise InputError("seeds must be non-negative integers")
-        words.append(v & 0xFFFFFFFF)
-        while v > 0xFFFFFFFF:
-            v >>= 32
-            words.append(v & 0xFFFFFFFF)
-    return words
-
-
-def _tape(words: list[int], lane: int) -> np.random.Generator:
-    return np.random.default_rng(np.array(words + [lane], dtype=np.uint32))
-
-
-def _seed_states(seeds) -> np.ndarray:
-    """The (runs, 3, 4) uint64 array of
-    `SeedSequence(_seed_words(seed) + [lane]).generate_state(4, np.uint64)` for
-    every seed and lane 0-2, hashed for all of them at once in uint32 arrays."""
-    words = [_seed_words(seed) for seed in seeds]
-    lengths = np.repeat([len(w) + 1 for w in words], 3)
-    # zero words past a seed's end hash as the pool fill of a short seed does
-    entropy = np.zeros((len(words), 3, max(4, lengths.max(initial=0))), dtype=np.uint32)
-    for k, w in enumerate(words):
-        entropy[k, :, :len(w) + 1] = [w + [lane] for lane in range(3)]
-    entropy = entropy.reshape(-1, entropy.shape[-1])
-
-    def hasher(const: int, mult: int):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & 0xFFFFFFFF
-            value = value * np.uint32(const)
-            return value ^ value >> np.uint32(16)
-        return hashmix
-
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ out >> np.uint32(16)
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, entropy.shape[1]):
-        live = lengths > src
-        for dst in range(4):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
-    hashmix = hasher(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64).reshape(len(words), 3, 4)
-
-
-@functools.cache
-def _state_seed() -> type:
-    """numpy's seed-sequence interface over one precomputed PCG64 state, made
-    on first use so that importing this module does not load numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateSeed(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state  # PCG64 asks for its (4, uint64) seed state only
-
-    return StateSeed
-
-
-def _state_tape(state: np.ndarray) -> np.random.Generator:
-    """The tape `_tape` builds for the words and lane whose seed state this is."""
-    return np.random.Generator(np.random.PCG64(_state_seed()(state)))
+# Why a run stopped, indexed by the engine's abort codes; code 0 completed.
+_REASONS = (None, "commit-abort", "check-abort", "size-abort")
 
 
 @dataclass
@@ -147,55 +67,60 @@ def ideal_one_cc(sender_bit: int, chooser_bit: int) -> dict:
     """The sender learns the choice; the chooser learns the bit only on 1."""
     if sender_bit not in (0, 1) or chooser_bit not in (0, 1):
         raise InputError("functionality inputs must be bits")
-    return {
-        "sender_learns": chooser_bit,
-        "chooser_receives": sender_bit if chooser_bit == 1 else None,
-    }
+    return {"sender_learns": chooser_bit,
+            "chooser_receives": sender_bit if chooser_bit == 1 else None}
 
 
 def one_cc_table() -> list[dict]:
-    rows = []
-    for x in (0, 1):
-        for c in (0, 1):
-            out = ideal_one_cc(x, c)
-            rows.append({"sender_in": x, "chooser_in": c, **out})
-    return rows
+    return [{"sender_in": x, "chooser_in": c, **ideal_one_cc(x, c)}
+            for x in (0, 1) for c in (0, 1)]
 
 
-def ideal_ot(strings: tuple, c: int):
-    if c not in (0, 1):
-        raise InputError("choice must be a bit")
-    return strings[c]
+def _as_bits(values, message: str) -> np.ndarray:
+    """`values` as an array, or an input error if an entry is not 0 or 1."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind != "b" and (values.max(initial=0) > 1 if kind == "u"
+                        else ((values != 0) & (values != 1)).any()):
+        raise InputError(message)
+    return values
+
+
+def ideal_ot(strings: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The transfer on every run: string c[r] of run r's pair strings[r]."""
+    return strings[run_index(len(c)), c]
 
 
 class IdealBitCommitment:
-    """Commit/open state machine; the backing simulator can read the bit."""
+    """Commit/open state machine over a (runs, positions) array of
+    commitments; the backing simulator can read the bits. It draws nothing."""
 
-    _bit = None
-    _state = "empty"
+    _bits, _state = None, "empty"
+    words = staticmethod(lambda n: 0)  # lane-0 words a run's commitments draw
 
-    def _accept(self, bit: int) -> None:
+    def __init__(self, tape: Tape | None = None):
+        self._tape = tape
+
+    def _accept(self, bits) -> np.ndarray:
         if self._state != "empty":
             raise InputError("commitment already in use")
-        if bit not in (0, 1):
-            raise InputError("committed value must be a bit")
+        return _as_bits(bits, "committed value must be a bit")
 
-    def commit(self, bit: int) -> str:
-        self._accept(bit)
-        self._bit = int(bit)
-        self._state = "committed"
-        return "committed"
+    def commit(self, bits):
+        """Commits the bits. Returns where a commitment aborted, or None
+        where none can, as here."""
+        self._bits, self._state = self._accept(bits), "committed"
 
-    def open(self):
+    def open(self) -> np.ndarray:
         if self._state != "committed":
             raise InputError("nothing to open")
         self._state = "opened"
-        return self._bit
+        return self._bits
 
-    def extract(self) -> int:
-        if self._bit is None:
+    def extract(self) -> np.ndarray:
+        if self._bits is None:
             raise InputError("nothing committed yet")
-        return self._bit
+        return self._bits
 
 
 class ProtocolBitCommitment(IdealBitCommitment):
@@ -208,44 +133,29 @@ class ProtocolBitCommitment(IdealBitCommitment):
     is its own nearest coset member, and both opening and `extract_commit_bit`
     on it return the committed bit. Commit therefore makes the protocol's
     draws (bases, checked positions, hash member) and applies its abort rule;
-    opening and extraction are the ideal commitment's.
+    opening and extraction are the ideal commitment's. They read junk for an
+    aborted commitment, and are input errors when every one aborted.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+    words = staticmethod(lambda n: 16 * n)  # 10 halves, 10 doubles and a half each
 
-    def commit(self, bit: int) -> str:
-        self._accept(bit)
-        self._rng.integers(0, 2, size=COMMIT_QUBITS)  # the bases theta
-        n_checked = int((self._rng.random(COMMIT_QUBITS) < COMMIT_CHECK_PROB).sum())
-        # honest committer: every checked position measures to 0, no mismatch
-        if n_checked > 2.0 * COMMIT_CHECK_PROB * COMMIT_QUBITS:
-            self._state = "aborted"
-            return "abort"
-        self._rng.integers(0, 2**(COMMIT_QUBITS - n_checked))  # the hash member
-        return super().commit(bit)
-
-
-# The maker of one fresh commitment on a run's lane-0 tape, per backend.
-COMMITMENTS = {"ideal": lambda _rng: IdealBitCommitment(), "protocol": ProtocolBitCommitment}
+    def commit(self, bits) -> np.ndarray:
+        bits = self._accept(bits)
+        aborted = np.empty(bits.shape, dtype=bool)
+        # position after position on the lane-0 tape; a run stops at its first
+        # aborted commitment, so each draws as if the earlier ones committed
+        for i in range(bits.shape[1]):
+            self._tape.integers(COMMIT_QUBITS)  # the bases theta
+            n_checked = (self._tape.random(COMMIT_QUBITS) < COMMIT_CHECK_PROB).sum(1)
+            # honest committer: every checked position measures to 0, no mismatch
+            aborted[:, i] = n_checked > 2.0 * COMMIT_CHECK_PROB * COMMIT_QUBITS
+            self._tape.integers(1, bits=(COMMIT_QUBITS - n_checked)[:, None])  # the hash member
+        self._bits, self._state = (None, "aborted") if aborted.all() else (bits, "committed")
+        return aborted
 
 
-# ---------------------------------------------------------------------------
-# two-bit cut-and-choose from commitment + one-bit cut-and-choose
-
-
-def _two_cc_step(bc, s0: int, c: int, s1_for, position: int):
-    """One 2CC' step at a transfer position: the committer commits s0 to
-    `bc`, the 1CC passes s1_for(position, c) under the choice c, and on c = 1
-    the commitment is opened. Returns (c, revealed s1, opened s0): c is None
-    when the commitment aborts, and opened is None for c = 0.
-    """
-    if bc.commit(s0) == "abort":
-        return None, None, None
-    revealed = ideal_one_cc(sender_bit=s1_for(position, c), chooser_bit=c)["chooser_receives"]
-    if c == 0:
-        return c, revealed, None
-    return c, revealed, bc.open()
+# The commitment backend of a run's 2CC' steps, made on its lane-0 tape.
+COMMITMENTS = {"ideal": IdealBitCommitment, "protocol": ProtocolBitCommitment}
 
 
 # ---------------------------------------------------------------------------
@@ -262,29 +172,47 @@ def qubit_state(bit: int, basis: int) -> np.ndarray:
     return _QUBIT_STATES[int(bit), int(basis)]
 
 
-# P(outcome 0) of the qubit with state index 2·bit + basis, measured in basis b.
+# P(outcome 0) of the qubit |bit>_basis measured in basis b, at [bit, basis, b].
 _BORN_P0 = np.array([[min(max(float(abs(np.vdot(qubit_state(0, b), psi)) ** 2), 0.0), 1.0)
-                      for b in (0, 1)] for psi in _QUBIT_STATES.reshape(4, 2)])
+                      for b in (0, 1)] for psi in _QUBIT_STATES.reshape(4, 2)]).reshape(2, 2, 2)
 
 
-def _measure(qubits, bases, rng: np.random.Generator):
-    """Born-rule outcomes (True for 1) of qubits, a numpy array or scalar,
-    measured in `bases`: one uniform draw per qubit, in order, with outcome 0
-    below the qubit's probability of 0."""
-    return rng.random(qubits.shape or None) >= _BORN_P0[qubits, bases]
+def _measure(qubits: tuple, bases, uniforms: np.ndarray) -> np.ndarray:
+    """Born-rule outcomes (True for 1) of qubits (bits, bases) measured in
+    `bases`: one uniform per qubit, outcome 0 below its probability of 0."""
+    return uniforms >= _BORN_P0[qubits[0], qubits[1], bases]
 
 
-def _xor_hash(bits, mask: np.ndarray, positions, values) -> tuple:
-    """`bits` XOR the mask's hash of `values` restricted to `positions`."""
-    v = values.tolist()
-    return tuple(a ^ (sum(row[p] & v[p] for p in positions) & 1)
-                 for a, row in zip(bits, mask.tolist()))
+def _hash(mask: np.ndarray, parts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(runs, ell, 2): the (runs, ell, n) mask's hash of 0/1 `values` on each side."""
+    return (mask @ (parts & values[:, :, None])) & 1
 
 
-def _random_partition(rng: np.random.Generator, nhat: int) -> tuple[tuple, tuple]:
-    side = rng.integers(0, 2, size=nhat).tolist()
-    return (tuple(j for j in range(nhat) if side[j] == 0),
-            tuple(j for j in range(nhat) if side[j] == 1))
+_SIDES = np.array([0, 1])
+_ROW = np.arange(MAX_STRING_BITS)[:, None]
+
+
+class _Kept:
+    """Each run's unchecked positions (`mask`), their `count` and each one's
+    `rank` among them: its draw's offset where one value is drawn per position."""
+
+    def __init__(self, checked: np.ndarray, count: np.ndarray):
+        self.mask = checked == 0
+        self.rank = np.add.accumulate(self.mask, axis=1, dtype=np.intp) - 1
+        self.count = count
+
+    def draw(self, tape: Tape) -> np.ndarray:
+        """`integers(0, 2, size=nhat)` on each run, at its kept positions."""
+        return tape.integers(self.count, self.rank)
+
+    def draw_rows(self, tape: Tape, rows: int) -> np.ndarray:
+        """`integers(0, 2, size=(rows, nhat))` on each run, as (runs, rows, n)."""
+        at = self.rank[:, None, :] + self.count[:, None, None] * _ROW[:rows]
+        return tape.integers(rows * self.count, at)
+
+    def split(self, side: np.ndarray) -> np.ndarray:
+        """The partition (I0, I1) side bits make: (runs, n, 2), True in I_b."""
+        return self.mask[:, :, None] & (side[:, :, None] == _SIDES)
 
 
 # ---------------------------------------------------------------------------
@@ -292,49 +220,49 @@ def _random_partition(rng: np.random.Generator, nhat: int) -> tuple[tuple, tuple
 
 
 class SenderProgram:
-    """Alice side of the transfer protocol; hooks mirror the message order."""
+    """Alice side of the transfer protocol for a batch of runs; hooks mirror
+    the message order and take and return (runs, n) arrays. `strings` is the
+    (2, ell) array of both strings."""
 
     name = "honest"
+    # words of its tape a run can draw: prepare, select and masks
+    words = staticmethod(lambda n, ell: (3 * n + ell * n + 1) // 2)
 
-    def __init__(self, rng: np.random.Generator, n: int, strings: tuple):
-        self.rng = rng
+    def __init__(self, tape: Tape, n: int, strings: np.ndarray):
+        self.tape = tape
         self.n = n
         self.strings = strings
-        self.ell = len(strings[0])
+        self.ell = strings.shape[1]
         self.memory: dict = {}
 
     @property
     def party(self) -> str:
         return "sender:" + self.name
 
-    def prepare(self) -> np.ndarray:
-        """The qubits |x_i>_theta_i, as state indices 2·x_i + theta_i."""
-        x, theta = self.rng.integers(0, 2, size=(2, self.n)).astype(np.uint8)
-        self.memory["x"] = x
-        self.memory["theta"] = theta
-        return 2 * x + theta
+    def prepare(self) -> tuple:
+        """The qubits |x_i>_theta_i, as the pair (x, theta)."""
+        drawn = self.tape.integers(2 * self.n)
+        self.memory.update(x=drawn[:, :self.n], theta=drawn[:, self.n:])
+        return self.memory["x"], self.memory["theta"]
 
     def select_bits(self) -> np.ndarray:
         """Every position's 1CC choice, in one draw."""
-        return self.rng.integers(0, 2, size=self.n)
+        return self.tape.integers(self.n)
 
-    def observe_commit(self, i: int, bc) -> None:
-        """A real sender learns only that position i is committed."""
+    def observe_commit(self, bc) -> None:
+        """A real sender learns only that the positions are committed."""
 
-    def observe_check(self, i: int, revealed_x: int, opened_basis: int) -> str | None:
-        if opened_basis == self.memory["theta"][i] and revealed_x != self.memory["x"][i]:
-            return "abort"
-        return None
+    def observe_check(self, revealed: np.ndarray, opened_bases: np.ndarray) -> np.ndarray:
+        """Whether a check at each position aborts; unchecked positions read 0."""
+        return (opened_bases == self.memory["theta"]) & (revealed != self.memory["x"])
 
-    def announce_bases(self, kept: np.ndarray) -> np.ndarray:
-        return self.memory["theta"][kept]
+    def announce_bases(self, kept: _Kept) -> np.ndarray:
+        return self.memory["theta"]
 
-    def masks(self, kept: np.ndarray, i0, i1) -> tuple[np.ndarray, tuple, tuple]:
-        nhat = len(kept)
-        mask = self.rng.integers(0, 2, size=(self.ell, nhat)).astype(np.uint8)
-        x_hat = self.memory["x"][kept]
-        return (mask, _xor_hash(self.strings[0], mask, i0, x_hat),
-                _xor_hash(self.strings[1], mask, i1, x_hat))
+    def masks(self, kept: _Kept, parts: np.ndarray):
+        """The hash mask (runs, ell, n) and both masked strings (runs, ell, 2)."""
+        mask = kept.draw_rows(self.tape, self.ell)
+        return mask, self.strings.T ^ _hash(mask, parts, self.memory["x"])
 
 
 class FixedStateSender(SenderProgram):
@@ -342,11 +270,12 @@ class FixedStateSender(SenderProgram):
     0, 1, 0, ... instead of a random one."""
 
     name = "fixed-state"
+    words = staticmethod(lambda n, ell: (n + ell * n + 1) // 2)
 
-    def prepare(self) -> np.ndarray:
-        x = self.memory["x"] = np.zeros(self.n, dtype=np.uint8)
-        theta = self.memory["theta"] = np.arange(self.n, dtype=np.uint8) % 2
-        return 2 * x + theta
+    def prepare(self) -> tuple:
+        x = self.memory["x"] = np.zeros((len(self.tape.raw), self.n), dtype=np.uint8)
+        theta = self.memory["theta"] = np.arange(self.n, dtype=np.uint8) % 2 + x
+        return x, theta
 
 
 class RandomAnnounceSender(SenderProgram):
@@ -354,9 +283,10 @@ class RandomAnnounceSender(SenderProgram):
     receiver's matched set no longer tracks the real encoding."""
 
     name = "random-announce"
+    words = staticmethod(lambda n, ell: (4 * n + ell * n + 1) // 2)
 
-    def announce_bases(self, kept: np.ndarray) -> np.ndarray:
-        return self.rng.integers(0, 2, size=len(kept)).astype(np.uint8)
+    def announce_bases(self, kept: _Kept) -> np.ndarray:
+        return kept.draw(self.tape)
 
 
 class FlipMaskSender(SenderProgram):
@@ -364,20 +294,24 @@ class FlipMaskSender(SenderProgram):
 
     name = "flip-mask"
 
-    def masks(self, kept, i0, i1):
-        mask, m0, m1 = super().masks(kept, i0, i1)
-        return mask, m0, tuple(b ^ 1 for b in m1)
+    def masks(self, kept, parts):
+        mask, masked = super().masks(kept, parts)
+        return mask, masked ^ _SIDES
 
 
 class ReceiverProgram:
-    """Bob side; hooks mirror the message order."""
+    """Bob side for a batch of runs, each with its own choice; hooks mirror
+    the message order and take and return (runs, n) arrays."""
 
     name = "honest"
+    lane = 2  # the seed lane of its own tape
+    # words a run can draw on lane 0 (its Born-rule outcomes) and on its own tape
+    words = staticmethod(lambda n: (n, (n + 1) // 2))
 
-    def __init__(self, rng: np.random.Generator, n: int, choice: int):
-        self.rng = rng
+    def __init__(self, tape: Tape, n: int, choice: np.ndarray):
+        self.tape = tape
         self.n = n
-        self.choice = int(choice)
+        self.choice = choice
         self.memory: dict = {}
 
     @property
@@ -385,31 +319,31 @@ class ReceiverProgram:
         return "receiver:" + self.name
 
     def choose_bases(self) -> np.ndarray:
-        return self.rng.integers(0, 2, size=self.n).astype(np.uint8)
+        return self.tape.integers(self.n)
 
-    def measure(self, qubits: np.ndarray, bases: np.ndarray, rng: np.random.Generator) -> None:
+    def measure(self, qubits: tuple, bases: np.ndarray, born: Tape) -> None:
         """Measures every qubit on arrival, drawing on the run's Born-rule tape."""
-        self.memory["x"] = _measure(qubits, bases, rng).astype(np.uint8)
+        self.memory["x"] = _measure(qubits, bases, born.random(self.n))
 
-    def commit_value(self, i: int, basis: int) -> int:
-        return basis
+    def commit_value(self, bases: np.ndarray) -> np.ndarray:
+        return bases
 
-    def one_cc_input(self, i: int, chooser_bit: int) -> int:
-        """Position i's 1CC input; only a rushing simulator reads the choice."""
-        return int(self.memory["x"][i])
+    def one_cc_input(self, chosen: np.ndarray) -> np.ndarray:
+        """Each position's 1CC input; only a rushing simulator reads the choice."""
+        return self.memory["x"]
 
-    def size_abort(self, total_checked: int) -> bool:
+    def size_abort(self, total_checked: np.ndarray) -> np.ndarray:
         return total_checked > 3 * self.n / 5
 
-    def partition(self, theta_hat_a: np.ndarray, theta_hat_b: np.ndarray, nhat: int):
-        same = (theta_hat_a == theta_hat_b).tolist()
-        sides = tuple(j for j in range(nhat) if same[j]), tuple(j for j in range(nhat) if not same[j])
-        return sides if self.choice == 0 else sides[::-1]
+    def partition(self, theta_hat_a: np.ndarray, theta_b: np.ndarray, kept: _Kept) -> np.ndarray:
+        """Each kept position's side: matched bases on side c, the rest on 1 - c."""
+        return (theta_hat_a != theta_b) ^ self.choice[:, None]
 
-    def decode(self, mask, m0, m1, x_hat_b: np.ndarray, i0, i1) -> tuple:
-        return _xor_hash((m0, m1)[self.choice], mask, (i0, i1)[self.choice], x_hat_b)
+    def decode(self, mask, masked, parts: np.ndarray) -> np.ndarray:
+        """Unmasks the string on its chosen side with its own outcomes."""
+        return (masked ^ _hash(mask, parts, self.memory["x"]))[run_index(len(mask)), :, self.choice]
 
-    def effective_choice(self) -> int | None:
+    def effective_choice(self) -> np.ndarray | None:
         return self.choice
 
 
@@ -417,47 +351,43 @@ class ComputationalBasesReceiver(ReceiverProgram):
     """Measures every position in the computational basis."""
 
     name = "computational-bases"
+    words = staticmethod(lambda n: (n, 0))
 
     def choose_bases(self) -> np.ndarray:
-        return np.zeros(self.n, dtype=np.uint8)
+        return np.zeros((len(self.tape.raw), self.n), dtype=np.uint8)
 
 
 class WrongPartitionReceiver(ReceiverProgram):
     """Ignores the matched set and partitions at random; no effective choice."""
 
     name = "wrong-partition"
+    words = staticmethod(lambda n: (n, n))
 
-    def partition(self, theta_hat_a, theta_hat_b, nhat):
-        return _random_partition(self.rng, nhat)
+    def partition(self, theta_hat_a, theta_b, kept):
+        return kept.draw(self.tape)
 
     def effective_choice(self) -> None:
         return None
 
 
-SENDER_SCRIPTS = {
-    "honest": SenderProgram,
-    "fixed-state": FixedStateSender,
-    "random-announce": RandomAnnounceSender,
-    "flip-mask": FlipMaskSender,
-}
+SENDER_SCRIPTS = {p.name: p for p in (SenderProgram, FixedStateSender, RandomAnnounceSender,
+                                       FlipMaskSender)}
+RECEIVER_SCRIPTS = {p.name: p for p in (ReceiverProgram, ComputationalBasesReceiver,
+                                        WrongPartitionReceiver)}
 
-RECEIVER_SCRIPTS = {
-    "honest": ReceiverProgram,
-    "computational-bases": ComputationalBasesReceiver,
-    "wrong-partition": WrongPartitionReceiver,
-}
+
+def _script(scripts: dict, side: str, name: str):
+    if name not in scripts:
+        raise InputError(f"unknown {side} script '{name}'")
+    return scripts[name]
 
 
 def sender_script(name: str) -> type[SenderProgram]:
-    if name not in SENDER_SCRIPTS:
-        raise InputError(f"unknown sender script '{name}'")
-    return SENDER_SCRIPTS[name]
+    return _script(SENDER_SCRIPTS, "sender", name)
 
 
 def receiver_script(name: str) -> type[ReceiverProgram]:
-    if name not in RECEIVER_SCRIPTS:
-        raise InputError(f"unknown receiver script '{name}'")
-    return RECEIVER_SCRIPTS[name]
+    return _script(RECEIVER_SCRIPTS, "receiver", name)
 
 
 def _as_string(bits) -> tuple:
@@ -477,39 +407,33 @@ class _RushingReceiver(ReceiverProgram):
     """The corrupted-sender simulator in the receiver's seat. It measures a
     checked qubit only when the 1CC forces a value (rushing), partitions at
     random, measures every kept qubit in the announced basis, rebuilds both
-    strings and hands them to the ideal transfer. Constructed on the run's
-    lane-0 tape, which it uses for every draw.
+    strings and hands them to the ideal transfer. It draws everything on the
+    run's lane-0 tape, next to ideal commitments, which draw nothing there.
     """
 
     party = "simulator"
+    lane = 0
+    words = staticmethod(lambda n: (2 * n + 1, 0))  # bases, then a double and a half each
 
-    def __init__(self, rng, n, choice, transcript: ExecutionTranscript):
-        super().__init__(rng, n, choice)
-        self.transcript = transcript
+    def measure(self, qubits, bases, born) -> None:
+        self.memory.update(qubits=qubits, p0=_BORN_P0[qubits[0], qubits[1], bases])
 
-    def measure(self, qubits, bases, rng) -> None:
-        self.memory.update(qubits=qubits, p0=_BORN_P0[qubits, bases].tolist(),
-                           rushed=np.zeros(self.n, dtype=bool), x=np.zeros(self.n, dtype=np.uint8))
+    def one_cc_input(self, chosen):
+        # one draw per checked position, in order: `_measure` on that qubit
+        rank = np.add.accumulate(chosen, axis=1, dtype=np.intp)
+        self.memory["x"] = self.tape.random(rank[:, -1], rank - 1) >= self.memory["p0"]
+        return self.memory["x"]
 
-    def one_cc_input(self, i, chooser_bit):
-        if chooser_bit == 0:
-            return 0
-        self.memory["rushed"][i] = True
-        bit = int(self.rng.random() >= self.memory["p0"][i])  # `_measure` on one qubit
-        self.memory["x"][i] = bit
-        return bit
+    def partition(self, theta_hat_a, theta_b, kept):
+        side = kept.draw(self.tape)
+        drawn = self.tape.random(kept.count, kept.rank)
+        self.memory["x"] = np.where(kept.mask, _measure(self.memory["qubits"], theta_hat_a, drawn),
+                                    self.memory["x"])
+        return side
 
-    def partition(self, theta_hat_a, theta_hat_b, nhat):
-        i0, i1 = _random_partition(self.rng, nhat)
-        kept = ~self.memory["rushed"]
-        self.memory["x"][kept] = _measure(self.memory["qubits"][kept], theta_hat_a, self.rng)
-        return i0, i1
-
-    def decode(self, mask, m0, m1, x_hat_b, i0, i1):
-        strings = (_xor_hash(m0, mask, i0, x_hat_b), _xor_hash(m1, mask, i1, x_hat_b))
-        out = ideal_ot(strings, self.choice)
-        self.transcript.meta["extracted"] = strings
-        return out
+    def decode(self, mask, masked, parts):
+        strings = self.memory["extracted"] = (masked ^ _hash(mask, parts, self.memory["x"]))
+        return ideal_ot(strings.transpose(0, 2, 1), self.choice)
 
 
 class _ExtractingSender(SenderProgram):
@@ -522,130 +446,139 @@ class _ExtractingSender(SenderProgram):
     """
 
     party = "simulator"
+    words = staticmethod(lambda n, ell: (3 * n + ell * n + ell + 1) // 2)
 
-    def observe_commit(self, i, bc) -> None:
-        self.memory.setdefault("committed", {})[i] = bc.extract()
+    def observe_commit(self, bc) -> None:
+        self.memory["committed"] = bc.extract()
 
-    def masks(self, kept, i0, i1):
-        committed = [self.memory["committed"][i] for i in kept.tolist()]
-        theta_hat = self.memory["theta"][kept].tolist()
-        matched = {j for j in range(len(kept)) if theta_hat[j] == committed[j]}
-        side0, side1 = set(i0), set(i1)
-        if side0 == matched:
-            c_hat = 0
-        elif side1 == matched:
-            c_hat = 1
-        elif (side0 <= matched) != (side1 <= matched):
-            # degenerate partitions: prefer the side whose positions the
-            # receiver actually knows (all bases matched)
-            c_hat = 0 if side0 <= matched else 1
-        else:
-            c_hat = 0 if len(matched & side0) >= len(matched & side1) else 1
-        value = ideal_ot(self.strings, c_hat)
-        self.memory["c_hat"] = c_hat
-        mask = self.rng.integers(0, 2, size=(self.ell, len(kept))).astype(np.uint8)
-        m_chat = _xor_hash(value, mask, (i0, i1)[c_hat], self.memory["x"][kept])
-        m_other = tuple(int(b) for b in self.rng.integers(0, 2, size=self.ell))
-        return (mask, m_chat, m_other) if c_hat == 0 else (mask, m_other, m_chat)
+    def masks(self, kept, parts):
+        matched = kept.mask & (self.memory["theta"] == self.memory["committed"])
+        side0, side1 = parts[..., 0], parts[..., 1]
+        within0, within1 = ~(side0 & ~matched).any(1), ~(side1 & ~matched).any(1)
+        more0 = (matched & side0).sum(1) >= (matched & side1).sum(1)
+        c_hat = self.memory["c_hat"] = np.where((side0 == matched).all(1), 0, np.where(
+            (side1 == matched).all(1), 1, np.where(
+                # degenerate partitions: prefer the side whose positions the
+                # receiver actually knows (all bases matched)
+                within0 != within1, ~within0, ~more0))).astype(np.intp)
+        runs = run_index(len(c_hat))
+        value = ideal_ot(np.broadcast_to(self.strings, (len(c_hat), 2, self.ell)), c_hat)
+        mask = kept.draw_rows(self.tape, self.ell)
+        masked = np.repeat(self.tape.integers(self.ell)[:, :, None], 2, axis=2)  # the other: random
+        masked[runs, :, c_hat] = value ^ _hash(mask, parts, self.memory["x"])[runs, :, c_hat]
+        return mask, masked
 
 
 # ---------------------------------------------------------------------------
 # the engine: one message flow for real runs and simulations
 
 
-class _Execution:
-    """One seeded run of the transfer protocol. The constructor checks the
-    inputs; `play` runs the message flow over a sender and a receiver
-    program and fills in the transcript. `states`, the run's row of
-    `_seed_states`, builds its tapes without seeding them.
-    """
+def _play(alice: SenderProgram, bob: ReceiverProgram, born: Tape, commitment):
+    """Plays every run of a batch. Returns each run's abort code (an index
+    into `_REASONS`), the receiver's output bits (junk where a run aborted)
+    and the number of checked positions."""
+    qubits = alice.prepare()
+    if qubits[0].shape[1] != alice.n:
+        raise InputError("sender script must supply one qubit per position")
+    theta_b = bob.choose_bases()
+    bob.measure(qubits, theta_b, born)
+    chosen = alice.select_bits()  # the 1CC choices: 1 checks the position
 
-    def __init__(self, s0, s1, c, n: int, seed, bc_backend="ideal", states=None):
-        self.strings = (_as_string(s0), _as_string(s1))
-        if len(self.strings[0]) != len(self.strings[1]):
+    # the n 2CC' steps: commit, 1CC (the chooser learns the receiver's bit
+    # only where it checks), and open only where it checks
+    bc = commitment(born)
+    commit_aborts = bc.commit(bob.commit_value(theta_b))
+    checked = chosen.sum(axis=1, dtype=np.intp)
+    if commit_aborts is not None and commit_aborts.all():  # nothing to open
+        return np.ones_like(checked), np.zeros((len(checked), alice.ell), np.uint8), checked
+    alice.observe_commit(bc)
+    revealed = _as_bits(bob.one_cc_input(chosen), "functionality inputs must be bits") & chosen
+    check_aborts = chosen & alice.observe_check(revealed, bc.open() & chosen)
+    code = np.where(check_aborts.any(axis=1), 2, 3 * bob.size_abort(checked))
+    if commit_aborts is not None and commit_aborts.any():
+        # a run stops at its first abort, a commitment's before its check
+        stops = commit_aborts | check_aborts
+        stop = run_index(len(stops)), stops.argmax(axis=1)
+        code = np.where(commit_aborts[stop], 1, code)
+    if code.all():  # no run is left to play
+        return code, np.zeros((len(code), alice.ell), np.uint8), checked
+
+    kept = _Kept(chosen, alice.n - checked)
+    parts = kept.split(bob.partition(alice.announce_bases(kept), theta_b, kept))
+    mask, masked = alice.masks(kept, parts)
+    return code, bob.decode(mask, masked, parts), checked
+
+
+@functools.cache
+def _words(plays: tuple, n: int, ell: int, commitment) -> list[int]:
+    """Each lane's block width: the most any (sender, receiver) play draws."""
+    sizes = [0, 0, 0]
+    for sender, receiver in plays:
+        need = [receiver.words(n)[0] + commitment.words(n), sender.words(n, ell), 0]
+        need[receiver.lane] += receiver.words(n)[1]
+        sizes = [max(a, b) for a, b in zip(sizes, need)]
+    return sizes
+
+
+class _Batch:
+    """Runs of one transfer (strings, position count and commitment backend),
+    each with its own choice and tapes. The constructor checks the inputs."""
+
+    def __init__(self, s0, s1, n: int, bc_backend: str, c=0):
+        strings = (_as_string(s0), _as_string(s1))
+        if len(strings[0]) != len(strings[1]):
             raise InputError("the two strings must have equal length")
         if c not in (0, 1):
             raise InputError("choice must be a bit")
         if not 2 <= n <= MAX_POSITIONS:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
-        self.t = ExecutionTranscript(_stream(seed, 0), outputs={}, aborted=False, meta={})
-        self.c, self.n, self.states = c, n, states
-        if states is None:
-            self.words = _seed_words(self.t.seed[:-1])
         if bc_backend not in COMMITMENTS:
             raise InputError("commitment backend must be 'ideal' or 'protocol'")
-        self.new_commitment = COMMITMENTS[bc_backend]
-        self.rng = self.tape(0)
+        self.strings = np.array(strings, dtype=np.uint8)
+        self.n, self.c, self.commitment = n, c, COMMITMENTS[bc_backend]
 
-    def tape(self, lane: int) -> np.random.Generator:
-        if self.states is None:
-            return _tape(self.words, lane)
-        return _state_tape(self.states[lane])
+    def words(self, *plays) -> list[int]:
+        return _words(plays, self.n, self.strings.shape[1], self.commitment)
 
-    def _abort(self, reason: str, alice_output) -> None:
-        self.t.aborted = True
-        self.t.outputs = {"alice": alice_output, "bob": "abort"}
-        self.t.meta["reason"] = reason
+    def play(self, blocks, sender, receiver, choice=None):
+        """Plays sender against receiver on fresh cursors over `blocks`;
+        returns both programs, the abort codes, outputs and checked counts."""
+        tapes = [Tape(block) for block in blocks]
+        if choice is None:
+            choice = np.full(len(blocks[0]), self.c, dtype=np.uint8)
+        alice = sender(tapes[1], self.n, self.strings)
+        bob = receiver(tapes[receiver.lane], self.n, choice)
+        return (alice, bob, *_play(alice, bob, tapes[0], self.commitment))
 
-    def play(self, alice: SenderProgram, bob: ReceiverProgram) -> int | None:
-        """Returns the number of checked positions, or None on an abort."""
-        t, n = self.t, self.n
-        t.meta["parties"] = {"alice": alice.party, "bob": bob.party}
-        qubits = alice.prepare()
-        if len(qubits) != n:
-            raise InputError("sender script must supply one qubit per position")
-        theta_b = bob.choose_bases()
-        bob.measure(qubits, theta_b, self.rng)
-
-        kept, choices = [], alice.select_bits().tolist()
-        for i, basis in enumerate(theta_b.tolist()):
-            bc = self.new_commitment(self.rng)
-            t_i, revealed, opened = _two_cc_step(bc, bob.commit_value(i, basis), choices[i],
-                                                 bob.one_cc_input, i)
-            if t_i is None:
-                return self._abort("commit-abort", "abort")
-            alice.observe_commit(i, bc)
-            if t_i == 0:
-                kept.append(i)
-            elif alice.observe_check(i, revealed, opened) == "abort":
-                return self._abort("check-abort", "abort")
-        checked = n - len(kept)
-        if bob.size_abort(checked):
-            return self._abort("size-abort", None)
-
-        kept = np.array(kept, dtype=np.intp)
-        theta_hat_a = np.asarray(alice.announce_bases(kept), dtype=np.uint8)
-        i0, i1 = bob.partition(theta_hat_a, theta_b[kept], len(kept))
-        mask, m0, m1 = alice.masks(kept, i0, i1)
-        out = bob.decode(mask, m0, m1, bob.memory["x"][kept], i0, i1)
-        t.outputs = {"alice": None, "bob": out}
-        return checked
+    def single(self, seed, sender, receiver):
+        """One run on `seed` as a batch of one: its transcript, both programs
+        and its checked count."""
+        states = word_states(seed_words(seed))[None]
+        alice, bob, code, out, checked = self.play(
+            state_blocks(states, self.words((sender, receiver))), sender, receiver)
+        reason = _REASONS[code[0]]
+        meta = {"parties": {"alice": alice.party, "bob": bob.party}}
+        if reason is None:
+            outputs = {"alice": None, "bob": tuple(out[0].tolist())}
+        else:
+            meta["reason"] = reason
+            outputs = {"alice": None if reason == "size-abort" else "abort", "bob": "abort"}
+        t = ExecutionTranscript(stream(seed, 0), outputs, reason is not None, meta)
+        return t, alice, bob, int(checked[0])
 
 
 def _output(t: ExecutionTranscript):
     return "abort" if t.aborted else t.outputs["bob"]
 
 
-def _run_real(run: _Execution, sender=None, receiver=None) -> ExecutionTranscript:
-    alice = (sender or SenderProgram)(run.tape(1), run.n, run.strings)
-    bob = (receiver or ReceiverProgram)(run.tape(2), run.n, run.c)
-    checked = run.play(alice, bob)
-    if checked is not None:
-        run.t.meta["checked"] = checked
-    return run.t
-
-
 def run_ot_protocol(s0, s1, c: int, n: int, *, sender=None, receiver=None, seed=0,
                     bc_backend: str = "ideal") -> ExecutionTranscript:
     """One seeded execution; scripted parties replace the honest programs."""
-    return _run_real(_Execution(s0, s1, c, n, seed, bc_backend), sender, receiver)
-
-
-def _simulate_sender(run: _Execution, script) -> dict:
-    alice = script(run.tape(1), run.n, run.strings)
-    bob = _RushingReceiver(run.rng, run.n, run.c, run.t)
-    run.play(alice, bob)
-    return {"transcript": run.t, "extracted": run.t.meta.get("extracted"), "output": _output(run.t)}
+    t, _, _, checked = _Batch(s0, s1, n, bc_backend, c).single(
+        seed, sender or SenderProgram, receiver or ReceiverProgram)
+    if not t.aborted:
+        t.meta["checked"] = checked
+    return t
 
 
 def simulate_corrupted_sender(script, c: int, n: int, strings: tuple, seed=0) -> dict:
@@ -654,19 +587,10 @@ def simulate_corrupted_sender(script, c: int, n: int, strings: tuple, seed=0) ->
     everything else after the announcement, in the announced bases. Both
     strings are then reconstructed and handed to the ideal transfer.
     """
-    return _simulate_sender(_Execution(strings[0], strings[1], c, n, seed), script)
-
-
-def _simulate_receiver(run: _Execution, script) -> dict:
-    alice = _ExtractingSender(run.tape(1), run.n, run.strings)
-    bob = script(run.tape(2), run.n, run.c)
-    run.play(alice, bob)
-    return {
-        "transcript": run.t,
-        "inferred_choice": alice.memory.get("c_hat"),
-        "effective_choice": bob.effective_choice(),
-        "output": _output(run.t),
-    }
+    t, _, bob, _ = _Batch(*strings, n, "ideal", c).single(seed, script, _RushingReceiver)
+    if not t.aborted:
+        t.meta["extracted"] = tuple(map(tuple, bob.memory["extracted"][0].T.tolist()))
+    return {"transcript": t, "extracted": t.meta.get("extracted"), "output": _output(t)}
 
 
 def simulate_corrupted_receiver(script, s0, s1, n: int, *, choice: int = 0, seed=0,
@@ -677,24 +601,30 @@ def simulate_corrupted_receiver(script, s0, s1, n: int, *, choice: int = 0, seed
     partition, and completes the run with the ideal transfer's answer for
     that choice.
     """
-    return _simulate_receiver(_Execution(s0, s1, choice, n, seed, bc_backend), script)
+    t, alice, bob, _ = _Batch(s0, s1, n, bc_backend, choice).single(seed, _ExtractingSender, script)
+    effective = bob.effective_choice()
+    return {"transcript": t, "inferred_choice": None if t.aborted else int(alice.memory["c_hat"][0]),
+            "effective_choice": None if effective is None else int(effective[0]),
+            "output": _output(t)}
 
 
-def _seeded_runs(runs: int, seed):
-    """(run seed, seed states) of runs k = 0..runs-1 on `_stream(seed, k)`,
-    the states derived _STATE_BLOCK runs at a time."""
+def _seeded_blocks(runs: int, seed, sizes):
+    """(first run, lane blocks) of runs k = 0..runs-1 on `stream(seed, k)`,
+    _STATE_BLOCK runs at a time."""
     for start in range(0, runs, _STATE_BLOCK):
-        seeds = [_stream(seed, k) for k in range(start, min(start + _STATE_BLOCK, runs))]
-        yield from zip(seeds, _seed_states(seeds))
+        seeds = [stream(seed, k) for k in range(start, min(start + _STATE_BLOCK, runs))]
+        yield start, state_blocks(seed_states(seeds), sizes)
 
 
 def honest_ot_completeness(runs: int, n: int, seed) -> dict:
-    """Completed and correct honest transfers at choice k % 2, run k on `_stream(seed, k)`."""
+    """Completed and correct honest transfers at choice k % 2, run k on `stream(seed, k)`."""
+    batch, honest = _Batch((0,), (1,), n, "ideal"), (SenderProgram, ReceiverProgram)
     completed = correct = 0
-    for k, (run_seed, states) in enumerate(_seeded_runs(runs, seed)):
-        t = _run_real(_Execution((0,), (1,), k % 2, n, run_seed, states=states))
-        completed += not t.aborted
-        correct += _output(t) == (k % 2,)
+    for start, blocks in _seeded_blocks(runs, seed, batch.words(honest)):
+        choice = (np.arange(start, start + len(blocks[0])) % 2).astype(np.uint8)
+        code, out = batch.play(blocks, *honest, choice)[2:4]
+        completed += int((code == 0).sum())
+        correct += int(((code == 0) & (out[:, 0] == choice)).sum())
     return {"runs": runs, "completed": completed, "correct": correct}
 
 
@@ -702,18 +632,18 @@ def honest_ot_completeness(runs: int, n: int, seed) -> dict:
 # the comparison demo
 
 
-def _label(output) -> str:
-    if isinstance(output, tuple):
-        return "".join(str(b) for b in output)
-    return str(output)
+def _label_counts(code: np.ndarray, out: np.ndarray) -> Counter:
+    """Runs per environment-visible output: "abort", or the output's bits."""
+    ell = out.shape[1]
+    value = np.where(code == 0, (out.astype(np.intp) << np.arange(ell - 1, -1, -1)).sum(1), -1)
+    keys, counts = np.unique(value, return_counts=True)
+    return Counter({"abort" if k < 0 else format(k, f"0{ell}b"): v
+                    for k, v in zip(keys.tolist(), counts.tolist())})
 
 
 def _compare_counts(real: dict, ideal: dict, runs: int) -> dict:
-    cats = sorted(set(real) | set(ideal))
-    rows = {}
-    worst = 0.0
-    ok = True
-    for cat in cats:
+    rows, worst, ok = {}, 0.0, True
+    for cat in sorted(set(real) | set(ideal)):
         k1, k2 = real.get(cat, 0), ideal.get(cat, 0)
         pooled = (k1 + k2) / (2.0 * runs)
         sigma = math.sqrt(max(pooled * (1.0 - pooled) * 2.0 / runs, 0.0))
@@ -736,26 +666,26 @@ def run_simulator_demo(corruption: str, *, script: str = "honest", runs: int = 1
     if runs < 1:
         raise InputError("a demo needs at least one run")
     if corruption == "sender":
-        program, backend = sender_script(script), "ideal"
-        real = functools.partial(_run_real, sender=program)
-        simulate = functools.partial(_simulate_sender, script=program)
+        program = sender_script(script)
+        batch = _Batch(s0, s1, n, "ideal", c)
+        real, simulated = (program, ReceiverProgram), (program, _RushingReceiver)
     elif corruption == "receiver":
-        program, backend = receiver_script(script), "protocol"
-        real = functools.partial(_run_real, receiver=program)
-        simulate = functools.partial(_simulate_receiver, script=program)
+        program = receiver_script(script)
+        batch = _Batch(s0, s1, n, "protocol", c)
+        real, simulated = (SenderProgram, program), (_ExtractingSender, program)
     else:
         raise InputError("corruption must be 'sender' or 'receiver'")
-    real_counts: Counter = Counter()
-    ideal_counts: Counter = Counter()
-    extraction = {"checked": 0, "correct": 0}
-    for run_seed, states in _seeded_runs(runs, seed):
-        # the real run and its simulation build their tapes from the same states
-        real_counts[_label(_output(real(_Execution(s0, s1, c, n, run_seed, backend, states))))] += 1
-        sim = simulate(_Execution(s0, s1, c, n, run_seed, backend, states))
-        ideal_counts[_label(sim["output"])] += 1
-        if sim.get("effective_choice") is not None and sim.get("inferred_choice") is not None:
-            extraction["checked"] += 1
-            extraction["correct"] += int(sim["inferred_choice"] == sim["effective_choice"])
+    real_counts, ideal_counts, extraction = Counter(), Counter(), {"checked": 0, "correct": 0}
+    for _, blocks in _seeded_blocks(runs, seed, batch.words(real, simulated)):
+        # the real runs and their simulations read the same blocks
+        real_counts += _label_counts(*batch.play(blocks, *real)[2:4])
+        alice, bob, code, out, _ = batch.play(blocks, *simulated)
+        ideal_counts += _label_counts(code, out)
+        effective = bob.effective_choice()
+        if corruption == "receiver" and effective is not None:
+            done = code == 0
+            extraction["checked"] += int(done.sum())
+            extraction["correct"] += int((done & (alice.memory.get("c_hat") == effective)).sum())
     report = _compare_counts(real_counts, ideal_counts, runs)
     report.update(corruption=corruption, script=script, runs=runs, positions=n, choice=c)
     if corruption == "receiver":

@@ -474,6 +474,12 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(argv, tmp_path, capsys):
     (["uc", "--table", "--runs", "3"], "--runs is read only with --honest-ot or --demo"),
     (["uc", "--table", "--n", "5"], "--n is read only with --honest-ot or --demo"),
     (["onecc", "--guessing", "--code", "bogus"], "--code is read only with --wrong-opening"),
+    (["onecc", "--guessing", "--samples", "5"], "--samples is read only with --wrong-opening"),
+    (["onecc", "--commit-sim", "--delta", "0.5"], "--delta is read only with --wrong-opening"),
+    (["onecc", "--guessing", "--big-n", "7", "--q", "0.3", "--runs", "5"],
+     "--big-n is read only with --commit-sim"),
+    (["onecc", "--guessing", "--q", "0.3"], "--q is read only with --commit-sim"),
+    (["onecc", "--wrong-opening", "--runs", "5"], "--runs is read only with --commit-sim"),
 ])
 def test_flag_the_chosen_checks_do_not_read_is_usage_error(argv, message, capsys):
     """A flag that the subcommand takes but none of the chosen checks reads
@@ -482,6 +488,13 @@ def test_flag_the_chosen_checks_do_not_read_is_usage_error(argv, message, capsys
     captured = capsys.readouterr()
     assert message in captured.err
     assert "PASS" not in captured.out
+
+
+def test_onecc_flags_read_by_their_checks_still_run(capsys):
+    # the same flags are taken when the check that reads them runs
+    assert main(["onecc", "--commit-sim", "--big-n", "7", "--q", "0.3", "--runs", "5"]) == 0
+    assert main(["onecc", "--wrong-opening", "--samples", "2", "--delta", "0.1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_state_without_family_is_usage_error(tmp_path, capsys):
