@@ -31,7 +31,7 @@ from .linalg import (
     tensor,
 )
 from .discrimination import Povm
-from .rand import haar_unitary, random_povm_elements, rng_from_seed
+from .rand import haar_unitaries, random_povm_elements, rng_from_seed
 from .states import DensityOperator, density_from_matrix, zero_entropy
 
 
@@ -57,26 +57,30 @@ def dmax_relative(k: np.ndarray, rho: np.ndarray, rank_tol: float = RANK_TOL) ->
     ra = check_hermitian(rho, 1e-10, "rho")
     if ka.shape != ra.shape:
         raise InputError("K and rho must share one dimension")
-    return float(_dmax_blocks(ka[None], hermitize(ra), rank_tol)[0])
+    return float(_dmax_blocks(ka[None], hermitize(ra)[None], np.zeros(1, int), rank_tol)[0])
 
 
-def _dmax_blocks(ks: np.ndarray, rho: np.ndarray, rank_tol: float) -> np.ndarray:
-    """dmax_relative for each block of a PSD (n, d, d) stack against one Hermitian rho, checked
-    PSD here: one eigh of rho whitens every block, then stacked eigvalsh calls."""
-    vals, vecs = np.linalg.eigh(rho)
-    if vals.size and vals[0] < -1e-10:
-        raise InputError(f"rho not PSD: min eigenvalue {vals[0]:.3e} < -1.0e-10")
-    mask = vals > vals.max(initial=1.0) * 1e-14
-    if not np.any(mask):
-        return np.where(max_eig(ks) <= rank_tol, 0.0, math.inf)
-    v = vecs[:, mask]
-    inv_sqrt = (v / np.sqrt(vals[mask])) @ v.conj().T
-    c = np.maximum(0.0, max_eig(inv_sqrt @ ks @ inv_sqrt))
-    if mask.all():  # a full-rank rho supports every K
-        return c
-    # Support check: weight of each K outside supp(rho).
-    comp = np.eye(rho.shape[0]) - v @ v.conj().T
-    return np.where(max_eig(comp @ ks @ comp) > rank_tol, math.inf, c)
+def _dmax_blocks(ks: np.ndarray, rhos: np.ndarray, owner: np.ndarray,
+                 rank_tol: float) -> np.ndarray:
+    """dmax_relative of each block ks[i] of a PSD (n, d, d) stack against rhos[owner[i]], for an
+    (m, d, d) stack of Hermitian rhos checked PSD here: one stacked eigh gives each rho's inverse
+    square root on its support, which whitens its blocks, then stacked eigvalsh calls."""
+    vals, vecs = np.linalg.eigh(rhos)
+    if vals.size and vals[:, 0].min() < -1e-10:
+        raise InputError(f"rho not PSD: min eigenvalue {vals[:, 0].min():.3e} < -1.0e-10")
+    mask = vals > vals.max(axis=-1, keepdims=True, initial=1.0) * 1e-14
+    # Eigenvectors off the support are divided by inf, so they drop out.
+    w = vecs / np.sqrt(np.where(mask, vals, np.inf))[:, None, :]
+    inv_sqrt = w @ vecs.conj().swapaxes(-1, -2)
+    c = np.maximum(0.0, max_eig(inv_sqrt[owner] @ ks @ inv_sqrt[owner]))
+    deficient = ~mask.all(axis=-1)[owner]  # a full-rank rho supports every K
+    if deficient.any():
+        # Support check: weight of each K outside supp(rho).
+        v = vecs * mask[:, None, :]
+        comp = (np.eye(rhos.shape[-1]) - v @ v.conj().swapaxes(-1, -2))[owner[deficient]]
+        outside = max_eig(comp @ ks[deficient] @ comp) > rank_tol
+        c[np.flatnonzero(deficient)[outside]] = math.inf
+    return c
 
 
 def reduced_b(rho_ab: DensityOperator) -> np.ndarray:
@@ -93,8 +97,18 @@ def measurement_blocks(povm: Povm, rho_ab: DensityOperator) -> np.ndarray:
     dim_a, dim_b = rho_ab.shape.dims
     if povm.dim != dim_a:
         raise InputError(f"POVM dim {povm.dim} != A dim {dim_a}")
-    rho = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    return hermitize(np.einsum("xij,jbic->xbc", povm.stack, rho))
+    # One matrix product: F_x flattened over (i, j) against rho[j, b, i, c] as ((i, j), (b, c)).
+    rho = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b).transpose(2, 0, 1, 3)
+    flat = povm.stack.reshape(len(povm), -1) @ rho.reshape(dim_a * dim_a, dim_b * dim_b)
+    return hermitize(flat.reshape(-1, dim_b, dim_b))
+
+
+def shape_groups(states) -> dict[tuple[int, ...], list[int]]:
+    """Indices of the states, in order, grouped by their register dimensions."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, rho in enumerate(states):
+        groups.setdefault(rho.shape.dims, []).append(i)
+    return groups
 
 
 def imax_for_measurement(
@@ -108,41 +122,62 @@ def imax_for_measurement(
 def imax_for_measurements(
     povms, rho_ab: DensityOperator
 ) -> list[tuple[float, tuple[float, ...], np.ndarray]]:
-    """imax_for_measurement of each POVM on one state. Every POVM's blocks are
-    checked PSD together, rho_B is decomposed once, and all blocks are
-    whitened and scored in one stacked call."""
-    parts = [measurement_blocks(povm, rho_ab) for povm in povms]
-    blocks = check_psd(np.concatenate(parts), 1e-10, "K")
-    cs = _dmax_blocks(blocks, reduced_b(rho_ab), RANK_TOL)
-    if np.isinf(cs).any():
-        raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
-    out = []
-    ends = np.cumsum([len(part) for part in parts])[:-1]
-    for part_cs, part_blocks in zip(np.split(cs, ends), np.split(blocks, ends)):
-        total = float(part_cs.sum())
-        sigma = part_cs / total if total > 0.0 else np.full(len(part_cs), 1.0 / len(part_cs))
-        lam = float(np.log2(total)) if total > 0.0 else 0.0
-        out.append((lam, tuple(sigma.tolist()), part_blocks))
+    """imax_for_measurement of each POVM on one state, scored together."""
+    return imax_for_states([(povms, rho_ab)])[0]
+
+
+def imax_for_states(jobs) -> list[list[tuple[float, tuple[float, ...], np.ndarray]]]:
+    """imax_for_measurements of each (povms, rho_ab) job. Jobs are grouped by
+    (d_A, d_B); per group, every block is checked PSD in one stacked call, every
+    rho_B is decomposed in one stacked eigh, and all blocks are whitened and
+    scored together. A block with weight outside its supp(rho_B) fails the call."""
+    out: list = [None] * len(jobs)
+    for idx in shape_groups([rho for _, rho in jobs]).values():
+        parts = [[measurement_blocks(povm, jobs[j][1]) for povm in jobs[j][0]] for j in idx]
+        flat = [blocks for job in parts for blocks in job]
+        blocks = check_psd(np.concatenate(flat), 1e-10, "K")
+        owner = np.repeat(np.arange(len(idx)), [sum(map(len, job)) for job in parts])
+        rho_bs = np.stack([reduced_b(jobs[j][1]) for j in idx])
+        cs = _dmax_blocks(blocks, rho_bs, owner, RANK_TOL)
+        if np.isinf(cs).any():
+            raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
+        ends = np.cumsum([len(part) for part in flat])[:-1]
+        scored = iter(map(_scored, np.split(cs, ends), np.split(blocks, ends)))
+        for j, job in zip(idx, parts):
+            out[j] = [next(scored) for _ in job]
     return out
 
 
-def domination_defect(
-    blocks: np.ndarray,
-    rho_b: np.ndarray,
-    lam: float | tuple[float, ...],
-    sigma: tuple[float, ...],
-) -> float | np.ndarray:
-    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B, for a
-    measurement's blocks K_x and rho_B; a float for one lam and an array for
-    a sequence of them (one stacked call).
+def _scored(cs: np.ndarray, blocks: np.ndarray) -> tuple[float, tuple[float, ...], np.ndarray]:
+    """(lambda, sigma, blocks) from one measurement's constants c_x."""
+    total = float(cs.sum())
+    sigma = cs / total if total > 0.0 else np.full(len(cs), 1.0 / len(cs))
+    lam = float(np.log2(total)) if total > 0.0 else 0.0
+    return lam, tuple(sigma.tolist()), blocks
+
+
+def domination_defect(blocks: np.ndarray, rho_b: np.ndarray, lam, sigma,
+                      sizes=None) -> float | np.ndarray:
+    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B, for one
+    measurement's blocks K_x and rho_B, in one stacked call. `lam` is one
+    exponent (a float is returned) or a sequence of them (an array).
+
+    Given `sizes`, `blocks` holds several measurements, sizes[m] blocks each,
+    `rho_b` is one matrix or one per block, each exponent in `lam` is one per
+    measurement, and the result has one column per measurement.
 
     <= 0 means the inequality holds blockwise for this sigma.
     """
-    if len(sigma) != len(blocks):
+    one = sizes is None
+    sizes = [len(blocks)] if one else list(sizes)
+    if len(sigma) != len(blocks) or sum(sizes) != len(blocks):
         raise InputError("sigma length must match outcome count")
-    scale = np.array([[2.0 ** float(v)] for v in np.atleast_1d(lam)]) * np.asarray(sigma, float)
-    defects = np.max(max_eig(blocks - scale[..., None, None] * rho_b), axis=-1)
-    return defects if np.ndim(lam) else float(defects[0])
+    exps = np.asarray(lam, float)[..., None] if one else np.asarray(lam, float)
+    scale = np.repeat(2.0**exps, sizes, axis=-1) * np.asarray(sigma, float)
+    per_block = max_eig(blocks - scale[..., None, None] * rho_b)
+    defects = np.maximum.reduceat(per_block, np.cumsum([0] + sizes[:-1]), axis=-1)
+    defects = defects[..., 0] if one else defects
+    return defects if defects.ndim else float(defects)
 
 
 def _fourier_basis(dim: int) -> np.ndarray:
@@ -151,8 +186,9 @@ def _fourier_basis(dim: int) -> np.ndarray:
 
 
 def _basis_povm(u: np.ndarray) -> Povm:
-    cols = [u[:, i] for i in range(u.shape[1])]
-    return Povm(tuple(np.outer(c, c.conj()) for c in cols))
+    """Rank-1 projectors onto the columns of u, as one broadcast product."""
+    cols = u.T
+    return Povm(tuple(cols[:, :, None] * cols.conj()[:, None, :]))
 
 
 def standard_measurements(dim: int) -> list[Povm]:
@@ -187,8 +223,7 @@ def search_measurements(dim: int, budget: int, rng: np.random.Generator) -> list
     family = standard_measurements(dim)
     remaining = max(0, budget - len(family))
     n_proj = (remaining + 1) // 2
-    for _ in range(n_proj):
-        family.append(_basis_povm(haar_unitary(dim, rng)))
+    family += [_basis_povm(u) for u in haar_unitaries(n_proj, dim, rng)]
     for _ in range(remaining - n_proj):
         k = int(rng.integers(dim + 1, dim * dim + 1))
         family.append(Povm(tuple(random_povm_elements(dim, k, rng))))

@@ -39,6 +39,7 @@ from .states import DensityOperator, density_from_matrix
 
 
 def _check_projector(m: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
+    """A projector, or an (n, d, d) stack of them, checked PSD and idempotent."""
     arr = check_psd(m, 1e-10, name)
     if np.max(np.abs(arr @ arr - arr)) > tol:
         raise InputError(f"{name} is not idempotent within {tol}")
@@ -159,8 +160,9 @@ def _qubit_optimum(
     return float(max(traces.max(), (traces[j] + tops).max(initial=-math.inf)))
 
 
-def norm_lemma_check(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> tuple[bool, float, float]:
-    """||X + Y|| <= 1 + ||XY|| for projectors X, Y."""
+def norm_lemma_check(x: np.ndarray, y: np.ndarray, tol: float = 1e-9):
+    """||X + Y|| <= 1 + ||XY|| for projectors X, Y: (ok, lhs, rhs), or arrays of
+    them for (n, d, d) stacks of pairs."""
     xp = _check_projector(x, "X")
     yp = _check_projector(y, "Y")
     lhs = spectral_norm(xp + yp)

@@ -111,9 +111,11 @@ def check_psd(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.
     return arr
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value; one per element of an (n, d, d) stack."""
     arr = np.asarray(m, dtype=complex)
+    if arr.ndim == 3:
+        return np.linalg.norm(arr, 2, axis=(-2, -1))
     if arr.size == 0:
         return 0.0
     return float(np.linalg.norm(arr, 2))

@@ -195,7 +195,9 @@ def adaptive_wrong_opening(
     tol: float = 1e-7,
 ) -> dict:
     """POVM-relaxation success of opening the bit OTHER than the extractor's,
-    with the chain bound 2^{H0(A)} * (wrong-opening bound)."""
+    with the chain bound 2^{H0(A)} * (wrong-opening bound). The check passes
+    when the certificate's dual, an upper bound on that success, is within
+    the chain bound; the primal is the success its POVM reaches."""
     n = state.n
     family = XorHashFamily(n)
     rep = nearest_coset_rep(code, s, state.theta)
@@ -210,14 +212,15 @@ def adaptive_wrong_opening(
     lemma_bound = 2.0 ** (-code.min_distance() / 2.0 + n * binary_entropy(state.delta))
     chain_bound = (2.0**h0) * lemma_bound
     if not ops:
-        return {"extracted": c, "wrong_open_success": 0.0,
+        return {"extracted": c, "wrong_open_success": 0.0, "wrong_open_dual": 0.0,
                 "chain_bound": chain_bound, "pass": True}
     cert = optimal_discrimination(DiscriminationInstance(ops), tol=tol)
     return {
         "extracted": c,
         "wrong_open_success": cert.primal_value,
+        "wrong_open_dual": cert.dual_value,
         "chain_bound": chain_bound,
-        "pass": cert.primal_value <= chain_bound + 1e-6,
+        "pass": cert.dual_value <= chain_bound + 1e-6,
     }
 
 

@@ -12,11 +12,16 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases.conj()
+    return haar_unitaries(1, dim, rng)[0]
+
+
+def haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` haar_unitary draws as one (count, dim, dim) array, from the same
+    stream: one normal draw (real then imaginary part of each) and one stacked QR."""
+    g = rng.normal(size=(count, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases)).conj()[..., None, :]
 
 
 def random_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,12 +52,11 @@ def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_povm_elements(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """POVM via Wishart pieces normalized by the inverse square root of their sum."""
-    pieces = []
-    for _ in range(outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        pieces.append(g @ g.conj().T)
-    total = hermitize(sum(pieces))
-    vals, vecs = np.linalg.eigh(total)
+    """POVM via Wishart pieces normalized by the inverse square root of their sum.
+    All pieces come from one normal draw (real then imaginary part of each)."""
+    g = rng.normal(size=(outcomes, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    pieces = g @ g.conj().swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(hermitize(pieces.sum(axis=0)))
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return [hermitize(inv_sqrt @ p @ inv_sqrt) for p in pieces]
+    return list(hermitize(inv_sqrt @ pieces @ inv_sqrt))

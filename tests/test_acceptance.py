@@ -79,3 +79,12 @@ def test_run_all_collects_every_criterion():
     assert report.suite == "acceptance"
     assert len(report.checks) == 3
     assert report.passed
+
+
+@pytest.mark.parametrize("fn", [acceptance.criterion_04_measurement_domination,
+                                acceptance.criterion_05_norm_lemma])
+def test_criteria_04_and_05_repeat_exactly(seed0_record, fn):
+    """A second same-seed run gives identical values and slack."""
+    first, again = seed0_record(fn), fn(seed=0)
+    assert again.values == first.values
+    assert again.slack == first.slack

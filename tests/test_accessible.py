@@ -12,12 +12,15 @@ from gamebound.accessible import (
     imax_acc_bounds,
     imax_for_measurement,
     imax_for_measurements,
+    imax_for_states,
     local_channel_monotonicity_check,
+    search_measurements,
     standard_measurements,
 )
 from gamebound.errors import InputError
 from gamebound.linalg import hermitize, partial_trace_matrix
 from gamebound.rand import (
+    haar_unitary,
     random_density_matrix,
     random_povm_elements,
     random_pure_vector,
@@ -294,8 +297,10 @@ def test_one_unbounded_block_fails_the_whole_call(monkeypatch):
 
 
 def test_criterion_04_makes_few_eigendecompositions(monkeypatch):
-    """Blocks are checked and whitened with stacked calls: at most a third
-    of the 1,672 eigh/eigvalsh calls that one decomposition per block made."""
+    """Blocks are checked and whitened with stacked calls across states: at
+    most a third of the 1,672 eigh/eigvalsh calls that one decomposition per
+    block made at 10 states, and at most 1,200 at 100 states (1,015 measured
+    with the cross-state core, against 1,791 with one call per state)."""
     calls = []
     for kind in ("eigh", "eigvalsh"):
         def counted(*args, _orig=getattr(np.linalg, kind), **kwargs):
@@ -304,3 +309,127 @@ def test_criterion_04_makes_few_eigendecompositions(monkeypatch):
         monkeypatch.setattr(np.linalg, kind, counted)
     assert criterion_04_measurement_domination(seed=0, n_states=10).passed
     assert len(calls) <= 1672 // 3
+    calls.clear()
+    assert criterion_04_measurement_domination(seed=0, n_states=100).passed
+    assert len(calls) <= 1200
+
+
+# --- the cross-state core ------------------------------------------------------
+
+
+def _jobs(rng):
+    """Jobs of three shapes in interleaved order, each with full-rank and
+    rank-deficient rho_B (a pure state with dim_a < dim_b)."""
+    jobs = []
+    for dim_a, dim_b in [(2, 3), (4, 2), (2, 3), (2, 4), (4, 2), (2, 4)]:
+        psi = random_pure_vector(dim_a * dim_b, rng)
+        for mat in (random_density_matrix(dim_a * dim_b, rng), np.outer(psi, psi.conj())):
+            povms = standard_measurements(dim_a) + [
+                Povm(tuple(random_povm_elements(dim_a, k, rng))) for k in (2, 5)]
+            jobs.append((povms, density_from_matrix(shape(("A", dim_a), ("B", dim_b)), mat)))
+    return jobs
+
+
+def test_states_in_one_call_match_one_job_calls():
+    """Jobs of mixed shapes scored in one call give each job's value, sigma
+    and blocks as a one-job call does, and the batched domination_defect
+    gives each measurement's single-call defects."""
+    jobs = _jobs(rng_from_seed(63))
+    assert any(np.linalg.matrix_rank(accessible.reduced_b(rho)) < rho.shape.dims[1]
+               for _, rho in jobs)
+    batch = imax_for_states(jobs)
+    assert len(batch) == len(jobs)
+    for (povms, rho), scored in zip(jobs, batch):
+        alone = imax_for_measurements(povms, rho)
+        assert len(scored) == len(alone) == len(povms)
+        for (lam, sigma, blocks), (want_lam, want_sigma, want_blocks) in zip(scored, alone):
+            assert lam == pytest.approx(want_lam, abs=1e-12)
+            np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(blocks, want_blocks, rtol=0, atol=1e-12)
+        rho_b = accessible.reduced_b(rho)
+        lams = np.array([lam for lam, _, _ in scored])
+        sizes = [len(blocks) for _, _, blocks in scored]
+        got = domination_defect(np.concatenate([b for _, _, b in scored]),
+                                np.repeat(rho_b[None], sum(sizes), axis=0),
+                                [lams, lams - 1e-4],
+                                np.concatenate([s for _, s, _ in scored]), sizes)
+        assert got.shape == (2, len(scored))
+        for m, (lam, sigma, blocks) in enumerate(scored):
+            assert got[:, m].tolist() == domination_defect(
+                blocks, rho_b, (lam, lam - 1e-4), sigma).tolist()
+
+
+def test_unbounded_job_fails_the_batched_call(monkeypatch):
+    """A job with a block outside its supp(rho_B) is an input error when it is
+    batched with bounded jobs, of its shape and of others."""
+    rho_b = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    inside = np.diag([0.2, 0.1, 0.0]).astype(complex)
+    outside = np.diag([0.2, 0.0, 0.1]).astype(complex)
+    rho = density_from_matrix(shape(("A", 2), ("B", 3)),
+                              np.kron(np.eye(2) / 2, rho_b * 2) / 2)
+    bounded, unbounded = standard_measurements(2)
+    other = _jobs(rng_from_seed(64))[2:6]
+    stacks = {id(bounded): np.stack([inside, inside]), id(unbounded): np.stack([inside, outside])}
+    blocks = accessible.measurement_blocks
+    monkeypatch.setattr(accessible, "measurement_blocks",
+                        lambda povm, state: stacks[id(povm)] if state is rho else blocks(povm, state))
+    assert len(imax_for_states(other + [([bounded], rho)] * 2)) == len(other) + 2
+    for jobs in (other + [([bounded], rho), ([unbounded], rho)],
+                 [([unbounded, bounded], rho)] + other):
+        with pytest.raises(InputError, match="outside supp"):
+            imax_for_states(jobs)
+
+
+# --- the stacked draws against per-piece references -------------------------
+
+
+def _haar_ref(dim, rng):
+    """haar_unitary as one draw per matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases.conj()
+
+
+def _povm_ref(dim, outcomes, rng):
+    """random_povm_elements as one draw per Wishart piece."""
+    pieces = []
+    for _ in range(outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        pieces.append(g @ g.conj().T)
+    vals, vecs = np.linalg.eigh(hermitize(sum(pieces)))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return [hermitize(inv_sqrt @ p @ inv_sqrt) for p in pieces]
+
+
+def _search_ref(dim, budget, rng):
+    family = standard_measurements(dim)
+    remaining = max(0, budget - len(family))
+    n_proj = (remaining + 1) // 2
+    for _ in range(n_proj):
+        u = _haar_ref(dim, rng)
+        family.append(Povm(tuple(np.outer(c, c.conj()) for c in u.T)))
+    for _ in range(remaining - n_proj):
+        k = int(rng.integers(dim + 1, dim * dim + 1))
+        family.append(Povm(tuple(_povm_ref(dim, k, rng))))
+    return family
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_draws_match_per_piece_reference(dim):
+    """Stacked draws give bit-identical matrices to one draw per piece and
+    leave the generator in the same state."""
+    for seed in range(5):
+        got_rng, want_rng = rng_from_seed((65, dim, seed)), rng_from_seed((65, dim, seed))
+        got = search_measurements(dim, 24, got_rng)
+        want = _search_ref(dim, 24, want_rng)
+        assert len(got) == len(want) == 24
+        for a, b in zip(got, want):
+            assert np.array_equal(a.stack, b.stack)
+        assert got_rng.random() == want_rng.random()
+        for k in (1, 2, dim * dim):
+            assert np.array_equal(random_povm_elements(dim, k, got_rng),
+                                  _povm_ref(dim, k, want_rng))
+            assert np.array_equal(haar_unitary(dim, got_rng), _haar_ref(dim, want_rng))
+        assert got_rng.random() == want_rng.random()

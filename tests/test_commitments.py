@@ -112,6 +112,20 @@ def test_norm_lemma_random_projectors(dim, seed):
     assert lhs <= rhs + 1e-9
 
 
+def test_norm_lemma_stack_matches_one_pair_at_a_time():
+    """(n, d, d) stacks of pairs give each pair's single-call result."""
+    rng = rng_from_seed(71)
+    xs = np.stack([random_projector(6, int(rng.integers(1, 6)), rng) for _ in range(7)])
+    ys = np.stack([random_projector(6, int(rng.integers(1, 6)), rng) for _ in range(7)])
+    ok, lhs, rhs = norm_lemma_check(xs, ys)
+    assert ok.shape == lhs.shape == rhs.shape == (7,)
+    for i in range(7):
+        want = norm_lemma_check(xs[i], ys[i])
+        assert (ok[i], lhs[i], rhs[i]) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(InputError, match="idempotent"):
+        norm_lemma_check(xs, np.concatenate([ys[:6], 0.5 * ys[6:]]))
+
+
 def test_norm_lemma_equality_for_commuting_projectors():
     x = np.diag([1.0, 0.0, 0.0]).astype(complex)
     y = np.diag([1.0, 1.0, 0.0]).astype(complex)

@@ -112,6 +112,15 @@ def test_spectral_norm_matches_power_iteration(dim, seed):
     assert got == pytest.approx(want, abs=1e-6)
 
 
+def test_spectral_norm_of_stack_matches_each_matrix():
+    rng = rng_from_seed(7)
+    mats = np.stack([complex_matrix(rng, 4) for _ in range(5)])
+    got = spectral_norm(mats)
+    assert got.shape == (5,)
+    for m, g in zip(mats, got):
+        assert g == pytest.approx(spectral_norm(m), abs=1e-12)
+
+
 def test_spectral_norm_of_projector_is_one():
     from gamebound.rand import random_projector
     rng = rng_from_seed(6)

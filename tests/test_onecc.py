@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -248,6 +249,25 @@ def test_adaptive_wrong_opening_chain():
     assert out["extracted"] in (0, 1)
     assert out["wrong_open_success"] <= out["chain_bound"] + 1e-6
     assert out["pass"]
+
+
+def test_chain_check_reads_the_dual(monkeypatch):
+    """The chain check compares the certificate's dual, the upper side, with
+    the chain bound: a certificate whose primal is within the bound but whose
+    dual is not fails, in adaptive_wrong_opening and in criterion 07."""
+    code = named_code("hamming74")
+    st = sample_smallsup_state(np.ones(7, dtype=np.uint8), 1.0 / 7.0, 2, seed=13)
+    s = np.array([0, 1, 0], dtype=np.uint8)
+    bound = adaptive_wrong_opening(st, code, 19, s, 1)["chain_bound"]
+    solve = onecc.optimal_discrimination
+    monkeypatch.setattr(onecc, "optimal_discrimination", lambda inst, tol: dataclasses.replace(
+        solve(inst, tol=tol), primal_value=bound - 0.5, dual_value=bound + 0.5))
+    out = adaptive_wrong_opening(st, code, 19, s, 1)
+    assert (out["wrong_open_success"], out["wrong_open_dual"]) == (bound - 0.5, bound + 0.5)
+    assert not out["pass"]
+    rec = criterion_07_wrong_opening(seed=0, samples=1)
+    assert not rec.passed
+    assert rec.values["failures"] == [{"sample": 0, "kind": "chain-bound"}]
 
 
 @pytest.mark.parametrize("runs", [0, -5])
