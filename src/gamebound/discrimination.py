@@ -14,26 +14,34 @@ S_j = Y - K_j, assembled as one (d^2, n) (n, d^2) product; a Cholesky
 factorization of every S_j proves each iterate strictly feasible, and a step
 is halved until one exists. Corrector steps are damped by 1/(1 + lambda),
 lambda the Newton decrement, until lambda^2 <= 1/4, and full after that.
-A point is centered, and certified, after a step from lambda^2 <= 1e-4:
-F_j = mu S_j^{-1} renormalized by (sum_j F_j)^{-1/2} is then a POVM whose
-value lags the optimum by about ||sum_j F_j - I||^2 cond(S_j), an error that
-does not shrink with mu, so a loose centering leaves the primal behind.
-Each POVM is certified against the smaller of tr(Y) and the dual repaired
-from it, Y0 = (1/2) sum_j (F_j K_j + K_j F_j) shifted by
-max(0, max_j lambda_max(K_j - Y0)) I. On the path the gap is n*d*mu; mu
-shrinks by _MU_FACTOR per centering. Near the optimum the path is nearly
-affine in mu, so after each certificate the predictor steps along its
-tangent dY/dmu = H^{-1}[I] / mu^2, with H built from the certificate's
-S_j^{-1}, to the next mu (halved until feasible), and the corrector starts
-there. The solver stops once the certificate's own gap dual - primal is at
-most tol, or when two certificates in a row fail to shrink it (rounding
-sets a floor near 1e-10). `iterations` counts corrector Newton steps; the
-predictor adds one more solve of H per centering, which it does not count.
-It is 0 when a shortcut certifies (the indicator POVM for d = 1, the
-Helstrom measurement for two operators, or the uniform).
+Only a point whose path gap n*d*mu is at most 10 max(tol, 1e-10 tr Y) can
+end the solve, so only such a point is certified, after a step from
+lambda^2 <= 1e-4: F_j = mu S_j^{-1} renormalized by (sum_j F_j)^{-1/2} is
+then a POVM whose value lags the optimum by about
+||sum_j F_j - I||^2 cond(S_j), an error that does not shrink with mu. Any
+other point counts as centered after one full step, since long-step path
+following needs only approximate centering between the points it reports
+(Boyd & Vandenberghe, sec. 11.5). Each POVM is certified against the
+smaller of tr(Y) and the dual repaired from it,
+Y0 = (1/2) sum_j (F_j K_j + K_j F_j) shifted by
+max(0, max_j lambda_max(K_j - Y0)) I, plus a rounding margin. On the path
+the gap is n*d*mu; mu shrinks by _MU_FACTOR per centering. Near the optimum
+the path is nearly affine in mu, so after each centering the predictor
+steps along its tangent dY/dmu = H^{-1}[I] / mu^2, with H built from the
+centered point's S_j^{-1}, to the next mu (halved until feasible), and the
+corrector starts there. The solver stops once a certificate's own gap
+dual - primal is at most tol, when two certificates in a row fail to
+shrink it, or at the rounding floor near 1e-10, where a full step stops
+shrinking lambda^2; a path ended by that floor, the step cap or an
+infeasible step certifies its last uncertified centered point.
+`iterations` counts corrector Newton steps; the predictor adds one more
+solve of H per centering, which it does not count. It is 0 when a shortcut
+certifies (the indicator POVM for d = 1, the Helstrom measurement for two
+operators, or the uniform).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,11 +52,13 @@ from .linalg import as_complex_stack, check_psd, eig_hermitian, hermitize, max_e
 from .states import DensityOperator
 
 # Newton steps are full once the squared decrement is at most _FULL_STEP
-# (they converge quadratically there); a step from at most _CENTERED ends at
-# a centered point, which is certified; mu then shrinks by _MU_FACTOR. The
-# path stops after _STALLS certificates in a row fail to shrink the gap.
+# (they converge quadratically there). A point with path gap at most
+# _GATE max(tol, 1e-10 tr Y) is centered to _CENTERED and certified, any
+# other to _FULL_STEP; mu then shrinks by _MU_FACTOR. The path stops after
+# _STALLS certificates in a row fail to shrink the gap.
 _FULL_STEP = 0.25
 _CENTERED = 1e-4
+_GATE = 10.0
 _MU_FACTOR = 50.0
 _STALLS = 2
 
@@ -173,13 +183,21 @@ def _certificate(
     instance: DiscriminationInstance, elements, witness, steps: int, tol: float
 ) -> SolverCertificate:
     """The POVM's value against the smaller of two feasible duals: the one
-    repaired from the POVM and `witness` (None for none)."""
+    repaired from the POVM and `witness` (None for none). For d > 1 it is
+    returned as Y + tau I, tau = 1e-14 max|Y_ik|, so that every Y - K_j stays
+    positive definite under rounding, with its trace rounded up (Jansson,
+    Chaykin & Keil, SIAM J. Numer. Anal. 46(1), 2007); the 1 x 1 dual of the
+    d = 1 shortcut, max_j K_j, is exactly feasible as it stands."""
     povm = Povm(tuple(elements))
     primal = primal_value(instance, povm)
     y = _repaired_dual(instance, povm)
     if witness is not None and np.trace(witness).real < np.trace(y).real:
         y = witness
     dual = float(np.trace(y).real)
+    if instance.dim > 1:
+        y = y + 1e-14 * float(np.max(np.abs(y))) * np.eye(instance.dim)
+        # fsum is correctly rounded, so one step up bounds the exact trace.
+        dual = math.nextafter(math.fsum(np.diag(y).real), math.inf)
     return SolverCertificate(primal, dual, povm, y, steps, dual - primal <= tol)
 
 
@@ -253,38 +271,53 @@ def _barrier_path(instance: DiscriminationInstance, tol: float) -> SolverCertifi
     best = _certificate(instance, [eye / n] * n, None, 0, tol)
     if best.converged:
         return best
+
+    def certify(y, mu, s_inv):
+        f = mu * s_inv
+        vals, vecs = np.linalg.eigh(f.sum(axis=0))
+        norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        return _certificate(instance, hermitize(norm @ f @ norm), y, 0, tol)
+
     # A strictly feasible start, at the mu whose path gap n*d*mu is the uniform gap.
     y = best.dual_witness + best.gap / d * eye
     mu = best.gap / (n * d)
     chol = _cholesky(y - ops)
-    steps, last_gap, stalls = 0, np.inf, 0
+    steps, last_gap, stalls, last_decrement = 0, np.inf, 0, np.inf
+    pending = None  # the last centered point not certified, as (Y, mu, S^{-1})
     while steps < SOLVER_MAX_ITER and chol is not None:
         steps += 1
         s_inv = _inverses(chol)
         grad = eye / mu - s_inv.sum(axis=0)
         step = _newton_solve(s_inv, -grad)
         decrement = float(-np.vdot(grad, step).real)  # squared Newton decrement
+        if decrement >= last_decrement:
+            # A full step failed to shrink the decrement: the rounding floor.
+            pending = (y, mu, s_inv)
+            break
+        gated = n * d * mu <= _GATE * max(tol, 1e-10 * np.trace(y).real)
         # The damped step stays inside the Dikin ellipsoid, so it is feasible
         # in exact arithmetic; halving covers rounding near the boundary.
         t = 1.0 if decrement <= _FULL_STEP else 1.0 / (1.0 + np.sqrt(decrement))
         y, chol = _feasible_step(y, t * step, ops)
-        if chol is None or decrement > _CENTERED:
+        last_decrement = decrement if t == 1.0 else np.inf
+        if chol is None or decrement > (_CENTERED if gated else _FULL_STEP):
             continue
         s_inv = _inverses(chol)
-        f = mu * s_inv
-        vals, vecs = np.linalg.eigh(f.sum(axis=0))
-        norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        cert = _certificate(instance, hermitize(norm @ f @ norm), y, steps, tol)
-        if cert.gap < best.gap:
-            best = cert
-        stalls = stalls + 1 if cert.gap >= last_gap else 0
-        if best.converged or stalls == _STALLS:
-            break
-        last_gap = cert.gap
+        pending = None if gated else (y, mu, s_inv)
+        if gated:
+            cert = certify(y, mu, s_inv)
+            best = min(best, cert, key=lambda c: c.gap)
+            stalls = stalls + 1 if cert.gap >= last_gap else 0
+            if best.converged or stalls == _STALLS:
+                break
+            last_gap = cert.gap
         # Predictor: along the tangent dY/dmu = H^{-1}[I] / mu^2 to the next mu.
         tangent = _newton_solve(s_inv, eye)
         y, chol = _feasible_step(y, -(1.0 - 1.0 / _MU_FACTOR) / mu * tangent, ops)
         mu /= _MU_FACTOR
+        last_decrement = np.inf
+    if pending is not None:
+        best = min(best, certify(*pending), key=lambda c: c.gap)
     return replace(best, iterations=steps)
 
 
