@@ -4,6 +4,7 @@ returns one CheckRecord; run_all collects them into an ExperimentReport.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -14,9 +15,9 @@ from .discrimination import CqState
 from .rand import (
     haar_unitary,
     random_density_matrix,
-    random_povm_elements,
     random_projector,
     rng_from_seed,
+    wishart_draws,
 )
 from .report import CheckRecord, ExperimentReport, timed_record
 from .states import density_from_matrix
@@ -118,30 +119,36 @@ def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
 def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRecord:
     """Per-measurement lambda is tight (passes at the value, fails just
     below), never exceeds the effective-qubit count, and survives local
-    processing. Every state is drawn first, then all are scored together."""
+    processing. Every state and the draws of its random POVMs come first; then
+    the POVMs are made in stacked groups, and all states are scored together."""
     started = time.perf_counter()
     rng = rng_from_seed((seed, 4))
     jobs = []
-    channel_ok = {}
+    draws, names = [], []
+    channels = {}
     for k in range(n_states):
-        dim_a = int(rng.choice([2, 4]))
-        dim_b = int(rng.choice([2, 3, 4]))
+        # the draws rng.choice makes, without its conversion of the list
+        dim_a = (2, 4)[rng.integers(0, 2)]
+        dim_b = (2, 3, 4)[rng.integers(0, 3)]
         rho = density_from_matrix(
             shape(("A", dim_a), ("B", dim_b)),
             random_density_matrix(dim_a * dim_b, rng),
         )
         povms = accessible.standard_measurements(dim_a)[:3]
-        while len(povms) < 5:
-            elems = random_povm_elements(dim_a, int(rng.integers(2, 5)), rng)
-            povms.append(accessible.Povm(tuple(elems)))
+        for m in range(len(povms), 5):
+            draws.append(wishart_draws(dim_a, int(rng.integers(2, 5)), rng))
+            names.append(f"state {k} POVM {m}")
         jobs.append((povms, rho))
         if k % 10 == 0:
             u_a = haar_unitary(dim_a, rng)
             p = random_projector(dim_b, dim_b // 2, rng)
             kraus_b = [p, np.eye(dim_b) - p]
-            channel_ok[k] = accessible.local_channel_monotonicity_check(
-                rho, [u_a], kraus_b, budget=24, seed=(seed, 4, k)
-            )[0]
+            channels[k] = (rho, [u_a], kraus_b, (seed, 4, k))
+    checked = accessible.local_channel_monotonicity_checks(list(channels.values()), budget=24)
+    channel_ok = {k: ok for k, (ok, _, _) in zip(channels, checked)}
+    made = iter(accessible.random_povms(draws, names))
+    for povms, _ in jobs:
+        povms += [next(made) for _ in range(len(povms), 5)]
     scored = accessible.imax_for_states(jobs)
     # lambda and lambda - 1e-4 of every measurement, one stacked call per shape
     defects = {}
@@ -350,44 +357,122 @@ def criterion_09_privacy_amplification(seed=0, instances: int = 50) -> CheckReco
     )
 
 
+# Criterion 10 decides each of its Monte Carlo comparisons by an exact binomial
+# test at level FAMILY_RATE / _C10_TESTS (Bonferroni), so that a battery rejects
+# a true null with probability at most FAMILY_RATE; each test also records the
+# smallest shifts of the true rate that it detects with probability >= POWER.
+FAMILY_RATE = 1e-6
+POWER = 0.999
+_C10_TESTS = 6  # per N: the exact tail and the Hoeffding bound; the sampling pair
+
+
+@functools.lru_cache(maxsize=4)
+def _log_comb(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, as one cumulative sum of log((n - k + 1) / k)."""
+    k = np.arange(1.0, n + 1)
+    return np.concatenate(([0.0], np.cumsum(np.log(n - k + 1) - np.log(k))))
+
+
+def _binomial_pmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
+    """P(X = k) for each k of `ks`, X ~ Bin(n, p) with p in [0, 1], in floating point."""
+    if p in (0.0, 1.0):
+        return (ks == (n if p else 0)).astype(float)
+    return np.exp(_log_comb(n)[ks] + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
+def binomial_tail(n: int, p: float, k: int, upper: bool) -> float:
+    """P(X >= k) if upper, else P(X <= k), for X ~ Bin(n, p): the tail's own
+    terms summed, so that a small tail keeps its relative precision."""
+    ks = np.arange(max(k, 0), n + 1) if upper else np.arange(min(k, n) + 1)
+    return float(_binomial_pmf(n, p, ks).sum())
+
+
+@functools.lru_cache(maxsize=16)
+def _detected_shifts(n: int, p0: float, level: float, two_sided: bool):
+    """(down, up): the smallest shifts of a Bin(n, .) rate below and above p0
+    at which a tail test of `level` per side rejects with probability >= POWER,
+    found by bisection on the rate; None where no rate is rejected that often."""
+    pmf = _binomial_pmf(n, p0, np.arange(n + 1))
+    down = up = None
+    above = np.flatnonzero(np.cumsum(pmf[::-1])[::-1] <= level)  # P(X >= k) <= level
+    if above.size:  # reject at X >= k_hi, whose chance grows with the rate
+        k_hi = int(above[0])
+        up = _bisect(lambda p: 1.0 - binomial_tail(n, p, k_hi - 1, False), p0, 1.0) - p0
+    below = np.flatnonzero(np.cumsum(pmf) <= level)  # P(X <= k) <= level
+    if two_sided and below.size:  # reject at X <= k_lo, whose chance falls with it
+        k_lo = int(below[-1])
+        down = p0 - _bisect(lambda p: binomial_tail(n, p, k_lo, False), p0, 0.0)
+    return down, up
+
+
+def _bisect(power, start: float, end: float) -> float:
+    """The rate nearest `start`, between start and end, with power(rate) >= POWER,
+    for a power that is monotone from start to end and reaches POWER at end."""
+    for _ in range(50):  # to within 2^-50 of the rate
+        mid = (start + end) / 2.0
+        if power(mid) >= POWER:
+            end = mid
+        else:
+            start = mid
+    return end
+
+
+def binomial_test(hits: int, n: int, p0: float, two_sided: bool) -> dict:
+    """Exact binomial test of `hits` successes in n runs at rate p0, at criterion
+    10's per-test level FAMILY_RATE / _C10_TESTS: two-sided (twice the smaller
+    tail, at most 1) or against a higher rate (the upper tail). A rate p0 above
+    1, a vacuous bound, is tested at 1."""
+    p0 = min(p0, 1.0)
+    alpha = FAMILY_RATE / _C10_TESTS
+    p_value = binomial_tail(n, p0, hits, True)
+    if two_sided:
+        p_value = min(1.0, 2.0 * min(p_value, binomial_tail(n, p0, hits, False)))
+    return {
+        "sides": 2 if two_sided else 1,
+        "null_rate": p0,
+        "p_value": p_value,
+        "pass": p_value > alpha,
+        "detects": dict(zip(("down", "up"), _detected_shifts(
+            n, p0, alpha / 2.0 if two_sided else alpha, two_sided))),
+    }
+
+
 def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
-    """The honest commit runs' size-abort frequency matches the exact
-    binomial tail and sits under the stated exponential bound; the
-    sampling-agreement frequency stays below its claim."""
+    """The honest commit runs' size-abort count matches the exact binomial
+    tail and sits under the stated exponential bound; the sampling-agreement
+    count matches its exact rate and stays below its claim. Each count is
+    judged by an exact binomial test (binomial_test)."""
     started = time.perf_counter()
     results = {}
     ok = True
     for big_n, q in ((40, 0.1), (64, 0.05)):
         sim = onecc.simulate_commit(big_n, q, runs=runs, seed=(seed, 10, big_n))
-        cutoff = 2.0 * q * big_n
-        exact = sum(
-            math.comb(big_n, t) * q**t * (1 - q) ** (big_n - t)
-            for t in range(int(math.floor(cutoff)) + 1, big_n + 1)
-        )
-        freq = sim["aborts_size"] / runs
-        sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / runs)
+        exact = binomial_tail(big_n, q, int(math.floor(2.0 * q * big_n)) + 1, True)
         hoeffding = 2.0 * math.exp(-2.0 * q * q * big_n)
-        entry_ok = (
-            abs(freq - exact) <= 3.0 * sigma
-            and exact <= hoeffding
-            and freq <= hoeffding + 3.0 * sigma
-        )
+        tests = {"exact_tail": binomial_test(sim["aborts_size"], runs, exact, True),
+                 "hoeffding_bound": binomial_test(sim["aborts_size"], runs, hoeffding, False)}
+        entry_ok = exact <= hoeffding and all(t["pass"] for t in tests.values())
         ok = ok and entry_ok
         results[f"N{big_n}"] = {
             "check_aborts": 0,  # an honest committer never fails a check
-            "size_abort_frequency": freq,
+            "size_abort_frequency": sim["aborts_size"] / runs,
             "exact_tail": exact,
-            "sigma": sigma,
             "hoeffding_bound": hoeffding,
+            "tests": tests,
             "ok": entry_ok,
         }
-    mc = bcjl.sampling_equivalence_mc(n=16, delta=0.25, mismatches=5, runs=20000,
+    mc_runs = 20000
+    mc = bcjl.sampling_equivalence_mc(n=16, delta=0.25, mismatches=5, runs=mc_runs,
                                       seed=(seed, 10, 999))
-    claim_ok = mc["frequency"] <= mc["claim_bound"] + 3.0 * mc["sigma"]
-    exact_ok = abs(mc["frequency"] - mc["exact"]) <= 3.0 * mc["sigma"]
-    ok = ok and claim_ok and exact_ok
-    results["sampling"] = {**{k: mc[k] for k in ("frequency", "exact", "claim_bound", "sigma")},
-                           "ok": claim_ok and exact_ok}
+    hits = round(mc["frequency"] * mc_runs)
+    tests = {"exact": binomial_test(hits, mc_runs, mc["exact"], True),
+             "claim_bound": binomial_test(hits, mc_runs, mc["claim_bound"], False)}
+    sampling_ok = all(t["pass"] for t in tests.values())
+    ok = ok and sampling_ok
+    results["sampling"] = {**{k: mc[k] for k in ("frequency", "exact", "claim_bound")},
+                           "tests": tests, "ok": sampling_ok}
+    results["test"] = {"kind": "exact binomial, Bonferroni", "family_wise_rate": FAMILY_RATE,
+                       "tests": _C10_TESTS, "alpha": FAMILY_RATE / _C10_TESTS, "power": POWER}
     return timed_record(
         "10-commit-tails", ok, results, None, None, "monte-carlo",
         {"criterion": 10, "runs": runs}, started,

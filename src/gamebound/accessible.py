@@ -30,8 +30,9 @@ from .linalg import (
     max_eig,
     tensor,
 )
-from .discrimination import Povm
-from .rand import haar_unitaries, random_povm_elements, rng_from_seed
+from .discrimination import Povm, povm_list
+from .rand import haar_unitaries, rng_from_seed, wishart_draws, wishart_povms
+from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix, zero_entropy
 
 
@@ -89,17 +90,20 @@ def reduced_b(rho_ab: DensityOperator) -> np.ndarray:
     return hermitize(np.trace(rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b), axis1=0, axis2=2))
 
 
-def measurement_blocks(povm: Povm, rho_ab: DensityOperator) -> np.ndarray:
-    """K_x = Tr_A[(F_x (x) I_B) rho_AB] for each POVM outcome, as one
-    (n, d_B, d_B) array."""
+def measurement_blocks(povms, rho_ab: DensityOperator) -> np.ndarray:
+    """K_x = Tr_A[(F_x (x) I_B) rho_AB] for each outcome x of a POVM, or of each
+    POVM of a sequence in turn, as one (n, d_B, d_B) array from one product."""
     if len(rho_ab.shape.labels) != 2:
         raise InputError("expected a bipartite state (A, B)")
     dim_a, dim_b = rho_ab.shape.dims
-    if povm.dim != dim_a:
-        raise InputError(f"POVM dim {povm.dim} != A dim {dim_a}")
+    povms = [povms] if isinstance(povms, Povm) else povms
+    for povm in povms:
+        if povm.dim != dim_a:
+            raise InputError(f"POVM dim {povm.dim} != A dim {dim_a}")
+    elements = povms[0].stack if len(povms) == 1 else np.concatenate([p.stack for p in povms])
     # One matrix product: F_x flattened over (i, j) against rho[j, b, i, c] as ((i, j), (b, c)).
     rho = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b).transpose(2, 0, 1, 3)
-    flat = povm.stack.reshape(len(povm), -1) @ rho.reshape(dim_a * dim_a, dim_b * dim_b)
+    flat = elements.reshape(len(elements), -1) @ rho.reshape(dim_a * dim_a, dim_b * dim_b)
     return hermitize(flat.reshape(-1, dim_b, dim_b))
 
 
@@ -127,24 +131,24 @@ def imax_for_measurements(
 
 
 def imax_for_states(jobs) -> list[list[tuple[float, tuple[float, ...], np.ndarray]]]:
-    """imax_for_measurements of each (povms, rho_ab) job. Jobs are grouped by
-    (d_A, d_B); per group, every block is checked PSD in one stacked call, every
-    rho_B is decomposed in one stacked eigh, and all blocks are whitened and
-    scored together. A block with weight outside its supp(rho_B) fails the call."""
+    """imax_for_measurements of each (povms, rho_ab) job. Each job's blocks come
+    from one measurement_blocks product. Jobs are grouped by (d_A, d_B); per
+    group, every block is checked PSD in one stacked call, every rho_B is
+    decomposed in one stacked eigh, and all blocks are whitened and scored
+    together. A block with weight outside its supp(rho_B) fails the call."""
     out: list = [None] * len(jobs)
     for idx in shape_groups([rho for _, rho in jobs]).values():
-        parts = [[measurement_blocks(povm, jobs[j][1]) for povm in jobs[j][0]] for j in idx]
-        flat = [blocks for job in parts for blocks in job]
-        blocks = check_psd(np.concatenate(flat), 1e-10, "K")
-        owner = np.repeat(np.arange(len(idx)), [sum(map(len, job)) for job in parts])
+        parts = [measurement_blocks(jobs[j][0], jobs[j][1]) for j in idx]
+        blocks = check_psd(np.concatenate(parts), 1e-10, "K")
+        owner = np.repeat(np.arange(len(idx)), [len(part) for part in parts])
         rho_bs = np.stack([reduced_b(jobs[j][1]) for j in idx])
         cs = _dmax_blocks(blocks, rho_bs, owner, RANK_TOL)
         if np.isinf(cs).any():
             raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
-        ends = np.cumsum([len(part) for part in flat])[:-1]
-        scored = iter(map(_scored, np.split(cs, ends), np.split(blocks, ends)))
-        for j, job in zip(idx, parts):
-            out[j] = [next(scored) for _ in job]
+        ends = np.cumsum([0] + [len(povm) for j in idx for povm in jobs[j][0]]).tolist()
+        scored = iter([_scored(cs[a:b], blocks[a:b]) for a, b in zip(ends, ends[1:])])
+        for j in idx:
+            out[j] = [next(scored) for _ in jobs[j][0]]
     return out
 
 
@@ -185,10 +189,11 @@ def _fourier_basis(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
 
-def _basis_povm(u: np.ndarray) -> Povm:
-    """Rank-1 projectors onto the columns of u, as one broadcast product."""
-    cols = u.T
-    return Povm(tuple(cols[:, :, None] * cols.conj()[:, None, :]))
+def _basis_povms(us: np.ndarray) -> list[Povm]:
+    """For each unitary of a (m, d, d) stack, the rank-1 projectors onto its
+    columns: one broadcast product and one validation for the stack."""
+    cols = us.swapaxes(-1, -2)
+    return povm_list(cols[..., :, None] * cols.conj()[..., None, :])
 
 
 def standard_measurements(dim: int) -> list[Povm]:
@@ -199,9 +204,9 @@ def standard_measurements(dim: int) -> list[Povm]:
 
 @functools.lru_cache(maxsize=8)
 def _standard_measurements(dim: int) -> tuple[Povm, ...]:
-    out = [_basis_povm(np.eye(dim, dtype=complex))]
+    bases = [np.eye(dim, dtype=complex)]
     if dim > 1:
-        out.append(_basis_povm(_fourier_basis(dim)))
+        bases.append(_fourier_basis(dim))
     # Per-qubit mixed computational/Fourier bases when A is a qubit register.
     if dim > 2 and dim & (dim - 1) == 0:
         qubits = dim.bit_length() - 1
@@ -214,20 +219,48 @@ def _standard_measurements(dim: int) -> tuple[Povm, ...]:
             u = factors[0]
             for f in factors[1:]:
                 u = np.kron(u, f)
-            out.append(_basis_povm(u))
-    return tuple(out)
+            bases.append(u)
+    return tuple(_basis_povms(np.array(bases)))
+
+
+def random_povms(draws: list[np.ndarray], names: list[str]) -> list[Povm]:
+    """The POVM of each rand.wishart_draws array, in order, named names[i] in
+    errors: each (d, k) group is made by one rand.wishart_povms call (one
+    stacked eigh) and validated in one pass."""
+    out: list = [None] * len(draws)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(draws):
+        groups.setdefault(g.shape, []).append(i)
+    for idx in groups.values():
+        elements = wishart_povms(np.stack([draws[i] for i in idx]))
+        for i, povm in zip(idx, povm_list(elements, [names[i] for i in idx])):
+            out[i] = povm
+    return out
 
 
 def search_measurements(dim: int, budget: int, rng: np.random.Generator) -> list[Povm]:
     """Standard bases, Haar-random projective bases, random rank-1 POVMs."""
-    family = standard_measurements(dim)
-    remaining = max(0, budget - len(family))
+    return search_families(dim, budget, [rng])[0]
+
+
+def search_families(dim: int, budget: int, rngs) -> list[list[Povm]]:
+    """search_measurements' family for each generator of `rngs`, each drawn from
+    its own stream; the bases of all families are validated in one pass, and
+    their random POVMs made in one random_povms call."""
+    standard = standard_measurements(dim)
+    remaining = max(0, budget - len(standard))
     n_proj = (remaining + 1) // 2
-    family += [_basis_povm(u) for u in haar_unitaries(n_proj, dim, rng)]
-    for _ in range(remaining - n_proj):
-        k = int(rng.integers(dim + 1, dim * dim + 1))
-        family.append(Povm(tuple(random_povm_elements(dim, k, rng))))
-    return family
+    n_rand = remaining - n_proj
+    unitaries, draws = [], []
+    for rng in rngs:
+        unitaries.append(haar_unitaries(n_proj, dim, rng))
+        draws += [wishart_draws(dim, int(rng.integers(dim + 1, dim * dim + 1)), rng)
+                  for _ in range(n_rand)]
+    bases = _basis_povms(np.concatenate(unitaries))
+    made = random_povms(draws, [f"search {f} POVM {len(standard) + n_proj + i}"
+                                for f in range(len(rngs)) for i in range(n_rand)])
+    return [standard + bases[f * n_proj:(f + 1) * n_proj] + made[f * n_rand:(f + 1) * n_rand]
+            for f in range(len(rngs))]
 
 
 def imax_acc_bounds(
@@ -237,14 +270,25 @@ def imax_acc_bounds(
 ) -> ImaxEstimate:
     """Certified lower bound (best value over the searched family) and the
     rank upper bound lg rank(rho_A)."""
-    rng = rng_from_seed(seed)
+    return _acc_bounds([rho_ab], budget, [seed])[0]
+
+
+def _acc_bounds(states, budget: int | None, seeds) -> list[ImaxEstimate]:
+    """imax_acc_bounds of each state with its seed: the families of each d_A
+    searched together (search_families), every state scored in one call."""
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    dim_a = rho_ab.shape.dims[0]
-    a_label = rho_ab.shape.labels[0]
-    upper = zero_entropy(rho_ab, a_label)
-    family = search_measurements(dim_a, budget, rng)
-    lower = max(value for value, _, _ in imax_for_measurements(family, rho_ab))
-    return ImaxEstimate(lower=lower, upper=upper, searched=len(family))
+    uppers = [zero_entropy(rho, rho.shape.labels[0]) for rho in states]
+    families: list = [None] * len(states)
+    by_dim: dict[int, list[int]] = {}
+    for i, rho in enumerate(states):
+        by_dim.setdefault(rho.shape.dims[0], []).append(i)
+    for dim_a, idx in by_dim.items():
+        rngs = [rng_from_seed(seeds[i]) for i in idx]
+        for i, family in zip(idx, search_families(dim_a, budget, rngs)):
+            families[i] = family
+    scored = imax_for_states(list(zip(families, states)))
+    return [ImaxEstimate(lower=max(value for value, _, _ in found), upper=upper,
+                         searched=len(found)) for found, upper in zip(scored, uppers)]
 
 
 def local_channel_monotonicity_check(
@@ -260,17 +304,22 @@ def local_channel_monotonicity_check(
 
     Returns (ok, best_transformed_value, original_upper).
     """
-    dim_a, dim_b = rho_ab.shape.dims
-    out_a = np.asarray(kraus_a[0]).shape[0]
-    out_b = np.asarray(kraus_b[0]).shape[0]
-    joint_kraus = [tensor(ka, kb) for ka in kraus_a for kb in kraus_b]
-    mat = apply_kraus(rho_ab.matrix, joint_kraus)
-    from .registers import RegisterShape
+    return local_channel_monotonicity_checks([(rho_ab, kraus_a, kraus_b, seed)], budget, tol)[0]
 
-    out_shape = RegisterShape(
-        ((rho_ab.shape.labels[0], out_a), (rho_ab.shape.labels[1], out_b))
-    )
-    transformed = density_from_matrix(out_shape, mat)
-    original_upper = zero_entropy(rho_ab, rho_ab.shape.labels[0])
-    est = imax_acc_bounds(transformed, budget=budget, seed=seed)
-    return est.lower <= original_upper + tol, est.lower, original_upper
+
+def local_channel_monotonicity_checks(
+    cases, budget: int | None = None, tol: float = 1e-8
+) -> list[tuple[bool, float, float]]:
+    """local_channel_monotonicity_check of each (rho_ab, kraus_a, kraus_b, seed)
+    case, with every transformed state searched and scored together."""
+    transformed, original = [], []
+    for rho_ab, kraus_a, kraus_b, _ in cases:
+        joint_kraus = [tensor(ka, kb) for ka in kraus_a for kb in kraus_b]
+        out_shape = RegisterShape(tuple(
+            (label, np.asarray(kraus[0]).shape[0])
+            for label, kraus in zip(rho_ab.shape.labels, (kraus_a, kraus_b))))
+        transformed.append(density_from_matrix(out_shape, apply_kraus(rho_ab.matrix, joint_kraus)))
+        original.append(zero_entropy(rho_ab, rho_ab.shape.labels[0]))
+    estimates = _acc_bounds(transformed, budget, [case[3] for case in cases])
+    return [(est.lower <= upper + tol, est.lower, upper)
+            for est, upper in zip(estimates, original)]

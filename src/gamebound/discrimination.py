@@ -48,7 +48,14 @@ import numpy as np
 
 from .config import DEFAULT_MAX_OPERATORS, EQ_TOL, HERM_TOL, SOLVER_MAX_ITER, SOLVER_TOL
 from .errors import InputError
-from .linalg import as_complex_stack, check_psd, eig_hermitian, hermitize, max_eig
+from .linalg import (
+    as_complex_stack,
+    check_psd,
+    eig_hermitian,
+    hermitize,
+    max_eig,
+    reject_first,
+)
 from .states import DensityOperator
 
 # Newton steps are full once the squared decrement is at most _FULL_STEP
@@ -63,6 +70,22 @@ _MU_FACTOR = 50.0
 _STALLS = 2
 
 
+def validate_povms(stack: np.ndarray, names=None) -> np.ndarray:
+    """m POVMs of n elements each, as an (m, n, d, d) complex array, checked in one pass: every
+    element finite, Hermitian and PSD within HERM_TOL, and each POVM's elements summing to the
+    identity within EQ_TOL. Povm(...) runs it on a stack of one. Errors name the first bad
+    POVM by names[i] (default "POVM" for one POVM, f"POVM {i}" for several) and its element."""
+    if stack.ndim != 4 or stack.shape[-1] != stack.shape[-2]:
+        raise InputError(f"POVM stack must have shape (m, n, d, d), got {stack.shape}")
+    m, n, d = stack.shape[:3]
+    names = names or (["POVM"] if m == 1 else [f"POVM {i}" for i in range(m)])
+    check_psd(stack.reshape(m * n, d, d), HERM_TOL, lambda i: f"{names[i // n]} element {i % n}")
+    defect = np.abs(stack.sum(axis=1) - np.eye(d)).max(axis=(1, 2), initial=0.0)
+    reject_first(defect > EQ_TOL, names.__getitem__, lambda i: "elements do not sum to "
+                 f"the identity within 1e-9: defect {defect[i]:.3e}")
+    return stack
+
+
 @dataclass(frozen=True)
 class Povm:
     """PSD elements summing to the identity. `stack` holds them as one
@@ -73,9 +96,11 @@ class Povm:
     def __post_init__(self) -> None:
         if not self.elements:
             raise InputError("POVM needs at least one element")
-        arr = check_psd(as_complex_stack(self.elements, "POVM element"), HERM_TOL, "POVM element")
-        if np.max(np.abs(arr.sum(axis=0) - np.eye(arr.shape[1]))) > EQ_TOL:
-            raise InputError("POVM elements do not sum to the identity within 1e-9")
+        arr = as_complex_stack(self.elements, "POVM element", finite=False)
+        validate_povms(arr[None])
+        self._hold(arr)
+
+    def _hold(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "stack", arr)
         object.__setattr__(self, "elements", tuple(arr))
@@ -114,6 +139,19 @@ class DiscriminationInstance:
 
     def __len__(self) -> int:
         return len(self.operators)
+
+
+def povm_list(stack, names=None) -> list[Povm]:
+    """A Povm for each row of an (m, n, d, d) stack of elements, copied and validated in one
+    pass by validate_povms, the check each Povm(...) runs on its own."""
+    arr = validate_povms(np.array(stack, dtype=complex), names)
+    arr.setflags(write=False)
+    out = []
+    for row in arr:
+        povm = object.__new__(Povm)
+        povm._hold(row)
+        out.append(povm)
+    return out
 
 
 def score_operators(rho: DensityOperator, effects) -> DiscriminationInstance:

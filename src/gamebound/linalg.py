@@ -24,13 +24,14 @@ def as_complex_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _reject_first(bad, name: str, what) -> None:
+def reject_first(bad, name, what) -> None:
     """Raise InputError for the first flagged matrix: `bad` flags one matrix, named `name`, or
-    each element of a stack, named f"{name} {i}"; what(i) ends the message."""
+    each element of a stack, named f"{name} {i}" (or name(i), if `name` is a function);
+    what(i) ends the message."""
     if isinstance(bad, np.ndarray) and bad.ndim:
         if bad.any():
             i = int(bad.argmax())
-            raise InputError(f"{name} {i} {what(i)}")
+            raise InputError(f"{name(i) if callable(name) else f'{name} {i}'} {what(i)}")
     elif bad:
         raise InputError(f"{name} {what(0)}")
 
@@ -41,27 +42,30 @@ def herm_defect(m: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def as_complex_stack(ms, name: str = "matrix") -> np.ndarray:
+def as_complex_stack(ms, name: str = "matrix", finite: bool = True) -> np.ndarray:
     """Square matrices of one shape, a sequence or an (n, d, d) array, as one finite complex
-    (n, d, d) array. Errors name the first bad element as f"{name} {i}"."""
+    (n, d, d) array. Errors name the first bad element as f"{name} {i}". With finite=False
+    the entries are left to a later check (check_hermitian makes one)."""
     try:
         arr = np.asarray(ms, dtype=complex)
     except ValueError:  # matrices of different shapes
         arr = None
     if arr is None or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise InputError(f"each {name} must be a square matrix of one shared shape")
-    _reject_first(~np.isfinite(arr).all(axis=(1, 2)), name, lambda i: "has a non-finite entry")
+    if finite and not np.isfinite(arr).all():
+        reject_first(~np.isfinite(arr).all(axis=(1, 2)), name, lambda i: "has a non-finite entry")
     return arr
 
 
 def check_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     """A square matrix, or each element of an (n, d, d) stack, as a finite complex array
-    Hermitian within tol; a stack's errors name its first bad element as f"{name} {i}"."""
+    Hermitian within tol; a stack's errors name its first bad element as f"{name} {i}", or
+    as name(i) when `name` is a function."""
     arr = np.asarray(m, dtype=complex)
     arr = as_complex_stack(arr, name) if arr.ndim == 3 else as_complex_matrix(arr, name)
     defect = herm_defect(arr)
-    _reject_first(defect > tol, name, lambda i: f"not Hermitian: defect "
-                  f"{np.atleast_1d(defect)[i]:.3e} > {tol:.1e}")
+    reject_first(defect > tol, name, lambda i: f"not Hermitian: defect "
+                 f"{np.atleast_1d(defect)[i]:.3e} > {tol:.1e}")
     return arr
 
 
@@ -106,8 +110,8 @@ def check_psd(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.
     """check_hermitian, then PSD within tol, with one eigvalsh for a stack."""
     arr = check_hermitian(m, tol, name)
     low = min_eig(arr)
-    _reject_first(low < -tol, name, lambda i: f"not PSD: min eigenvalue "
-                  f"{np.atleast_1d(low)[i]:.3e} < -{tol:.1e}")
+    reject_first(low < -tol, name, lambda i: f"not PSD: min eigenvalue "
+                 f"{np.atleast_1d(low)[i]:.3e} < -{tol:.1e}")
     return arr
 
 

@@ -227,6 +227,10 @@ def adaptive_wrong_opening(
 # --- round-by-round classical simulation ------------------------------------
 
 
+# Raw words read per block: a bound on the memory a long simulation holds at once.
+_BLOCK_WORDS = 1 << 18
+
+
 def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
     """Classical simulation of the honest committer's commit phase.
 
@@ -236,6 +240,18 @@ def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
 
     Returns the size-abort count, the exact per-run tally of checked
     positions and the Hoeffding bound on the size-abort probability.
+
+    The runs are those of a loop that draws from `default_rng(seed)`, per
+    run, N uint8 bases, N doubles as check coins and, for N <= 20, an
+    accepted run's hash member below 2^N; they are read from raw PCG64
+    blocks by the rules of `tapes.Tape`. Four uint8 draws come from one
+    uint32 draw, so the bases take ceil(N/4) uint32 halves, a kept one
+    first; each coin takes a word and passes a kept half by; the hash member
+    takes one half. Run r's coins thus start at word
+    r N + ceil(((r + 1) ceil(N/4) + h_r) / 2), h_r the hash members drawn
+    before it, and its tally is a difference of one cumulative count of
+    coins below q. A Generator is refused: its place in its own stream is
+    not this function's to move.
     """
     if big_n < 1:
         raise InputError("N must be positive")
@@ -243,21 +259,34 @@ def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
         raise InputError("q must be a probability")
     if runs < 1:
         raise InputError("a simulation needs at least one run")
-    rng = rng_from_seed(seed)
-    aborts_size = 0
-    sizes = []
-    # The bases and, for N <= 20, the hash member of each accepted run are
-    # drawn but not read, so the check coins keep their place in the stream.
-    for _ in range(runs):
-        rng.integers(0, 2, size=big_n, dtype=np.uint8)
-        sizes.append(int(np.count_nonzero(rng.random(big_n) < q)))
-        if sizes[-1] > 2.0 * q * big_n:
-            aborts_size += 1
-        elif big_n <= 20:
-            rng.integers(0, 2**big_n)
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise InputError("simulate_commit reads its own stream: pass a seed, not a generator")
+    bits = rng_from_seed(seed).bit_generator
+    draws = (big_n + 3) // 4  # uint32 draws for one run's bases
+    cutoff = 2.0 * q * big_n
+    sizes, hashes = [], 0
+    tally, first = np.zeros(1, dtype=np.int64), 0  # coins below q before word first + i
+    chunk = max(1, _BLOCK_WORDS // (big_n + draws))
+    for lo in range(0, runs, chunk):
+        hi = min(lo + chunk, runs)
+        # enough words for run hi - 1's coins and run hi's start, whatever the hash count
+        words = hi * big_n + ((hi + 1) * (draws + 1) + 1) // 2 - (first + len(tally) - 1)
+        coins = (bits.random_raw(words) >> 11) * 2.0**-53 < q
+        tally = np.concatenate([tally, tally[-1] + np.cumsum(coins)])
+        if big_n > 20:  # no hash member is drawn, so every start is known at once
+            start = np.arange(lo, hi) * big_n + (np.arange(lo + 1, hi + 1) * draws + 1) // 2
+            sizes += (tally[start + big_n - first] - tally[start - first]).tolist()
+        else:
+            counts = tally.tolist()
+            for r in range(lo, hi):
+                start = r * big_n + ((r + 1) * draws + hashes + 1) // 2 - first
+                sizes.append(counts[start + big_n] - counts[start])
+                hashes += sizes[-1] <= cutoff
+        nxt = hi * big_n + ((hi + 1) * draws + hashes + 1) // 2
+        tally, first = tally[nxt - first:], nxt
     return {
         "runs": runs,
-        "aborts_size": aborts_size,
+        "aborts_size": sum(size > cutoff for size in sizes),
         "check_set_sizes": sizes,
         "size_abort_bound": 2.0 * math.exp(-2.0 * q * q * big_n),
     }

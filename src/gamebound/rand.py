@@ -51,12 +51,27 @@ def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
     return hermitize((u * spectrum) @ u.conj().T)
 
 
-def random_povm_elements(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """POVM via Wishart pieces normalized by the inverse square root of their sum.
-    All pieces come from one normal draw (real then imaginary part of each)."""
-    g = rng.normal(size=(outcomes, 2, dim, dim))
-    g = g[:, 0] + 1j * g[:, 1]
+def wishart_draws(dim: int, outcomes: int, rng: np.random.Generator) -> np.ndarray:
+    """The draws behind a random POVM: `outcomes` Ginibre matrices G as one normal
+    draw of shape (outcomes, 2, dim, dim), the real then imaginary part of each."""
+    return rng.normal(size=(outcomes, 2, dim, dim))
+
+
+def wishart_povms(draws: np.ndarray) -> np.ndarray:
+    """POVM elements from (..., k, 2, d, d) groups of wishart_draws: the Wishart
+    pieces G G^dagger of each group times the inverse square root of their sum
+    on both sides, with one stacked eigh for every group."""
+    g = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
     pieces = g @ g.conj().swapaxes(-1, -2)
-    vals, vecs = np.linalg.eigh(hermitize(pieces.sum(axis=0)))
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return list(hermitize(inv_sqrt @ pieces @ inv_sqrt))
+    vals, vecs = np.linalg.eigh(hermitize(pieces.sum(axis=-3)))
+    inv_sqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    inv_sqrt = inv_sqrt[..., None, :, :]  # one per group, applied to each of its pieces
+    return hermitize(inv_sqrt @ pieces @ inv_sqrt)
+
+
+def random_povm_elements(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """A random POVM: Wishart pieces normalized by the inverse square root of their
+    sum. Callers that make many keep each wishart_draws call in its place in the
+    stream and make each (dim, outcomes) group with one wishart_povms call; the
+    elements are bit-identical to this function's."""
+    return list(wishart_povms(wishart_draws(dim, outcomes, rng)))

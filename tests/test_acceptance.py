@@ -1,5 +1,8 @@
 """The acceptance gate: one test per end-to-end criterion, each printing a
 single pass/fail line with the headline numbers it was judged on."""
+import math
+from fractions import Fraction
+
 import pytest
 
 from gamebound import acceptance
@@ -88,3 +91,66 @@ def test_criteria_04_and_05_repeat_exactly(seed0_record, fn):
     first, again = seed0_record(fn), fn(seed=0)
     assert again.values == first.values
     assert again.slack == first.slack
+
+
+@pytest.mark.parametrize("seed", [229, 267, 288, 327, 381])
+def test_criterion_10_passes_where_3_sigma_tests_failed(seed):
+    """The CLI seeds at which the normal-approximation 3-sigma tests raised a
+    false alarm (z = 3.01-3.44) pass at the stated family-wise rate; the counts
+    they were judged on are unchanged."""
+    rec = acceptance.criterion_10_commit_tails(seed=seed)
+    assert rec.passed, rec.values
+    tests = [t for key in ("N40", "N64", "sampling") for t in rec.values[key]["tests"].values()]
+    assert len(tests) == rec.values["test"]["tests"] == 6
+    assert rec.values["test"]["alpha"] * 6 <= acceptance.FAMILY_RATE
+    assert min(t["p_value"] for t in tests) < 0.01  # an outlying count, not a lost test
+
+
+def _tail_ref(n, p, k, upper):
+    """Exact rational tail for n <= 64; above that, a sum of pmf terms from lgamma."""
+    ks = range(max(k, 0), n + 1) if upper else range(min(k, n) + 1)
+    if n <= 64 or p in (0.0, 1.0):
+        q = Fraction(p)
+        return float(sum(math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in ks))
+    return math.fsum(math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                              + j * math.log(p) + (n - j) * math.log1p(-p)) for j in ks)
+
+
+@pytest.mark.parametrize("n, p", [(40, 0.1), (64, 0.05), (2000, 0.0155), (200, 0.5),
+                                  (30, 0.0), (30, 1.0)])
+def test_binomial_tail_matches_reference_sum(n, p):
+    """Floating-point tails agree with exact rational sums (with lgamma terms for
+    n > 64) deep in the tails as at the centre."""
+    rel = 1e-12 if n <= 64 else 1e-9
+    for k in sorted({0, 1, n // 3, n // 2, n - 1, n, int(n * p), int(n * p) + 12}):
+        for upper in (True, False):
+            want = _tail_ref(n, p, k, upper)
+            assert acceptance.binomial_tail(n, p, k, upper) == pytest.approx(
+                want, rel=rel, abs=1e-300), (k, upper)
+
+
+def test_binomial_test_levels_and_power():
+    """The test rejects exactly where its tail is at most alpha, and the
+    recorded shifts are where its power first reaches POWER."""
+    n, p0 = 2000, 0.0155
+    alpha = acceptance.FAMILY_RATE / 6
+    tail = acceptance.binomial_tail
+    two = acceptance.binomial_test(31, n, p0, True)
+    assert two["pass"] and two["sides"] == 2
+    assert two["p_value"] == pytest.approx(
+        min(1.0, 2 * min(_tail_ref(n, p0, 31, True), _tail_ref(n, p0, 31, False))), rel=1e-9)
+    k_hi = min(k for k in range(200) if tail(n, p0, k, True) <= alpha / 2)
+    assert not acceptance.binomial_test(k_hi, n, p0, True)["pass"]
+    assert acceptance.binomial_test(k_hi - 1, n, p0, True)["pass"]
+    up, down = two["detects"]["up"], two["detects"]["down"]
+    power = acceptance.POWER - 1e-12  # p0 + up rounds the bisected rate
+    assert tail(n, p0 + up, k_hi, True) >= power > tail(n, p0 + up - 1e-6, k_hi, True)
+    k_lo = max(k for k in range(200) if tail(n, p0, k, False) <= alpha / 2)
+    assert not acceptance.binomial_test(k_lo, n, p0, True)["pass"]
+    assert acceptance.binomial_test(k_lo + 1, n, p0, True)["pass"]
+    assert tail(n, p0 - down, k_lo, False) >= power > tail(n, p0 - down + 1e-6, k_lo, False)
+    one = acceptance.binomial_test(31, n, 0.9, False)
+    assert one["sides"] == 1 and one["pass"] and one["detects"]["down"] is None
+    vacuous = acceptance.binomial_test(n, n, 1.45, False)  # a bound above 1 is tested at 1
+    assert vacuous["null_rate"] == 1.0 and vacuous["pass"]
+    assert vacuous["detects"] == {"down": None, "up": None}

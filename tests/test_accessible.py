@@ -14,6 +14,9 @@ from gamebound.accessible import (
     imax_for_measurements,
     imax_for_states,
     local_channel_monotonicity_check,
+    local_channel_monotonicity_checks,
+    random_povms,
+    search_families,
     search_measurements,
     standard_measurements,
 )
@@ -25,6 +28,7 @@ from gamebound.rand import (
     random_povm_elements,
     random_pure_vector,
     rng_from_seed,
+    wishart_draws,
 )
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix, zero_entropy
@@ -289,8 +293,15 @@ def test_one_unbounded_block_fails_the_whole_call(monkeypatch):
                               np.kron(np.eye(2) / 2, rho_b * 2) / 2)
     bounded, unbounded = standard_measurements(2)
     stacks = {id(bounded): np.stack([inside, inside]), id(unbounded): np.stack([inside, outside])}
-    monkeypatch.setattr(accessible, "measurement_blocks", lambda povm, _: stacks[id(povm)])
+    calls = []
+
+    def job_blocks(povms, _):  # the one product that gives a job's blocks
+        calls.append(len(povms))
+        return np.concatenate([stacks[id(povm)] for povm in povms])
+
+    monkeypatch.setattr(accessible, "measurement_blocks", job_blocks)
     assert len(imax_for_measurements([bounded, bounded], rho)) == 2
+    assert calls == [2]
     for povms in ([bounded, unbounded], [unbounded, bounded], [unbounded]):
         with pytest.raises(InputError, match="outside supp"):
             imax_for_measurements(povms, rho)
@@ -371,8 +382,13 @@ def test_unbounded_job_fails_the_batched_call(monkeypatch):
     other = _jobs(rng_from_seed(64))[2:6]
     stacks = {id(bounded): np.stack([inside, inside]), id(unbounded): np.stack([inside, outside])}
     blocks = accessible.measurement_blocks
-    monkeypatch.setattr(accessible, "measurement_blocks",
-                        lambda povm, state: stacks[id(povm)] if state is rho else blocks(povm, state))
+
+    def job_blocks(povms, state):  # the one product that gives a job's blocks
+        if state is not rho:
+            return blocks(povms, state)
+        return np.concatenate([stacks[id(povm)] for povm in povms])
+
+    monkeypatch.setattr(accessible, "measurement_blocks", job_blocks)
     assert len(imax_for_states(other + [([bounded], rho)] * 2)) == len(other) + 2
     for jobs in (other + [([bounded], rho), ([unbounded], rho)],
                  [([unbounded, bounded], rho)] + other):
@@ -433,3 +449,53 @@ def test_stacked_draws_match_per_piece_reference(dim):
                                   _povm_ref(dim, k, want_rng))
             assert np.array_equal(haar_unitary(dim, got_rng), _haar_ref(dim, want_rng))
         assert got_rng.random() == want_rng.random()
+
+
+def test_grouped_random_povms_match_one_at_a_time():
+    """Draws of mixed shapes made into POVMs in stacked (d, k) groups give, in
+    order, the elements that one random_povm_elements call per POVM gives."""
+    shapes = [(2, 3), (4, 2), (2, 3), (4, 5), (2, 2), (4, 2), (2, 3)]
+    got_rng, want_rng = rng_from_seed(71), rng_from_seed(71)
+    draws = [wishart_draws(d, k, got_rng) for d, k in shapes]
+    made = random_povms(draws, [f"POVM {i}" for i in range(len(draws))])
+    for (d, k), povm in zip(shapes, made):
+        assert np.array_equal(povm.stack, random_povm_elements(d, k, want_rng))
+    assert got_rng.random() == want_rng.random()
+
+
+def test_searched_families_match_one_search_each():
+    """Families searched together give each generator's own family."""
+    seeds = [(72, i) for i in range(4)]
+    for dim in (2, 4):
+        together = search_families(dim, 24, [rng_from_seed(s) for s in seeds])
+        for seed, family in zip(seeds, together):
+            alone = search_measurements(dim, 24, rng_from_seed(seed))
+            assert len(family) == len(alone) == 24
+            assert all(np.array_equal(a.stack, b.stack) for a, b in zip(family, alone))
+
+
+def test_channel_checks_together_match_one_check_each():
+    """Channel checks on states of several shapes, made in one call, give each
+    check's own verdict and values."""
+    rng = rng_from_seed(73)
+    cases = []
+    for k, (dim_a, dim_b) in enumerate([(2, 3), (4, 2), (2, 3), (4, 4)]):
+        rho = density_from_matrix(shape(("A", dim_a), ("B", dim_b)),
+                                  random_density_matrix(dim_a * dim_b, rng))
+        p = np.diag([1.0] * (dim_b // 2) + [0.0] * (dim_b - dim_b // 2)).astype(complex)
+        cases.append((rho, [haar_unitary(dim_a, rng)], [p, np.eye(dim_b) - p], (73, k)))
+    together = local_channel_monotonicity_checks(cases, budget=12)
+    assert together == [local_channel_monotonicity_check(*case[:3], budget=12, seed=case[3])
+                        for case in cases]
+
+
+def test_blocks_of_a_job_are_its_measurements_blocks_in_turn():
+    rng = rng_from_seed(74)
+    rho = density_from_matrix(shape(("A", 4), ("B", 3)), random_density_matrix(12, rng))
+    povms = standard_measurements(4) + [Povm(tuple(random_povm_elements(4, 6, rng)))]
+    job = accessible.measurement_blocks(povms, rho)
+    np.testing.assert_allclose(
+        job, np.concatenate([accessible.measurement_blocks(p, rho) for p in povms]),
+        rtol=0, atol=1e-15)
+    with pytest.raises(InputError, match="POVM dim 2 != A dim 4"):
+        accessible.measurement_blocks(povms + standard_measurements(2), rho)

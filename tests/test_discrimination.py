@@ -19,11 +19,13 @@ from gamebound.discrimination import (
     guessing_probability,
     hmin_cq,
     optimal_discrimination,
+    povm_list,
 )
 from gamebound.errors import InputError
 from gamebound.games import adaptive_success, random_game, semi_adaptive_success
 from gamebound.rand import (
     random_density_matrix,
+    random_povm_elements,
     random_pure_vector,
     rng_from_seed,
 )
@@ -382,3 +384,64 @@ def test_stacked_validation_rejects_mixed_shapes_and_freezes(container):
         assert arr.base is built.stack or arr is built.stack
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+def _povm_group(m: int = 5, n: int = 3, dim: int = 2) -> np.ndarray:
+    """m random n-element POVMs on C^dim as one (m, n, dim, dim) stack."""
+    rng = rng_from_seed(70)
+    return np.array([random_povm_elements(dim, n, rng) for _ in range(m)])
+
+
+def test_povm_list_is_each_povm_validated_alone():
+    """A validated group gives each POVM as Povm(...) builds it: the same
+    elements, read-only, and copied from the caller's stack."""
+    group = _povm_group()
+    made = povm_list(group)
+    assert group.flags.writeable
+    for row, povm in zip(group, made):
+        alone = Povm(tuple(row))
+        assert np.array_equal(povm.stack, alone.stack) and len(povm) == len(alone) == 3
+        assert not povm.stack.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip(povm.elements, alone.elements))
+        with pytest.raises(ValueError):
+            povm.stack[0, 0, 0] = 1.0
+
+
+def _make_not_psd(group):
+    # move weight between two elements of POVM 2: the sum holds, element 1 is indefinite
+    shift = np.diag([0.5, -0.5]).astype(complex)
+    group[2, 1] -= shift + np.eye(2)
+    group[2, 0] += shift + np.eye(2)
+
+
+_GROUP_FAULTS = {
+    "not PSD": (_make_not_psd, "element 1 not PSD"),
+    "non-finite": (lambda group: group[2, 1].__setitem__((0, 1), np.nan),
+                   "element 1 has a non-finite entry"),
+    "not Hermitian": (lambda group: group[2, 1].__setitem__((0, 1), group[2, 1, 0, 1] + 0.1),
+                      "element 1 not Hermitian"),
+    "sum off by 2e-9": (lambda group: group[2, 1].__iadd__(2e-9 * np.eye(2)),
+                        "elements do not sum to the identity within 1e-9: defect 2"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_GROUP_FAULTS))
+def test_stacked_povm_validation_names_the_povm_and_element(fault):
+    """A fault in POVM 2 of a group of 5 is found by the one stacked pass, and
+    the error names that POVM (by its caller's name, if given) and element."""
+    spoil, what = _GROUP_FAULTS[fault]
+    group = _povm_group()
+    spoil(group)
+    with pytest.raises(InputError, match=f"^POVM 2 {what}"):
+        povm_list(group)
+    names = [f"state 7 POVM {i}" for i in range(5)]
+    with pytest.raises(InputError, match=f"^state 7 POVM 2 {what}"):
+        povm_list(group, names)
+    with pytest.raises(InputError, match=f"^POVM {what}"):
+        Povm(tuple(group[2]))  # the same check on a stack of one
+
+
+def test_stacked_povm_sum_tolerance_is_eq_tol():
+    group = _povm_group()
+    group[2, 1] += 0.5 * EQ_TOL * np.eye(2)
+    assert len(povm_list(group)) == 5

@@ -312,11 +312,39 @@ def _simulate_commit_loop(big_n, q, runs, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3], ids=lambda seed: f"{seed}-honest")
 def test_simulate_commit_matches_loop_reference(seed):
-    """The result equals the per-position loop's, so the random stream is
-    drawn in the same order."""
+    """The result equals the per-position loop's, so the raw block is read as
+    the stream is drawn: N = 1-8 cover every count of bases (ceil(N/4) odd and
+    even), N = 13 and 20 the hash member drawn at N <= 20, N = 21 the first N
+    without it, and q = 0 and 1 runs that never and always check."""
+    for big_n, q in itertools.product([*range(1, 9), 13, 20, 21, 40, 64, 65],
+                                      (0.0, 0.05, 0.3, 1.0)):
+        args = (big_n, q, 60, (seed, big_n))
+        assert simulate_commit(*args) == _simulate_commit_loop(*args), (big_n, q)
     for big_n, q in ((7, 0.4), (20, 0.3), (40, 0.1)):
         args = (big_n, q, 60, (seed, big_n))
         assert simulate_commit(*args) == _simulate_commit_loop(*args)
+
+
+@pytest.mark.parametrize("big_n, q", [(1, 0.3), (3, 0.45), (20, 0.3), (40, 0.1), (65, 0.05)])
+def test_simulate_commit_reads_blocks_in_turn(monkeypatch, big_n, q):
+    """A simulation read in blocks of a few runs, each block's coins counted on
+    from the last, gives the one-block result."""
+    want = _simulate_commit_loop(big_n, q, 300, 5)
+    assert simulate_commit(big_n, q, 300, 5) == want
+    monkeypatch.setattr(onecc, "_BLOCK_WORDS", 3 * big_n)
+    assert simulate_commit(big_n, q, 300, 5) == want
+
+
+def test_simulate_commit_refuses_a_generator():
+    """A generator's place in its stream is its owner's: it is refused, and
+    left where it was."""
+    rng = rng_from_seed(3)
+    rng.integers(0, 2**5)  # leaves a kept half, which the loop would read first
+    state = rng.bit_generator.state
+    for seed in (rng, rng.bit_generator):
+        with pytest.raises(InputError, match="not a generator"):
+            simulate_commit(10, 0.2, runs=5, seed=seed)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
