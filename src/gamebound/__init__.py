@@ -8,7 +8,6 @@ from .discrimination import (
     Povm,
     SolverCertificate,
     guessing_probability,
-    hmin_cq,
     optimal_discrimination,
 )
 from .errors import CapExceededError, InputError
@@ -37,7 +36,6 @@ __all__ = [
     "bell_game",
     "density_from_matrix",
     "guessing_probability",
-    "hmin_cq",
     "optimal_discrimination",
     "partial_trace",
     "random_game",

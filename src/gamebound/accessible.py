@@ -23,8 +23,6 @@ from .config import DEFAULT_SEARCH_BUDGET, RANK_TOL
 from .errors import InputError
 from .linalg import (
     apply_kraus,
-    as_complex_matrix,
-    check_hermitian,
     check_psd,
     hermitize,
     max_eig,
@@ -52,20 +50,12 @@ class ImaxEstimate:
             )
 
 
-def dmax_relative(k: np.ndarray, rho: np.ndarray, rank_tol: float = RANK_TOL) -> float:
-    """Smallest c >= 0 with K <= c * rho; inf when K has weight outside supp(rho)."""
-    ka = check_psd(as_complex_matrix(k, "K"), 1e-10, "K")
-    ra = check_hermitian(rho, 1e-10, "rho")
-    if ka.shape != ra.shape:
-        raise InputError("K and rho must share one dimension")
-    return float(_dmax_blocks(ka[None], hermitize(ra)[None], np.zeros(1, int), rank_tol)[0])
-
-
 def _dmax_blocks(ks: np.ndarray, rhos: np.ndarray, owner: np.ndarray,
                  rank_tol: float) -> np.ndarray:
-    """dmax_relative of each block ks[i] of a PSD (n, d, d) stack against rhos[owner[i]], for an
-    (m, d, d) stack of Hermitian rhos checked PSD here: one stacked eigh gives each rho's inverse
-    square root on its support, which whitens its blocks, then stacked eigvalsh calls."""
+    """Smallest c >= 0 with K <= c * rho (inf when K has weight outside supp(rho)) for each block
+    K = ks[i] of a PSD (n, d, d) stack against rho = rhos[owner[i]], for an (m, d, d) stack of
+    Hermitian rhos checked PSD here: one stacked eigh gives each rho's inverse square root on its
+    support, which whitens its blocks, then stacked eigvalsh calls."""
     vals, vecs = np.linalg.eigh(rhos)
     if vals.size and vals[:, 0].min() < -1e-10:
         raise InputError(f"rho not PSD: min eigenvalue {vals[:, 0].min():.3e} < -1.0e-10")
@@ -120,18 +110,11 @@ def imax_for_measurement(
 ) -> tuple[float, tuple[float, ...], np.ndarray]:
     """(value, sigma, blocks) for a fixed measurement on A; exact for that
     measurement. `blocks` are its measurement_blocks, checked PSD."""
-    return imax_for_measurements([povm], rho_ab)[0]
-
-
-def imax_for_measurements(
-    povms, rho_ab: DensityOperator
-) -> list[tuple[float, tuple[float, ...], np.ndarray]]:
-    """imax_for_measurement of each POVM on one state, scored together."""
-    return imax_for_states([(povms, rho_ab)])[0]
+    return imax_for_states([([povm], rho_ab)])[0][0]
 
 
 def imax_for_states(jobs) -> list[list[tuple[float, tuple[float, ...], np.ndarray]]]:
-    """imax_for_measurements of each (povms, rho_ab) job. Each job's blocks come
+    """imax_for_measurement of each POVM of each (povms, rho_ab) job. Each job's blocks come
     from one measurement_blocks product. Jobs are grouped by (d_A, d_B); per
     group, every block is checked PSD in one stacked call, every rho_B is
     decomposed in one stacked eigh, and all blocks are whitened and scored
@@ -238,15 +221,11 @@ def random_povms(draws: list[np.ndarray], names: list[str]) -> list[Povm]:
     return out
 
 
-def search_measurements(dim: int, budget: int, rng: np.random.Generator) -> list[Povm]:
-    """Standard bases, Haar-random projective bases, random rank-1 POVMs."""
-    return search_families(dim, budget, [rng])[0]
-
-
 def search_families(dim: int, budget: int, rngs) -> list[list[Povm]]:
-    """search_measurements' family for each generator of `rngs`, each drawn from
-    its own stream; the bases of all families are validated in one pass, and
-    their random POVMs made in one random_povms call."""
+    """The searched family for each generator of `rngs`, each drawn from its own
+    stream: standard bases, Haar-random projective bases and random POVMs. The
+    bases of all families are validated in one pass, and their random POVMs
+    made in one random_povms call."""
     standard = standard_measurements(dim)
     remaining = max(0, budget - len(standard))
     n_proj = (remaining + 1) // 2
@@ -291,27 +270,13 @@ def _acc_bounds(states, budget: int | None, seeds) -> list[ImaxEstimate]:
                          searched=len(found)) for found, upper in zip(scored, uppers)]
 
 
-def local_channel_monotonicity_check(
-    rho_ab: DensityOperator,
-    kraus_a: list[np.ndarray],
-    kraus_b: list[np.ndarray],
-    budget: int | None = None,
-    seed=0,
-    tol: float = 1e-8,
-) -> tuple[bool, float, float]:
-    """Check every searched measurement value on (E_A (x) E_B)(rho) stays below
-    the rank upper bound of the ORIGINAL A register.
-
-    Returns (ok, best_transformed_value, original_upper).
-    """
-    return local_channel_monotonicity_checks([(rho_ab, kraus_a, kraus_b, seed)], budget, tol)[0]
-
-
 def local_channel_monotonicity_checks(
     cases, budget: int | None = None, tol: float = 1e-8
 ) -> list[tuple[bool, float, float]]:
-    """local_channel_monotonicity_check of each (rho_ab, kraus_a, kraus_b, seed)
-    case, with every transformed state searched and scored together."""
+    """For each (rho_ab, kraus_a, kraus_b, seed) case, check every searched
+    measurement value on (E_A (x) E_B)(rho) stays below the rank upper bound of
+    the ORIGINAL A register. Every transformed state is searched and scored
+    together. Returns (ok, best_transformed_value, original_upper) per case."""
     transformed, original = [], []
     for rho_ab, kraus_a, kraus_b, _ in cases:
         joint_kraus = [tensor(ka, kb) for ka in kraus_a for kb in kraus_b]

@@ -164,9 +164,14 @@ def _cmd_onecc(args) -> int:
         started = time.perf_counter()
         big_n = 40 if args.big_n is None else args.big_n
         q = 0.1 if args.q is None else args.q
-        sim = onecc.simulate_commit(big_n, q, runs=args.runs or 200, seed=args.seed)
+        runs = args.runs or 200
+        sim = onecc.simulate_commit(big_n, q, runs=runs, seed=args.seed)
+        # criterion 10's exact test of the size-abort count against its binomial tail
+        exact = acceptance.binomial_tail(big_n, q, math.floor(2.0 * q * big_n) + 1, True)
+        test = acceptance.binomial_test(sim["aborts_size"], runs, exact, True)
         checks.append(timed_record(
-            "commit-simulation", True, sim, None, None, "monte-carlo", [big_n, q], started,
+            "commit-simulation", test["pass"], {**sim, "exact_tail": exact, "test": test},
+            None, None, "monte-carlo", [big_n, q], started,
         ))
     if args.wrong_opening:
         started = time.perf_counter()

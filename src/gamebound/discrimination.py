@@ -383,10 +383,6 @@ class CqState:
         if len(dims) != 1:
             raise InputError("conditional states must share one dimension")
 
-    @property
-    def dim_b(self) -> int:
-        return self.conditionals[0].dim
-
     def score_operators(self) -> DiscriminationInstance:
         return DiscriminationInstance(
             tuple(w * c.matrix for w, c in zip(self.weights, self.conditionals))
@@ -396,13 +392,3 @@ class CqState:
 def guessing_probability(cq: CqState, tol: float = SOLVER_TOL) -> SolverCertificate:
     """Best probability of guessing x from the B register, with certificate."""
     return optimal_discrimination(cq.score_operators(), tol=tol)
-
-
-def hmin_cq(cq: CqState, tol: float = SOLVER_TOL) -> tuple[float, SolverCertificate]:
-    """Conditional min-entropy of the classical symbol given B: -lg p_guess.
-
-    Returns (-lg primal, certificate); the certificate's dual gives the
-    certified other side (-lg dual <= true value <= -lg primal).
-    """
-    cert = guessing_probability(cq, tol=tol)
-    return -float(np.log2(cert.primal_value)), cert

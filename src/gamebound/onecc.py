@@ -182,14 +182,6 @@ def wrong_opening_bound_check(
     }
 
 
-def extract_commit_bit(code: LinearCode, hash_member: int, s, w: int, reference) -> int:
-    """Receiver-side extractor: nearest syndrome-s string theta', then
-    g(theta') xor w."""
-    family = XorHashFamily(code.n)
-    rep = nearest_coset_rep(code, s, reference)
-    return family.evaluate(hash_member, bits_to_int(rep)) ^ (w & 1)
-
-
 def adaptive_wrong_opening(
     state: SmallSupState, code: LinearCode, hash_member: int, s, w: int,
     tol: float = 1e-7,

@@ -67,11 +67,3 @@ def wishart_povms(draws: np.ndarray) -> np.ndarray:
     inv_sqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     inv_sqrt = inv_sqrt[..., None, :, :]  # one per group, applied to each of its pieces
     return hermitize(inv_sqrt @ pieces @ inv_sqrt)
-
-
-def random_povm_elements(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """A random POVM: Wishart pieces normalized by the inverse square root of their
-    sum. Callers that make many keep each wishart_draws call in its place in the
-    stream and make each (dim, outcomes) group with one wishart_povms call; the
-    elements are bit-identical to this function's."""
-    return list(wishart_povms(wishart_draws(dim, outcomes, rng)))

@@ -130,8 +130,9 @@ class ProtocolBitCommitment(IdealBitCommitment):
     functionality, so a simulator that runs the functionality can extract the
     committed bit from the announced hash/syndrome pair even before opening.
     Run honestly, the unchecked basis string has the announced syndrome, so it
-    is its own nearest coset member, and both opening and `extract_commit_bit`
-    on it return the committed bit. Commit therefore makes the protocol's
+    is its own nearest coset member, and both opening and the receiver's
+    extractor (hash of the nearest syndrome-s string, xor the masked bit) on it
+    return the committed bit. Commit therefore makes the protocol's
     draws (bases, checked positions, hash member) and applies its abort rule;
     opening and extraction are the ideal commitment's. They read junk for an
     aborted commitment, and are input errors when every one aborted.

@@ -7,28 +7,25 @@ from gamebound import accessible
 from gamebound.acceptance import criterion_04_measurement_domination
 from gamebound.accessible import (
     Povm,
-    dmax_relative,
     domination_defect,
     imax_acc_bounds,
     imax_for_measurement,
-    imax_for_measurements,
     imax_for_states,
-    local_channel_monotonicity_check,
     local_channel_monotonicity_checks,
     random_povms,
     search_families,
-    search_measurements,
     standard_measurements,
 )
+from gamebound.config import RANK_TOL
 from gamebound.errors import InputError
 from gamebound.linalg import hermitize, partial_trace_matrix
 from gamebound.rand import (
     haar_unitary,
     random_density_matrix,
-    random_povm_elements,
     random_pure_vector,
     rng_from_seed,
     wishart_draws,
+    wishart_povms,
 )
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix, zero_entropy
@@ -46,6 +43,16 @@ def product_state(rng, dim_a, dim_b):
         shape(("A", dim_a), ("B", dim_b)),
         np.kron(random_density_matrix(dim_a, rng), random_density_matrix(dim_b, rng)),
     )
+
+
+def random_povm(dim, outcomes, rng):
+    return Povm(tuple(wishart_povms(wishart_draws(dim, outcomes, rng))))
+
+
+def dmax(k, rho):
+    """Smallest c >= 0 with K <= c * rho, from the stacked core on a stack of one."""
+    return float(accessible._dmax_blocks(np.asarray(k, complex)[None], hermitize(rho)[None],
+                                         np.zeros(1, int), RANK_TOL)[0])
 
 
 def dmax_by_bisection(rho, sigma, lo=-40.0, hi=40.0, iters=80):
@@ -87,7 +94,7 @@ def test_dmax_matches_bisection():
         dim = int(rng.integers(2, 5))
         rho = random_density_matrix(dim, rng)
         sigma = 0.85 * random_density_matrix(dim, rng) + 0.15 * np.eye(dim) / dim
-        got = dmax_relative(rho, sigma)  # multiplicative constant, not exponent
+        got = dmax(rho, sigma)  # multiplicative constant, not exponent
         want = dmax_by_bisection(rho, sigma)
         assert got == pytest.approx(2.0**want, rel=1e-6)
 
@@ -96,7 +103,7 @@ def test_imax_value_is_max_over_outcome_dmax():
     rng = rng_from_seed(43)
     rho = density_from_matrix(shape(("A", 2), ("B", 3)),
                               random_density_matrix(6, rng))
-    povm = Povm(tuple(random_povm_elements(2, 3, rng)))
+    povm = random_povm(2, 3, rng)
     value, sigma, blocks = imax_for_measurement(povm, rho)
     rho_b = accessible.reduced_b(rho)
     assert domination_defect(blocks, rho_b, value, sigma) <= 1e-9
@@ -118,8 +125,8 @@ def test_coarse_graining_never_raises_value():
     rng = rng_from_seed(45)
     rho = density_from_matrix(shape(("A", 3), ("B", 2)),
                               random_density_matrix(6, rng))
-    elems = random_povm_elements(3, 4, rng)
-    fine = Povm(tuple(elems))
+    fine = random_povm(3, 4, rng)
+    elems = fine.elements
     coarse = Povm((elems[0] + elems[1], elems[2], elems[3]))
     v_fine = imax_for_measurement(fine, rho)[0]
     v_coarse = imax_for_measurement(coarse, rho)[0]
@@ -130,9 +137,9 @@ def test_local_channels_respect_original_bound():
     rng = rng_from_seed(46)
     rho = copy_state(2)
     p = np.diag([1.0, 0.0]).astype(complex)
-    ok, transformed, original = local_channel_monotonicity_check(
-        rho, [np.eye(2, dtype=complex)], [p, np.eye(2) - p], budget=16, seed=3
-    )
+    ok, transformed, original = local_channel_monotonicity_checks(
+        [(rho, [np.eye(2, dtype=complex)], [p, np.eye(2) - p], 3)], budget=16
+    )[0]
     assert ok
     assert transformed <= original + 1e-8
 
@@ -220,7 +227,7 @@ def test_stacked_lambda_matches_per_block_reference(dim_a, dim_b):
     psi = random_pure_vector(dim_a * dim_b, rng)
     pure = density_from_matrix(full.shape, np.outer(psi, psi.conj()))
     povms = standard_measurements(dim_a)
-    povms.append(Povm(tuple(random_povm_elements(dim_a, 5, rng))))
+    povms.append(random_povm(dim_a, 5, rng))
     for rho in (full, pure):  # rho_B is rank-deficient for a pure state with dim_a < dim_b
         for povm in povms:
             _assert_matches_reference(povm, rho)
@@ -239,18 +246,18 @@ def test_stacked_lambda_zero_support_block():
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert sigma[1] == 0.0
     zero = np.zeros((3, 3), dtype=complex)
-    assert dmax_relative(zero, zero) == _dmax_ref(zero, zero) == 0.0
-    assert dmax_relative(np.eye(3) / 3, zero) == _dmax_ref(np.eye(3) / 3, zero) == math.inf
+    assert dmax(zero, zero) == _dmax_ref(zero, zero) == 0.0
+    assert dmax(np.eye(3) / 3, zero) == _dmax_ref(np.eye(3) / 3, zero) == math.inf
 
 
 def test_weight_outside_rank_deficient_support(monkeypatch):
-    """A block with weight outside supp(rho_B) has no finite c_x: dmax_relative
+    """A block with weight outside supp(rho_B) has no finite c_x: the dmax core
     says inf and imax_for_measurement refuses the measurement."""
     rho_b = np.diag([0.5, 0.5, 0.0]).astype(complex)
     outside = np.diag([0.2, 0.0, 0.1]).astype(complex)
-    assert dmax_relative(outside, rho_b) == _dmax_ref(outside, rho_b) == math.inf
+    assert dmax(outside, rho_b) == _dmax_ref(outside, rho_b) == math.inf
     inside = np.diag([0.2, 0.1, 0.0]).astype(complex)
-    assert dmax_relative(inside, rho_b) == pytest.approx(_dmax_ref(inside, rho_b), abs=1e-12)
+    assert dmax(inside, rho_b) == pytest.approx(_dmax_ref(inside, rho_b), abs=1e-12)
     rho = density_from_matrix(shape(("A", 2), ("B", 3)),
                               np.kron(np.eye(2) / 2, rho_b * 2) / 2)
     povm = standard_measurements(2)[0]
@@ -271,9 +278,9 @@ def test_measurements_in_one_call_match_one_at_a_time(dim_a, dim_b):
     psi = random_pure_vector(dim_a * dim_b, rng)
     pure = density_from_matrix(full.shape, np.outer(psi, psi.conj()))
     povms = standard_measurements(dim_a) + [
-        Povm(tuple(random_povm_elements(dim_a, k, rng))) for k in (2, 3, 7)]
+        random_povm(dim_a, k, rng) for k in (2, 3, 7)]
     for rho in (full, pure):
-        batch = imax_for_measurements(povms, rho)
+        batch = imax_for_states([(povms, rho)])[0]
         assert len(batch) == len(povms)
         for povm, (lam, sigma, blocks) in zip(povms, batch):
             want_lam, want_sigma, want_blocks = imax_for_measurement(povm, rho)
@@ -300,11 +307,11 @@ def test_one_unbounded_block_fails_the_whole_call(monkeypatch):
         return np.concatenate([stacks[id(povm)] for povm in povms])
 
     monkeypatch.setattr(accessible, "measurement_blocks", job_blocks)
-    assert len(imax_for_measurements([bounded, bounded], rho)) == 2
+    assert len(imax_for_states([([bounded, bounded], rho)])[0]) == 2
     assert calls == [2]
     for povms in ([bounded, unbounded], [unbounded, bounded], [unbounded]):
         with pytest.raises(InputError, match="outside supp"):
-            imax_for_measurements(povms, rho)
+            imax_for_states([(povms, rho)])
 
 
 def test_criterion_04_makes_few_eigendecompositions(monkeypatch):
@@ -336,7 +343,7 @@ def _jobs(rng):
         psi = random_pure_vector(dim_a * dim_b, rng)
         for mat in (random_density_matrix(dim_a * dim_b, rng), np.outer(psi, psi.conj())):
             povms = standard_measurements(dim_a) + [
-                Povm(tuple(random_povm_elements(dim_a, k, rng))) for k in (2, 5)]
+                random_povm(dim_a, k, rng) for k in (2, 5)]
             jobs.append((povms, density_from_matrix(shape(("A", dim_a), ("B", dim_b)), mat)))
     return jobs
 
@@ -351,7 +358,7 @@ def test_states_in_one_call_match_one_job_calls():
     batch = imax_for_states(jobs)
     assert len(batch) == len(jobs)
     for (povms, rho), scored in zip(jobs, batch):
-        alone = imax_for_measurements(povms, rho)
+        alone = imax_for_states([(povms, rho)])[0]
         assert len(scored) == len(alone) == len(povms)
         for (lam, sigma, blocks), (want_lam, want_sigma, want_blocks) in zip(scored, alone):
             assert lam == pytest.approx(want_lam, abs=1e-12)
@@ -409,7 +416,7 @@ def _haar_ref(dim, rng):
 
 
 def _povm_ref(dim, outcomes, rng):
-    """random_povm_elements as one draw per Wishart piece."""
+    """wishart_povms(wishart_draws(...)) as one draw per Wishart piece."""
     pieces = []
     for _ in range(outcomes):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -438,14 +445,14 @@ def test_stacked_draws_match_per_piece_reference(dim):
     leave the generator in the same state."""
     for seed in range(5):
         got_rng, want_rng = rng_from_seed((65, dim, seed)), rng_from_seed((65, dim, seed))
-        got = search_measurements(dim, 24, got_rng)
+        got = search_families(dim, 24, [got_rng])[0]
         want = _search_ref(dim, 24, want_rng)
         assert len(got) == len(want) == 24
         for a, b in zip(got, want):
             assert np.array_equal(a.stack, b.stack)
         assert got_rng.random() == want_rng.random()
         for k in (1, 2, dim * dim):
-            assert np.array_equal(random_povm_elements(dim, k, got_rng),
+            assert np.array_equal(wishart_povms(wishart_draws(dim, k, got_rng)),
                                   _povm_ref(dim, k, want_rng))
             assert np.array_equal(haar_unitary(dim, got_rng), _haar_ref(dim, want_rng))
         assert got_rng.random() == want_rng.random()
@@ -453,13 +460,13 @@ def test_stacked_draws_match_per_piece_reference(dim):
 
 def test_grouped_random_povms_match_one_at_a_time():
     """Draws of mixed shapes made into POVMs in stacked (d, k) groups give, in
-    order, the elements that one random_povm_elements call per POVM gives."""
+    order, the elements that one wishart_povms call per POVM gives."""
     shapes = [(2, 3), (4, 2), (2, 3), (4, 5), (2, 2), (4, 2), (2, 3)]
     got_rng, want_rng = rng_from_seed(71), rng_from_seed(71)
     draws = [wishart_draws(d, k, got_rng) for d, k in shapes]
     made = random_povms(draws, [f"POVM {i}" for i in range(len(draws))])
     for (d, k), povm in zip(shapes, made):
-        assert np.array_equal(povm.stack, random_povm_elements(d, k, want_rng))
+        assert np.array_equal(povm.stack, wishart_povms(wishart_draws(d, k, want_rng)))
     assert got_rng.random() == want_rng.random()
 
 
@@ -469,7 +476,7 @@ def test_searched_families_match_one_search_each():
     for dim in (2, 4):
         together = search_families(dim, 24, [rng_from_seed(s) for s in seeds])
         for seed, family in zip(seeds, together):
-            alone = search_measurements(dim, 24, rng_from_seed(seed))
+            alone = search_families(dim, 24, [rng_from_seed(seed)])[0]
             assert len(family) == len(alone) == 24
             assert all(np.array_equal(a.stack, b.stack) for a, b in zip(family, alone))
 
@@ -485,14 +492,14 @@ def test_channel_checks_together_match_one_check_each():
         p = np.diag([1.0] * (dim_b // 2) + [0.0] * (dim_b - dim_b // 2)).astype(complex)
         cases.append((rho, [haar_unitary(dim_a, rng)], [p, np.eye(dim_b) - p], (73, k)))
     together = local_channel_monotonicity_checks(cases, budget=12)
-    assert together == [local_channel_monotonicity_check(*case[:3], budget=12, seed=case[3])
+    assert together == [local_channel_monotonicity_checks([case], budget=12)[0]
                         for case in cases]
 
 
 def test_blocks_of_a_job_are_its_measurements_blocks_in_turn():
     rng = rng_from_seed(74)
     rho = density_from_matrix(shape(("A", 4), ("B", 3)), random_density_matrix(12, rng))
-    povms = standard_measurements(4) + [Povm(tuple(random_povm_elements(4, 6, rng)))]
+    povms = standard_measurements(4) + [random_povm(4, 6, rng)]
     job = accessible.measurement_blocks(povms, rho)
     np.testing.assert_allclose(
         job, np.concatenate([accessible.measurement_blocks(p, rho) for p in povms]),

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gamebound.acceptance import binomial_test
 from gamebound.bcjl import (
     BcjlInstance,
     ball_verifier,
@@ -162,9 +163,10 @@ def test_na_binding_one_empty_side_is_vacuous():
 def test_sampling_equivalence_matches_exact_rate():
     res = sampling_equivalence_mc(n=16, delta=0.25, mismatches=5, runs=20000, seed=3)
     assert res["exact"] == pytest.approx(2.0**-5, abs=0)
-    assert abs(res["frequency"] - res["exact"]) <= 3.0 * res["sigma"]
+    assert res["frequency"] == res["hits"] / 20000
+    assert binomial_test(res["hits"], 20000, res["exact"], True)["pass"]
     assert res["claim_bound"] == pytest.approx(2.0 ** (-4.0), abs=0)
-    assert res["pass"]
+    assert binomial_test(res["hits"], 20000, res["claim_bound"], False)["pass"]
 
 
 def test_sampling_equivalence_rejects_bad_mismatch_count():

@@ -497,6 +497,31 @@ def test_onecc_flags_read_by_their_checks_still_run(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_commit_sim_fails_when_its_size_aborts_leave_the_exact_tail(monkeypatch, tmp_path, capsys):
+    """The commit simulation's size-abort count is judged by an exact binomial
+    test against its tail: every run aborted fails the check (exit 1)."""
+    from gamebound import onecc
+
+    def all_aborted(big_n, q, runs, seed):
+        return {"runs": runs, "aborts_size": runs, "check_set_sizes": [big_n] * runs,
+                "size_abort_bound": 1.0}
+
+    monkeypatch.setattr(onecc, "simulate_commit", all_aborted)
+    out = tmp_path / "report.json"
+    assert main(["onecc", "--commit-sim", "--runs", "200", "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    test = json.loads(out.read_text())["checks"][0]["values"]["test"]
+    assert test["sides"] == 2 and not test["pass"]
+
+
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_commit_sim_at_certain_check_coins_passes(q, capsys):
+    """At q = 0 no position is checked and at q = 1 every one is, so no run
+    size-aborts and the exact tail is 0: the count matches it."""
+    assert main(["onecc", "--commit-sim", "--q", q, "--big-n", "7", "--runs", "50"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_state_without_family_is_usage_error(tmp_path, capsys):
     state_path, family_path = bell_files(tmp_path)
     assert main(["game", "--bell", "--state", str(state_path)]) == 2

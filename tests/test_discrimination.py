@@ -16,8 +16,6 @@ from gamebound.discrimination import (
     _barrier_path,
     binary_optimal,
     dual_feasibility_defect,
-    guessing_probability,
-    hmin_cq,
     optimal_discrimination,
     povm_list,
 )
@@ -25,9 +23,10 @@ from gamebound.errors import InputError
 from gamebound.games import adaptive_success, random_game, semi_adaptive_success
 from gamebound.rand import (
     random_density_matrix,
-    random_povm_elements,
     random_pure_vector,
     rng_from_seed,
+    wishart_draws,
+    wishart_povms,
 )
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix
@@ -310,25 +309,6 @@ def test_identical_states_give_max_weight():
     assert value == pytest.approx(0.7, abs=1e-12)
 
 
-def make_cq(rng, n_symbols, dim):
-    weights = rng.random(n_symbols)
-    weights /= weights.sum()
-    conds = tuple(
-        density_from_matrix(shape(("B", dim)), random_density_matrix(dim, rng))
-        for _ in range(n_symbols)
-    )
-    return CqState(tuple(range(n_symbols)), tuple(float(w) for w in weights), conds)
-
-
-def test_hmin_cq_is_minus_log_guessing():
-    rng = rng_from_seed(36)
-    cq = make_cq(rng, 3, 2)
-    value, cert = hmin_cq(cq)
-    assert value == pytest.approx(-math.log2(cert.primal_value), abs=1e-12)
-    g = guessing_probability(cq)
-    assert cert.primal_value == pytest.approx(g.primal_value, abs=1e-12)
-
-
 def test_cq_state_validation():
     s = shape(("B", 2))
     cond = density_from_matrix(s, np.eye(2, dtype=complex) / 2)
@@ -389,7 +369,7 @@ def test_stacked_validation_rejects_mixed_shapes_and_freezes(container):
 def _povm_group(m: int = 5, n: int = 3, dim: int = 2) -> np.ndarray:
     """m random n-element POVMs on C^dim as one (m, n, dim, dim) stack."""
     rng = rng_from_seed(70)
-    return np.array([random_povm_elements(dim, n, rng) for _ in range(m)])
+    return np.array([wishart_povms(wishart_draws(dim, n, rng)) for _ in range(m)])
 
 
 def test_povm_list_is_each_povm_validated_alone():

@@ -19,7 +19,7 @@ from gamebound.coding import (
 )
 from gamebound.discrimination import CqState, guessing_probability
 from gamebound.errors import CapExceededError, InputError
-from gamebound.hashing import XorHashFamily
+from gamebound.hashing import XorHashFamily, privacy_amp_distance
 from gamebound.linalg import partial_trace_matrix
 from gamebound.rand import random_pure_vector, rng_from_seed
 from gamebound.registers import shape
@@ -196,10 +196,13 @@ def test_criterion_07_builds_no_dense_state(monkeypatch):
     assert criterion_07_wrong_opening(seed=0).passed
 
 
+_ONE_SYMBOL_CQ = CqState((0,), (1.0,), (density_from_matrix(shape(("E", 1)), np.eye(1)),))
+
+
 @pytest.mark.parametrize("build", [
     lambda: hamming_ball(17, 17),  # 2^17 strings
     lambda: LinearCode(np.eye(21, dtype=np.uint8)).codewords(),  # 2^21 words
-    lambda: XorHashFamily(21).members(),
+    lambda: privacy_amp_distance(_ONE_SYMBOL_CQ, 21),  # 2^21 members
     lambda: len(XorHashFamily(21)),
     lambda: sample_smallsup_state(np.zeros(14), 0.5, 2),  # 9,908 rows of dim 2
 ])
@@ -353,4 +356,5 @@ def test_sampling_equivalence_matches_loop_reference(seed):
     rng = rng_from_seed(seed)
     hits = sum(not np.any((rng.random(16) < 0.5)[:5]) for _ in range(3000))
     res = bcjl.sampling_equivalence_mc(n=16, delta=0.25, mismatches=5, runs=3000, seed=seed)
+    assert res["hits"] == hits
     assert res["frequency"] == hits / 3000

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import gamebound.ucsim as ucsim
-from gamebound.coding import LinearCode, bits_to_int, syndrome
+from gamebound.coding import LinearCode, bits_to_int, nearest_coset_rep, syndrome
 from gamebound.errors import InputError
 from gamebound.hashing import XorHashFamily
-from gamebound.onecc import extract_commit_bit
 from gamebound.tapes import Tape, seed_states, seed_words, state_blocks, stream, word_states
 from gamebound.ucsim import (
     _BORN_P0,
@@ -279,8 +278,11 @@ def test_protocol_commitment_agrees_with_the_extractor():
         member = int(replay.integers(0, 2**n))
         code = LinearCode(np.hstack([np.eye(n - 1, dtype=np.uint8), np.ones((n - 1, 1), dtype=np.uint8)]))
         s = syndrome(code, theta_rest)
-        masked = XorHashFamily(n).evaluate(member, bits_to_int(theta_rest)) ^ bit
-        assert extract_commit_bit(code, member, s, masked, theta_rest) == bit
+        family = XorHashFamily(n)
+        masked = family.evaluate(member, bits_to_int(theta_rest)) ^ bit
+        # the receiver's extractor: hash of the nearest syndrome-s string, xor the masked bit
+        rep = nearest_coset_rep(code, s, theta_rest)
+        assert family.evaluate(member, bits_to_int(rep)) ^ masked == bit
         assert bc.extract().tolist() == [[bit]]
         assert bc.open().tolist() == [[bit]]
         assert tape.random(1)[0, 0] == replay.random()
