@@ -152,7 +152,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
     scored = accessible.imax_for_states(jobs)
     # lambda and lambda - 1e-4 of every measurement, one stacked call per shape
     defects = {}
-    for idx in accessible.shape_groups([rho for _, rho in jobs]).values():
+    for idx in accessible.groups([rho.shape.dims for _, rho in jobs]).values():
         found = [m for k in idx for m in scored[k]]
         sizes = [len(blocks) for _, _, blocks in found]
         per_state = [sum(len(blocks) for _, _, blocks in scored[k]) for k in idx]

@@ -97,12 +97,12 @@ def measurement_blocks(povms, rho_ab: DensityOperator) -> np.ndarray:
     return hermitize(flat.reshape(-1, dim_b, dim_b))
 
 
-def shape_groups(states) -> dict[tuple[int, ...], list[int]]:
-    """Indices of the states, in order, grouped by their register dimensions."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, rho in enumerate(states):
-        groups.setdefault(rho.shape.dims, []).append(i)
-    return groups
+def groups(keys) -> dict:
+    """Indices 0..len(keys) - 1, in order, grouped by their keys."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
 def imax_for_measurement(
@@ -120,7 +120,7 @@ def imax_for_states(jobs) -> list[list[tuple[float, tuple[float, ...], np.ndarra
     decomposed in one stacked eigh, and all blocks are whitened and scored
     together. A block with weight outside its supp(rho_B) fails the call."""
     out: list = [None] * len(jobs)
-    for idx in shape_groups([rho for _, rho in jobs]).values():
+    for idx in groups([rho.shape.dims for _, rho in jobs]).values():
         parts = [measurement_blocks(jobs[j][0], jobs[j][1]) for j in idx]
         blocks = check_psd(np.concatenate(parts), 1e-10, "K")
         owner = np.repeat(np.arange(len(idx)), [len(part) for part in parts])
@@ -195,14 +195,7 @@ def _standard_measurements(dim: int) -> tuple[Povm, ...]:
         qubits = dim.bit_length() - 1
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         for pattern in range(1, 2**qubits - 1):
-            factors = [
-                h if (pattern >> i) & 1 else np.eye(2, dtype=complex)
-                for i in range(qubits)
-            ]
-            u = factors[0]
-            for f in factors[1:]:
-                u = np.kron(u, f)
-            bases.append(u)
+            bases.append(tensor(*(h if (pattern >> i) & 1 else np.eye(2) for i in range(qubits))))
     return tuple(_basis_povms(np.array(bases)))
 
 
@@ -211,10 +204,7 @@ def random_povms(draws: list[np.ndarray], names: list[str]) -> list[Povm]:
     errors: each (d, k) group is made by one rand.wishart_povms call (one
     stacked eigh) and validated in one pass."""
     out: list = [None] * len(draws)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, g in enumerate(draws):
-        groups.setdefault(g.shape, []).append(i)
-    for idx in groups.values():
+    for idx in groups([g.shape for g in draws]).values():
         elements = wishart_povms(np.stack([draws[i] for i in idx]))
         for i, povm in zip(idx, povm_list(elements, [names[i] for i in idx])):
             out[i] = povm
@@ -258,10 +248,7 @@ def _acc_bounds(states, budget: int | None, seeds) -> list[ImaxEstimate]:
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     uppers = [zero_entropy(rho, rho.shape.labels[0]) for rho in states]
     families: list = [None] * len(states)
-    by_dim: dict[int, list[int]] = {}
-    for i, rho in enumerate(states):
-        by_dim.setdefault(rho.shape.dims[0], []).append(i)
-    for dim_a, idx in by_dim.items():
+    for dim_a, idx in groups([rho.shape.dims[0] for rho in states]).items():
         rngs = [rng_from_seed(seeds[i]) for i in idx]
         for i, family in zip(idx, search_families(dim_a, budget, rngs)):
             families[i] = family

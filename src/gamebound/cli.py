@@ -13,9 +13,12 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import accessible, acceptance, bcjl, coding, commitments, games, onecc, ucsim
 from .config import DEFAULT_SEARCH_BUDGET
 from .errors import CapExceededError, InputError
+from .rand import rng_from_seed
 from .report import CheckRecord, ExperimentReport, timed_record
 from .states import load_state
 
@@ -181,8 +184,6 @@ def _cmd_onecc(args) -> int:
         worst = 0.0
         all_ok = True
         bound = None
-        import numpy as np
-        from .rand import rng_from_seed
         rng = rng_from_seed((args.seed, 71))
         for k in range(samples):
             theta = rng.integers(0, 2, size=code.n).astype(np.uint8)
@@ -281,20 +282,25 @@ def _cmd_info(args) -> int:
     started = time.perf_counter()
     rho = load_state(args.state)
     est = accessible.imax_acc_bounds(rho, budget=args.budget, seed=args.seed)
-    h0 = accessible.zero_entropy(rho, "A")
+    # the bound is est.upper, H0 of the measured first register
     checks = [timed_record(
         "accessible-info-bounds", est.lower <= est.upper + args.tol,
         {"lower": est.lower, "upper": est.upper, "searched": est.searched,
-         "zero_entropy_a": h0},
-        h0, h0 - est.lower, "sampled-search", args.state, started,
+         "zero_entropy_a": est.upper},
+        est.upper, est.upper - est.lower, "sampled-search", args.state, started,
     )]
     return _emit(ExperimentReport("info", args.seed, checks), args.out)
 
 
 def _cmd_verify_all(args) -> int:
     only = None
-    if args.only:
-        only = {int(tok) for tok in args.only.replace(",", " ").split()}
+    if args.only is not None:
+        tokens = args.only.replace(",", " ").split()
+        numbers = [str(k) for k in range(1, len(acceptance.ALL_CRITERIA) + 1)]
+        if not tokens or not set(tokens) <= set(numbers):
+            raise InputError(f"--only takes criterion numbers 1-{numbers[-1]}, at least one, "
+                             f"got {args.only!r}")
+        only = {int(tok) for tok in tokens}
     report = acceptance.run_all(seed=args.seed, only=only)
     return _emit(report, args.out)
 
@@ -387,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     common(p)
     p.add_argument("--only", type=str, default=None,
-                   help="criterion numbers like 1,2,5")
+                   help=f"criterion numbers 1-{len(acceptance.ALL_CRITERIA)}, like 1,2,5")
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

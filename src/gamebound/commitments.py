@@ -26,11 +26,13 @@ from .config import SOLVER_TOL
 from .discrimination import optimal_discrimination, score_operators
 from .errors import InputError
 from .linalg import (
+    as_complex_stack,
     check_psd,
     hermitize,
     load_json,
     matrix_from_json,
     matrix_to_json,
+    reject_first,
     spectral_norm,
 )
 from .rand import random_pure_vector, rng_from_seed
@@ -38,11 +40,13 @@ from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix
 
 
-def _check_projector(m: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
-    """A projector, or an (n, d, d) stack of them, checked PSD and idempotent."""
+def _check_projector(m: np.ndarray, name, tol: float = 1e-9) -> np.ndarray:
+    """A projector, or an (n, d, d) stack of them, checked PSD and idempotent; a stack's
+    errors name its first bad element as f"{name} {i}", or as name(i) when `name` is a
+    function."""
     arr = check_psd(m, 1e-10, name)
-    if np.max(np.abs(arr @ arr - arr)) > tol:
-        raise InputError(f"{name} is not idempotent within {tol}")
+    defect = np.abs(arr @ arr - arr).max(axis=(-2, -1), initial=0.0)
+    reject_first(defect > tol, name, lambda i: f"is not idempotent within {tol}")
     return hermitize(arr)
 
 
@@ -54,30 +58,19 @@ class ProjectiveCommitmentScheme:
     openings_one: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        for side, name in ((self.openings_zero, "b=0"), (self.openings_one, "b=1")):
-            if not side:
-                raise InputError(f"no openings declared for {name}")
-        dims = set()
-        frozen = {}
-        for attr, side in (
-            ("openings_zero", self.openings_zero),
-            ("openings_one", self.openings_one),
-        ):
-            labels = [label for label, _ in side]
+        for attr, bit in (("openings_zero", "b=0"), ("openings_one", "b=1")):
+            if not getattr(self, attr):
+                raise InputError(f"no openings declared for {bit}")
+            labels = [label for label, _ in getattr(self, attr)]
             if len(set(labels)) != len(labels):
                 raise InputError(f"duplicate opening labels in {attr}")
-            out = []
-            for label, proj in side:
-                p = _check_projector(proj, f"V[{label}]")
-                dims.add(p.shape[0])
-                p = p.copy()
-                p.setflags(write=False)
-                out.append((label, p))
-            frozen[attr] = tuple(out)
-        if len(dims) != 1:
+            stack = as_complex_stack([proj for _, proj in getattr(self, attr)],
+                                     "verification projector", finite=False)
+            stack = _check_projector(stack, [f"V[{label}]" for label in labels].__getitem__)
+            stack.setflags(write=False)
+            object.__setattr__(self, attr, tuple(zip(labels, stack)))
+        if self.openings_zero[0][1].shape != self.openings_one[0][1].shape:
             raise InputError("verification projectors must share one dimension")
-        object.__setattr__(self, "openings_zero", frozen["openings_zero"])
-        object.__setattr__(self, "openings_one", frozen["openings_one"])
 
     @property
     def dim_b(self) -> int:

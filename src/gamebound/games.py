@@ -23,11 +23,14 @@ from .config import DEFAULT_MAX_OPERATORS, SOLVER_TOL
 from .discrimination import SolverCertificate, optimal_discrimination, score_operators
 from .errors import InputError
 from .linalg import (
+    as_complex_stack,
     check_psd,
     hermitize,
     load_json,
     matrix_from_json,
     matrix_to_json,
+    min_eig,
+    reject_first,
 )
 from .rand import random_effect, random_pure_vector, rng_from_seed
 from .registers import RegisterShape
@@ -56,19 +59,13 @@ class BinaryPovmFamily:
         if len(self.labels) > DEFAULT_MAX_OPERATORS:
             raise InputError(f"family size {len(self.labels)} exceeds cap "
                              f"{DEFAULT_MAX_OPERATORS}")
-        dim = self.effects[0].shape[0]
-        frozen = []
-        for label, e in zip(self.labels, self.effects):
-            arr = check_psd(e, 1e-10, f"effect {label!r}")
-            if arr.shape[0] != dim:
-                raise InputError("effects must share one dimension")
-            comp = np.eye(dim) - arr
-            if float(np.linalg.eigvalsh(hermitize(comp))[0]) < -1e-9:
-                raise InputError(f"effect {label!r} exceeds the identity")
-            arr = hermitize(arr)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "effects", tuple(frozen))
+        names = [f"effect {label!r}" for label in self.labels]
+        arr = as_complex_stack(self.effects, "effect", finite=False)
+        arr = hermitize(check_psd(arr, 1e-10, names.__getitem__))
+        reject_first(min_eig(np.eye(arr.shape[1]) - arr) < -1e-9, names.__getitem__,
+                     lambda i: "exceeds the identity")
+        arr.setflags(write=False)
+        object.__setattr__(self, "effects", tuple(arr))
 
     @property
     def dim(self) -> int:
@@ -146,14 +143,9 @@ def semi_adaptive_success(game: AttackGame, tol: float = SOLVER_TOL) -> SolverCe
 def aprime_is_classical(game: AttackGame, tol: float = 1e-10) -> bool:
     """True when dim A' = 1 or the state is block diagonal in the declared A' basis."""
     dim_a, dim_ap, dim_b = game.dims
-    if dim_ap == 1:
-        return True
     mat = game.state.matrix.reshape(dim_a, dim_ap, dim_b, dim_a, dim_ap, dim_b)
-    for i in range(dim_ap):
-        for j in range(dim_ap):
-            if i != j and np.max(np.abs(mat[:, i, :, :, j, :])) > tol:
-                return False
-    return True
+    off_diagonal = ~np.eye(dim_ap, dtype=bool)[None, :, None, None, :, None]
+    return bool(np.abs(mat * off_diagonal).max() <= tol)
 
 
 def verify_main_theorem(

@@ -143,16 +143,11 @@ def partial_trace_matrix(
     if any(i < 0 or i >= len(dims) for i in keep):
         raise InputError(f"keep indices {keep} out of range for {len(dims)} factors")
     n = len(dims)
-    t = arr.reshape(dims + dims)
-    # Contract each traced factor: pair axis i (ket) with axis i+n (bra).
-    traced = [i for i in range(n) if i not in keep]
-    for count, i in enumerate(traced):
-        # Axes shift left as earlier factors are traced out.
-        offset = sum(1 for j in traced[:count] if j < i)
-        ket = i - offset
-        bra = ket + (n - count)
-        t = np.trace(t, axis1=ket, axis2=bra)
-    kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
+    # A traced factor's bra axis takes its ket axis's index, so einsum sums the pair.
+    bras = [n + i if i in keep else i for i in range(n)]
+    t = np.einsum(arr.reshape(dims + dims), list(range(n)) + bras,
+                  list(keep) + [n + i for i in keep])
+    kept_dim = int(np.prod([dims[i] for i in keep]))
     return t.reshape(kept_dim, kept_dim)
 
 

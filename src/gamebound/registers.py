@@ -42,10 +42,7 @@ class RegisterShape:
         return tuple(d for _, d in self.subsystems)
 
     def dim_of(self, label: str) -> int:
-        for name, d in self.subsystems:
-            if name == label:
-                return d
-        raise InputError(f"no register labeled {label!r} in {self.labels}")
+        return self.dims[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,16 +60,7 @@ class CheckRecord:
         self.runtime_s = float(self.runtime_s)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "values": self.values,
-            "bound": self.bound,
-            "slack": self.slack,
-            "provenance": self.provenance,
-            "inputs_digest": self.inputs_digest,
-            "runtime_s": self.runtime_s,
-        }
+        return asdict(self)
 
 
 def timed_record(name, passed, values, bound, slack, provenance, inputs, started) -> CheckRecord:

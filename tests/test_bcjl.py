@@ -204,6 +204,7 @@ def _hiding_distance_oracle(n: int, code: LinearCode) -> float:
         (2, np.eye(2, dtype=np.uint8)),
         (2, np.array([[1, 1]], dtype=np.uint8)),
         (3, np.array([[1, 1, 1]], dtype=np.uint8)),
+        (4, named_code("rep41").generator),
     ],
 )
 def test_hiding_distance_matches_flat_oracle(n, rows):
@@ -219,6 +220,14 @@ def test_hiding_distance_known_values():
     # desk-scale accounting gives nothing: the bound exceeds one
     assert res["accounting_bound"] == pytest.approx(1.2071067811865472, abs=1e-12)
     assert res["vacuous"]
+
+
+def test_hiding_distance_at_the_length_cap():
+    """n = 6 with two syndrome bits, pinned at its exact dyadic value."""
+    rows = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=np.uint8)
+    res = hiding_distance_exact(6, LinearCode(rows))
+    assert res["distance"] == 0.7119140625
+    assert res["pass"]
 
 
 def test_hiding_distance_caps_and_length_check():

@@ -280,6 +280,33 @@ def test_verify_all_subset(tmp_path, capsys):
     assert names == {"01-basis-guessing-constant", "05-norm-lemma"}
 
 
+@pytest.mark.parametrize("only", ["abc", "13", "0", ","])
+def test_only_without_criterion_numbers_is_usage_error(only, capsys):
+    """--only takes criterion numbers 1-12, at least one: a word would crash
+    (exit 3) and a list naming no criterion would pass over zero checks."""
+    assert main(["verify-all", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert "criterion numbers 1-12" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("registers, upper", [
+    ((("X", 2), ("Y", 2)), 1.0),
+    ((("X", 4), ("A", 2)), 2.0),
+], ids=["no-A-register", "A-second"])
+def test_info_bounds_by_the_measured_first_register(registers, upper, tmp_path, capsys):
+    """info measures the first register, so its bound is that register's H0,
+    whatever the registers are called."""
+    dim = registers[0][1] * registers[1][1]
+    state_path, out_path = tmp_path / "state.json", tmp_path / "info.json"
+    save_state(density_from_matrix(shape(*registers), np.eye(dim) / dim), str(state_path))
+    assert main(["info", "--state", str(state_path), "--budget", "8",
+                 "--out", str(out_path)]) == 0
+    (record,) = json.loads(out_path.read_text())["checks"]
+    assert record["values"]["upper"] == record["bound"] == upper
+    assert record["slack"] == upper - record["values"]["lower"]
+
+
 def test_negative_seed_is_usage_error(capsys):
     """numpy seeds only non-negative integers: the parser rejects the rest
     (exit 2) before any criterion runs, instead of a crash (exit 3)."""

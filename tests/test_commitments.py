@@ -51,6 +51,15 @@ def test_scheme_validation():
         ProjectiveCommitmentScheme((("a", np.diag([1.0, 0.5])),), (("c", PLUS),))
 
 
+def test_scheme_errors_name_the_bad_opening_by_label():
+    """Each side is validated in one stacked pass; an error still names the
+    first bad projector by its label."""
+    with pytest.raises(InputError, match=r"V\[b\] is not idempotent"):
+        ProjectiveCommitmentScheme((("a", Z0), ("b", 0.5 * Z1)), (("c", PLUS),))
+    with pytest.raises(InputError, match=r"V\[d\] not PSD"):
+        ProjectiveCommitmentScheme((("a", Z0),), (("c", PLUS), ("d", -Z1)))
+
+
 @pytest.mark.parametrize("mode", ["povm-relaxation", "projective-bruteforce"])
 def test_attack_state_must_be_a_and_b_of_the_schemes_dimension(mode):
     # a third register would be read as part of A, which the qubit closed form

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gamebound.errors import InputError
 from gamebound.games import (
     MAIN_BOUND,
     AttackGame,
@@ -108,6 +109,16 @@ def test_zero_entropy_uses_reduction_rank():
     rho_a = partial_trace(game.state, keep=("A",))
     rank = int(np.linalg.matrix_rank(rho_a.matrix, tol=1e-8))
     assert zero_entropy(game.state, "A") == pytest.approx(math.log2(rank), abs=1e-12)
+
+
+def test_family_errors_name_the_bad_effect_by_label():
+    """The family is validated in one stacked pass; an error still names the
+    first bad effect by its label."""
+    half = np.eye(2) / 2
+    with pytest.raises(InputError, match="effect 't1' exceeds the identity"):
+        BinaryPovmFamily(("t0", "t1"), (half, 2 * np.eye(2)))
+    with pytest.raises(InputError, match="effect 't1' not PSD"):
+        BinaryPovmFamily(("t0", "t1", "t2"), (half, -np.eye(2), half))
 
 
 def test_family_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,13 @@ def complex_matrix(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def trace_out_by_index_loops(mat, dims, drop):
-    """Slow reference: explicit index loops over every subsystem index."""
-    keep = [i for i in range(len(dims)) if i != drop]
-    out_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
+def trace_out_by_index_loops(mat, dims, keep):
+    """Slow reference: explicit index loops over every subsystem index,
+    tracing out the factors not in `keep`."""
+    drop = [i for i in range(len(dims)) if i not in keep]
+    out_dim = int(np.prod([dims[i] for i in keep]))
     out = np.zeros((out_dim, out_dim), dtype=complex)
     ranges = [range(d) for d in dims]
-    import itertools
 
     def flat(idx):
         v = 0
@@ -41,7 +43,7 @@ def trace_out_by_index_loops(mat, dims, drop):
 
     for row in itertools.product(*ranges):
         for col in itertools.product(*ranges):
-            if row[drop] != col[drop]:
+            if any(row[i] != col[i] for i in drop):
                 continue
             out[flat_keep(row), flat_keep(col)] += mat[flat(row), flat(col)]
     return out
@@ -74,15 +76,19 @@ def test_tensor_associative_three_factors():
 
 
 def test_partial_trace_against_index_loops():
+    """Every keep subset of three factors: from () (the full trace, a 1 x 1
+    matrix) through one and two kept factors to all three (the matrix itself)."""
     rng = rng_from_seed(3)
     dims = (2, 3, 2)
     mat = complex_matrix(rng, 12)
     mat = mat + mat.conj().T
-    for drop in range(3):
-        keep = tuple(i for i in range(3) if i != drop)
-        got = partial_trace_matrix(mat, dims, keep)
-        want = trace_out_by_index_loops(mat, dims, drop)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+    for size in range(4):
+        for keep in itertools.combinations(range(3), size):
+            got = partial_trace_matrix(mat, dims, keep)
+            want = trace_out_by_index_loops(mat, dims, keep)
+            np.testing.assert_allclose(got, want, atol=1e-10)
+    np.testing.assert_allclose(partial_trace_matrix(mat, dims, ()), [[np.trace(mat)]], atol=1e-10)
+    np.testing.assert_allclose(partial_trace_matrix(mat, dims, (0, 1, 2)), mat, atol=0)
 
 
 def test_partial_trace_of_product_state():
