@@ -285,8 +285,7 @@ def _cmd_info(args) -> int:
     # the bound is est.upper, H0 of the measured first register
     checks = [timed_record(
         "accessible-info-bounds", est.lower <= est.upper + args.tol,
-        {"lower": est.lower, "upper": est.upper, "searched": est.searched,
-         "zero_entropy_a": est.upper},
+        {"lower": est.lower, "upper": est.upper, "searched": est.searched},
         est.upper, est.upper - est.lower, "sampled-search", args.state, started,
     )]
     return _emit(ExperimentReport("info", args.seed, checks), args.out)

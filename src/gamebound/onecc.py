@@ -219,8 +219,10 @@ def adaptive_wrong_opening(
 # --- round-by-round classical simulation ------------------------------------
 
 
-# Raw words read per block: a bound on the memory a long simulation holds at once.
+# Coins drawn per block: a bound on the memory a long simulation holds at once.
 _BLOCK_WORDS = 1 << 18
+# Largest N a simulation takes: its tally and criterion 10's tails are O(N).
+COMMIT_SIM_MAX_N = 1 << 16
 
 
 def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
@@ -230,55 +232,26 @@ def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
     channel; the receiver checks with probability q and aborts when more
     than 2qN positions are checked. An honest position never fails a check.
 
-    Returns the size-abort count, the exact per-run tally of checked
-    positions and the Hoeffding bound on the size-abort probability.
-
-    The runs are those of a loop that draws from `default_rng(seed)`, per
-    run, N uint8 bases, N doubles as check coins and, for N <= 20, an
-    accepted run's hash member below 2^N; they are read from raw PCG64
-    blocks by the rules of `tapes.Tape`. Four uint8 draws come from one
-    uint32 draw, so the bases take ceil(N/4) uint32 halves, a kept one
-    first; each coin takes a word and passes a kept half by; the hash member
-    takes one half. Run r's coins thus start at word
-    r N + ceil(((r + 1) ceil(N/4) + h_r) / 2), h_r the hash members drawn
-    before it, and its tally is a difference of one cumulative count of
-    coins below q. A Generator is refused: its place in its own stream is
-    not this function's to move.
+    Returns the size-abort count, the number of runs with each check-set
+    size 0..N and the Hoeffding bound on the size-abort probability. Run r's
+    check coins are row r of `rng_from_seed(seed).random((runs, N))`, drawn a
+    block of rows at a time, which is the same stream whatever the block size.
     """
-    if big_n < 1:
-        raise InputError("N must be positive")
+    if not 1 <= big_n <= COMMIT_SIM_MAX_N:
+        raise InputError(f"N must be in 1..{COMMIT_SIM_MAX_N}")
     if not 0.0 <= q <= 1.0:
         raise InputError("q must be a probability")
     if runs < 1:
         raise InputError("a simulation needs at least one run")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise InputError("simulate_commit reads its own stream: pass a seed, not a generator")
-    bits = rng_from_seed(seed).bit_generator
-    draws = (big_n + 3) // 4  # uint32 draws for one run's bases
-    cutoff = 2.0 * q * big_n
-    sizes, hashes = [], 0
-    tally, first = np.zeros(1, dtype=np.int64), 0  # coins below q before word first + i
-    chunk = max(1, _BLOCK_WORDS // (big_n + draws))
-    for lo in range(0, runs, chunk):
-        hi = min(lo + chunk, runs)
-        # enough words for run hi - 1's coins and run hi's start, whatever the hash count
-        words = hi * big_n + ((hi + 1) * (draws + 1) + 1) // 2 - (first + len(tally) - 1)
-        coins = (bits.random_raw(words) >> 11) * 2.0**-53 < q
-        tally = np.concatenate([tally, tally[-1] + np.cumsum(coins)])
-        if big_n > 20:  # no hash member is drawn, so every start is known at once
-            start = np.arange(lo, hi) * big_n + (np.arange(lo + 1, hi + 1) * draws + 1) // 2
-            sizes += (tally[start + big_n - first] - tally[start - first]).tolist()
-        else:
-            counts = tally.tolist()
-            for r in range(lo, hi):
-                start = r * big_n + ((r + 1) * draws + hashes + 1) // 2 - first
-                sizes.append(counts[start + big_n] - counts[start])
-                hashes += sizes[-1] <= cutoff
-        nxt = hi * big_n + ((hi + 1) * draws + hashes + 1) // 2
-        tally, first = tally[nxt - first:], nxt
+    rng = rng_from_seed(seed)
+    counts = np.zeros(big_n + 1, dtype=np.int64)
+    rows = max(1, _BLOCK_WORDS // big_n)
+    for lo in range(0, runs, rows):
+        sizes = (rng.random((min(rows, runs - lo), big_n)) < q).sum(axis=1)
+        counts += np.bincount(sizes, minlength=big_n + 1)
     return {
         "runs": runs,
-        "aborts_size": sum(size > cutoff for size in sizes),
-        "check_set_sizes": sizes,
+        "aborts_size": int(counts[np.arange(big_n + 1) > 2.0 * q * big_n].sum()),
+        "size_counts": counts.tolist(),
         "size_abort_bound": 2.0 * math.exp(-2.0 * q * q * big_n),
     }

@@ -6,7 +6,7 @@ lane into a 4-word pool and then into the generator's seed state. The state
 is hashed here for a whole batch of runs at once (`seed_states`), or for one
 run from numpy's own pools (`word_states`); `state_blocks` draws each run's
 block of raw outputs from numpy's PCG64 built on that state, and `Tape`
-reads a batch's blocks as numpy's Generator reads the stream.
+reads a batch's blocks one word per draw.
 """
 from __future__ import annotations
 
@@ -148,62 +148,27 @@ def _read(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 class Tape:
     """One lane's tape for each run of a batch: a row of raw PCG64 outputs
-    (`raw`, runs x words, little-endian) read by the run's cursor as numpy's
-    Generator reads them. A double is a word shifted right by 11, times
-    2**-53. A draw below 2**k is the top k bits of a 32-bit half, low half
-    first; an unused high half is kept for the next such draw, as PCG64's
-    has_uint32 buffer keeps it, and doubles pass it by. A call consumes
-    `count` draws (an int, or one per run) and returns them all, or those at
-    per-run offsets `at`; an offset outside a run's count reads junk.
+    (`raw`, runs x words, little-endian) read by the run's cursor, one word
+    per draw. A double is a word shifted right by 11, times 2**-53; a bit is
+    a word's top bit. A call consumes `count` draws (an int, or one per run)
+    and returns them all, or those at per-run offsets `at`; an offset outside
+    a run's count reads junk.
     """
 
     def __init__(self, raw: np.ndarray):
         self.raw = raw
-        self.halves = None    # `raw` as 32-bit halves, on first use
-        self.word, self.spare = 0, -1  # next unread word, kept half's index (or -1)
-        self.shared = True    # every run's cursor alike, held as ints
-        self._advance = None  # a per-run draw's move of the cursors, made when next read
+        self.word = 0  # next unread word: an int, or one per run
 
-    def _settle(self):
-        word, count, spare = self._advance
-        carried = np.asarray(spare) >= 0
-        end = np.maximum(2 * word + count - carried, 2 * word)  # past the halves from new words
-        self.word, self._advance = (end + 1) // 2, None  # a run that drew nothing keeps its half
-        self.spare = np.where(carried & (count == 0), spare, np.where(end & 1, end, -1))
+    def _take(self, count, at) -> np.ndarray:
+        word = self.word
+        self.word = word + count
+        if at is None and isinstance(word, int):
+            return self.raw[:, word:word + count]
+        at = np.arange(count) if at is None else at
+        return _read(self.raw, _per_run(word, at) + at)
 
     def random(self, count, at=None) -> np.ndarray:
-        if self._advance is not None:
-            self._settle()
-        word = self.word
-        if at is None and self.shared:
-            raw = self.raw[:, word:word + count]
-        else:
-            at = np.arange(count) if at is None else at
-            raw = _read(self.raw, _per_run(word, at) + at)
-        self.word = word + count
-        self.shared = self.shared and isinstance(count, int)
-        return (raw >> 11) * 2.0 ** -53
+        return (self._take(count, at) >> 11) * 2.0 ** -53
 
-    def integers(self, count, at=None, bits: int = 1) -> np.ndarray:
-        if self._advance is not None:
-            self._settle()
-        word, spare = self.word, self.spare
-        if self.halves is None:
-            self.halves = self.raw.view("<u4")
-        carried = spare >= 0
-        if at is None and self.shared and isinstance(count, int):
-            start = 2 * word - carried
-            if not carried or spare == start:
-                halves = self.halves[:, start:start + count]
-            else:  # doubles were drawn since the half was kept
-                halves = self.halves[:, [spare, *range(2 * word, start + count)]]
-            end = 2 * word + max(count - carried, 0)
-            self.word, self.spare = (end + 1) // 2, end if end % 2 else spare if count == 0 else -1
-        else:
-            at = np.arange(count) if at is None else at
-            index = _per_run(2 * word - carried, at) + at
-            if carried is True or isinstance(carried, np.ndarray) and carried.any():
-                index = np.where((at == 0) & _per_run(carried, at), _per_run(spare, at), index)
-            self._advance, self.shared = (word, count, spare), False
-            halves = _read(self.halves, index)
-        return halves >> (32 - bits)
+    def integers(self, count, at=None) -> np.ndarray:
+        return (self._take(count, at) >> 63).astype(np.uint8)

@@ -13,12 +13,11 @@ drives Born-rule measurement, the commitments and the rushing receiver, lane
 1 the sender, lane 2 the receiver, so real and simulated runs abort alike.
 
 A run's tape on a lane is a block of raw outputs of numpy's own PCG64, seeded
-as `default_rng(seed + (lane,))` is and read as numpy's Generator reads the
-stream (`tapes.Tape`), so every draw is the seeded generator's. A single run
-mixes its seed pools with numpy's SeedSequence; a loop hashes its runs' seed
-states in one vectorised pass per `_STATE_BLOCK` runs, and a real run and its
-simulation read the same blocks. Where a count depends on the run, each
-run's cursor moves by its own count.
+as `default_rng(seed + (lane,))` is, and each draw takes one word of it
+(`tapes.Tape`). A single run mixes its seed pools with numpy's SeedSequence;
+a loop hashes its runs' seed states in one vectorised pass per `_STATE_BLOCK`
+runs, and a real run and its simulation read the same blocks. Where a count
+depends on the run, each run's cursor moves by its own count.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -132,25 +131,21 @@ class ProtocolBitCommitment(IdealBitCommitment):
     Run honestly, the unchecked basis string has the announced syndrome, so it
     is its own nearest coset member, and both opening and the receiver's
     extractor (hash of the nearest syndrome-s string, xor the masked bit) on it
-    return the committed bit. Commit therefore makes the protocol's
-    draws (bases, checked positions, hash member) and applies its abort rule;
-    opening and extraction are the ideal commitment's. They read junk for an
-    aborted commitment, and are input errors when every one aborted.
+    return the committed bit. Commit therefore draws only what its abort rule
+    reads, the check coins; opening and extraction are the ideal commitment's.
+    They read junk for an aborted commitment, and are input errors when every
+    one aborted.
     """
 
-    words = staticmethod(lambda n: 16 * n)  # 10 halves, 10 doubles and a half each
+    words = staticmethod(lambda n: COMMIT_QUBITS * n)  # the check coins
 
     def commit(self, bits) -> np.ndarray:
         bits = self._accept(bits)
-        aborted = np.empty(bits.shape, dtype=bool)
         # position after position on the lane-0 tape; a run stops at its first
         # aborted commitment, so each draws as if the earlier ones committed
-        for i in range(bits.shape[1]):
-            self._tape.integers(COMMIT_QUBITS)  # the bases theta
-            n_checked = (self._tape.random(COMMIT_QUBITS) < COMMIT_CHECK_PROB).sum(1)
-            # honest committer: every checked position measures to 0, no mismatch
-            aborted[:, i] = n_checked > 2.0 * COMMIT_CHECK_PROB * COMMIT_QUBITS
-            self._tape.integers(1, bits=(COMMIT_QUBITS - n_checked)[:, None])  # the hash member
+        coins = self._tape.random(COMMIT_QUBITS * bits.shape[1]).reshape(*bits.shape, -1)
+        # honest committer: every checked position measures to 0, no mismatch
+        aborted = (coins < COMMIT_CHECK_PROB).sum(2) > 2.0 * COMMIT_CHECK_PROB * COMMIT_QUBITS
         self._bits, self._state = (None, "aborted") if aborted.all() else (bits, "committed")
         return aborted
 
@@ -203,11 +198,11 @@ class _Kept:
         self.count = count
 
     def draw(self, tape: Tape) -> np.ndarray:
-        """`integers(0, 2, size=nhat)` on each run, at its kept positions."""
+        """`count` bits on each run, one at each of its kept positions."""
         return tape.integers(self.count, self.rank)
 
     def draw_rows(self, tape: Tape, rows: int) -> np.ndarray:
-        """`integers(0, 2, size=(rows, nhat))` on each run, as (runs, rows, n)."""
+        """`rows` rows of `count` bits on each run, row after row, as (runs, rows, n)."""
         at = self.rank[:, None, :] + self.count[:, None, None] * _ROW[:rows]
         return tape.integers(rows * self.count, at)
 
@@ -227,7 +222,7 @@ class SenderProgram:
 
     name = "honest"
     # words of its tape a run can draw: prepare, select and masks
-    words = staticmethod(lambda n, ell: (3 * n + ell * n + 1) // 2)
+    words = staticmethod(lambda n, ell: 3 * n + ell * n)
 
     def __init__(self, tape: Tape, n: int, strings: np.ndarray):
         self.tape = tape
@@ -271,7 +266,7 @@ class FixedStateSender(SenderProgram):
     0, 1, 0, ... instead of a random one."""
 
     name = "fixed-state"
-    words = staticmethod(lambda n, ell: (n + ell * n + 1) // 2)
+    words = staticmethod(lambda n, ell: n + ell * n)
 
     def prepare(self) -> tuple:
         x = self.memory["x"] = np.zeros((len(self.tape.raw), self.n), dtype=np.uint8)
@@ -284,7 +279,7 @@ class RandomAnnounceSender(SenderProgram):
     receiver's matched set no longer tracks the real encoding."""
 
     name = "random-announce"
-    words = staticmethod(lambda n, ell: (4 * n + ell * n + 1) // 2)
+    words = staticmethod(lambda n, ell: 4 * n + ell * n)
 
     def announce_bases(self, kept: _Kept) -> np.ndarray:
         return kept.draw(self.tape)
@@ -307,7 +302,7 @@ class ReceiverProgram:
     name = "honest"
     lane = 2  # the seed lane of its own tape
     # words a run can draw on lane 0 (its Born-rule outcomes) and on its own tape
-    words = staticmethod(lambda n: (n, (n + 1) // 2))
+    words = staticmethod(lambda n: (n, n))
 
     def __init__(self, tape: Tape, n: int, choice: np.ndarray):
         self.tape = tape
@@ -362,7 +357,7 @@ class WrongPartitionReceiver(ReceiverProgram):
     """Ignores the matched set and partitions at random; no effective choice."""
 
     name = "wrong-partition"
-    words = staticmethod(lambda n: (n, n))
+    words = staticmethod(lambda n: (n, 2 * n))
 
     def partition(self, theta_hat_a, theta_b, kept):
         return kept.draw(self.tape)
@@ -414,7 +409,7 @@ class _RushingReceiver(ReceiverProgram):
 
     party = "simulator"
     lane = 0
-    words = staticmethod(lambda n: (2 * n + 1, 0))  # bases, then a double and a half each
+    words = staticmethod(lambda n: (3 * n, 0))  # bases, a double each, a bit where kept
 
     def measure(self, qubits, bases, born) -> None:
         self.memory.update(qubits=qubits, p0=_BORN_P0[qubits[0], qubits[1], bases])
@@ -447,7 +442,7 @@ class _ExtractingSender(SenderProgram):
     """
 
     party = "simulator"
-    words = staticmethod(lambda n, ell: (3 * n + ell * n + ell + 1) // 2)
+    words = staticmethod(lambda n, ell: 3 * n + ell * n + ell)
 
     def observe_commit(self, bc) -> None:
         self.memory["committed"] = bc.extract()

@@ -93,11 +93,11 @@ def test_criteria_04_and_05_repeat_exactly(seed0_record, fn):
     assert again.slack == first.slack
 
 
-@pytest.mark.parametrize("seed", [229, 267, 288, 327, 381])
+@pytest.mark.parametrize("seed", [64, 94, 108, 267, 354])
 def test_criterion_10_passes_where_3_sigma_tests_failed(seed):
-    """The CLI seeds at which the normal-approximation 3-sigma tests raised a
-    false alarm (z = 3.01-3.44) pass at the stated family-wise rate; the counts
-    they were judged on are unchanged."""
+    """Outlying counts pass at the stated family-wise rate: these are the seeds
+    in 0-399 at which some exact test has p < 0.01, where a normal 3-sigma
+    test is at its edge (|z| = 2.7-3.0; 3.01 at seed 267 fails it)."""
     rec = acceptance.criterion_10_commit_tails(seed=seed)
     assert rec.passed, rec.values
     tests = [t for key in ("N40", "N64", "sampling") for t in rec.values[key]["tests"].values()]

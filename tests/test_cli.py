@@ -303,6 +303,7 @@ def test_info_bounds_by_the_measured_first_register(registers, upper, tmp_path, 
     assert main(["info", "--state", str(state_path), "--budget", "8",
                  "--out", str(out_path)]) == 0
     (record,) = json.loads(out_path.read_text())["checks"]
+    assert sorted(record["values"]) == ["lower", "searched", "upper"]
     assert record["values"]["upper"] == record["bound"] == upper
     assert record["slack"] == upper - record["values"]["lower"]
 
@@ -530,7 +531,7 @@ def test_commit_sim_fails_when_its_size_aborts_leave_the_exact_tail(monkeypatch,
     from gamebound import onecc
 
     def all_aborted(big_n, q, runs, seed):
-        return {"runs": runs, "aborts_size": runs, "check_set_sizes": [big_n] * runs,
+        return {"runs": runs, "aborts_size": runs, "size_counts": [0] * big_n + [runs],
                 "size_abort_bound": 1.0}
 
     monkeypatch.setattr(onecc, "simulate_commit", all_aborted)
@@ -547,6 +548,22 @@ def test_commit_sim_at_certain_check_coins_passes(q, capsys):
     size-aborts and the exact tail is 0: the count matches it."""
     assert main(["onecc", "--commit-sim", "--q", q, "--big-n", "7", "--runs", "50"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_commit_sim_above_the_n_cap_is_input_error(monkeypatch, capsys):
+    """N one past the cap is an input error (exit 2), raised before any draw:
+    the simulation's tally and the criterion's binomial tails grow with N."""
+    from gamebound import onecc
+
+    def no_draw(seed):
+        raise AssertionError("drew past the cap")
+
+    monkeypatch.setattr(onecc, "rng_from_seed", no_draw)
+    big_n = str(onecc.COMMIT_SIM_MAX_N + 1)
+    assert main(["onecc", "--commit-sim", "--big-n", big_n, "--runs", "5"]) == 2
+    captured = capsys.readouterr()
+    assert f"N must be in 1..{onecc.COMMIT_SIM_MAX_N}" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_state_without_family_is_usage_error(tmp_path, capsys):

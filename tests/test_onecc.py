@@ -289,36 +289,31 @@ def test_simulate_commit_honest_never_fails_checks():
     """An honest committer's only aborts are check sets larger than 2qN."""
     sim = simulate_commit(30, 0.15, runs=300, seed=15)
     assert sim["runs"] == 300
-    assert len(sim["check_set_sizes"]) == 300
-    assert sim["aborts_size"] == sum(size > 2.0 * 0.15 * 30 for size in sim["check_set_sizes"])
+    assert len(sim["size_counts"]) == 31 and sum(sim["size_counts"]) == 300
+    assert sim["aborts_size"] == sum(sim["size_counts"][10:])  # sizes above 2qN = 9
     assert sim["size_abort_bound"] == pytest.approx(
         2.0 * math.exp(-2.0 * 0.15**2 * 30), rel=1e-12)
 
 
+def _commit_result(big_n, q, runs, sizes) -> dict:
+    """simulate_commit's result for the runs' check-set sizes."""
+    return {"runs": runs, "aborts_size": sum(size > 2.0 * q * big_n for size in sizes),
+            "size_counts": [sizes.count(k) for k in range(big_n + 1)],
+            "size_abort_bound": 2.0 * math.exp(-2.0 * q * q * big_n)}
+
+
 def _simulate_commit_loop(big_n, q, runs, seed):
-    """Per-run, per-position reference for simulate_commit: the bases, one
-    scalar check coin per position, and a hash member for every accepted run
-    when N <= 20."""
+    """Per-run, per-position reference for simulate_commit: one scalar check
+    coin per position."""
     rng = rng_from_seed(seed)
-    out = {"runs": runs, "aborts_size": 0, "check_set_sizes": [],
-           "size_abort_bound": 2.0 * math.exp(-2.0 * q * q * big_n)}
-    for _ in range(runs):
-        rng.integers(0, 2, size=big_n, dtype=np.uint8)
-        size = sum(rng.random() < q for _ in range(big_n))
-        out["check_set_sizes"].append(size)
-        if size > 2.0 * q * big_n:
-            out["aborts_size"] += 1
-        elif big_n <= 20:
-            rng.integers(0, 2**big_n)
-    return out
+    sizes = [sum(rng.random() < q for _ in range(big_n)) for _ in range(runs)]
+    return _commit_result(big_n, q, runs, sizes)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3], ids=lambda seed: f"{seed}-honest")
 def test_simulate_commit_matches_loop_reference(seed):
-    """The result equals the per-position loop's, so the raw block is read as
-    the stream is drawn: N = 1-8 cover every count of bases (ceil(N/4) odd and
-    even), N = 13 and 20 the hash member drawn at N <= 20, N = 21 the first N
-    without it, and q = 0 and 1 runs that never and always check."""
+    """The result equals the per-position loop's, over N from 1 to past 2^6
+    and q = 0 and 1, runs that never and always check."""
     for big_n, q in itertools.product([*range(1, 9), 13, 20, 21, 40, 64, 65],
                                       (0.0, 0.05, 0.3, 1.0)):
         args = (big_n, q, 60, (seed, big_n))
@@ -330,23 +325,32 @@ def test_simulate_commit_matches_loop_reference(seed):
 
 @pytest.mark.parametrize("big_n, q", [(1, 0.3), (3, 0.45), (20, 0.3), (40, 0.1), (65, 0.05)])
 def test_simulate_commit_reads_blocks_in_turn(monkeypatch, big_n, q):
-    """A simulation read in blocks of a few runs, each block's coins counted on
-    from the last, gives the one-block result."""
-    want = _simulate_commit_loop(big_n, q, 300, 5)
+    """Run r's coins are row r of one (runs, N) draw, whether the rows are
+    drawn at once or a block of a few rows at a time."""
+    coins = rng_from_seed(5).random((300, big_n))
+    want = _commit_result(big_n, q, 300, (coins < q).sum(axis=1).tolist())
     assert simulate_commit(big_n, q, 300, 5) == want
-    monkeypatch.setattr(onecc, "_BLOCK_WORDS", 3 * big_n)
+    monkeypatch.setattr(onecc, "_BLOCK_WORDS", 7 * big_n)  # blocks of 7 rows: 300 = 42 * 7 + 6
     assert simulate_commit(big_n, q, 300, 5) == want
 
 
-def test_simulate_commit_refuses_a_generator():
-    """A generator's place in its stream is its owner's: it is refused, and
-    left where it was."""
+def test_simulate_commit_accepts_a_generator():
+    """A generator is read on from where it stands, as a seed's fresh one is
+    read from its start, and is left just past the runs' coins."""
+    rng, fresh = rng_from_seed(3), rng_from_seed(3)
+    rng.random(4), fresh.random(4)
+    assert simulate_commit(10, 0.2, runs=5, seed=rng) == _simulate_commit_loop(10, 0.2, 5, fresh)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    assert simulate_commit(10, 0.2, runs=5, seed=rng_from_seed(3)) == simulate_commit(10, 0.2, 5, 3)
+
+
+def test_simulate_commit_caps_n_before_any_draw():
+    """N above the cap is an input error, raised before the generator moves."""
     rng = rng_from_seed(3)
-    rng.integers(0, 2**5)  # leaves a kept half, which the loop would read first
     state = rng.bit_generator.state
-    for seed in (rng, rng.bit_generator):
-        with pytest.raises(InputError, match="not a generator"):
-            simulate_commit(10, 0.2, runs=5, seed=seed)
+    assert simulate_commit(onecc.COMMIT_SIM_MAX_N, 0.5, runs=1, seed=0)["runs"] == 1
+    with pytest.raises(InputError, match="N must be in"):
+        simulate_commit(onecc.COMMIT_SIM_MAX_N + 1, 0.2, runs=1, seed=rng)
     assert rng.bit_generator.state == state
 
 

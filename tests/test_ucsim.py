@@ -41,6 +41,16 @@ def _tape(seed, words: int = 64) -> Tape:
     return Tape(np.asarray(np.random.default_rng(seed).bit_generator.random_raw(words), "<u8")[None])
 
 
+def _doubles(words) -> list:
+    """The tapes' rule for doubles: each raw word shifted right by 11, times 2**-53."""
+    return ((np.asarray(words, dtype=np.uint64) >> 11) * 2.0**-53).tolist()
+
+
+def _bits(words) -> list:
+    """The tapes' rule for bits: each raw word's top bit."""
+    return (np.asarray(words, dtype=np.uint64) >> 63).tolist()
+
+
 def test_one_cc_table_exhaustive():
     rows = one_cc_table()
     assert len(rows) == 4
@@ -254,26 +264,27 @@ def test_protocol_commitment_round_trip_and_extraction():
 
 
 def test_protocol_commitment_agrees_with_the_extractor():
-    # Over 600 seeds (23 of them abort) the commitment's three draws are
-    # replayed from the same seed: the syndrome of the unchecked bases, the
-    # hash under the drawn member and the extractor run on those bases give
-    # the bit that `extract()` and `open()` return, and the tape ends where
-    # the replay does.
+    # Over 600 seeds (21 of them abort) the commitment draws its ten check
+    # coins and nothing else. For bases and a hash member drawn on a second
+    # stream, the syndrome of the unchecked bases, the hash under the member
+    # and the extractor run on those bases give the bit that `extract()` and
+    # `open()` return.
     aborts = 0
     for seed in range(600):
         bit = seed % 2
-        tape, replay = _tape(seed), np.random.default_rng(seed)
+        tape, words = _tape(seed), np.random.default_rng(seed).bit_generator.random_raw(11)
         bc = ProtocolBitCommitment(tape)
         aborted = bc.commit([[bit]])
-        theta = replay.integers(0, 2, size=10).astype(np.uint8)
-        checked = replay.random(10) < 0.2
+        assert tape.word == 10
+        checked = np.array(_doubles(words[:10])) < 0.2
         if checked.sum() > 4:
             aborts += 1
             assert aborted.tolist() == [[True]]
             with pytest.raises(InputError):
                 bc.extract()
             continue
-        theta_rest = theta[~checked]
+        replay = np.random.default_rng((seed, 1))
+        theta_rest = replay.integers(0, 2, size=10).astype(np.uint8)[~checked]
         n = theta_rest.size
         member = int(replay.integers(0, 2**n))
         code = LinearCode(np.hstack([np.eye(n - 1, dtype=np.uint8), np.ones((n - 1, 1), dtype=np.uint8)]))
@@ -285,29 +296,25 @@ def test_protocol_commitment_agrees_with_the_extractor():
         assert family.evaluate(member, bits_to_int(rep)) ^ masked == bit
         assert bc.extract().tolist() == [[bit]]
         assert bc.open().tolist() == [[bit]]
-        assert tape.random(1)[0, 0] == replay.random()
-    assert aborts == 23
+        assert tape.random(1)[0, 0] == _doubles(words[10:])[0]
+    assert aborts == 21
 
 
 def test_protocol_commitments_of_a_batch_draw_position_after_position():
     # a batch of runs' commitments over several positions reads each run's
-    # tape as one commitment after another on a generator would
+    # tape as one commitment's ten check coins after another
     seeds = [(5, k) for k in range(30)]
-    tape = Tape(np.array([np.random.default_rng(seed).bit_generator.random_raw(48) for seed in seeds], "<u8"))
+    tape = Tape(np.array([np.random.default_rng(seed).bit_generator.random_raw(30) for seed in seeds], "<u8"))
     aborted = ProtocolBitCommitment(tape).commit(np.zeros((30, 3), dtype=np.uint8))
+    assert tape.word == 30
     for row, seed in zip(aborted, seeds):
-        replay = np.random.default_rng(seed)
-        expected = []
-        for _ in range(3):
-            replay.integers(0, 2, size=10)
-            expected.append(bool((replay.random(10) < 0.2).sum() > 4))
-            replay.integers(0, 2**4)  # one half, whatever the member's width
-        assert row.tolist() == expected
+        coins = np.array(_doubles(np.random.default_rng(seed).bit_generator.random_raw(30)))
+        assert row.tolist() == ((coins.reshape(3, 10) < 0.2).sum(1) > 4).tolist()
     assert aborted.any()
 
 
 def test_extract_after_an_aborted_commit_is_an_input_error():
-    bc = ProtocolBitCommitment(_tape(73))
+    bc = ProtocolBitCommitment(_tape(11))
     assert bc.commit([[1]]).tolist() == [[True]]
     with pytest.raises(InputError):
         bc.extract()
@@ -370,8 +377,8 @@ def test_receiver_simulator_rejects_bad_choice():
 # output changes them.
 PINNED_SEEDS = range(20)
 PINNED_STRINGS = ((0, 1), (1, 1))
-REAL_RUNS_SHA256 = "5dad20243dc1fa93315b50bf01a41890404e2b7948f8e15611848514772ec195"
-SIMULATIONS_SHA256 = "2ee1ef8845d7b29cb1dd0ede71af9f0dad3ae8198067871c4fedcea43bf3a876"
+REAL_RUNS_SHA256 = "74d2332b2f1d35fe6742c7cd238120c3e74936888ab11ba359e8f103584ea52d"
+SIMULATIONS_SHA256 = "977a877ef38b0f730c59eac57f0374151deff9a74cbb01dc193d1896337a1ca8"
 
 
 def _digest(records) -> str:
@@ -422,9 +429,9 @@ def test_pinned_simulations():
     assert _digest(records) == SIMULATIONS_SHA256
 
 
-# A run with a seed entry of 2**40 (two seed words), pinned on the engine
-# that seeded every tape from the seed tuple itself.
-BIG_SEED_RUNS_SHA256 = "c21dc4e5204abbfc1cc4af6bbcad717dda0c42ae658d5ec2b7116f245c1dff8c"
+# A run with a seed entry of 2**40 (two seed words), whose tapes are the raw
+# streams of `default_rng` seeded with the seed tuple itself.
+BIG_SEED_RUNS_SHA256 = "76c0e9390a1a4a6ab83a522b1ae723771793dc318c4f942565192066c5902f1b"
 
 
 def test_pinned_run_with_a_multi_word_seed_entry():
@@ -471,60 +478,59 @@ def test_seed_states_equal_numpys_seed_sequence():
 
 
 def _mixed_draws(tape: Tape) -> list:
-    """random(k), a scalar random(), integers(0, 2, size=k) with odd k (so a
-    kept half carries over) and integers(0, 2**k), read off a one-run tape."""
+    """random(k), a scalar random() and integers(0, 2, size=k), read off a one-run tape."""
     out = []
     for k in (1, 3, 5, 2, 7):
-        out += [tape.random(k)[0].tolist(), float(tape.random(1)[0, 0]),
-                tape.integers(k)[0].tolist(), int(tape.integers(1, bits=k)[0, 0])]
+        out += [tape.random(k)[0].tolist(), tape.random(1)[0].tolist(), tape.integers(k)[0].tolist()]
     return out
 
 
-def _reference_draws(rng: np.random.Generator) -> list:
+def _reference_draws(bits) -> list:
+    """The same draws by the tapes' rule, one raw word of `bits` each."""
     out = []
     for k in (1, 3, 5, 2, 7):
-        out += [rng.random(k).tolist(), rng.random(),
-                rng.integers(0, 2, size=k).tolist(), int(rng.integers(0, 2**k))]
+        out += [_doubles(bits.random_raw(k)), _doubles(bits.random_raw(1)), _bits(bits.random_raw(k))]
     return out
 
 
 def test_a_tape_from_its_state_draws_as_the_seeded_tape():
     # over 40 seeds of 1-3 entries (some at least 2**32) and every lane, a
-    # block of raw outputs reads as numpy's Generator draws on that lane,
-    # whether one run's states or a loop's `seed_states` rows built it
+    # block of raw outputs reads by the word rule off the raw stream of that
+    # lane's seeded generator, whether one run's states or a loop's
+    # `seed_states` rows built it
     seeds = [(k, 2**33 + k, 11) if k % 3 else (k,) if k % 2 else (k, 5) for k in range(40)]
     loop = state_blocks(seed_states(seeds), [64, 64, 64])
     for r, seed in enumerate(seeds):
         single = state_blocks(word_states(seed_words(seed))[None], [64, 64, 64])
         for lane in (0, 1, 2):
-            expected = _reference_draws(np.random.default_rng(stream(seed, lane)))
+            expected = _reference_draws(np.random.default_rng(stream(seed, lane)).bit_generator)
             assert _mixed_draws(Tape(single[lane])) == expected
             assert _mixed_draws(Tape(loop[lane][r:r + 1])) == expected
 
 
 def test_per_run_counts_move_each_cursor_as_numpy_would():
-    # runs that draw different counts, with a kept half or none, then draw
-    # alike again: each run's cursor reads its own generator's stream
-    seeds = [(9, k) for k in range(6)]
+    # runs that draw different counts, then draw alike again: each run's
+    # cursor reads on in its own lane's raw stream, one word per draw
+    seeds = [stream((9, k), 1) for k in range(6)]
     counts = np.array([0, 1, 2, 3, 4, 7])
-    tape = Tape(np.array([np.random.default_rng(seed).bit_generator.random_raw(40) for seed in seeds], "<u8"))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    tape = Tape(state_blocks(seed_states([(9, k) for k in range(6)]), [0, 40, 0])[1])
     first = tape.integers(3)
     picked = tape.integers(counts, np.arange(7) - (np.arange(6)[:, None] % 2))
     doubles = tape.random(counts[::-1], np.zeros((6, 1), dtype=np.intp))
-    after = tape.integers(5), tape.random(2), tape.integers(1, bits=6)
-    for r, rng in enumerate(rngs):
-        assert first[r].tolist() == rng.integers(0, 2, size=3).tolist()
-        drawn = rng.integers(0, 2, size=counts[r]).tolist()
+    after = tape.integers(5), tape.random(2)
+    assert tape.word.tolist() == (3 + counts + counts[::-1] + 7).tolist()
+    for r, seed in enumerate(seeds):
+        bits = np.random.default_rng(seed).bit_generator
+        assert first[r].tolist() == _bits(bits.random_raw(3))
+        drawn = _bits(bits.random_raw(counts[r]))
         offsets = np.arange(7) - r % 2
         assert [picked[r, j] for j, at in enumerate(offsets) if 0 <= at < counts[r]] == [
             drawn[at] for at in offsets if 0 <= at < counts[r]]
-        doubles_drawn = rng.random(counts[::-1][r])
+        doubles_drawn = _doubles(bits.random_raw(counts[::-1][r]))
         if counts[::-1][r]:
             assert doubles[r, 0] == doubles_drawn[0]
-        assert after[0][r].tolist() == rng.integers(0, 2, size=5).tolist()
-        assert after[1][r].tolist() == rng.random(2).tolist()
-        assert after[2][r, 0] == rng.integers(0, 2**6)
+        assert after[0][r].tolist() == _bits(bits.random_raw(5))
+        assert after[1][r].tolist() == _doubles(bits.random_raw(2))
 
 
 class ComplementCommitReceiver(ReceiverProgram):
@@ -615,6 +621,40 @@ def test_loop_runs_equal_batches_of_one(backend, c, monkeypatch):
     assert reasons >= expected
 
 
+@pytest.mark.parametrize("backend", ["ideal", "protocol"])
+def test_every_play_stays_within_its_blocks(backend, monkeypatch):
+    """On every run, each tape's cursor ends within the block its play's
+    word budgets make: every sender against every receiver script and both
+    simulators, at n = 2, 5, 8, 10 and ell = 1, 3, 8, on both choices."""
+    tapes = []
+
+    class AuditedTape(Tape):
+        def __init__(self, raw):
+            super().__init__(raw)
+            tapes.append(self)
+
+    monkeypatch.setattr(ucsim, "Tape", AuditedTape)
+    receivers = [*RECEIVER_SCRIPTS.values(), ComplementCommitReceiver, LyingReceiver]
+    plays = [(s, r) for s in (*SENDER_SCRIPTS.values(), _ExtractingSender) for r in receivers]
+    if backend == "ideal":  # the rushing simulator runs over ideal commitments only
+        plays += [(s, _RushingReceiver) for s in SENDER_SCRIPTS.values()]
+    runs, codes = 100, set()
+    choice = (np.arange(runs) % 2).astype(np.uint8)
+    for n in (2, 5, 8, 10):
+        states = seed_states([(43, n, k) for k in range(runs)])
+        for ell in (1, 3, 8):
+            batch = _Batch((0,) * ell, (1,) * ell, n, backend)
+            for sender, receiver in plays:
+                tapes.clear()
+                code = batch.play(state_blocks(states, batch.words((sender, receiver))),
+                                  sender, receiver, choice)[2]
+                codes |= set(code.tolist())
+                for lane, tape in enumerate(tapes):
+                    assert (np.asarray(tape.word) <= tape.raw.shape[1]).all(), (
+                        sender, receiver, n, ell, lane)
+    assert codes == ({0, 1, 2, 3} if backend == "protocol" else {0, 2, 3})
+
+
 @pytest.mark.parametrize("corruption, script, c", [
     ("receiver", "honest", 1), ("sender", "random-announce", 0)])
 def test_demo_runs_equal_the_public_single_runs(corruption, script, c, monkeypatch):
@@ -679,9 +719,12 @@ def test_vectorised_born_draws_match_the_scalar_loop():
 
 
 def test_batched_bit_draws_consume_the_stream_like_scalar_draws():
+    # a tape's n bits in one call are its n one-bit draws, and leave the
+    # cursor where they do, on the word that the next double reads
     for seed in range(300):
         n = 2 + seed % 9
-        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = [int(scalar.integers(0, 2)) for _ in range(n)]
-        assert batched.integers(0, 2, size=n).tolist() == expected
-        assert batched.bit_generator.state == scalar.bit_generator.state
+        batched, scalar = _tape(seed), _tape(seed)
+        expected = [int(scalar.integers(1)[0, 0]) for _ in range(n)]
+        assert batched.integers(n)[0].tolist() == expected
+        assert batched.word == scalar.word == n
+        assert batched.random(1)[0, 0] == scalar.random(1)[0, 0]
