@@ -221,8 +221,10 @@ def adaptive_wrong_opening(
 
 # Coins drawn per block: a bound on the memory a long simulation holds at once.
 _BLOCK_WORDS = 1 << 18
-# Largest N a simulation takes: its tally and criterion 10's tails are O(N).
+# Largest N and run count a simulation takes: its tally and criterion 10's
+# tails are O(N), and the exact test of its size aborts is O(runs).
 COMMIT_SIM_MAX_N = 1 << 16
+COMMIT_SIM_MAX_RUNS = 10**6
 
 
 def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
@@ -241,8 +243,8 @@ def simulate_commit(big_n: int, q: float, runs: int, seed=0) -> dict:
         raise InputError(f"N must be in 1..{COMMIT_SIM_MAX_N}")
     if not 0.0 <= q <= 1.0:
         raise InputError("q must be a probability")
-    if runs < 1:
-        raise InputError("a simulation needs at least one run")
+    if not 1 <= runs <= COMMIT_SIM_MAX_RUNS:
+        raise InputError(f"runs must be in 1..{COMMIT_SIM_MAX_RUNS}")
     rng = rng_from_seed(seed)
     counts = np.zeros(big_n + 1, dtype=np.int64)
     rows = max(1, _BLOCK_WORDS // big_n)

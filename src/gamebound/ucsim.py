@@ -12,12 +12,12 @@ an extracting sender against a corrupted receiver. Lane 0 of a run's seed
 drives Born-rule measurement, the commitments and the rushing receiver, lane
 1 the sender, lane 2 the receiver, so real and simulated runs abort alike.
 
-A run's tape on a lane is a block of raw outputs of numpy's own PCG64, seeded
-as `default_rng(seed + (lane,))` is, and each draw takes one word of it
-(`tapes.Tape`). A single run mixes its seed pools with numpy's SeedSequence;
-a loop hashes its runs' seed states in one vectorised pass per `_STATE_BLOCK`
-runs, and a real run and its simulation read the same blocks. Where a count
-depends on the run, each run's cursor moves by its own count.
+Each lane of a seed has one stream, numpy's own PCG64 seeded as
+`default_rng(seed + (lane,))` is, and each draw takes one word of it
+(`tapes.Tape`). Run r of a loop reads row r of each lane's stream, drawn
+`_RUNS_PER_BLOCK` rows at a time; a single run is row 0 of its seed's streams,
+and a real run and its simulation read the same rows. Where a count depends
+on the run, each run's cursor moves by its own count.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -36,16 +36,16 @@ import numpy as np
 
 from .errors import InputError
 from .onecc import encoded_vector
-from .tapes import Tape, run_index, seed_states, seed_words, state_blocks, stream, word_states
+from .tapes import Tape, lane_blocks, run_index, stream
 
 MAX_POSITIONS = 10
 MAX_STRING_BITS = 8
 # Qubits and check probability of each conjugate-coding commitment.
 COMMIT_QUBITS = 10
 COMMIT_CHECK_PROB = 0.2
-# Runs one batch plays: their seed states are hashed and their tapes drawn
-# together, which keeps a loop's memory flat whatever its run count.
-_STATE_BLOCK = 1000
+# Runs one batch of a loop plays: their tapes are the next rows of each lane's
+# stream, which keeps a loop's memory flat whatever its run count.
+_RUNS_PER_BLOCK = 1000
 # Why a run stopped, indexed by the engine's abort codes; code 0 completed.
 _REASONS = (None, "commit-abort", "check-abort", "size-abort")
 
@@ -549,9 +549,8 @@ class _Batch:
     def single(self, seed, sender, receiver):
         """One run on `seed` as a batch of one: its transcript, both programs
         and its checked count."""
-        states = word_states(seed_words(seed))[None]
-        alice, bob, code, out, checked = self.play(
-            state_blocks(states, self.words((sender, receiver))), sender, receiver)
+        _, blocks = next(lane_blocks(seed, 1, self.words((sender, receiver)), 1))
+        alice, bob, code, out, checked = self.play(blocks, sender, receiver)
         reason = _REASONS[code[0]]
         meta = {"parties": {"alice": alice.party, "bob": bob.party}}
         if reason is None:
@@ -604,19 +603,12 @@ def simulate_corrupted_receiver(script, s0, s1, n: int, *, choice: int = 0, seed
             "output": _output(t)}
 
 
-def _seeded_blocks(runs: int, seed, sizes):
-    """(first run, lane blocks) of runs k = 0..runs-1 on `stream(seed, k)`,
-    _STATE_BLOCK runs at a time."""
-    for start in range(0, runs, _STATE_BLOCK):
-        seeds = [stream(seed, k) for k in range(start, min(start + _STATE_BLOCK, runs))]
-        yield start, state_blocks(seed_states(seeds), sizes)
-
-
 def honest_ot_completeness(runs: int, n: int, seed) -> dict:
-    """Completed and correct honest transfers at choice k % 2, run k on `stream(seed, k)`."""
+    """Completed and correct honest transfers at choice k % 2, run k on row k
+    of `seed`'s lane streams."""
     batch, honest = _Batch((0,), (1,), n, "ideal"), (SenderProgram, ReceiverProgram)
     completed = correct = 0
-    for start, blocks in _seeded_blocks(runs, seed, batch.words(honest)):
+    for start, blocks in lane_blocks(seed, runs, batch.words(honest), _RUNS_PER_BLOCK):
         choice = (np.arange(start, start + len(blocks[0])) % 2).astype(np.uint8)
         code, out = batch.play(blocks, *honest, choice)[2:4]
         completed += int((code == 0).sum())
@@ -672,7 +664,7 @@ def run_simulator_demo(corruption: str, *, script: str = "honest", runs: int = 1
     else:
         raise InputError("corruption must be 'sender' or 'receiver'")
     real_counts, ideal_counts, extraction = Counter(), Counter(), {"checked": 0, "correct": 0}
-    for _, blocks in _seeded_blocks(runs, seed, batch.words(real, simulated)):
+    for _, blocks in lane_blocks(seed, runs, batch.words(real, simulated), _RUNS_PER_BLOCK):
         # the real runs and their simulations read the same blocks
         real_counts += _label_counts(*batch.play(blocks, *real)[2:4])
         alice, bob, code, out, _ = batch.play(blocks, *simulated)

@@ -551,19 +551,24 @@ def test_commit_sim_at_certain_check_coins_passes(q, capsys):
 
 
 def test_commit_sim_above_the_n_cap_is_input_error(monkeypatch, capsys):
-    """N one past the cap is an input error (exit 2), raised before any draw:
-    the simulation's tally and the criterion's binomial tails grow with N."""
+    """N or a run count one past its cap is an input error (exit 2), raised
+    before any draw: the simulation's tally and the criterion's binomial
+    tails grow with N, and its exact test with the run count."""
     from gamebound import onecc
 
     def no_draw(seed):
         raise AssertionError("drew past the cap")
 
     monkeypatch.setattr(onecc, "rng_from_seed", no_draw)
-    big_n = str(onecc.COMMIT_SIM_MAX_N + 1)
-    assert main(["onecc", "--commit-sim", "--big-n", big_n, "--runs", "5"]) == 2
-    captured = capsys.readouterr()
-    assert f"N must be in 1..{onecc.COMMIT_SIM_MAX_N}" in captured.err
-    assert "PASS" not in captured.out
+    for flags, message in (
+            (["--big-n", str(onecc.COMMIT_SIM_MAX_N + 1), "--runs", "5"],
+             f"N must be in 1..{onecc.COMMIT_SIM_MAX_N}"),
+            (["--runs", str(onecc.COMMIT_SIM_MAX_RUNS + 1)],
+             f"runs must be in 1..{onecc.COMMIT_SIM_MAX_RUNS}")):
+        assert main(["onecc", "--commit-sim", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out
 
 
 def test_state_without_family_is_usage_error(tmp_path, capsys):

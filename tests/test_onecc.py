@@ -345,12 +345,15 @@ def test_simulate_commit_accepts_a_generator():
 
 
 def test_simulate_commit_caps_n_before_any_draw():
-    """N above the cap is an input error, raised before the generator moves."""
+    """N or a run count above its cap is an input error, raised before the
+    generator moves."""
     rng = rng_from_seed(3)
     state = rng.bit_generator.state
     assert simulate_commit(onecc.COMMIT_SIM_MAX_N, 0.5, runs=1, seed=0)["runs"] == 1
     with pytest.raises(InputError, match="N must be in"):
         simulate_commit(onecc.COMMIT_SIM_MAX_N + 1, 0.2, runs=1, seed=rng)
+    with pytest.raises(InputError, match="runs must be in"):
+        simulate_commit(10, 0.2, runs=onecc.COMMIT_SIM_MAX_RUNS + 1, seed=rng)
     assert rng.bit_generator.state == state
 
 

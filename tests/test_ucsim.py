@@ -10,7 +10,7 @@ import gamebound.ucsim as ucsim
 from gamebound.coding import LinearCode, bits_to_int, nearest_coset_rep, syndrome
 from gamebound.errors import InputError
 from gamebound.hashing import XorHashFamily
-from gamebound.tapes import Tape, seed_states, seed_words, state_blocks, stream, word_states
+from gamebound.tapes import Tape, lane_blocks, seed_words, stream
 from gamebound.ucsim import (
     _BORN_P0,
     _QUBIT_STATES,
@@ -94,8 +94,19 @@ class HidingReceiver(ReceiverProgram):
 def _played(sender, receiver, runs=40, seed=(31, 7)):
     """One batch of runs of the transfer: both programs and the outcome."""
     batch = _Batch((0, 1), (1, 0), 8, "ideal")
-    _, blocks = next(ucsim._seeded_blocks(runs, seed, batch.words((sender, receiver))))
+    _, blocks = next(lane_blocks(seed, runs, batch.words((sender, receiver)), runs))
     return batch.play(blocks, sender, receiver)
+
+
+def _replayed(seed, run: int, sizes) -> list[np.ndarray]:
+    """Run `run`'s blocks of a loop on `seed`, drawn alone: each lane's stream
+    `default_rng(seed + (lane,))` advanced `run * size` words, then one row."""
+    blocks = []
+    for lane, size in enumerate(sizes):
+        bits = np.random.default_rng(stream(seed, lane)).bit_generator
+        bits.advance(run * size)
+        blocks.append(bits.random_raw((1, size)))
+    return blocks
 
 
 def test_2cc_protocol_honest_outputs():
@@ -142,16 +153,24 @@ def test_ot_honest_completeness():
 
 
 @pytest.mark.parametrize("seed", [5, (5, 11)])
-def test_honest_ot_completeness_counts_like_the_inline_loop(seed):
+def test_honest_ot_completeness_counts_like_the_inline_loop(seed, monkeypatch):
+    # run k, at choice k % 2, replays alone on its lanes' advanced streams;
+    # run 0 is the public single run on the seed
+    monkeypatch.setattr(ucsim, "_RUNS_PER_BLOCK", 7)  # six blocks: 7 runs each, then 5
     runs, n = 40, 6
-    entries = seed if isinstance(seed, tuple) else (seed,)
+    honest = (SenderProgram, ReceiverProgram)
+    sizes = _Batch((0,), (1,), n, "ideal").words(honest)
     completed = correct = 0
     for k in range(runs):
         c = k % 2
-        t = run_ot_protocol((0,), (1,), c, n, seed=(*entries, k))
-        if not t.aborted:
+        code, out = _Batch((0,), (1,), n, "ideal", c).play(_replayed(seed, k, sizes), *honest)[2:4]
+        if k == 0:
+            t = run_ot_protocol((0,), (1,), c, n, seed=seed)
+            assert (t.aborted, t.outputs["bob"]) == (
+                bool(code[0]), "abort" if code[0] else tuple(out[0].tolist()))
+        if not code[0]:
             completed += 1
-            correct += t.outputs["bob"] == (c,)
+            correct += out[0].tolist() == [c]
     assert 0 < completed < runs
     assert ucsim.honest_ot_completeness(runs, n, seed) == {
         "runs": runs, "completed": completed, "correct": correct}
@@ -445,36 +464,36 @@ def test_pinned_run_with_a_multi_word_seed_entry():
 
 @pytest.mark.parametrize("length", range(1, 6))
 def test_seed_words_replay_the_seed_tuple_streams(length):
-    # one run's seed states (from numpy's own pools) seed each lane's PCG64
-    # as default_rng(seed + (lane,)) is seeded
+    # a batch of one, its lanes seeded from the seed's words, draws each
+    # lane's raw stream of default_rng(seed + (lane,))
     entries = (0, 2**32 - 1, 2**32, 2**64 + 5)
     for k in range(len(entries) ** 2):
         seed = tuple(entries[(k + j * (k + 1)) % len(entries)] for j in range(length))
         for given in (seed, list(seed)) + ((seed[0],) if length == 1 else ()):
-            words = seed_words(given)
-            blocks = state_blocks(word_states(words)[None], [3, 3, 3])
+            start, blocks = next(lane_blocks(given, 1, [3, 3, 3], 1))
+            assert start == 0
             for lane in (0, 1, 2):
                 reference = np.random.default_rng(seed + (lane,)).bit_generator
                 assert blocks[lane].tolist() == [reference.random_raw(3).tolist()]
-            assert word_states(words).tolist() == seed_states([given])[0].tolist()
 
 
-def test_seed_states_equal_numpys_seed_sequence():
-    # seeds of 1-6 entries, one to three words each, hashed in one call
-    entries = (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5)
-    seeds = [0, 5, 2**32] + [
-        tuple(entries[(k * 5 + j * (k + 2)) % len(entries)] for j in range(length))
-        for length in range(1, 7) for k in range(6)]
-    states = seed_states(seeds)
-    assert states.shape == (len(seeds), 3, 4) and states.dtype == np.uint64
-    for seed, rows in zip(seeds, states):
-        words = seed_words(seed)
-        for lane in (0, 1, 2):
-            expected = np.random.SeedSequence(words + [lane]).generate_state(4, np.uint64)
-            assert rows[lane].tolist() == expected.tolist()
-    assert seed_states([]).shape == (0, 3, 4)
-    with pytest.raises(InputError):
-        seed_states([(1, 2), (3, -1)])
+def test_lane_blocks_are_the_same_rows_at_any_block_size():
+    # 30 runs a block at a time: each block starts at its first run, and
+    # the rows it holds do not depend on how many runs a block takes
+    runs, sizes, rows = 30, [5, 0, 12], {}
+    for per_block in (1, 7, 1000):
+        starts, lanes = [], [[], [], []]
+        for start, blocks in lane_blocks((3, 2**40), runs, sizes, per_block):
+            starts.append(start)
+            assert [b.shape for b in blocks] == [(min(per_block, runs - start), s) for s in sizes]
+            for lane, block in zip(lanes, blocks):
+                lane.append(block)
+        assert starts == list(range(0, runs, per_block))
+        rows[per_block] = [np.concatenate(lane).tolist() for lane in lanes]
+    assert rows[1] == rows[7] == rows[1000]
+    for lane, size in enumerate(sizes):
+        whole = np.random.default_rng((3, 2**40, lane)).bit_generator.random_raw(runs * size)
+        assert rows[1][lane] == whole.reshape(runs, size).tolist()
 
 
 def _mixed_draws(tape: Tape) -> list:
@@ -494,33 +513,37 @@ def _reference_draws(bits) -> list:
 
 
 def test_a_tape_from_its_state_draws_as_the_seeded_tape():
-    # over 40 seeds of 1-3 entries (some at least 2**32) and every lane, a
-    # block of raw outputs reads by the word rule off the raw stream of that
-    # lane's seeded generator, whether one run's states or a loop's
-    # `seed_states` rows built it
-    seeds = [(k, 2**33 + k, 11) if k % 3 else (k,) if k % 2 else (k, 5) for k in range(40)]
-    loop = state_blocks(seed_states(seeds), [64, 64, 64])
-    for r, seed in enumerate(seeds):
-        single = state_blocks(word_states(seed_words(seed))[None], [64, 64, 64])
+    # over 12 seeds of 1-3 entries (some at least 2**32) and every lane, a
+    # row of raw outputs reads by the word rule off the raw stream of that
+    # lane's seeded generator, whether a batch of one drew it or a loop of 8
+    # runs, 3 a block, drew it as run r (the stream advanced r * 64 words)
+    seeds = [(k, 2**33 + k, 11) if k % 3 else (k,) if k % 2 else (k, 5) for k in range(12)]
+    for seed in seeds:
+        single = next(lane_blocks(seed, 1, [64, 64, 64], 1))[1]
+        loop = [np.concatenate(lane) for lane in zip(
+            *(blocks for _, blocks in lane_blocks(seed, 8, [64, 64, 64], 3)))]
         for lane in (0, 1, 2):
             expected = _reference_draws(np.random.default_rng(stream(seed, lane)).bit_generator)
             assert _mixed_draws(Tape(single[lane])) == expected
-            assert _mixed_draws(Tape(loop[lane][r:r + 1])) == expected
+            for r in range(8):
+                bits = np.random.default_rng(stream(seed, lane)).bit_generator
+                bits.advance(r * 64)
+                assert _mixed_draws(Tape(loop[lane][r:r + 1])) == _reference_draws(bits)
 
 
 def test_per_run_counts_move_each_cursor_as_numpy_would():
     # runs that draw different counts, then draw alike again: each run's
-    # cursor reads on in its own lane's raw stream, one word per draw
-    seeds = [stream((9, k), 1) for k in range(6)]
+    # cursor reads on in its own row of the lane's raw stream, one word per draw
     counts = np.array([0, 1, 2, 3, 4, 7])
-    tape = Tape(state_blocks(seed_states([(9, k) for k in range(6)]), [0, 40, 0])[1])
+    tape = Tape(next(lane_blocks((9,), 6, [0, 40, 0], 6))[1][1])
     first = tape.integers(3)
     picked = tape.integers(counts, np.arange(7) - (np.arange(6)[:, None] % 2))
     doubles = tape.random(counts[::-1], np.zeros((6, 1), dtype=np.intp))
     after = tape.integers(5), tape.random(2)
     assert tape.word.tolist() == (3 + counts + counts[::-1] + 7).tolist()
-    for r, seed in enumerate(seeds):
-        bits = np.random.default_rng(seed).bit_generator
+    for r in range(6):
+        bits = np.random.default_rng((9, 1)).bit_generator
+        bits.advance(r * 40)
         assert first[r].tolist() == _bits(bits.random_raw(3))
         drawn = _bits(bits.random_raw(counts[r]))
         offsets = np.arange(7) - r % 2
@@ -597,12 +620,12 @@ def _listed(outcome: dict) -> dict:
 
 @pytest.mark.parametrize("backend", ["ideal", "protocol"])
 @pytest.mark.parametrize("c", [0, 1])
-def test_loop_runs_equal_batches_of_one(backend, c, monkeypatch):
-    """Every run of a loop (tapes from a block of seed states, played with
-    the other runs of its block) equals the public single run on its seed:
-    every sender against every receiver script, both simulators, both
-    backends and both choices, across `_STATE_BLOCK` boundaries."""
-    monkeypatch.setattr(ucsim, "_STATE_BLOCK", 7)  # three blocks: 7, 7 and 5 runs
+def test_loop_runs_equal_batches_of_one(backend, c):
+    """Every run r of a loop (its rows of the lanes' streams, played with the
+    other runs of its block) equals the batch of one played on its lanes'
+    streams advanced r * size words, and run 0 equals the public single run
+    on the loop's seed: every sender against every receiver script, both
+    simulators, both backends and both choices, across block boundaries."""
     runs, n, seed, strings = 19, 6, (23, 4), ((0, 1), (1, 1))
     receivers = [*RECEIVER_SCRIPTS.values(), ComplementCommitReceiver, LyingReceiver]
     plays = [(s, r) for s in SENDER_SCRIPTS.values() for r in receivers]
@@ -610,12 +633,16 @@ def test_loop_runs_equal_batches_of_one(backend, c, monkeypatch):
     if backend == "ideal":  # the rushing simulator runs over ideal commitments only
         plays += [(s, _RushingReceiver) for s in SENDER_SCRIPTS.values()]
     batch, reasons = _Batch(*strings, n, backend, c), set()
-    for start, blocks in ucsim._seeded_blocks(runs, seed, batch.words(*plays)):
-        seeds = [stream(seed, k) for k in range(start, start + len(blocks[0]))]
+    sizes = batch.words(*plays)
+    for start, blocks in lane_blocks(seed, runs, sizes, 7):  # three blocks: 7, 7 and 5 runs
         for sender, receiver in plays:
-            got = [_listed(g) for g in _batch_outcomes(batch, blocks, sender, receiver, seeds)]
-            assert got == [_listed(_single_outcome(sender, receiver, strings, c, n, s, backend))
-                           for s in seeds]
+            got = [_listed(g) for g in _batch_outcomes(batch, blocks, sender, receiver,
+                                                       [seed] * len(blocks[0]))]
+            assert got == [_listed(_batch_outcomes(batch, _replayed(seed, start + k, sizes),
+                                                   sender, receiver, [seed])[0])
+                           for k in range(len(got))]
+            if start == 0:
+                assert got[0] == _listed(_single_outcome(sender, receiver, strings, c, n, seed, backend))
             reasons |= {g["transcript"]["meta"].get("reason") for g in got}
     expected = {None, "check-abort", "size-abort"} | ({"commit-abort"} if backend == "protocol" else set())
     assert reasons >= expected
@@ -641,13 +668,12 @@ def test_every_play_stays_within_its_blocks(backend, monkeypatch):
     runs, codes = 100, set()
     choice = (np.arange(runs) % 2).astype(np.uint8)
     for n in (2, 5, 8, 10):
-        states = seed_states([(43, n, k) for k in range(runs)])
         for ell in (1, 3, 8):
             batch = _Batch((0,) * ell, (1,) * ell, n, backend)
             for sender, receiver in plays:
                 tapes.clear()
-                code = batch.play(state_blocks(states, batch.words((sender, receiver))),
-                                  sender, receiver, choice)[2]
+                _, blocks = next(lane_blocks((43, n), runs, batch.words((sender, receiver)), runs))
+                code = batch.play(blocks, sender, receiver, choice)[2]
                 codes |= set(code.tolist())
                 for lane, tape in enumerate(tapes):
                     assert (np.asarray(tape.word) <= tape.raw.shape[1]).all(), (
@@ -659,24 +685,33 @@ def test_every_play_stays_within_its_blocks(backend, monkeypatch):
     ("receiver", "honest", 1), ("sender", "random-announce", 0)])
 def test_demo_runs_equal_the_public_single_runs(corruption, script, c, monkeypatch):
     """A demo's counts, its tapes drawn a block of runs at a time, are the
-    counts of the public single runs on the same run seeds. Receiver demos
-    run the protocol commitment."""
+    counts of its runs replayed alone, run k on its lanes' streams advanced
+    k * size words; run 0 is the public single runs on the demo's seed.
+    Receiver demos run the protocol commitment."""
     runs, n, seed, strings = 20, 6, (23, 4), ((0, 1), (1, 1))
-    monkeypatch.setattr(ucsim, "_STATE_BLOCK", 7)  # three blocks: 7, 7 and 6 runs
+    monkeypatch.setattr(ucsim, "_RUNS_PER_BLOCK", 7)  # three blocks: 7, 7 and 6 runs
     demo = run_simulator_demo(corruption, script=script, runs=runs, n=n, seed=seed,
                               s0=strings[0], s1=strings[1], c=c)
+    if corruption == "receiver":
+        program = receiver_script(script)
+        batch = _Batch(*strings, n, "protocol", c)
+        plays = (SenderProgram, program), (_ExtractingSender, program)
+        t = run_ot_protocol(*strings, c, n, receiver=program, seed=seed, bc_backend="protocol")
+        sim = simulate_corrupted_receiver(program, *strings, n, choice=c, seed=seed)
+    else:
+        program = sender_script(script)
+        batch = _Batch(*strings, n, "ideal", c)
+        plays = (program, ReceiverProgram), (program, _RushingReceiver)
+        t = run_ot_protocol(*strings, c, n, sender=program, seed=seed)
+        sim = simulate_corrupted_sender(program, c, n, strings, seed=seed)
+    sizes = batch.words(*plays)
     real, ideal = {}, {}
     for k in range(runs):
-        run_seed = stream(seed, k)
-        if corruption == "receiver":
-            program = receiver_script(script)
-            t = run_ot_protocol(*strings, c, n, receiver=program, seed=run_seed, bc_backend="protocol")
-            sim = simulate_corrupted_receiver(program, *strings, n, choice=c, seed=run_seed)
-        else:
-            program = sender_script(script)
-            t = run_ot_protocol(*strings, c, n, sender=program, seed=run_seed)
-            sim = simulate_corrupted_sender(program, c, n, strings, seed=run_seed)
-        for counts, output in ((real, ucsim._output(t)), (ideal, sim["output"])):
+        for counts, play in zip((real, ideal), plays):
+            code, out = batch.play(_replayed(seed, k, sizes), *play)[2:4]
+            output = "abort" if code[0] else tuple(out[0].tolist())
+            if k == 0:
+                assert output == (ucsim._output(t) if counts is real else sim["output"])
             label = "".join(map(str, output)) if isinstance(output, tuple) else output
             counts[label] = counts.get(label, 0) + 1
     assert {cat: row["real"] for cat, row in demo["categories"].items() if row["real"]} == real
