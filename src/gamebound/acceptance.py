@@ -297,7 +297,8 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
     """Ball-verifier binding: exhaustive on the [3,1] repetition instance
     (where the pair bound is met with equality) and on [7,4] unless a
     sampling budget is given, with the overlap bound checked exactly on
-    every evaluated pair."""
+    every evaluated pair. An instance is vacuous when its bound is at least
+    2, since ||V + V'|| <= 2 for projectors: [7,4] at delta = 1/7 is."""
     started = time.perf_counter()
     inst3 = bcjl.BcjlInstance(
         code=coding.named_code("rep31"), delta=0.0, hash_member=1,
@@ -317,9 +318,10 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
         "large_bound": r7["max_sum"] <= r7["bound"] + 1e-9,
         "large_overlap": r7["overlap_bound_ok"],
     }
+    keys = ("max_sum", "bound", "pairs_evaluated", "exhaustive")
     values = {
-        "small": {k: r3[k] for k in ("max_sum", "bound", "pairs_evaluated", "exhaustive")},
-        "large": {k: r7[k] for k in ("max_sum", "bound", "pairs_evaluated", "exhaustive")},
+        "small": {**{k: r3[k] for k in keys}, "vacuous": r3["bound"] >= 2.0},
+        "large": {**{k: r7[k] for k in keys}, "vacuous": r7["bound"] >= 2.0},
         "checks": checks,
     }
     return timed_record(

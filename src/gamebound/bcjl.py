@@ -14,8 +14,8 @@ import numpy as np
 from .coding import (
     LinearCode,
     binary_entropy,
-    bits_to_int,
     coset_members,
+    hamming_ball,
     hamming_ball_around,
 )
 from .errors import InputError
@@ -45,20 +45,17 @@ def ball_verifier(x, theta, delta: float) -> np.ndarray:
     return hermitize(v)
 
 
-def _ball(x, delta: float) -> np.ndarray:
-    """The strings within floor(delta n) flips of x, as rows of a bit matrix."""
-    x = np.asarray(x, dtype=np.uint8)
-    return np.array(hamming_ball_around(x, math.floor(delta * x.size)), dtype=np.uint8)
-
-
 def overlap_bound_check(x, theta, xp, thetap, delta: float, tol: float = 1e-9) -> dict:
     """||V V'|| <= (max single overlap) * sqrt(|ball| * |ball'|).
 
     ||V V'|| is the largest singular value of the ball Gram matrix, since
-    V and V' project onto orthonormal ball states.
+    V and V' project onto orthonormal ball states. The check cannot fail:
+    every matrix G has ||G|| <= sqrt(rows * cols) * max |G_ij|.
     """
+    x = np.asarray(x, dtype=np.uint8)
+    radius = math.floor(delta * x.size)
     mask = np.asarray(theta, dtype=np.uint8) ^ np.asarray(thetap, dtype=np.uint8)
-    (gram,) = _gram(_ball(x, delta), _ball(xp, delta), mask)
+    (gram,) = _gram(hamming_ball_around(x, radius), hamming_ball_around(xp, radius), mask[None])
     lhs = spectral_norm(gram)
     rhs = float(np.max(np.abs(gram))) * gram.shape[0]
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + tol}
@@ -88,14 +85,22 @@ class BcjlInstance:
     def n(self) -> int:
         return self.code.n
 
+    def openings(self) -> tuple[np.ndarray, np.ndarray]:
+        """The syndrome-consistent strings whose masked hash is 0, and those
+        whose masked hash is 1, as two bit matrices in coset order."""
+        members = coset_members(self.code, np.array(self.syndrome_bits, dtype=np.uint8))
+        hashed = XorHashFamily(self.n).evaluate_rows(self.hash_member, members)
+        return members[hashed == self.masked_bit], members[hashed != self.masked_bit]
+
     def openings_for(self, bit: int) -> list[np.ndarray]:
         """All x with the right syndrome whose masked hash matches `bit`."""
-        family = XorHashFamily(self.n)
-        out = []
-        for x in coset_members(self.code, np.array(self.syndrome_bits, dtype=np.uint8)):
-            if family.evaluate(self.hash_member, bits_to_int(x)) ^ self.masked_bit == bit:
-                out.append(x)
-        return out
+        return list(self.openings()[bit])
+
+
+def _theta_bits(index: np.ndarray, n: int) -> np.ndarray:
+    """Basis strings from their indices in [0, 2^n), most significant bit
+    first: index t is the t-th string of itertools.product((0, 1), repeat=n)."""
+    return (index[..., None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def na_binding(instance: BcjlInstance, budget: int | None = None, seed=0) -> dict:
@@ -107,9 +112,15 @@ def na_binding(instance: BcjlInstance, budget: int | None = None, seed=0) -> dic
     depends on the bases only through theta xor theta'. Without a budget, or
     with one that covers every pair, the search is exhaustive over the
     classes (x, x', theta xor theta'), each standing for the 2^n pairs it
-    covers; otherwise `budget` sampled pairs (recorded in the result).
-    `pairs_evaluated` counts pairs, not classes. Same-opening pairs never
-    appear because the two openings hash to different bits.
+    covers; otherwise `budget` sampled pairs (recorded in the result), each
+    drawn as (i, theta0, j, theta1) with theta an index in [0, 2^n), so a
+    seed replays the same pairs. Every evaluated Gram matrix is normed in one
+    stacked svd. `pairs_evaluated` counts pairs, not classes. Same-opening
+    pairs never appear because the two openings hash to different bits.
+
+    `overlap_bound_ok` checks ||V V'|| <= max |Gram entry| * |ball| on every
+    evaluated pair. It is a tautology, kept as a record: every Gram matrix G
+    has ||G|| <= sqrt(|B0| |B1|) * max |G_ij|.
     """
     if budget is not None and budget < 1:
         raise InputError("a sampling budget needs at least one pair")
@@ -118,63 +129,61 @@ def na_binding(instance: BcjlInstance, budget: int | None = None, seed=0) -> dic
     bound = 1.0 + 2.0 ** (
         -d / 2.0 + instance.delta * n + binary_entropy(instance.delta) * n
     )
-    zeros = instance.openings_for(0)
-    ones = instance.openings_for(1)
-    if not zeros or not ones:
+    zeros, ones = instance.openings()
+    if not len(zeros) or not len(ones):
         return {
-            "max_sum": 1.0 if (zeros or ones) else 0.0,
+            "max_sum": 1.0 if (len(zeros) or len(ones)) else 0.0,
             "bound": bound,
             "pairs_evaluated": 0,
             "exhaustive": True,
             "pass": True,
             "note": "one side has no valid opening; the pair bound is vacuous",
         }
-    thetas = list(itertools.product((0, 1), repeat=n))
-    total_pairs = len(zeros) * len(ones) * len(thetas) ** 2
-    # (index into zeros, index into ones, theta0 per Gram matrix, theta1 per Gram matrix)
-    if budget is None or total_pairs <= budget:
+    total_pairs = len(zeros) * len(ones) * 4**n
+    pattern = hamming_ball(n, math.floor(instance.delta * n))
+    balls0 = zeros[:, None, :] ^ pattern
+    balls1 = ones[:, None, :] ^ pattern
+    # Per batch: index into zeros, index into ones; per Gram matrix of a
+    # batch: the indices of theta0 and theta1.
+    exhaustive = budget is None or total_pairs <= budget
+    if exhaustive:
         # theta0 = 0...0 represents every theta0 of the class theta1 xor theta0
-        batches = [(i, j, [thetas[0]] * len(thetas), thetas)
-                   for i in range(len(zeros)) for j in range(len(ones))]
-        exhaustive = True
+        i, j = np.divmod(np.arange(len(zeros) * len(ones)), len(ones))
+        t1 = np.broadcast_to(np.arange(2**n), (i.size, 2**n))
+        t0 = np.zeros_like(t1)
+        grams = _gram(balls0[:, None], balls1[None], _theta_bits(t1[0], n))
         count = total_pairs
     else:
         rng = rng_from_seed(seed)
-        batches = []
-        for _ in range(budget):
-            i = int(rng.integers(len(zeros)))
-            t0 = thetas[rng.integers(len(thetas))]
-            j = int(rng.integers(len(ones)))
-            t1 = thetas[rng.integers(len(thetas))]
-            batches.append((i, j, [t0], [t1]))
-        exhaustive = False
+        i, t0, j, t1 = np.array([
+            [rng.integers(len(zeros)), rng.integers(2**n),
+             rng.integers(len(ones)), rng.integers(2**n)]
+            for _ in range(budget)
+        ]).T
+        grams = _gram(balls0[i], balls1[j], _theta_bits(t0 ^ t1, n)[:, None])
+        t0, t1 = t0[:, None], t1[:, None]
         count = budget
-    balls0 = [_ball(x, instance.delta) for x in zeros]
-    balls1 = [_ball(x, instance.delta) for x in ones]
-    max_sum = 0.0
-    argmax = None
-    overlap_checks_ok = True
-    for i, j, t0s, t1s in batches:
-        grams = _gram(balls0[i], balls1[j], np.bitwise_xor(t0s, t1s))
-        norms = np.linalg.svd(grams, compute_uv=False)[:, 0]
-        # overlap bound: ||V V'|| <= max |Gram entry| * |ball|
-        peaks = np.max(np.abs(grams), axis=(1, 2)) * grams.shape[1]
-        overlap_checks_ok = overlap_checks_ok and bool(np.all(norms <= peaks + 1e-9))
-        k = int(np.argmax(norms))
-        if 1.0 + norms[k] > max_sum:
-            max_sum = 1.0 + float(norms[k])
-            argmax = {
-                "x0": tuple(int(b) for b in zeros[i]),
-                "theta0": t0s[k],
-                "x1": tuple(int(b) for b in ones[j]),
-                "theta1": t1s[k],
-            }
+    norms = np.linalg.svd(grams, compute_uv=False)[..., 0]
+    # overlap bound: ||V V'|| <= max |Gram entry| * |ball|
+    peaks = np.max(np.abs(grams), axis=(-2, -1)) * grams.shape[-2]
+    overlap_checks_ok = bool(np.all(norms <= peaks + 1e-9))
+    # The first batch whose 1 + norm is largest, and its first largest norm:
+    # the pair a loop over batches keeping each strictly larger sum picks.
+    norms = norms.reshape(i.size, -1)
+    b = int(np.argmax(1.0 + norms.max(axis=1)))
+    k = int(np.argmax(norms[b]))
+    max_sum = 1.0 + float(norms[b, k])
     return {
         "max_sum": max_sum,
         "bound": bound,
         "pairs_evaluated": count,
         "exhaustive": exhaustive,
-        "argmax": argmax,
+        "argmax": {
+            "x0": tuple(zeros[i[b]].tolist()),
+            "theta0": tuple(_theta_bits(t0[b, k], n).tolist()),
+            "x1": tuple(ones[j[b]].tolist()),
+            "theta1": tuple(_theta_bits(t1[b, k], n).tolist()),
+        },
         "overlap_bound_ok": overlap_checks_ok,
         "pass": max_sum <= bound + 1e-9,
     }

@@ -176,27 +176,30 @@ def nearest_coset_rep(code: LinearCode, s, reference) -> np.ndarray:
     return candidates[np.lexsort(candidates.T[::-1])[0]].copy()
 
 
-def hamming_ball(n: int, radius: int) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def hamming_ball(n: int, radius: int) -> np.ndarray:
     """All bit strings within `radius` flips of the zero string, at most
-    BALL_SIZE_CAP of them."""
+    BALL_SIZE_CAP of them, as a read-only (|ball|, n) bit matrix: by weight,
+    then in `itertools.combinations` order of their supports."""
     if radius < 0 or radius > n:
         raise InputError(f"radius {radius} outside [0, {n}]")
     size = ball_size(n, radius)
     if size > BALL_SIZE_CAP:
         raise InputError(f"ball of {size} strings exceeds the cap of {BALL_SIZE_CAP}")
-    out = []
+    out = np.zeros((size, n), dtype=np.uint8)
+    row = 0
     for w in range(radius + 1):
-        for support in itertools.combinations(range(n), w):
-            v = np.zeros(n, dtype=np.uint8)
-            for i in support:
-                v[i] = 1
-            out.append(v)
+        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
+        out[row + np.arange(len(supports))[:, None], supports] = 1
+        row += len(supports)
+    out.setflags(write=False)
     return out
 
 
-def hamming_ball_around(x, radius: int) -> list[np.ndarray]:
+def hamming_ball_around(x, radius: int) -> np.ndarray:
+    """The strings within `radius` flips of x, as rows of a bit matrix."""
     center = _as_bit_array(x)
-    return [center ^ v for v in hamming_ball(center.size, radius)]
+    return center ^ hamming_ball(center.size, radius)
 
 
 def ball_size(n: int, radius: int) -> int:

@@ -37,6 +37,14 @@ class XorHashFamily:
             raise InputError("hash member or input out of range")
         return bin(r & x).count("1") % 2
 
+    def evaluate_rows(self, r: int, rows: np.ndarray) -> np.ndarray:
+        """evaluate(r, x) for each row of a bit matrix, the row read most
+        significant bit first as `coding.bits_to_int` reads it."""
+        if not 0 <= r < 2**self.n:
+            raise InputError("hash member out of range")
+        r_bits = np.array([(r >> (self.n - 1 - i)) & 1 for i in range(self.n)])
+        return np.asarray(rows, dtype=np.int64) @ r_bits % 2
+
 
 def privacy_amp_distance(cq: CqState, n: int) -> float:
     """Exact distance of (hash output, member, side info) from uniform.

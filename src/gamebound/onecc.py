@@ -74,19 +74,23 @@ def single_position_guessing(tol: float = 1e-12) -> SolverCertificate:
 
 def _gram(ball0: np.ndarray, ball1: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Inner products <z|_theta0 |z'>_theta1 for z in ball0 and z' in ball1,
-    one (|ball0|, |ball1|) matrix per row m = theta0 xor theta1 of `masks`.
+    one (|ball0|, |ball1|) matrix per row m = theta0 xor theta1 of `masks`:
+    balls of shape (..., |ball0|, n) and (..., |ball1|, n) with masks of
+    shape (..., M, n) give (..., M, |ball0|, |ball1|), the leading axes
+    broadcast against each other.
 
     Positions where the bases agree must carry equal bits; each position
     where they differ contributes (-1)^{z_i z'_i} / sqrt(2). The matrices
     therefore depend on the bases only through m.
     """
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1, ball0.shape[1])
-    differ = (ball0[:, None, :] != ball1[None, :, :]).astype(np.int64)
-    both = (ball0[:, None, :] & ball1[None, :, :]).astype(np.int64)
-    agree = differ @ (1 - masks).T == 0
-    signs = 1 - 2 * (both @ masks.T % 2)
-    scale = 2.0 ** (-masks.sum(axis=1) / 2.0)
-    return np.moveaxis(np.where(agree, signs * scale, 0.0), -1, 0)
+    masks = np.asarray(masks, dtype=np.int64)
+    cols = np.swapaxes(masks, -1, -2)[..., None, :, :]  # (..., 1, n, M)
+    differ = (ball0[..., :, None, :] != ball1[..., None, :, :]).astype(np.int64)
+    both = (ball0[..., :, None, :] & ball1[..., None, :, :]).astype(np.int64)
+    agree = differ @ (1 - cols) == 0
+    signs = 1 - 2 * (both @ cols % 2)
+    scale = 2.0 ** (-masks.sum(axis=-1) / 2.0)[..., None, None, :]
+    return np.moveaxis(np.where(agree, signs * scale, 0.0), -1, -3)
 
 
 # Largest |ball| * dim A a small-support state may hold (n = 10, dim A = 16).
@@ -146,7 +150,7 @@ def sample_smallsup_state(theta, delta: float, dim_a: int, seed=0) -> SmallSupSt
         theta=theta,
         delta=delta,
         dim_a=dim_a,
-        ball=tuple(tuple(int(b) for b in y) for y in ball),
+        ball=tuple(map(tuple, ball.tolist())),
         rows=rows,
     )
 
@@ -195,8 +199,7 @@ def adaptive_wrong_opening(
     rep = nearest_coset_rep(code, s, state.theta)
     c = family.evaluate(hash_member, bits_to_int(rep)) ^ (w & 1)
     members = coset_members(code, s)
-    wrong = members[[family.evaluate(hash_member, bits_to_int(x)) ^ (w & 1) == 1 - c
-                     for x in members]]
+    wrong = members[family.evaluate_rows(hash_member, members) ^ (w & 1) == 1 - c]
     ops = tuple(np.outer(v, v.conj()) for v in _zero_parts(state, wrong))
     rho_a = density_from_matrix(RegisterShape((("A", state.dim_a),)),
                                 state.rows.T @ state.rows.conj())

@@ -1,6 +1,8 @@
 """Ball-verified commitment: verifier projectors, opening-pair norms against
 the distance bound, sampling equivalence, and exact hiding enumeration."""
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from gamebound.bcjl import (
     overlap_bound_check,
     sampling_equivalence_mc,
 )
-from gamebound.coding import LinearCode, ball_size, named_code
+from gamebound.coding import LinearCode, ball_size, hamming_ball_around, named_code
 from gamebound.errors import InputError
 from gamebound.hashing import XorHashFamily
 from gamebound.linalg import spectral_norm
+from gamebound.onecc import _gram
 from gamebound.rand import rng_from_seed
 
 
@@ -149,6 +152,63 @@ def test_na_binding_budgeted_sampling():
     assert full["pairs_evaluated"] == 8 * 8 * 4**7
     assert full["overlap_bound_ok"]
     assert res["max_sum"] <= full["max_sum"] + 1e-12
+    # the first largest class in (x0, x1, theta0 xor theta1) order
+    assert full["max_sum"] == 1.9659258262890682
+    assert full["argmax"] == {"x0": (0, 1, 1, 1, 0, 1, 1), "theta0": (0,) * 7,
+                              "x1": (0, 1, 0, 1, 0, 0, 0), "theta1": (0, 0, 1, 0, 0, 1, 1)}
+
+
+def _sampled_reference(inst: BcjlInstance, budget: int, seed) -> dict:
+    """na_binding's sampled path as a loop: per drawn pair, one Gram matrix
+    and one svd, keeping the first pair with the largest sum."""
+    zeros, ones = inst.openings_for(0), inst.openings_for(1)
+    thetas = list(itertools.product((0, 1), repeat=inst.n))
+    radius = math.floor(inst.delta * inst.n)
+    rng = rng_from_seed(seed)
+    max_sum, argmax, overlap_ok = 0.0, None, True
+    for _ in range(budget):
+        i = int(rng.integers(len(zeros)))
+        t0 = thetas[rng.integers(len(thetas))]
+        j = int(rng.integers(len(ones)))
+        t1 = thetas[rng.integers(len(thetas))]
+        (gram,) = _gram(hamming_ball_around(zeros[i], radius),
+                        hamming_ball_around(ones[j], radius), np.bitwise_xor([t0], [t1]))
+        norm = np.linalg.svd(gram, compute_uv=False)[0]
+        overlap_ok = overlap_ok and bool(norm <= np.max(np.abs(gram)) * gram.shape[0] + 1e-9)
+        if 1.0 + norm > max_sum:
+            max_sum = 1.0 + float(norm)
+            argmax = {"x0": tuple(int(b) for b in zeros[i]), "theta0": t0,
+                      "x1": tuple(int(b) for b in ones[j]), "theta1": t1}
+    return {"max_sum": max_sum, "argmax": argmax, "pairs_evaluated": budget,
+            "overlap_bound_ok": overlap_ok}
+
+
+@pytest.mark.parametrize(
+    "code,delta,member,syn,masked",
+    [("hamming74", 1.0 / 7.0, 5, (0, 1, 0), 1), ("rep41", 0.25, 1, (0, 1, 1), 0)],
+)
+def test_sampled_pairs_match_the_per_pair_loop(code, delta, member, syn, masked):
+    inst = BcjlInstance(named_code(code), delta, member, syn, masked)
+    for s in range(50):
+        for budget in (1, 8, 40):
+            res = na_binding(inst, budget=budget, seed=(s, 8))
+            assert not res["exhaustive"]
+            want = _sampled_reference(inst, budget, (s, 8))
+            assert {k: res[k] for k in want} == want
+
+
+def test_sampled_cost_does_not_grow_with_the_basis_count():
+    """A length-20 repetition code: 2^20 bases per side, 8 sampled pairs."""
+    inst = BcjlInstance(LinearCode(np.ones((1, 20))), 1.0 / 20.0, 1, (0,) * 19, 0)
+    tracemalloc.start()
+    try:
+        res = na_binding(inst, budget=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res["pairs_evaluated"] == 8
+    assert not res["exhaustive"]
+    assert peak < 5 * 2**20
 
 
 def test_na_binding_one_empty_side_is_vacuous():

@@ -13,6 +13,7 @@ from gamebound.coding import (
     binary_entropy,
     bits_to_int,
     coset_members,
+    hamming_ball,
     hamming_ball_around,
     named_code,
     nearest_coset_rep,
@@ -178,6 +179,13 @@ def test_hamming_ball_matches_itertools_enumeration():
         ]
         assert {tuple(b) for b in ball} == {tuple(w) for w in want}
         assert len(ball) == ball_size(4, radius)
+        # the flip patterns: by weight, then in combinations order, shared
+        # read-only by every caller
+        flips = hamming_ball(4, radius)
+        assert [tuple(np.flatnonzero(v)) for v in flips] == [
+            c for w in range(radius + 1) for c in itertools.combinations(range(4), w)]
+        assert hamming_ball(4, radius) is flips
+        assert not flips.flags.writeable
 
 
 def test_ball_size_is_binomial_sum():
