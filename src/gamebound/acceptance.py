@@ -25,6 +25,17 @@ from .registers import shape
 
 GAMMA = math.cos(math.pi / 8.0) ** 2
 
+# The size of each sampled criterion, which its inputs digest records.
+_C03_GAMES = 200
+_C04_STATES = 100
+_C05_PAIRS = 100
+_C06_INSTANCES = 50
+_C07_SAMPLES = 100
+_C09_INSTANCES = 50
+_C10_RUNS = 2000
+_C11_RUNS = 1000
+_C12_INSTANCES = 4
+
 
 def criterion_01_guessing_constant(seed=0) -> CheckRecord:
     """Single-position basis guessing equals cos^2(pi/8) at 1e-9."""
@@ -77,7 +88,7 @@ def criterion_02_bell_counterexample(seed=0) -> CheckRecord:
     )
 
 
-def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
+def criterion_03_random_games(seed=0) -> CheckRecord:
     """Adaptive advantage capped by 2^(effective qubits) over non-adaptive
     on seeded random games, with certified duality gaps. The bound is
     checked on the adaptive certificate's dual, its upper side."""
@@ -86,7 +97,7 @@ def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
     worst_ratio_slack = math.inf
     worst_gap = 0.0
     failures = []
-    for k in range(count):
+    for k in range(_C03_GAMES):
         dim_a = int(rng.choice([2, 4]))
         dim_b = int(rng.choice([2, 4]))
         n_tests = int(rng.integers(2, 5))
@@ -103,7 +114,7 @@ def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
         if res.adaptive_cert.gap > 1e-7:
             failures.append({"game": k, "kind": "gap", "gap": res.adaptive_cert.gap})
     values = {
-        "games": count,
+        "games": _C03_GAMES,
         "adaptive_side": "dual",
         "worst_bound_slack": worst_ratio_slack,
         "worst_certificate_gap": worst_gap,
@@ -111,12 +122,12 @@ def criterion_03_random_games(seed=0, count: int = 200) -> CheckRecord:
     }
     return timed_record(
         "03-adaptive-vs-nonadaptive-games", not failures, values, 1e-6,
-        worst_ratio_slack, "solver-certificate", {"criterion": 3, "count": count},
+        worst_ratio_slack, "solver-certificate", {"criterion": 3, "count": _C03_GAMES},
         started,
     )
 
 
-def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRecord:
+def criterion_04_measurement_domination(seed=0) -> CheckRecord:
     """Per-measurement lambda is tight (passes at the value, fails just
     below), never exceeds the effective-qubit count, and survives local
     processing. Every state and the draws of its random POVMs come first; then
@@ -126,7 +137,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
     jobs = []
     draws, names = [], []
     channels = {}
-    for k in range(n_states):
+    for k in range(_C04_STATES):
         # the draws rng.choice makes, without its conversion of the list
         dim_a = (2, 4)[rng.integers(0, 2)]
         dim_b = (2, 3, 4)[rng.integers(0, 3)]
@@ -144,7 +155,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
             p = random_projector(dim_b, dim_b // 2, rng)
             kraus_b = [p, np.eye(dim_b) - p]
             channels[k] = (rho, [u_a], kraus_b, (seed, 4, k))
-    checked = accessible.local_channel_monotonicity_checks(list(channels.values()), budget=24)
+    checked = accessible.local_channel_monotonicity_checks(list(channels.values()))
     channel_ok = {k: ok for k, (ok, _, _) in zip(channels, checked)}
     made = iter(accessible.random_povms(draws, names))
     for povms, _ in jobs:
@@ -177,7 +188,7 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
         if not channel_ok.get(k, True):
             failures.append({"state": k, "kind": "channel-monotonicity"})
     values = {
-        "states": n_states,
+        "states": _C04_STATES,
         "measurements_per_state": 5,
         "channel_checks": len(channel_ok),
         "worst_zero_entropy_margin": worst_margin,
@@ -185,17 +196,17 @@ def criterion_04_measurement_domination(seed=0, n_states: int = 100) -> CheckRec
     }
     return timed_record(
         "04-measurement-domination", not failures, values, 1e-8, worst_margin,
-        "closed-form", {"criterion": 4, "n_states": n_states}, started,
+        "closed-form", {"criterion": 4, "n_states": _C04_STATES}, started,
     )
 
 
-def criterion_05_norm_lemma(seed=0, pairs: int = 100) -> CheckRecord:
+def criterion_05_norm_lemma(seed=0) -> CheckRecord:
     """Spectral norm of a projector sum against one plus the product norm.
     Every pair is drawn first, then each dimension's pairs are checked together."""
     started = time.perf_counter()
     rng = rng_from_seed((seed, 5))
     by_dim: dict[int, list] = {}
-    for _ in range(pairs):
+    for _ in range(_C05_PAIRS):
         dim = int(rng.integers(2, 17))
         x = random_projector(dim, int(rng.integers(1, dim)), rng)
         y = random_projector(dim, int(rng.integers(1, dim)), rng)
@@ -204,17 +215,17 @@ def criterion_05_norm_lemma(seed=0, pairs: int = 100) -> CheckRecord:
     ok_all = True
     for group in by_dim.values():
         xs, ys = np.stack(group).swapaxes(0, 1)
-        ok, lhs, rhs = commitments.norm_lemma_check(xs, ys, tol=1e-9)
+        ok, lhs, rhs = commitments.norm_lemma_check(xs, ys)
         ok_all = ok_all and bool(ok.all())
         worst = min(worst, float((rhs + 1e-9 - lhs).min()))
-    values = {"pairs": pairs, "worst_slack": worst}
+    values = {"pairs": _C05_PAIRS, "worst_slack": worst}
     return timed_record(
         "05-norm-lemma", ok_all, values, 1e-9, worst, "closed-form",
-        {"criterion": 5, "pairs": pairs}, started,
+        {"criterion": 5, "pairs": _C05_PAIRS}, started,
     )
 
 
-def criterion_06_cheat_state(seed=0, instances: int = 50) -> CheckRecord:
+def criterion_06_cheat_state(seed=0) -> CheckRecord:
     """The constructed two-sided opening state succeeds perfectly on one
     projector and with probability at least epsilon squared on the other."""
     started = time.perf_counter()
@@ -223,7 +234,7 @@ def criterion_06_cheat_state(seed=0, instances: int = 50) -> CheckRecord:
     worst_p0 = 1.0
     worst_p1_slack = math.inf
     failures = []
-    while built < instances:
+    while built < _C06_INSTANCES:
         dim = int(rng.integers(4, 17))
         p0 = random_projector(dim, int(rng.integers(1, dim // 2 + 1)), rng)
         p1 = random_projector(dim, int(rng.integers(1, dim // 2 + 1)), rng)
@@ -240,18 +251,18 @@ def criterion_06_cheat_state(seed=0, instances: int = 50) -> CheckRecord:
         if succ1 < eps**2 - 1e-7:
             failures.append({"instance": built, "kind": "second-projector"})
     values = {
-        "instances": instances,
+        "instances": _C06_INSTANCES,
         "worst_first_success": worst_p0,
         "worst_second_slack": worst_p1_slack,
         "failures": failures[:10],
     }
     return timed_record(
         "06-cheat-state", not failures, values, None, worst_p1_slack,
-        "closed-form", {"criterion": 6, "instances": instances}, started,
+        "closed-form", {"criterion": 6, "instances": _C06_INSTANCES}, started,
     )
 
 
-def criterion_07_wrong_opening(seed=0, samples: int = 100) -> CheckRecord:
+def criterion_07_wrong_opening(seed=0) -> CheckRecord:
     """Wrong-opening acceptance on sampled small-support states over the
     [7,4] distance-3 code, plus the chained adaptive bound through the
     discrimination engine."""
@@ -263,7 +274,7 @@ def criterion_07_wrong_opening(seed=0, samples: int = 100) -> CheckRecord:
     worst = 0.0
     failures = []
     chain = []
-    for k in range(samples):
+    for k in range(_C07_SAMPLES):
         theta = rng.integers(0, 2, size=7).astype(np.uint8)
         s = rng.integers(0, 2, size=3).astype(np.uint8)
         state = onecc.sample_smallsup_state(theta, delta, 2, seed=(seed, 7, k))
@@ -279,7 +290,7 @@ def criterion_07_wrong_opening(seed=0, samples: int = 100) -> CheckRecord:
             if not chain[-1]:
                 failures.append({"sample": k, "kind": "chain-bound"})
     values = {
-        "samples": samples,
+        "samples": _C07_SAMPLES,
         "worst_acceptance": worst,
         "lemma_bound": bound,
         "vacuous": bound >= 1.0,
@@ -289,16 +300,15 @@ def criterion_07_wrong_opening(seed=0, samples: int = 100) -> CheckRecord:
     return timed_record(
         "07-wrong-opening", not failures, values, bound + 1e-9,
         bound + 1e-9 - worst, "sampled-search",
-        {"criterion": 7, "samples": samples}, started,
+        {"criterion": 7, "samples": _C07_SAMPLES}, started,
     )
 
 
-def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
-    """Ball-verifier binding: exhaustive on the [3,1] repetition instance
-    (where the pair bound is met with equality) and on [7,4] unless a
-    sampling budget is given, with the overlap bound checked exactly on
-    every evaluated pair. An instance is vacuous when its bound is at least
-    2, since ||V + V'|| <= 2 for projectors: [7,4] at delta = 1/7 is."""
+def criterion_08_ball_binding(seed=0) -> CheckRecord:
+    """Ball-verifier binding, exhaustive on the [3,1] repetition instance (where
+    the pair bound is met with equality) and on [7,4], with the overlap bound
+    checked exactly on every evaluated pair. An instance is vacuous when its
+    bound is at least 2, since ||V + V'|| <= 2 for projectors: [7,4] at delta = 1/7 is."""
     started = time.perf_counter()
     inst3 = bcjl.BcjlInstance(
         code=coding.named_code("rep31"), delta=0.0, hash_member=1,
@@ -309,7 +319,7 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
         code=coding.named_code("hamming74"), delta=1.0 / 7.0, hash_member=5,
         syndrome_bits=(0, 1, 0), masked_bit=1,
     )
-    r7 = bcjl.na_binding(inst7, budget=budget, seed=(seed, 8))
+    r7 = bcjl.na_binding(inst7, seed=(seed, 8))
     checks = {
         "small_exhaustive": r3["exhaustive"],
         "small_bound": r3["max_sum"] <= r3["bound"] + 1e-9,
@@ -327,17 +337,17 @@ def criterion_08_ball_binding(seed=0, budget: int | None = None) -> CheckRecord:
     return timed_record(
         "08-ball-binding", all(checks.values()), values, r7["bound"] + 1e-9,
         r7["bound"] + 1e-9 - r7["max_sum"], "enumeration",
-        {"criterion": 8, "budget": budget}, started,
+        {"criterion": 8, "budget": None}, started,
     )
 
 
-def criterion_09_privacy_amplification(seed=0, instances: int = 50) -> CheckRecord:
+def criterion_09_privacy_amplification(seed=0) -> CheckRecord:
     """Exact masked-bit distance against the certified min-entropy bound."""
     started = time.perf_counter()
     rng = rng_from_seed((seed, 9))
     worst_slack = math.inf
     failures = []
-    for k in range(instances):
+    for k in range(_C09_INSTANCES):
         n = int(rng.integers(2, 5))
         dim_e = int(rng.integers(2, 5))
         symbols = tuple(range(2**n))
@@ -348,14 +358,14 @@ def criterion_09_privacy_amplification(seed=0, instances: int = 50) -> CheckReco
             for _ in symbols
         )
         cq = CqState(symbols, tuple(float(w) for w in weights), conditionals)
-        ok, distance, bound, hmin = hashing.privacy_amp_check(cq, n, tol=1e-9)
+        ok, distance, bound, hmin = hashing.privacy_amp_check(cq, n)
         worst_slack = min(worst_slack, bound + 1e-9 - distance)
         if not ok:
             failures.append({"instance": k, "distance": distance, "bound": bound})
-    values = {"instances": instances, "worst_slack": worst_slack, "failures": failures[:10]}
+    values = {"instances": _C09_INSTANCES, "worst_slack": worst_slack, "failures": failures[:10]}
     return timed_record(
         "09-privacy-amplification", not failures, values, None, worst_slack,
-        "solver-certificate", {"criterion": 9, "instances": instances}, started,
+        "solver-certificate", {"criterion": 9, "instances": _C09_INSTANCES}, started,
     )
 
 
@@ -439,7 +449,7 @@ def binomial_test(hits: int, n: int, p0: float, two_sided: bool) -> dict:
     }
 
 
-def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
+def criterion_10_commit_tails(seed=0) -> CheckRecord:
     """The honest commit runs' size-abort count matches the exact binomial
     tail and sits under the stated exponential bound; the sampling-agreement
     count matches its exact rate and stays below its claim. Each count is
@@ -448,16 +458,16 @@ def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
     results = {}
     ok = True
     for big_n, q in ((40, 0.1), (64, 0.05)):
-        sim = onecc.simulate_commit(big_n, q, runs=runs, seed=(seed, 10, big_n))
+        sim = onecc.simulate_commit(big_n, q, runs=_C10_RUNS, seed=(seed, 10, big_n))
         exact = binomial_tail(big_n, q, int(math.floor(2.0 * q * big_n)) + 1, True)
         hoeffding = 2.0 * math.exp(-2.0 * q * q * big_n)
-        tests = {"exact_tail": binomial_test(sim["aborts_size"], runs, exact, True),
-                 "hoeffding_bound": binomial_test(sim["aborts_size"], runs, hoeffding, False)}
+        tests = {"exact_tail": binomial_test(sim["aborts_size"], _C10_RUNS, exact, True),
+                 "hoeffding_bound": binomial_test(sim["aborts_size"], _C10_RUNS, hoeffding, False)}
         entry_ok = exact <= hoeffding and all(t["pass"] for t in tests.values())
         ok = ok and entry_ok
         results[f"N{big_n}"] = {
             "check_aborts": 0,  # an honest committer never fails a check
-            "size_abort_frequency": sim["aborts_size"] / runs,
+            "size_abort_frequency": sim["aborts_size"] / _C10_RUNS,
             "exact_tail": exact,
             "hoeffding_bound": hoeffding,
             "tests": tests,
@@ -476,22 +486,22 @@ def criterion_10_commit_tails(seed=0, runs: int = 2000) -> CheckRecord:
                        "tests": _C10_TESTS, "alpha": FAMILY_RATE / _C10_TESTS, "power": POWER}
     return timed_record(
         "10-commit-tails", ok, results, None, None, "monte-carlo",
-        {"criterion": 10, "runs": runs}, started,
+        {"criterion": 10, "runs": _C10_RUNS}, started,
     )
 
 
-def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
+def criterion_11_uc_demos(seed=0) -> CheckRecord:
     """Honest transfer completeness, the rushing-simulator comparison, and
     the exhaustive choice-functionality table."""
     started = time.perf_counter()
-    ot = ucsim.honest_ot_completeness(runs, 8, (seed, 11))
+    ot = ucsim.honest_ot_completeness(_C11_RUNS, 8, (seed, 11))
     completeness_ok = ot["completed"] > 0 and ot["correct"] == ot["completed"]
     demo_fixed = ucsim.run_simulator_demo(
-        "sender", script="fixed-state", runs=runs, n=8, seed=(seed, 11, 1001),
+        "sender", script="fixed-state", runs=_C11_RUNS, n=8, seed=(seed, 11, 1001),
         s0=(0,), s1=(1,), c=1,
     )
     demo_noisy = ucsim.run_simulator_demo(
-        "sender", script="random-announce", runs=runs, n=8, seed=(seed, 11, 1002),
+        "sender", script="random-announce", runs=_C11_RUNS, n=8, seed=(seed, 11, 1002),
         s0=(0,), s1=(1,), c=0,
     )
     expected = [
@@ -510,11 +520,11 @@ def criterion_11_uc_demos(seed=0, runs: int = 1000) -> CheckRecord:
     passed = completeness_ok and demo_fixed["pass"] and demo_noisy["pass"] and table_ok
     return timed_record(
         "11-uc-simulator-demos", passed, values, None, None, "monte-carlo",
-        {"criterion": 11, "runs": runs}, started,
+        {"criterion": 11, "runs": _C11_RUNS}, started,
     )
 
 
-def criterion_12_storage_reduction(seed=0, instances: int = 4) -> CheckRecord:
+def criterion_12_storage_reduction(seed=0) -> CheckRecord:
     """Measured two-sided opening advantage against the square-root
     non-adaptive bound for one stored qubit, via the exact projective optimum."""
     started = time.perf_counter()
@@ -522,7 +532,7 @@ def criterion_12_storage_reduction(seed=0, instances: int = 4) -> CheckRecord:
     failures = []
     trials_run = 0
     worst_slack = math.inf
-    for k in range(instances):
+    for k in range(_C12_INSTANCES):
         dim_b = int(rng.choice([4, 6]))
         openings_zero = tuple(
             (f"z{j}", random_projector(dim_b, int(rng.integers(1, dim_b // 2 + 1)), rng))
@@ -541,14 +551,14 @@ def criterion_12_storage_reduction(seed=0, instances: int = 4) -> CheckRecord:
                 failures.append({"instance": k, "trial": row["trial"],
                                  "alpha": row["alpha"], "bound": row["bound"]})
     values = {
-        "instances": instances,
+        "instances": _C12_INSTANCES,
         "trials": trials_run,
         "worst_slack": worst_slack,
         "failures": failures[:10],
     }
     return timed_record(
         "12-storage-reduction", not failures, values, None, worst_slack,
-        "closed-form", {"criterion": 12, "instances": instances}, started,
+        "closed-form", {"criterion": 12, "instances": _C12_INSTANCES}, started,
     )
 
 

@@ -50,8 +50,7 @@ class ImaxEstimate:
             )
 
 
-def _dmax_blocks(ks: np.ndarray, rhos: np.ndarray, owner: np.ndarray,
-                 rank_tol: float) -> np.ndarray:
+def _dmax_blocks(ks: np.ndarray, rhos: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Smallest c >= 0 with K <= c * rho (inf when K has weight outside supp(rho)) for each block
     K = ks[i] of a PSD (n, d, d) stack against rho = rhos[owner[i]], for an (m, d, d) stack of
     Hermitian rhos checked PSD here: one stacked eigh gives each rho's inverse square root on its
@@ -69,7 +68,7 @@ def _dmax_blocks(ks: np.ndarray, rhos: np.ndarray, owner: np.ndarray,
         # Support check: weight of each K outside supp(rho).
         v = vecs * mask[:, None, :]
         comp = (np.eye(rhos.shape[-1]) - v @ v.conj().swapaxes(-1, -2))[owner[deficient]]
-        outside = max_eig(comp @ ks[deficient] @ comp) > rank_tol
+        outside = max_eig(comp @ ks[deficient] @ comp) > RANK_TOL
         c[np.flatnonzero(deficient)[outside]] = math.inf
     return c
 
@@ -122,10 +121,10 @@ def imax_for_states(jobs) -> list[list[tuple[float, tuple[float, ...], np.ndarra
     out: list = [None] * len(jobs)
     for idx in groups([rho.shape.dims for _, rho in jobs]).values():
         parts = [measurement_blocks(jobs[j][0], jobs[j][1]) for j in idx]
-        blocks = check_psd(np.concatenate(parts), 1e-10, "K")
+        blocks = check_psd(np.concatenate(parts), "K")
         owner = np.repeat(np.arange(len(idx)), [len(part) for part in parts])
         rho_bs = np.stack([reduced_b(jobs[j][1]) for j in idx])
-        cs = _dmax_blocks(blocks, rho_bs, owner, RANK_TOL)
+        cs = _dmax_blocks(blocks, rho_bs, owner)
         if np.isinf(cs).any():
             raise InputError("measurement block has weight outside supp(rho_B); value unbounded")
         ends = np.cumsum([0] + [len(povm) for j in idx for povm in jobs[j][0]]).tolist()
@@ -144,27 +143,22 @@ def _scored(cs: np.ndarray, blocks: np.ndarray) -> tuple[float, tuple[float, ...
 
 
 def domination_defect(blocks: np.ndarray, rho_b: np.ndarray, lam, sigma,
-                      sizes=None) -> float | np.ndarray:
-    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B, for one
-    measurement's blocks K_x and rho_B, in one stacked call. `lam` is one
-    exponent (a float is returned) or a sequence of them (an array).
-
-    Given `sizes`, `blocks` holds several measurements, sizes[m] blocks each,
-    `rho_b` is one matrix or one per block, each exponent in `lam` is one per
-    measurement, and the result has one column per measurement.
+                      sizes) -> np.ndarray:
+    """Largest eigenvalue violation of M(rho) <= 2^lam sigma (x) rho_B for each of
+    several measurements, in one stacked call: `blocks` holds their blocks K_x,
+    sizes[m] for measurement m, with sigma(x) for each block in `sigma`; `rho_b`
+    is one matrix or one per block, and `lam` holds one exponent per measurement,
+    or rows of them. The result has one column per measurement (and one row per
+    row of `lam`).
 
     <= 0 means the inequality holds blockwise for this sigma.
     """
-    one = sizes is None
-    sizes = [len(blocks)] if one else list(sizes)
+    sizes = list(sizes)
     if len(sigma) != len(blocks) or sum(sizes) != len(blocks):
         raise InputError("sigma length must match outcome count")
-    exps = np.asarray(lam, float)[..., None] if one else np.asarray(lam, float)
-    scale = np.repeat(2.0**exps, sizes, axis=-1) * np.asarray(sigma, float)
+    scale = np.repeat(2.0**np.asarray(lam, float), sizes, axis=-1) * np.asarray(sigma, float)
     per_block = max_eig(blocks - scale[..., None, None] * rho_b)
-    defects = np.maximum.reduceat(per_block, np.cumsum([0] + sizes[:-1]), axis=-1)
-    defects = defects[..., 0] if one else defects
-    return defects if defects.ndim else float(defects)
+    return np.maximum.reduceat(per_block, np.cumsum([0] + sizes[:-1]), axis=-1)
 
 
 def _fourier_basis(dim: int) -> np.ndarray:
@@ -257,13 +251,12 @@ def _acc_bounds(states, budget: int | None, seeds) -> list[ImaxEstimate]:
                          searched=len(found)) for found, upper in zip(scored, uppers)]
 
 
-def local_channel_monotonicity_checks(
-    cases, budget: int | None = None, tol: float = 1e-8
-) -> list[tuple[bool, float, float]]:
+def local_channel_monotonicity_checks(cases) -> list[tuple[bool, float, float]]:
     """For each (rho_ab, kraus_a, kraus_b, seed) case, check every searched
     measurement value on (E_A (x) E_B)(rho) stays below the rank upper bound of
-    the ORIGINAL A register. Every transformed state is searched and scored
-    together. Returns (ok, best_transformed_value, original_upper) per case."""
+    the ORIGINAL A register, within 1e-8. Every transformed state is searched,
+    24 measurements each, and scored together. Returns (ok,
+    best_transformed_value, original_upper) per case."""
     transformed, original = [], []
     for rho_ab, kraus_a, kraus_b, _ in cases:
         joint_kraus = [tensor(ka, kb) for ka in kraus_a for kb in kraus_b]
@@ -272,6 +265,6 @@ def local_channel_monotonicity_checks(
             for label, kraus in zip(rho_ab.shape.labels, (kraus_a, kraus_b))))
         transformed.append(density_from_matrix(out_shape, apply_kraus(rho_ab.matrix, joint_kraus)))
         original.append(zero_entropy(rho_ab, rho_ab.shape.labels[0]))
-    estimates = _acc_bounds(transformed, budget, [case[3] for case in cases])
-    return [(est.lower <= upper + tol, est.lower, upper)
+    estimates = _acc_bounds(transformed, 24, [case[3] for case in cases])
+    return [(est.lower <= upper + 1e-8, est.lower, upper)
             for est, upper in zip(estimates, original)]

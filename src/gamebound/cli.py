@@ -8,6 +8,7 @@ error, 3 internal error (an unexpected exception, reported on one line).
 from __future__ import annotations
 
 import argparse
+import fractions
 import json
 import math
 import sys
@@ -46,6 +47,14 @@ def positive_float(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
+
+
+def fraction(text: str) -> float:
+    """An argparse type for a ball radius: a decimal or fraction like 1/7, as the nearest float."""
+    try:
+        return float(fractions.Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"expected a finite fraction like 1/7, got {text!r}")
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=runs_int, default=None, help="runs (default 200)")
     p.add_argument("--wrong-opening", action="store_true")
     p.add_argument("--code", type=str, default=None, help="code name (default rep31)")
-    p.add_argument("--delta", type=float, default=None, help="ball radius (default 0)")
+    p.add_argument("--delta", type=fraction, default=None, help="ball radius (default 0)")
     p.add_argument("--samples", type=runs_int, default=None, help="samples (default 10)")
     p.set_defaults(func=_cmd_onecc)
 
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget(p, "sampled opening pairs (default: exhaustive)")
     p.add_argument("--code", type=str, default="rep31")
     p.add_argument("--n", type=runs_int, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=fraction, default=0.0, help="ball radius, like 1/7")
     p.add_argument("--hash-member", type=int, default=1)
     p.add_argument("--syndrome", type=str, default=None, help="bits like 0,1,0")
     p.add_argument("--masked-bit", type=int, default=0)

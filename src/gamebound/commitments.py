@@ -40,13 +40,13 @@ from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix
 
 
-def _check_projector(m: np.ndarray, name, tol: float = 1e-9) -> np.ndarray:
-    """A projector, or an (n, d, d) stack of them, checked PSD and idempotent; a stack's
-    errors name its first bad element as f"{name} {i}", or as name(i) when `name` is a
-    function."""
-    arr = check_psd(m, 1e-10, name)
+def _check_projector(m: np.ndarray, name) -> np.ndarray:
+    """A projector, or an (n, d, d) stack of them, checked PSD and idempotent within 1e-9;
+    a stack's errors name its first bad element as f"{name} {i}", or as name(i) when `name`
+    is a function."""
+    arr = check_psd(m, name)
     defect = np.abs(arr @ arr - arr).max(axis=(-2, -1), initial=0.0)
-    reject_first(defect > tol, name, lambda i: f"is not idempotent within {tol}")
+    reject_first(defect > 1e-9, name, lambda i: "is not idempotent within 1e-09")
     return hermitize(arr)
 
 
@@ -95,11 +95,11 @@ class BindingReport:
 
 def scheme_epsilon_na(scheme: ProjectiveCommitmentScheme) -> float:
     """Worst-case non-adaptive epsilon over all states: the best opening pair
-    satisfies max_rho (p0 + p1) = ||V_{y0} + V_{y1}||."""
-    best = 0.0
-    for _, v0 in scheme.openings_zero:
-        for _, v1 in scheme.openings_one:
-            best = max(best, spectral_norm(v0 + v1))
+    satisfies max_rho (p0 + p1) = ||V_{y0} + V_{y1}||. Every pair is normed in
+    one stacked call."""
+    v0 = np.stack([v for _, v in scheme.openings_zero])[:, None]
+    v1 = np.stack([v for _, v in scheme.openings_one])[None]
+    best = float(spectral_norm((v0 + v1).reshape(-1, scheme.dim_b, scheme.dim_b)).max())
     return max(0.0, best - 1.0)
 
 
@@ -153,14 +153,14 @@ def _qubit_optimum(
     return float(max(traces.max(), (traces[j] + tops).max(initial=-math.inf)))
 
 
-def norm_lemma_check(x: np.ndarray, y: np.ndarray, tol: float = 1e-9):
-    """||X + Y|| <= 1 + ||XY|| for projectors X, Y: (ok, lhs, rhs), or arrays of
+def norm_lemma_check(x: np.ndarray, y: np.ndarray):
+    """||X + Y|| <= 1 + ||XY|| + 1e-9 for projectors X, Y: (ok, lhs, rhs), or arrays of
     them for (n, d, d) stacks of pairs."""
     xp = _check_projector(x, "X")
     yp = _check_projector(y, "Y")
     lhs = spectral_norm(xp + yp)
     rhs = 1.0 + spectral_norm(xp @ yp)
-    return lhs <= rhs + tol, lhs, rhs
+    return lhs <= rhs + 1e-9, lhs, rhs
 
 
 def cheat_state(

@@ -1,4 +1,4 @@
-"""Global caps and default tolerances, overridable per call."""
+"""Caps and shared tolerances; SOLVER_TOL and DEFAULT_SEARCH_BUDGET are per-call defaults."""
 from __future__ import annotations
 
 # Hard caps so a bad input cannot allocate huge dense matrices.

@@ -46,12 +46,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_MAX_OPERATORS, EQ_TOL, HERM_TOL, SOLVER_MAX_ITER, SOLVER_TOL
+from .config import DEFAULT_MAX_OPERATORS, EQ_TOL, SOLVER_MAX_ITER, SOLVER_TOL
 from .errors import InputError
 from .linalg import (
     as_complex_stack,
     check_psd,
-    eig_hermitian,
     hermitize,
     max_eig,
     reject_first,
@@ -79,7 +78,7 @@ def validate_povms(stack: np.ndarray, names=None) -> np.ndarray:
         raise InputError(f"POVM stack must have shape (m, n, d, d), got {stack.shape}")
     m, n, d = stack.shape[:3]
     names = names or (["POVM"] if m == 1 else [f"POVM {i}" for i in range(m)])
-    check_psd(stack.reshape(m * n, d, d), HERM_TOL, lambda i: f"{names[i // n]} element {i % n}")
+    check_psd(stack.reshape(m * n, d, d), lambda i: f"{names[i // n]} element {i % n}")
     defect = np.abs(stack.sum(axis=1) - np.eye(d)).max(axis=(1, 2), initial=0.0)
     reject_first(defect > EQ_TOL, names.__getitem__, lambda i: "elements do not sum to "
                  f"the identity within 1e-9: defect {defect[i]:.3e}")
@@ -128,7 +127,7 @@ class DiscriminationInstance:
             raise InputError(f"instance has {len(self.operators)} operators, "
                              f"cap is {DEFAULT_MAX_OPERATORS}")
         arr = as_complex_stack(self.operators, "score operator")
-        arr = hermitize(check_psd(arr, HERM_TOL, "score operator"))
+        arr = hermitize(check_psd(arr, "score operator"))
         arr.setflags(write=False)
         object.__setattr__(self, "stack", arr)
         object.__setattr__(self, "operators", tuple(arr))
@@ -197,12 +196,12 @@ def binary_optimal(k0: np.ndarray, k1: np.ndarray) -> tuple[float, Povm]:
     The optimal F_0 is the projector onto the nonnegative eigenspace of
     K_0 - K_1; the value is tr K_1 + tr (K_0 - K_1)_+, the positive part.
     """
-    a = check_psd(k0, HERM_TOL, "K0")
-    b = check_psd(k1, HERM_TOL, "K1")
+    a = check_psd(k0, "K0")
+    b = check_psd(k1, "K1")
     if a.shape != b.shape:
         raise InputError("score operators must share one dimension")
     delta = hermitize(a - b)
-    vals, vecs = eig_hermitian(delta)
+    vals, vecs = np.linalg.eigh(delta)
     pos = vecs[:, vals >= 0.0]
     f0 = hermitize(pos @ pos.conj().T)
     f1 = np.eye(a.shape[0]) - f0

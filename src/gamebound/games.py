@@ -61,7 +61,7 @@ class BinaryPovmFamily:
                              f"{DEFAULT_MAX_OPERATORS}")
         names = [f"effect {label!r}" for label in self.labels]
         arr = as_complex_stack(self.effects, "effect", finite=False)
-        arr = hermitize(check_psd(arr, 1e-10, names.__getitem__))
+        arr = hermitize(check_psd(arr, names.__getitem__))
         reject_first(min_eig(np.eye(arr.shape[1]) - arr) < -1e-9, names.__getitem__,
                      lambda i: "exceeds the identity")
         arr.setflags(write=False)
@@ -140,12 +140,12 @@ def semi_adaptive_success(game: AttackGame, tol: float = SOLVER_TOL) -> SolverCe
     return optimal_discrimination(score_operators(reduced, game.family.effects), tol=tol)
 
 
-def aprime_is_classical(game: AttackGame, tol: float = 1e-10) -> bool:
-    """True when dim A' = 1 or the state is block diagonal in the declared A' basis."""
+def aprime_is_classical(game: AttackGame) -> bool:
+    """True when dim A' = 1 or the state is block diagonal in the declared A' basis, to 1e-10."""
     dim_a, dim_ap, dim_b = game.dims
     mat = game.state.matrix.reshape(dim_a, dim_ap, dim_b, dim_a, dim_ap, dim_b)
     off_diagonal = ~np.eye(dim_ap, dtype=bool)[None, :, None, None, :, None]
-    return bool(np.abs(mat * off_diagonal).max() <= tol)
+    return bool(np.abs(mat * off_diagonal).max() <= 1e-10)
 
 
 def verify_main_theorem(

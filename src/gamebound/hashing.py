@@ -70,10 +70,8 @@ def privacy_amp_distance(cq: CqState, n: int) -> float:
     return float(np.abs(np.linalg.eigvalsh(diff)).sum()) / len(members)
 
 
-def privacy_amp_check(
-    cq: CqState, n: int, tol: float = 1e-9
-) -> tuple[bool, float, float, float]:
-    """Distance <= (1/2) * 2^{-(Hmin - 1)/2} with Hmin from the certified dual.
+def privacy_amp_check(cq: CqState, n: int) -> tuple[bool, float, float, float]:
+    """Distance <= (1/2) * 2^{-(Hmin - 1)/2} + 1e-9 with Hmin from the certified dual.
 
     Returns (ok, distance, bound, hmin_lower). The dual value upper-bounds the
     guessing probability, so hmin_lower never exceeds the true min-entropy and
@@ -83,4 +81,4 @@ def privacy_amp_check(
     cert = guessing_probability(cq)
     hmin_lower = -float(math.log2(cert.dual_value))
     bound = 0.5 * 2.0 ** (-(hmin_lower - 1.0) / 2.0)
-    return distance <= bound + tol, distance, bound, hmin_lower
+    return distance <= bound + 1e-9, distance, bound, hmin_lower

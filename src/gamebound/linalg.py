@@ -57,15 +57,15 @@ def as_complex_stack(ms, name: str = "matrix", finite: bool = True) -> np.ndarra
     return arr
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """A square matrix, or each element of an (n, d, d) stack, as a finite complex array
-    Hermitian within tol; a stack's errors name its first bad element as f"{name} {i}", or
+    Hermitian within HERM_TOL; a stack's errors name its first bad element as f"{name} {i}", or
     as name(i) when `name` is a function."""
     arr = np.asarray(m, dtype=complex)
     arr = as_complex_stack(arr, name) if arr.ndim == 3 else as_complex_matrix(arr, name)
     defect = herm_defect(arr)
-    reject_first(defect > tol, name, lambda i: f"not Hermitian: defect "
-                 f"{np.atleast_1d(defect)[i]:.3e} > {tol:.1e}")
+    reject_first(defect > HERM_TOL, name, lambda i: f"not Hermitian: defect "
+                 f"{np.atleast_1d(defect)[i]:.3e} > {HERM_TOL:.1e}")
     return arr
 
 
@@ -84,14 +84,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    arr = check_hermitian(m, tol)
-    vals, vecs = np.linalg.eigh(hermitize(arr))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def min_eig(m: np.ndarray) -> float | np.ndarray:
     """Smallest eigenvalue (one per stack element) of the Hermitized input, unvalidated."""
     return _extreme_eig(m, 0)
@@ -106,12 +98,12 @@ def _extreme_eig(m: np.ndarray, end: int) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def check_psd(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
-    """check_hermitian, then PSD within tol, with one eigvalsh for a stack."""
-    arr = check_hermitian(m, tol, name)
+def check_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """check_hermitian, then PSD within HERM_TOL, with one eigvalsh for a stack."""
+    arr = check_hermitian(m, name)
     low = min_eig(arr)
-    reject_first(low < -tol, name, lambda i: f"not PSD: min eigenvalue "
-                 f"{np.atleast_1d(low)[i]:.3e} < -{tol:.1e}")
+    reject_first(low < -HERM_TOL, name, lambda i: f"not PSD: min eigenvalue "
+                 f"{np.atleast_1d(low)[i]:.3e} < -{HERM_TOL:.1e}")
     return arr
 
 

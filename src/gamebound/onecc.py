@@ -104,14 +104,15 @@ class SmallSupState:
     in basis theta.
 
     Row W[y] = alpha_y xi_y of the read-only (|ball|, dim A) array `rows` is
-    the A-part paired with ball string y. Ball states in one basis are
+    the A-part paired with ball string y, the same row of `ball`, the cached
+    read-only coding.hamming_ball array. Ball states in one basis are
     orthonormal, so the state's norm is the Frobenius norm of `rows`.
     """
 
     theta: np.ndarray = field(repr=False)
     delta: float
     dim_a: int
-    ball: tuple[tuple[int, ...], ...]
+    ball: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
 
     @property
@@ -124,7 +125,7 @@ def _zero_parts(state: SmallSupState, candidates: np.ndarray) -> np.ndarray:
     as a (len(candidates), dim A) array; g_cand is one _gram row."""
     masks = np.asarray(candidates, dtype=np.uint8) ^ state.theta
     zero = np.zeros((1, state.n), dtype=np.uint8)
-    return _gram(zero, np.array(state.ball, dtype=np.uint8), masks)[:, 0, :] @ state.rows
+    return _gram(zero, state.ball, masks)[:, 0, :] @ state.rows
 
 
 def sample_smallsup_state(theta, delta: float, dim_a: int, seed=0) -> SmallSupState:
@@ -150,7 +151,7 @@ def sample_smallsup_state(theta, delta: float, dim_a: int, seed=0) -> SmallSupSt
         theta=theta,
         delta=delta,
         dim_a=dim_a,
-        ball=tuple(map(tuple, ball.tolist())),
+        ball=ball,
         rows=rows,
     )
 
@@ -187,8 +188,7 @@ def wrong_opening_bound_check(
 
 
 def adaptive_wrong_opening(
-    state: SmallSupState, code: LinearCode, hash_member: int, s, w: int,
-    tol: float = 1e-7,
+    state: SmallSupState, code: LinearCode, hash_member: int, s, w: int
 ) -> dict:
     """POVM-relaxation success of opening the bit OTHER than the extractor's,
     with the chain bound 2^{H0(A)} * (wrong-opening bound). The check passes
@@ -209,7 +209,7 @@ def adaptive_wrong_opening(
     if not ops:
         return {"extracted": c, "wrong_open_success": 0.0, "wrong_open_dual": 0.0,
                 "chain_bound": chain_bound, "pass": True}
-    cert = optimal_discrimination(DiscriminationInstance(ops), tol=tol)
+    cert = optimal_discrimination(DiscriminationInstance(ops), tol=1e-7)
     return {
         "extracted": c,
         "wrong_open_success": cert.primal_value,

@@ -29,10 +29,9 @@ def random_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Full-rank by default; pass rank for a rank-deficient state."""
-    r = dim if rank is None else rank
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A full-rank state: G G^dagger, normalised, for a Ginibre matrix G."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return hermitize(m / np.real(np.trace(m)))
 

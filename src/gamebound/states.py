@@ -10,7 +10,6 @@ from .config import DENSITY_HERM_TOL, RANK_TOL
 from .errors import InputError
 from .linalg import (
     as_complex_matrix,
-    eig_hermitian,
     herm_defect,
     hermitize,
     load_json,
@@ -66,14 +65,13 @@ def partial_trace(rho: DensityOperator, keep: tuple[str, ...]) -> DensityOperato
     return DensityOperator(new_shape, hermitize(reduced))
 
 
-def zero_entropy(rho: DensityOperator, label: str, rank_tol: float = RANK_TOL) -> float:
+def zero_entropy(rho: DensityOperator, label: str) -> float:
     """lg rank of the reduced state on `label`.
 
-    Eigenvalues within rank_tol of zero do not count toward the rank.
+    Eigenvalues within RANK_TOL of zero do not count toward the rank.
     """
     reduced = rho if rho.shape.labels == (label,) else partial_trace(rho, (label,))
-    vals, _ = eig_hermitian(reduced.matrix)
-    rank = int(np.sum(vals > rank_tol))
+    rank = int(np.sum(np.linalg.eigvalsh(reduced.matrix) > RANK_TOL))
     if rank == 0:
         raise InputError("reduced state has numerical rank 0")
     return float(np.log2(rank))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gamebound import accessible
+from gamebound import acceptance, accessible
 from gamebound.acceptance import criterion_04_measurement_domination
 from gamebound.accessible import (
     Povm,
@@ -16,7 +16,6 @@ from gamebound.accessible import (
     search_families,
     standard_measurements,
 )
-from gamebound.config import RANK_TOL
 from gamebound.errors import InputError
 from gamebound.linalg import hermitize, partial_trace_matrix
 from gamebound.rand import (
@@ -52,7 +51,14 @@ def random_povm(dim, outcomes, rng):
 def dmax(k, rho):
     """Smallest c >= 0 with K <= c * rho, from the stacked core on a stack of one."""
     return float(accessible._dmax_blocks(np.asarray(k, complex)[None], hermitize(rho)[None],
-                                         np.zeros(1, int), RANK_TOL)[0])
+                                         np.zeros(1, int))[0])
+
+
+def one_defect(blocks, rho_b, lam, sigma):
+    """domination_defect of one measurement: a float for one exponent, a list
+    for a sequence of them."""
+    lam = np.asarray(lam, float)[..., None]
+    return domination_defect(blocks, rho_b, lam, sigma, [len(blocks)])[..., 0].tolist()
 
 
 def dmax_by_bisection(rho, sigma, lo=-40.0, hi=40.0, iters=80):
@@ -106,8 +112,8 @@ def test_imax_value_is_max_over_outcome_dmax():
     povm = random_povm(2, 3, rng)
     value, sigma, blocks = imax_for_measurement(povm, rho)
     rho_b = accessible.reduced_b(rho)
-    assert domination_defect(blocks, rho_b, value, sigma) <= 1e-9
-    assert domination_defect(blocks, rho_b, value - 1e-4, sigma) > 0.0
+    assert one_defect(blocks, rho_b, value, sigma) <= 1e-9
+    assert one_defect(blocks, rho_b, value - 1e-4, sigma) > 0.0
 
 
 def test_imax_never_exceeds_zero_entropy():
@@ -138,8 +144,7 @@ def test_local_channels_respect_original_bound():
     rho = copy_state(2)
     p = np.diag([1.0, 0.0]).astype(complex)
     ok, transformed, original = local_channel_monotonicity_checks(
-        [(rho, [np.eye(2, dtype=complex)], [p, np.eye(2) - p], 3)], budget=16
-    )[0]
+        [(rho, [np.eye(2, dtype=complex)], [p, np.eye(2) - p], 3)])[0]
     assert ok
     assert transformed <= original + 1e-8
 
@@ -208,12 +213,11 @@ def _assert_matches_reference(povm, rho):
     rho_b = accessible.reduced_b(rho)
     np.testing.assert_allclose(rho_b, _rho_b_ref(rho), rtol=0, atol=1e-14)
     for shift in (0.0, 1e-4):
-        assert domination_defect(blocks, rho_b, lam - shift, sigma) == pytest.approx(
+        assert one_defect(blocks, rho_b, lam - shift, sigma) == pytest.approx(
             _defect_ref(povm, rho, want_lam - shift, want_sigma), abs=1e-12)
     # both lambdas in one stacked call, bit for bit the two single calls
-    stacked = domination_defect(blocks, rho_b, (lam, lam - 1e-4), sigma)
-    assert stacked.tolist() == [domination_defect(blocks, rho_b, lam, sigma),
-                                domination_defect(blocks, rho_b, lam - 1e-4, sigma)]
+    assert one_defect(blocks, rho_b, (lam, lam - 1e-4), sigma) == [
+        one_defect(blocks, rho_b, lam, sigma), one_defect(blocks, rho_b, lam - 1e-4, sigma)]
     np.testing.assert_allclose(accessible.measurement_blocks(povm, rho),
                                _blocks_ref(povm, rho), rtol=0, atol=1e-14)
 
@@ -325,11 +329,12 @@ def test_criterion_04_makes_few_eigendecompositions(monkeypatch):
             calls.append(1)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, kind, counted)
-    assert criterion_04_measurement_domination(seed=0, n_states=10).passed
-    assert len(calls) <= 1672 // 3
-    calls.clear()
-    assert criterion_04_measurement_domination(seed=0, n_states=100).passed
+    assert criterion_04_measurement_domination(seed=0).passed
     assert len(calls) <= 1200
+    calls.clear()
+    monkeypatch.setattr(acceptance, "_C04_STATES", 10)
+    assert criterion_04_measurement_domination(seed=0).passed
+    assert len(calls) <= 1672 // 3
 
 
 # --- the cross-state core ------------------------------------------------------
@@ -373,8 +378,7 @@ def test_states_in_one_call_match_one_job_calls():
                                 np.concatenate([s for _, s, _ in scored]), sizes)
         assert got.shape == (2, len(scored))
         for m, (lam, sigma, blocks) in enumerate(scored):
-            assert got[:, m].tolist() == domination_defect(
-                blocks, rho_b, (lam, lam - 1e-4), sigma).tolist()
+            assert got[:, m].tolist() == one_defect(blocks, rho_b, (lam, lam - 1e-4), sigma)
 
 
 def test_unbounded_job_fails_the_batched_call(monkeypatch):
@@ -491,9 +495,8 @@ def test_channel_checks_together_match_one_check_each():
                                   random_density_matrix(dim_a * dim_b, rng))
         p = np.diag([1.0] * (dim_b // 2) + [0.0] * (dim_b - dim_b // 2)).astype(complex)
         cases.append((rho, [haar_unitary(dim_a, rng)], [p, np.eye(dim_b) - p], (73, k)))
-    together = local_channel_monotonicity_checks(cases, budget=12)
-    assert together == [local_channel_monotonicity_checks([case], budget=12)[0]
-                        for case in cases]
+    together = local_channel_monotonicity_checks(cases)
+    assert together == [local_channel_monotonicity_checks([case])[0] for case in cases]
 
 
 def test_blocks_of_a_job_are_its_measurements_blocks_in_turn():

@@ -394,8 +394,36 @@ def _scheme_file(tmp_path):
     return str(scheme_path)
 
 
-BCJL_HAMMING74 = ["bcjl", "--code", "hamming74", "--delta", "0.142857", "--hash-member", "5",
+BCJL_HAMMING74 = ["bcjl", "--code", "hamming74", "--delta", "1/7", "--hash-member", "5",
                   "--syndrome", "0,1,0", "--masked-bit", "1"]
+
+
+def test_bcjl_fraction_delta_is_criterion_08_instance(tmp_path, capsys):
+    """--delta 1/7 gives criterion 08's [7,4] instance, radius-1 balls searched
+    exhaustively; 0.142857 would give radius floor(0.142857 * 7) = 0."""
+    out_path = tmp_path / "bcjl.json"
+    assert main(BCJL_HAMMING74 + ["--out", str(out_path)]) == 0
+    (chk,) = json.loads(out_path.read_text())["checks"]
+    assert chk["values"]["max_sum"] == 1.9659258262890682
+    assert chk["bound"] == 13.481413749543734
+    assert chk["values"]["pairs_evaluated"] == 1_048_576
+    assert chk["values"]["exhaustive"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bcjl", "--delta", "1/0"],
+    ["bcjl", "--delta", "nan"],
+    ["onecc", "--wrong-opening", "--delta", "nan"],
+    ["onecc", "--wrong-opening", "--delta", "inf"],
+    ["onecc", "--wrong-opening", "--delta", "1e400"],
+])
+def test_delta_that_is_not_a_finite_fraction_is_usage_error(argv, capsys):
+    """A zero denominator, NaN, infinity or a value past the float range is a
+    usage error (exit 2), not a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "expected a finite fraction" in captured.err
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("argv", [

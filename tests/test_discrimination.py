@@ -114,8 +114,14 @@ def test_solver_certificate_properties(n_ops, dim, pure, seed):
     rng = rng_from_seed(seed)
     weights = rng.random(n_ops) + 0.05
     weights /= weights.sum()
-    inst = DiscriminationInstance(tuple(
-        w * random_density_matrix(dim, rng, rank=1 if pure else None) for w in weights))
+
+    def state():
+        if not pure:
+            return random_density_matrix(dim, rng)
+        v = random_pure_vector(dim, rng)
+        return np.outer(v, v.conj())
+
+    inst = DiscriminationInstance(tuple(w * state() for w in weights))
     cert = optimal_discrimination(inst, tol=1e-9)
     assert cert.primal_value <= cert.dual_value + 1e-12  # the two sides round apart
     assert dual_feasibility_defect(inst, cert.dual_witness) <= 1e-12

@@ -27,11 +27,11 @@ TOLERANCE = {
     "02": 1e-7,   # values and gap within 1e-7
     "03": 1e-6,   # bound check tol=1e-6
     "04": 1e-8,   # zero-entropy margin 1e-8
-    "05": 1e-9,   # norm lemma tol=1e-9
+    "05": 1e-9,   # norm lemma slack 1e-9
     "06": 1e-7,   # second-projector slack 1e-7
     "07": 1e-9,   # lemma bound + 1e-9
     "08": 1e-9,   # pair bound + 1e-9
-    "09": 1e-9,   # privacy_amp_check tol=1e-9
+    "09": 1e-9,   # privacy_amp_check slack 1e-9
     "10": 1e-12,
     "11": 1e-12,
     "12": 1e-9,   # storage-reduction slack 1e-9

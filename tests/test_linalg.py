@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gamebound.linalg import (
     apply_kraus,
-    eig_hermitian,
     hermitize,
     partial_trace_matrix,
     spectral_norm,
@@ -132,14 +131,6 @@ def test_spectral_norm_of_projector_is_one():
     rng = rng_from_seed(6)
     p = random_projector(5, 2, rng)
     assert spectral_norm(p) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_eig_hermitian_reconstructs():
-    rng = rng_from_seed(7)
-    mat = hermitize(complex_matrix(rng, 6))
-    vals, vecs = eig_hermitian(mat)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, mat, atol=1e-10)
-    assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
 
 def test_hermitize_idempotent_and_fixes_drift():

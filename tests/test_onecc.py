@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gamebound import bcjl, onecc
+from gamebound import acceptance, bcjl, onecc
 from gamebound.acceptance import criterion_07_wrong_opening
 from gamebound.coding import (
     LinearCode,
@@ -268,7 +268,8 @@ def test_chain_check_reads_the_dual(monkeypatch):
     out = adaptive_wrong_opening(st, code, 19, s, 1)
     assert (out["wrong_open_success"], out["wrong_open_dual"]) == (bound - 0.5, bound + 0.5)
     assert not out["pass"]
-    rec = criterion_07_wrong_opening(seed=0, samples=1)
+    monkeypatch.setattr(acceptance, "_C07_SAMPLES", 1)
+    rec = criterion_07_wrong_opening(seed=0)
     assert not rec.passed
     assert rec.values["failures"] == [{"sample": 0, "kind": "chain-bound"}]
 
