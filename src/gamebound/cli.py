@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import accessible, acceptance, bcjl, coding, commitments, games, onecc, ucsim
-from .config import DEFAULT_SEARCH_BUDGET
+from .config import DEFAULT_SEARCH_BUDGET, SOLVER_TOL_FLOOR
 from .errors import CapExceededError, InputError
 from .rand import rng_from_seed
 from .report import CheckRecord, ExperimentReport, timed_record
@@ -46,6 +46,16 @@ def positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def solver_tol(text: str) -> float:
+    """An argparse type for tolerances the solver must reach: positive_float, and at least
+    SOLVER_TOL_FLOOR, below which whether a solve reaches it is rounding luck."""
+    value = positive_float(text)
+    if value < SOLVER_TOL_FLOOR:
+        raise argparse.ArgumentTypeError(f"expected a tolerance of at least {SOLVER_TOL_FLOOR:g}, "
+                                         f"the solver's rounding floor, got {text!r}")
     return value
 
 
@@ -326,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="write the full JSON report here")
 
-    def tol(p):
-        p.add_argument("--tol", type=positive_float, default=1e-7)
+    def tol(p, kind=positive_float):
+        p.add_argument("--tol", type=kind, default=1e-7)
 
     def budget(p, text):
         p.add_argument("--budget", type=runs_int, default=None, help=text)
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binding", help="commitment binding analyses")
     common(p)
-    tol(p)
+    tol(p, solver_tol)
     p.add_argument("--scheme", type=str, required=True, help="scheme JSON")
     p.add_argument("--state", type=str, default=None, help="attack state JSON")
     p.add_argument("--mode", type=str, default="povm-relaxation",
@@ -357,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("onecc", help="commit-from-choice protocol checks")
     common(p)
-    tol(p)
+    tol(p, solver_tol)
     p.add_argument("--guessing", action="store_true")
     p.add_argument("--commit-sim", action="store_true")
     p.add_argument("--big-n", type=int, default=None, help="qubits (default 40)")

@@ -12,4 +12,5 @@ DENSITY_HERM_TOL = 1e-12  # density operators are constructed, not measured
 EQ_TOL = 1e-9             # equality comparisons
 RANK_TOL = 1e-8           # rank decisions in zero-order entropy
 SOLVER_TOL = 1e-7
+SOLVER_TOL_FLOOR = 1e-10  # the CLI's smallest solver tol: below it, reaching tol is rounding luck
 SOLVER_MAX_ITER = 10000

@@ -11,29 +11,44 @@ tr(Y) - mu sum_j log det(Y - K_j) over Hermitian Y, d^2 real coordinates
 Verghese, IEEE TIT 49(4), 2003), as a predictor-corrector path follower.
 Each Newton step solves the d^2 x d^2 system H = sum_j (S_j^{-1} (x) S_j^{-T}),
 S_j = Y - K_j, assembled as one (d^2, n) (n, d^2) product; a Cholesky
-factorization of every S_j proves each iterate strictly feasible, and a step
-is halved until one exists. Corrector steps are damped by 1/(1 + lambda),
-lambda the Newton decrement, until lambda^2 <= 1/4, and full after that.
-Only a point whose path gap n*d*mu is at most 10 max(tol, 1e-10 tr Y) can
-end the solve, so only such a point is certified, after a step from
-lambda^2 <= 1e-4: F_j = mu S_j^{-1} renormalized by (sum_j F_j)^{-1/2} is
-then a POVM whose value lags the optimum by about
+factorization S_j = L_j L_j^H of every S_j proves each iterate strictly
+feasible, and a step is halved until one exists. A corrector step with
+lambda^2 <= 1/4, lambda the Newton decrement, is a full step. Any other is
+line-searched: along the Newton direction D the barrier is the scalar
+phi(t) = t tr(D)/mu - sum log(1 + t sigma), sigma the eigenvalues of every
+L_j^{-1} D L_j^{-H}, all taken by one stacked eigvalsh (Vandenberghe & Boyd,
+SIAM Review 38(1), 1996, secs. 6-7; Boyd & Vandenberghe, secs. 9.2, 9.5).
+Its minimiser lies between the damped step 1/(1 + lambda) and
+t_max = -1/min sigma; phi' on a fixed geometric grid from the former,
+capped at 0.99 t_max, brackets it, and one secant step in the bracket
+gives t. Only a point whose path gap n*d*mu is at most 10 max(tol,
+1e-10 tr Y) can end the solve, so only such a point is certified, after a
+step from lambda^2 <= 1e-4: F_j = mu S_j^{-1} renormalized by
+(sum_j F_j)^{-1/2} is then a POVM whose value lags the optimum by about
 ||sum_j F_j - I||^2 cond(S_j), an error that does not shrink with mu. Any
 other point counts as centered after one full step, since long-step path
 following needs only approximate centering between the points it reports
 (Boyd & Vandenberghe, sec. 11.5). Each POVM is certified against the
 smaller of tr(Y) and the dual repaired from it,
 Y0 = (1/2) sum_j (F_j K_j + K_j F_j) shifted by
-max(0, max_j lambda_max(K_j - Y0)) I, plus a rounding margin. On the path
-the gap is n*d*mu; mu shrinks by _MU_FACTOR per centering. Near the optimum
-the path is nearly affine in mu, so after each centering the predictor
-steps along its tangent dY/dmu = H^{-1}[I] / mu^2, with H built from the
-centered point's S_j^{-1}, to the next mu (halved until feasible), and the
-corrector starts there. The solver stops once a certificate's own gap
-dual - primal is at most tol, when two certificates in a row fail to
-shrink it, or at the rounding floor near 1e-10, where a full step stops
-shrinking lambda^2; a path ended by that floor, the step cap or an
-infeasible step certifies its last uncertified centered point.
+max(0, max_j lambda_max(K_j - Y0)) I, plus a rounding margin. For the
+uniform POVM that dual is mean_j K_j + s I with gap d s, found by one
+max_eig; its certificate is built only if that gap already meets tol, or if
+it beats every certificate the path meets. The path starts from that dual
+plus (gap/d) I, strictly feasible for every mu, at the mu one cut below the
+one whose path gap n*d*mu is the uniform gap. On the path the gap is
+n*d*mu; mu shrinks by _MU_FACTOR per centering. Near the optimum the path
+is nearly affine in mu, so after each centering the predictor steps along
+its tangent dY/dmu = H^{-1}[I] / mu^2, with H built from the centered
+point's S_j^{-1}, to the next mu (halved until feasible), and the corrector
+starts there. The solver stops once a certificate's own gap dual - primal
+is at most tol, when two certificates in a row fail to shrink it, or at
+the rounding floor near 1e-10. There a full step stops shrinking lambda^2;
+so does a line-searched step within 10x of that floor, and anywhere a
+line search whose predicted decrease phi(0) - phi(t) is below
+_ROUNDING tr(Y)/mu, which the barrier cannot resolve, ends the path too. A
+path ended by the floor, the step cap or an infeasible step certifies its
+last uncertified centered point.
 `iterations` counts corrector Newton steps; the predictor adds one more
 solve of H per centering, which it does not count. It is 0 when a shortcut
 certifies (the indicator POVM for d = 1, the Helstrom measurement for two
@@ -61,12 +76,18 @@ from .states import DensityOperator
 # (they converge quadratically there). A point with path gap at most
 # _GATE max(tol, 1e-10 tr Y) is centered to _CENTERED and certified, any
 # other to _FULL_STEP; mu then shrinks by _MU_FACTOR. The path stops after
-# _STALLS certificates in a row fail to shrink the gap.
+# _STALLS certificates in a row fail to shrink the gap. A line search
+# brackets its step on 0 and _GRID's ratio-1.4 multiples of 1/(1 + lambda);
+# it ends the path when its predicted decrease is below _ROUNDING tr(Y)/mu,
+# since every exact one is at least 0.5 - log 1.5 = 0.095 (Boyd &
+# Vandenberghe, sec. 9.6).
 _FULL_STEP = 0.25
 _CENTERED = 1e-4
 _GATE = 10.0
 _MU_FACTOR = 50.0
 _STALLS = 2
+_GRID = np.append(0.0, 1.4 ** np.arange(23))
+_ROUNDING = 1e-14
 
 
 def validate_povms(stack: np.ndarray, names=None) -> np.ndarray:
@@ -248,10 +269,11 @@ def _cholesky(s: np.ndarray) -> np.ndarray | None:
     return chol if np.isfinite(chol).all() else None
 
 
-def _inverses(chol: np.ndarray) -> np.ndarray:
-    """S_j^{-1} for each S_j = L_j L_j^H, from its Cholesky factors."""
+def _inverses(chol: np.ndarray):
+    """(L_j^{-1}, L_j^{-H}, S_j^{-1}) for each S_j = L_j L_j^H, from its Cholesky factors."""
     inv_l = np.linalg.inv(chol)
-    return inv_l.conj().transpose(0, 2, 1) @ inv_l
+    inv_lh = inv_l.conj().transpose(0, 2, 1)
+    return inv_l, inv_lh, inv_lh @ inv_l
 
 
 def _newton_solve(s_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -261,7 +283,8 @@ def _newton_solve(s_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # [(i,k), (j,l)], then reordered to [(i,j), (k,l)].
     flat = s_inv.reshape(n, d * d)
     hess = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    return hermitize(np.linalg.solve(hess.reshape(d * d, d * d), rhs.reshape(-1)).reshape(d, d))
+    x = np.linalg.solve(hess.reshape(d * d, d * d), rhs.reshape(-1)).reshape(d, d)
+    return (x + x.conj().T) / 2.0
 
 
 def _feasible_step(y: np.ndarray, step: np.ndarray, ops: np.ndarray):
@@ -270,11 +293,41 @@ def _feasible_step(y: np.ndarray, step: np.ndarray, ops: np.ndarray):
     above 1e-10 does."""
     t = 1.0
     while t > 1e-10:
-        chol = _cholesky(y + t * step - ops)
+        new = y + t * step
+        chol = _cholesky(new - ops)
         if chol is not None:
-            return y + t * step, chol
+            return new, chol
         t /= 2.0
     return y, None
+
+
+def _line_search(inv_l: np.ndarray, inv_lh: np.ndarray, step: np.ndarray, mu: float,
+                 decrement: float) -> tuple[float, float]:
+    """(t, phi(0) - phi(t)) for a t near the minimiser of the barrier along
+    `step`, phi(t) = t tr(step)/mu - sum log(1 + t sigma), sigma the
+    eigenvalues of every L_j^{-1} step L_j^{-H}; (0, 0) if `step` does not
+    descend."""
+    sigma = np.linalg.eigvalsh(inv_l @ step @ inv_lh).ravel()
+    slope = float(step.trace().real) / mu
+    low = float(sigma.min())
+    # phi' on the grid from the damped step 1/(1 + lambda), below which the
+    # minimiser never lies, capped short of t_max = -1/min sigma, where some
+    # Y + t step - K_j turns singular.
+    grid = _GRID / (1.0 + math.sqrt(decrement))
+    if low < 0.0:
+        grid = np.minimum(grid, -0.99 / low)
+    dphi = (slope - (sigma / (1.0 + grid[:, None] * sigma)).sum(axis=1)).tolist()
+    k = next((i for i, g in enumerate(dphi) if g >= 0.0), len(dphi))
+    if k == 0:
+        return 0.0, 0.0
+    # One secant step inside the bracket [a, grid[k]], or the grid's end.
+    a = float(grid[k - 1])
+    t = a if k == len(dphi) else a - dphi[k - 1] * (float(grid[k]) - a) / (dphi[k] - dphi[k - 1])
+    drop = float(np.log1p(t * sigma).sum()) - t * slope
+    if drop < 0.0:  # a descends, since phi' < 0 up to it
+        t = a
+        drop = float(np.log1p(t * sigma).sum()) - t * slope
+    return t, drop
 
 
 def optimal_discrimination(
@@ -300,14 +353,23 @@ def optimal_discrimination(
 
 
 def _barrier_path(instance: DiscriminationInstance, tol: float) -> SolverCertificate:
-    """The best certificate met on the central path, which starts from the
-    uniform POVM's certificate and returns it at once when it suffices."""
+    """The best certificate met on the central path, or the uniform POVM's
+    when it suffices at once or beats them all."""
     ops = instance.stack
     n, d = ops.shape[0], ops.shape[1]
     eye = np.eye(d)
-    best = _certificate(instance, [eye / n] * n, None, 0, tol)
-    if best.converged:
-        return best
+    y = ops.mean(axis=0)
+    shift = max(0.0, float(np.max(max_eig(ops - y))))
+    uniform_gap = d * shift
+
+    def uniform():
+        return _certificate(instance, [eye / n] * n, None, 0, tol)
+
+    if uniform_gap <= max(tol, 0.0):
+        cert = uniform()
+        # A zero gap is the optimum, which no point on the path beats.
+        if cert.converged or uniform_gap == 0.0:
+            return cert
 
     def certify(y, mu, s_inv):
         f = mu * s_inv
@@ -315,37 +377,42 @@ def _barrier_path(instance: DiscriminationInstance, tol: float) -> SolverCertifi
         norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
         return _certificate(instance, hermitize(norm @ f @ norm), y, 0, tol)
 
-    # A strictly feasible start, at the mu whose path gap n*d*mu is the uniform gap.
-    y = best.dual_witness + best.gap / d * eye
-    mu = best.gap / (n * d)
+    y = y + 2.0 * shift * eye
+    mu = uniform_gap / (n * d * _MU_FACTOR)
     chol = _cholesky(y - ops)
     steps, last_gap, stalls, last_decrement = 0, np.inf, 0, np.inf
+    certs = []
     pending = None  # the last centered point not certified, as (Y, mu, S^{-1})
     while steps < SOLVER_MAX_ITER and chol is not None:
         steps += 1
-        s_inv = _inverses(chol)
+        inv_l, inv_lh, s_inv = _inverses(chol)
         grad = eye / mu - s_inv.sum(axis=0)
         step = _newton_solve(s_inv, -grad)
         decrement = float(-np.vdot(grad, step).real)  # squared Newton decrement
         if decrement >= last_decrement:
-            # A full step failed to shrink the decrement: the rounding floor.
+            # A step failed to shrink the decrement: the rounding floor.
             pending = (y, mu, s_inv)
             break
-        gated = n * d * mu <= _GATE * max(tol, 1e-10 * np.trace(y).real)
-        # The damped step stays inside the Dikin ellipsoid, so it is feasible
-        # in exact arithmetic; halving covers rounding near the boundary.
-        t = 1.0 if decrement <= _FULL_STEP else 1.0 / (1.0 + np.sqrt(decrement))
+        trace = float(y.trace().real)
+        floor = n * d * mu <= _GATE * 1e-10 * trace
+        gated = floor or n * d * mu <= _GATE * tol
+        t = 1.0
+        if decrement > _FULL_STEP:
+            t, drop = _line_search(inv_l, inv_lh, step, mu, decrement)
+            if drop <= _ROUNDING * trace / mu:
+                pending = (y, mu, s_inv)
+                break
         y, chol = _feasible_step(y, t * step, ops)
-        last_decrement = decrement if t == 1.0 else np.inf
+        last_decrement = decrement if t == 1.0 or floor else np.inf
         if chol is None or decrement > (_CENTERED if gated else _FULL_STEP):
             continue
-        s_inv = _inverses(chol)
+        s_inv = _inverses(chol)[2]
         pending = None if gated else (y, mu, s_inv)
         if gated:
             cert = certify(y, mu, s_inv)
-            best = min(best, cert, key=lambda c: c.gap)
+            certs.append(cert)
             stalls = stalls + 1 if cert.gap >= last_gap else 0
-            if best.converged or stalls == _STALLS:
+            if cert.converged or stalls == _STALLS:
                 break
             last_gap = cert.gap
         # Predictor: along the tangent dY/dmu = H^{-1}[I] / mu^2 to the next mu.
@@ -354,7 +421,10 @@ def _barrier_path(instance: DiscriminationInstance, tol: float) -> SolverCertifi
         mu /= _MU_FACTOR
         last_decrement = np.inf
     if pending is not None:
-        best = min(best, certify(*pending), key=lambda c: c.gap)
+        certs.append(certify(*pending))
+    best = min(certs, key=lambda c: c.gap, default=None)
+    if best is None or uniform_gap < best.gap:
+        best = uniform()
     return replace(best, iterations=steps)
 
 

@@ -98,9 +98,29 @@ def _extreme_eig(m: np.ndarray, end: int) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def psd_by_cholesky(m: np.ndarray, tol: float) -> bool:
+    """True only if min_eig would put every matrix of m (one, or an (n, d, d) stack) at
+    -tol or above, shown by one stacked Cholesky factorization of M + (tol/2) I. Its success
+    proves lambda_min(M) >= -tol/2 - d(d + 1) eps ||M|| (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so it is tried only where that term and eigvalsh's own
+    rounding, with ||M|| <= d max|M_ik|, stay below tol/2. False decides nothing: the caller
+    then runs min_eig."""
+    d = m.shape[-1]
+    if not d or (d + 2) * d * d * np.finfo(float).eps * np.abs(m).max(initial=0.0) > tol / 2:
+        return False
+    try:
+        chol = np.linalg.cholesky(hermitize(m) + tol / 2 * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(chol).all())
+
+
 def check_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """check_hermitian, then PSD within HERM_TOL, with one eigvalsh for a stack."""
+    """check_hermitian, then PSD within HERM_TOL: one stacked Cholesky factorization accepts
+    almost every input, and one eigvalsh for the stack decides and names the rest."""
     arr = check_hermitian(m, name)
+    if psd_by_cholesky(arr, HERM_TOL):
+        return arr
     low = min_eig(arr)
     reject_first(low < -HERM_TOL, name, lambda i: f"not PSD: min eigenvalue "
                  f"{np.atleast_1d(low)[i]:.3e} < -{HERM_TOL:.1e}")

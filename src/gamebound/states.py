@@ -17,6 +17,7 @@ from .linalg import (
     matrix_to_json,
     min_eig,
     partial_trace_matrix,
+    psd_by_cholesky,
 )
 from .registers import RegisterShape
 
@@ -37,8 +38,7 @@ class DensityOperator:
         defect = herm_defect(mat)
         if defect > DENSITY_HERM_TOL:
             raise InputError(f"density matrix Hermiticity defect {defect:.3e}")
-        low = min_eig(mat)
-        if low < -1e-10:
+        if not psd_by_cholesky(mat, 1e-10) and (low := min_eig(mat)) < -1e-10:
             raise InputError(f"density matrix has eigenvalue {low:.3e} < -1e-10")
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > 1e-10:

@@ -480,6 +480,33 @@ def test_non_positive_or_non_finite_tolerance_is_usage_error(argv, tol, tmp_path
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["onecc", "--guessing"],
+    ["binding", "--scheme", "SCHEME", "--state", "STATE"],
+])
+def test_solver_tolerance_below_rounding_floor_is_usage_error(argv, tmp_path, monkeypatch,
+                                                              capsys):
+    """Below 1e-10, whether a solve reaches --tol is rounding luck: the parser refuses such a
+    tolerance (exit 2) with a message naming the floor, before the valid scheme and state
+    files are read or any solve runs; 1e-10 itself is accepted."""
+    from gamebound import commitments, onecc
+
+    state_path = tmp_path / "state.json"
+    save_state(copy_state(), str(state_path))
+    files = {"SCHEME": _scheme_file(tmp_path), "STATE": str(state_path)}
+    argv = [files.get(a, a) for a in argv]
+    calls = []
+    for module, name in ((commitments, "load_scheme"), (onecc, "single_position_guessing")):
+        monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), **k:
+                            calls.append(1) or _f(*a, **k))
+    assert main(argv + ["--tol", "1e-12"]) == 2
+    captured = capsys.readouterr()
+    assert "at least 1e-10, the solver's rounding floor" in captured.err
+    assert "PASS" not in captured.out and not calls
+    assert main(argv + ["--tol", "1e-10"]) == 0
+    assert calls
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--storage-q", "-1"], "non-negative integer"),
     (["--storage-q", "70"], "exceeds cap"),

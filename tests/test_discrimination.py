@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -100,17 +101,7 @@ def test_barrier_path_matches_two_operator_closed_form():
         assert cert.gap <= 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=8),
-    st.booleans(),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_solver_certificate_properties(n_ops, dim, pure, seed):
-    """On random instances of the shapes the benchmark solves (up to 8
-    operators of dimension up to 8), full-rank or rank one: a feasible,
-    bracketing certificate within tol, well under the step cap."""
+def drawn_instance(n_ops, dim, pure, seed):
     rng = rng_from_seed(seed)
     weights = rng.random(n_ops) + 0.05
     weights /= weights.sum()
@@ -121,7 +112,24 @@ def test_solver_certificate_properties(n_ops, dim, pure, seed):
         v = random_pure_vector(dim, rng)
         return np.outer(v, v.conj())
 
-    inst = DiscriminationInstance(tuple(w * state() for w in weights))
+    return DiscriminationInstance(tuple(w * state() for w in weights))
+
+
+SHAPES = (
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*SHAPES)
+def test_solver_certificate_properties(n_ops, dim, pure, seed):
+    """On random instances of the shapes the benchmark solves (up to 8
+    operators of dimension up to 8), full-rank or rank one: a feasible,
+    bracketing certificate within tol, well under the step cap."""
+    inst = drawn_instance(n_ops, dim, pure, seed)
     cert = optimal_discrimination(inst, tol=1e-9)
     assert cert.primal_value <= cert.dual_value + 1e-12  # the two sides round apart
     assert dual_feasibility_defect(inst, cert.dual_witness) <= 1e-12
@@ -131,6 +139,32 @@ def test_solver_certificate_properties(n_ops, dim, pure, seed):
     if n_ops == 2:
         want = helstrom_value(*inst.operators)
         assert cert.primal_value - 1e-12 <= want <= cert.dual_value + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(*SHAPES)
+def test_line_searched_steps_stay_inside_and_descend(n_ops, dim, pure, seed):
+    """On the same shapes, every line-searched corrector step Y + t D lands
+    strictly inside the domain, each I + t L_j^{-1} D L_j^{-H} (so each
+    Y + t D - K_j) having a Cholesky factor, and does not raise the barrier
+    along D, phi(t) = t tr(D)/mu - sum_j log det(I + t L_j^{-1} D L_j^{-H}),
+    here evaluated by slogdet rather than the search's eigenvalues."""
+    searches = []
+
+    def recorded(inv_l, inv_lh, step, mu, decrement, _orig=discrimination._line_search):
+        t, drop = _orig(inv_l, inv_lh, step, mu, decrement)
+        searches.append((inv_l @ step @ inv_lh, step.trace().real / mu, decrement, t))
+        return t, drop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrimination, "_line_search", recorded)
+        optimal_discrimination(drawn_instance(n_ops, dim, pure, seed), tol=1e-9)
+    for w, slope, decrement, t in searches:
+        assert decrement > 0.25 and t >= 0.0
+        moved = np.eye(w.shape[1]) + t * (w + w.conj().transpose(0, 2, 1)) / 2.0
+        assert np.isfinite(np.linalg.cholesky(moved)).all()
+        rise = t * slope - np.linalg.slogdet(moved)[1].sum()
+        assert rise <= 1e-9 * max(1.0, t * abs(slope))
 
 
 def test_one_dimensional_value_is_largest_weight():
@@ -144,19 +178,21 @@ def test_one_dimensional_value_is_largest_weight():
 def test_game_at_old_iteration_cap_converges():
     """This adaptive solve stopped at 10,000 fixed-point iterations with a
     gap of 1.1e-8; the damped path without a predictor took 77 Newton steps,
-    the predictor-corrector path 58 when it centred every point tightly, and
-    43 now that only the points it certifies are."""
+    the predictor-corrector path 58 when it centred every point tightly, 43
+    once only the points it certifies were, and 21 now that corrector steps
+    are line-searched instead of damped."""
     game = random_game(4, 2, 3, seed=(777, 110), dim_aprime=1)
     cert = adaptive_success(game, tol=1e-9)
     assert cert.converged and cert.gap <= 1e-9
-    assert cert.iterations <= 45
+    assert cert.iterations <= 21
 
 
 def test_criterion_03_newton_solve_budget(monkeypatch):
-    """Criterion 03's 200 seed-0 games take 3,708 Newton-system solves,
-    predictor solves included (3,028 corrector steps plus one predictor per
+    """Criterion 03's 200 seed-0 games take 2,250 Newton-system solves,
+    predictor solves included (corrector steps plus one predictor per
     centering), bounded here at 5% above that; the damped path without a
-    predictor took 5,862, and tight centring at every point 4,303."""
+    predictor took 5,862, tight centring at every point 4,303, and damped
+    corrector steps 3,708."""
     solves = []
 
     def counted(*args, _orig=discrimination._newton_solve):
@@ -165,7 +201,7 @@ def test_criterion_03_newton_solve_budget(monkeypatch):
 
     monkeypatch.setattr(discrimination, "_newton_solve", counted)
     assert criterion_03_random_games(seed=0).passed
-    assert len(solves) <= 3890
+    assert len(solves) <= 2362
 
 
 def test_criterion_03_certificates_per_barrier_solve(monkeypatch):
@@ -208,6 +244,28 @@ def test_tolerance_below_rounding_floor_stops_early():
             converged.append(s)
     assert worst <= 3.72e-11
     assert converged == [0, 1, 2, 3, 9, 10, 11, 12, 14, 15]
+
+
+def test_zero_tolerance_ends_at_the_rounding_floor():
+    """At tol 0 every path must end at the rounding floor: within 40 steps on
+    these 40 instances, each certificate still bracketing the optimum. With
+    damped steps and only the full-step floor stop, 5 of them ran to the
+    10,000-step cap."""
+    for s, pure in itertools.product(range(20), (False, True)):
+        rng = rng_from_seed((s, 99))
+        n_ops, dim = int(rng.integers(3, 9)), int(rng.integers(2, 9))
+        weights = rng.random(n_ops) + 0.05
+        weights /= weights.sum()
+        ops = []
+        for w in weights:
+            if pure:
+                v = random_pure_vector(dim, rng)
+                ops.append(w * np.outer(v, v.conj()))
+            else:
+                ops.append(w * random_density_matrix(dim, rng))
+        cert = optimal_discrimination(DiscriminationInstance(tuple(ops)), tol=0.0)
+        assert cert.iterations <= 40
+        assert cert.primal_value <= cert.dual_value
 
 
 def _exactly_positive_definite(y: np.ndarray, k: np.ndarray) -> bool:

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamebound.config import HERM_TOL
+from gamebound.errors import InputError
 from gamebound.linalg import (
     apply_kraus,
+    check_psd,
     hermitize,
+    min_eig,
     partial_trace_matrix,
+    psd_by_cholesky,
     spectral_norm,
     tensor,
 )
-from gamebound.rand import random_density_matrix, rng_from_seed
+from gamebound.rand import haar_unitary, random_density_matrix, rng_from_seed
+from gamebound.registers import shape
+from gamebound.states import DensityOperator
 
 
 def complex_matrix(rng, n, m=None):
@@ -151,3 +158,60 @@ def test_apply_kraus_trace_preserving():
     out = apply_kraus(rho, kraus)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(hermitize(out))) >= -1e-10
+
+
+# Smallest eigenvalues around each gate's threshold -tol and the Cholesky shift -tol/2.
+SWEEP = np.concatenate((np.linspace(-2.0, 2.0, 41), [-1.001, -0.999, -0.5001, -0.4999]))
+
+
+def matrix_with_min_eig(rng, dim, low, rest=1.0):
+    """A Hermitian matrix in a Haar-random basis whose smallest eigenvalue is `low` and whose
+    other eigenvalues are positive and sum to `rest`."""
+    vals = rng.uniform(0.2, 1.0, dim - 1)
+    vals = np.concatenate(([low], rest * vals / vals.sum()))
+    u = haar_unitary(dim, rng)
+    return hermitize((u * vals) @ u.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_cholesky_psd_gate_decides_as_the_eigenvalue_rule(dim):
+    """Across smallest eigenvalues from -2 to 2 HERM_TOL, check_psd on stacks of 12, one
+    element swept and placed anywhere, accepts and rejects exactly as the eigenvalue rule
+    min_eig < -HERM_TOL does, naming the same first bad element; the Cholesky path alone
+    accepts every stack whose smallest eigenvalue is at least 0."""
+    rng = rng_from_seed((41, dim))
+    for k, frac in enumerate(SWEEP):
+        stack = np.array([matrix_with_min_eig(rng, dim, HERM_TOL * rng.uniform(0.0, 2.0))
+                          for _ in range(12)])
+        stack[k % 12] = matrix_with_min_eig(rng, dim, frac * HERM_TOL)
+        low = min_eig(stack)
+        bad = np.flatnonzero(low < -HERM_TOL)
+        if frac >= 0.0:
+            assert psd_by_cholesky(stack, HERM_TOL)
+        if bad.size:
+            i = bad[0]
+            with pytest.raises(InputError, match=f"^M {i} not PSD: min eigenvalue "
+                                                 f"{low[i]:.3e} < -1.0e-10$"):
+                check_psd(stack, "M")
+        else:
+            assert check_psd(stack, "M") is not None
+        one = stack[k % 12]
+        if low[k % 12] < -HERM_TOL:
+            with pytest.raises(InputError, match="^M not PSD"):
+                check_psd(one, "M")
+        else:
+            check_psd(one, "M")
+
+
+def test_cholesky_density_gate_decides_as_the_eigenvalue_rule():
+    """DensityOperator rejects exactly the trace-one matrices whose computed smallest
+    eigenvalue is below -1e-10, across the same sweep, with the same message."""
+    rng = rng_from_seed(42)
+    for frac in SWEEP:
+        mat = matrix_with_min_eig(rng, 4, frac * 1e-10, rest=1.0 - frac * 1e-10)
+        low = min_eig(mat)
+        if low < -1e-10:
+            with pytest.raises(InputError, match=f"eigenvalue {low:.3e} < -1e-10"):
+                DensityOperator(shape(("A", 4)), mat)
+        else:
+            DensityOperator(shape(("A", 4)), mat)
