@@ -43,12 +43,6 @@ class ImaxEstimate:
     upper: float
     searched: int
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper + 1e-8:
-            raise InputError(
-                f"certified lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-
 
 def _dmax_blocks(ks: np.ndarray, rhos: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Smallest c >= 0 with K <= c * rho (inf when K has weight outside supp(rho)) for each block
@@ -217,7 +211,8 @@ def search_families(dim: int, budget: int, rngs) -> list[list[Povm]]:
     unitaries, draws = [], []
     for rng in rngs:
         unitaries.append(haar_unitaries(n_proj, dim, rng))
-        draws += [wishart_draws(dim, int(rng.integers(dim + 1, dim * dim + 1)), rng)
+        # outcome counts d+1..d^2, and 2 on a one-dimensional register
+        draws += [wishart_draws(dim, int(rng.integers(dim + 1, max(dim * dim + 1, 3))), rng)
                   for _ in range(n_rand)]
     bases = _basis_povms(np.concatenate(unitaries))
     made = random_povms(draws, [f"search {f} POVM {len(standard) + n_proj + i}"

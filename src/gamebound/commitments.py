@@ -16,7 +16,6 @@ Two routes to the adaptive opening probability P_b:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     reject_first,
+    save_json,
     spectral_norm,
 )
 from .rand import random_pure_vector, rng_from_seed
@@ -224,29 +224,17 @@ def storage_reduction_check(
 # {"openings": {"0": [{"label": ..., "re": [[...]], "im": [[...]]}], "1": [...]}}
 
 
-def scheme_to_dict(scheme: ProjectiveCommitmentScheme) -> dict:
-    def side(openings):
-        return [{"label": label, **matrix_to_json(v)} for label, v in openings]
-
-    return {"openings": {"0": side(scheme.openings_zero), "1": side(scheme.openings_one)}}
-
-
-def scheme_from_dict(data: dict) -> ProjectiveCommitmentScheme:
-    try:
-        sides = [
-            tuple((str(item["label"]), matrix_from_json(item, "scheme file"))
-                  for item in data["openings"][bit])
-            for bit in ("0", "1")
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed scheme file: {exc}") from exc
-    return ProjectiveCommitmentScheme(*sides)
+def _side(openings) -> list[dict]:
+    return [{"label": label, **matrix_to_json(v)} for label, v in openings]
 
 
 def save_scheme(scheme: ProjectiveCommitmentScheme, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme_to_dict(scheme), fh)
+    save_json(path, {"openings": {"0": _side(scheme.openings_zero),
+                                  "1": _side(scheme.openings_one)}})
 
 
 def load_scheme(path: str) -> ProjectiveCommitmentScheme:
-    return scheme_from_dict(load_json(path, "scheme"))
+    return load_json(path, "scheme", lambda data: ProjectiveCommitmentScheme(*(
+        tuple((str(item["label"]), matrix_from_json(item, "scheme file"))
+              for item in data["openings"][bit])
+        for bit in ("0", "1"))))

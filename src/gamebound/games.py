@@ -14,7 +14,6 @@ K_j = Tr_B[(I (x) E1_j) rho] on the registers the attacker may measure.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .linalg import (
     matrix_to_json,
     min_eig,
     reject_first,
+    save_json,
 )
 from .rand import random_effect, random_pure_vector, rng_from_seed
 from .registers import RegisterShape
@@ -253,26 +253,12 @@ def random_game(
 # {"labels": ["t0", ...], "effects": [{"re": [[...]], "im": [[...]]}, ...]}
 
 
-def family_to_dict(family: BinaryPovmFamily) -> dict:
-    return {
-        "labels": list(family.labels),
-        "effects": [matrix_to_json(e) for e in family.effects],
-    }
-
-
-def family_from_dict(data: dict) -> BinaryPovmFamily:
-    try:
-        labels = tuple(str(x) for x in data["labels"])
-        effects = tuple(matrix_from_json(block, "family file") for block in data["effects"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed family file: {exc}") from exc
-    return BinaryPovmFamily(labels, effects)
-
-
 def save_family(family: BinaryPovmFamily, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_dict(family), fh)
+    save_json(path, {"labels": list(family.labels),
+                     "effects": [matrix_to_json(e) for e in family.effects]})
 
 
 def load_family(path: str) -> BinaryPovmFamily:
-    return family_from_dict(load_json(path, "family"))
+    return load_json(path, "family", lambda data: BinaryPovmFamily(
+        tuple(str(x) for x in data["labels"]),
+        tuple(matrix_from_json(block, "family file") for block in data["effects"])))

@@ -214,10 +214,22 @@ def matrix_from_json(block, name: str) -> np.ndarray:
     return re + 1j * im
 
 
-def load_json(path: str, kind: str):
-    """Parsed contents of a JSON input file; bad JSON is an InputError."""
+def save_json(path: str, data) -> None:
+    """Write `data` to a state, family or scheme file as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+
+
+def load_json(path: str, kind: str, parse):
+    """parse(contents) of a `kind` JSON input file. Bad JSON (also bad UTF-8, an
+    integer of over 4300 digits or nesting too deep to decode), and a key or a
+    type that `parse` finds missing or wrong, are InputErrors."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{kind} file is not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed {kind} file: {exc}") from exc

@@ -1,7 +1,6 @@
 """Labeled density operators over named registers."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from .linalg import (
     min_eig,
     partial_trace_matrix,
     psd_by_cholesky,
+    save_json,
 )
 from .registers import RegisterShape
 
@@ -35,6 +35,9 @@ class DensityOperator:
             raise InputError(
                 f"matrix dim {mat.shape[0]} != shape dimension {self.shape.dim}"
             )
+        # |rho_ij|^2 <= rho_ii rho_jj <= 1; a larger entry would overflow the gates below
+        if (big := np.abs(mat).max()) > 1.0 + 1e-10:
+            raise InputError(f"density matrix entry of magnitude {big:.3e} exceeds 1")
         defect = herm_defect(mat)
         if defect > DENSITY_HERM_TOL:
             raise InputError(f"density matrix Hermiticity defect {defect:.3e}")
@@ -83,25 +86,19 @@ def zero_entropy(rho: DensityOperator, label: str) -> float:
 # "im" may be omitted for real matrices.
 
 
-def state_to_dict(rho: DensityOperator) -> dict:
-    return {
-        "shape": [[label, d] for label, d in rho.shape.subsystems],
-        **matrix_to_json(rho.matrix),
-    }
-
-
-def state_from_dict(data: dict) -> DensityOperator:
-    try:
-        subsystems = tuple((str(lbl), int(d)) for lbl, d in data["shape"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed state file: {exc}") from exc
-    return DensityOperator(RegisterShape(subsystems), matrix_from_json(data, "state file"))
+def _subsystem(pair) -> tuple[str, int]:
+    """One [label, dimension] pair of a state file's shape. The dimension must be
+    a JSON integer: numbers such as 2.5, strings and booleans are refused."""
+    if len(pair) != 2 or type(pair[1]) is not int:
+        raise TypeError(f"register {pair!r} is not a [label, integer dimension] pair")
+    return str(pair[0]), pair[1]
 
 
 def save_state(rho: DensityOperator, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(rho), fh)
+    save_json(path, {"shape": [[label, d] for label, d in rho.shape.subsystems],
+                     **matrix_to_json(rho.matrix)})
 
 
 def load_state(path: str) -> DensityOperator:
-    return state_from_dict(load_json(path, "state"))
+    return load_json(path, "state", lambda data: DensityOperator(
+        RegisterShape(tuple(map(_subsystem, data["shape"]))), matrix_from_json(data, "state file")))

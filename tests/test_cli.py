@@ -1,4 +1,5 @@
 """Exit codes, report files, and argument plumbing for the console entry."""
+import copy
 import json
 import os
 import subprocess
@@ -8,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamebound
 from gamebound.cli import main
 from gamebound.commitments import ProjectiveCommitmentScheme, save_scheme
 from gamebound.errors import InputError
-from gamebound.games import bell_game, save_family
+from gamebound.games import bell_game, random_game, save_family
 from gamebound.registers import shape
 from gamebound.states import density_from_matrix, save_state
 
@@ -191,6 +194,85 @@ def test_non_number_state_entry_is_input_error(tmp_path, capsys, keys, value):
     set_entry(tmp_path / "state.json", keys, value)
     assert main(["info", "--state", str(tmp_path / "state.json")]) == 2
     assert "state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=["fraction", "boolean", "string"])
+def test_non_integer_state_dimension_is_malformed(tmp_path, capsys, value):
+    """A register dimension must be a JSON integer: 2.5 is not read as 2, nor
+    true as 1, nor "2" as 2."""
+    state_path = tmp_path / "state.json"
+    save_state(copy_state(), str(state_path))
+    set_entry(state_path, ("shape", 0, 1), value)
+    assert main(["info", "--state", str(state_path)]) == 2
+    captured = capsys.readouterr()
+    assert "malformed state file" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--state", "STATE"],
+    ["binding", "--scheme", "SCHEME", "--state", "STATE"],
+])
+def test_state_entry_above_one_is_input_error(argv, tmp_path, capsys):
+    """A finite entry near the float limit would overflow the density-matrix
+    gates (exit 3); every density matrix has |rho_ij| <= 1, so it is bad input."""
+    state_path = tmp_path / "state.json"
+    save_state(copy_state(), str(state_path))
+    set_entry(state_path, ("re", 1, 1), 1e308)
+    files = {"SCHEME": _scheme_file(tmp_path), "STATE": str(state_path)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert "exceeds 1" in capsys.readouterr().err
+
+
+def test_info_on_one_dimensional_measured_register_passes(tmp_path, capsys):
+    """Every measurement of a one-dimensional register gives lambda = 0 = H0."""
+    state_path, out_path = tmp_path / "state.json", tmp_path / "info.json"
+    save_state(density_from_matrix(shape(("A", 1), ("B", 2)), np.diag([1.0, 0.0])),
+               str(state_path))
+    assert main(["info", "--state", str(state_path), "--out", str(out_path)]) == 0
+    assert "PASS accessible-info-bounds" in capsys.readouterr().out
+    (record,) = json.loads(out_path.read_text())["checks"]
+    assert record["values"]["upper"] == 0.0
+    assert abs(record["values"]["lower"]) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--state", "STATE", "--budget", "4"],
+    ["verify-all", "--only", "4"],
+])
+def test_lower_bound_above_upper_bound_is_failed_check(argv, tmp_path, monkeypatch, capsys):
+    """A certified lower bound above the rank upper bound is a failed check
+    (exit 1 with a FAIL line), not bad input."""
+    from gamebound import accessible
+
+    state_path = tmp_path / "state.json"
+    save_state(copy_state(), str(state_path))
+    monkeypatch.setattr(accessible, "zero_entropy", lambda rho, label: -1.0)
+    assert main([str(state_path) if a == "STATE" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "error" not in captured.err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"shape": [["A", 2]], "x": "\xff"}',
+    b'{"shape": [["A", ' + b"1" * 5000 + b"]]}",
+    b"[" * 100000 + b"]" * 100000,
+], ids=["bad-utf8", "5000-digit-integer", "deep-nesting"])
+def test_undecodable_state_file_is_input_error(content, tmp_path, capsys):
+    """Bytes json cannot decode, an integer past Python's 4300-digit
+    conversion limit and nesting past the recursion limit are bad JSON (exit
+    2), not a crash."""
+    state_path = tmp_path / "state.json"
+    state_path.write_bytes(content)
+    assert main(["info", "--state", str(state_path)]) == 2
+    assert "state file is not valid JSON" in capsys.readouterr().err
+
+
+def test_directory_as_input_file_is_input_error(tmp_path, capsys):
+    """A path the OS cannot read as a file is bad input (exit 2), as a missing one is."""
+    assert main(["info", "--state", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_mismatched_im_shape_is_input_error(tmp_path, capsys):
@@ -466,14 +548,11 @@ def test_out_of_range_count_or_dimension_is_usage_error(argv, capsys):
     ["game", "--bell"],
     ["onecc", "--guessing"],
     ["binding", "--scheme", "SCHEME"],
-    ["info", "--state", "STATE", "--budget", "4"],
 ])
 def test_non_positive_or_non_finite_tolerance_is_usage_error(argv, tol, tmp_path, capsys):
     """A negative, NaN or infinite tolerance would read as a PASS or a FAIL:
     the parser rejects it (exit 2) instead."""
-    state_path = tmp_path / "state.json"
-    save_state(copy_state(), str(state_path))
-    files = {"SCHEME": _scheme_file(tmp_path), "STATE": str(state_path)}
+    files = {"SCHEME": _scheme_file(tmp_path)}
     assert main([files.get(a, a) for a in argv] + ["--tol", tol]) == 2
     captured = capsys.readouterr()
     assert "positive finite number" in captured.err
@@ -538,6 +617,7 @@ def test_library_rejects_non_positive_counts():
     ["game", "--bell", "--budget", "3"],
     ["binding", "--scheme", "SCHEME", "--budget", "3"],
     ["onecc", "--guessing", "--budget", "3"],
+    ["info", "--state", "state.json", "--tol", "1e-7"],
     ["bcjl", "--tol", "1"],
     ["uc", "--table", "--tol", "1"],
     ["uc", "--table", "--budget", "5"],
@@ -632,3 +712,77 @@ def test_state_without_family_is_usage_error(tmp_path, capsys):
     assert main(["game", "--bell", "--family", str(family_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("--state and --family must be given together") == 2
+
+
+# The JSON atoms the file fuzz puts in place of a node, and the runs it makes:
+# each names the valid files (keys of valid_files) that it reads.
+FUZZ_ATOMS = (True, None, 2.5, "1", 1e308, 10**20, [], [[1]])
+FUZZ_RUNS = (
+    ("info", "--state", "ab", "--budget", "4"),
+    ("info", "--state", "a1b", "--budget", "4"),
+    ("game", "--state", "game", "--family", "family"),
+    ("binding", "--scheme", "scheme", "--state", "ab"),
+    ("binding", "--scheme", "scheme", "--state", "a1b"),
+)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """The parsed contents of valid state, family and scheme files, and a folder
+    to write their mutants to."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    game = random_game(2, 2, 2, seed=3)
+    writes = {
+        "ab": (save_state, copy_state()),
+        "a1b": (save_state, density_from_matrix(shape(("A", 1), ("B", 2)), np.diag([1.0, 0.0]))),
+        "game": (save_state, game.state),
+        "family": (save_family, game.family),
+        "scheme": (save_scheme, basis_reveal_scheme()),
+    }
+    for name, (save, obj) in writes.items():
+        save(obj, str(folder / name))
+    return folder, {name: json.loads((folder / name).read_text()) for name in writes}
+
+
+def _node_paths(node, path=()):
+    """The key path of each node strictly below `node`."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutate(data, node) -> None:
+    """Replace one node below `node` by a JSON atom, delete it or, in a list,
+    duplicate it."""
+    *keys, key = data.draw(st.sampled_from(list(_node_paths(node))))
+    parent = node
+    for k in keys:
+        parent = parent[k]
+    ops = ("replace", "delete") + (("duplicate",) if isinstance(parent, list) else ())
+    op = data.draw(st.sampled_from(ops))
+    if op == "replace":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_ATOMS)))
+    elif op == "delete":
+        del parent[key]
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_input_files_never_reach_internal_error(valid_files, data):
+    """Valid state, family and scheme files with nodes replaced by JSON atoms,
+    deleted or duplicated: info, game and binding read them and exit 0, 1 or
+    2, never 3 (a crash)."""
+    folder, contents = valid_files
+    argv = data.draw(st.sampled_from(FUZZ_RUNS))
+    target = data.draw(st.sampled_from([a for a in argv if a in contents]))
+    node = copy.deepcopy(contents[target])
+    for _ in range(data.draw(st.integers(0, 3))):
+        if node:
+            _mutate(data, node)
+    (folder / "mutant").write_text(json.dumps(node))
+    assert main([str(folder / ("mutant" if a == target else a)) if a in contents else a
+                 for a in argv]) in (0, 1, 2)

@@ -12,8 +12,6 @@ from gamebound.commitments import (
     norm_lemma_check,
     save_scheme,
     scheme_epsilon_na,
-    scheme_from_dict,
-    scheme_to_dict,
     storage_reduction_check,
 )
 from gamebound.discrimination import score_operators
@@ -227,9 +225,6 @@ def test_scheme_json_round_trip(tmp_path):
     assert [lab for lab, _ in back.openings_zero] == ["a", "b"]
     for (_, e0), (_, e1) in zip(scheme.openings_zero, back.openings_zero):
         np.testing.assert_allclose(e0, e1, atol=1e-12)
-    d = scheme_to_dict(scheme)
-    again = scheme_from_dict(d)
-    np.testing.assert_allclose(again.openings_one[0][1], PLUS, atol=1e-12)
 
 
 def test_storage_reduction_rows_respect_bound():

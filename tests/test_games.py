@@ -11,8 +11,6 @@ from gamebound.games import (
     adaptive_success,
     aprime_is_classical,
     bell_game,
-    family_from_dict,
-    family_to_dict,
     load_family,
     non_adaptive_success,
     random_game,
@@ -126,15 +124,6 @@ def test_family_round_trip(tmp_path):
     path = str(tmp_path / "family.json")
     save_family(game.family, path)
     back = load_family(path)
-    assert back.labels == game.family.labels
-    for e0, e1 in zip(game.family.effects, back.effects):
-        np.testing.assert_allclose(e0, e1, atol=1e-12)
-
-
-def test_family_dict_round_trip():
-    game = random_game(2, 2, 2, seed=55)
-    d = family_to_dict(game.family)
-    back = family_from_dict(d)
     assert back.labels == game.family.labels
     for e0, e1 in zip(game.family.effects, back.effects):
         np.testing.assert_allclose(e0, e1, atol=1e-12)

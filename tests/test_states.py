@@ -41,6 +41,23 @@ def test_density_validation_rejects_negative():
                             np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_density_validation_rejects_negative_eigenvalue_of_unit_bounded_entries():
+    with pytest.raises(InputError, match="eigenvalue -3.000e-01"):
+        DensityOperator(shape(("A", 2)), np.array([[0.5, 0.8], [0.8, 0.5]], dtype=complex))
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, 1.0 + 1e-9])
+def test_density_validation_rejects_entry_above_one(value):
+    """|rho_ij| <= 1 for every density matrix: a larger entry is refused before
+    it overflows the eigenvalue gate; an entry of exactly 1 passes."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = 1.0
+    DensityOperator(shape(("A", 2), ("B", 2)), mat)
+    mat[1, 1] = value
+    with pytest.raises(InputError, match="exceeds 1"):
+        DensityOperator(shape(("A", 2), ("B", 2)), mat)
+
+
 def test_partial_trace_of_bell_state_is_maximally_mixed():
     s = shape(("A", 2), ("B", 2))
     bell = pure(s, [1.0, 0.0, 0.0, 1.0])
