@@ -13,14 +13,16 @@ import numpy as np
 from . import accessible, bcjl, coding, commitments, games, hashing, onecc, ucsim
 from .discrimination import CqState
 from .rand import (
+    ginibre_draws,
+    ginibre_states,
+    haar_projectors,
     haar_unitary,
     random_density_matrix,
     random_projector,
     rng_from_seed,
-    wishart_draws,
 )
 from .report import CheckRecord, ExperimentReport, timed_record
-from .states import density_from_matrix
+from .states import density_from_matrix, density_list
 from .registers import shape
 
 GAMMA = math.cos(math.pi / 8.0) ** 2
@@ -130,31 +132,37 @@ def criterion_03_random_games(seed=0) -> CheckRecord:
 def criterion_04_measurement_domination(seed=0) -> CheckRecord:
     """Per-measurement lambda is tight (passes at the value, fails just
     below), never exceeds the effective-qubit count, and survives local
-    processing. Every state and the draws of its random POVMs come first; then
-    the POVMs are made in stacked groups, and all states are scored together."""
+    processing. The draws of every state and of its random POVMs come first;
+    then the states of each shape are made and validated together, the POVMs
+    are made in stacked groups, and all states are scored together."""
     started = time.perf_counter()
     rng = rng_from_seed((seed, 4))
-    jobs = []
+    dims, state_draws, measurements = [], [], []
     draws, names = [], []
     channels = {}
     for k in range(_C04_STATES):
         # the draws rng.choice makes, without its conversion of the list
         dim_a = (2, 4)[rng.integers(0, 2)]
         dim_b = (2, 3, 4)[rng.integers(0, 3)]
-        rho = density_from_matrix(
-            shape(("A", dim_a), ("B", dim_b)),
-            random_density_matrix(dim_a * dim_b, rng),
-        )
+        dims.append((dim_a, dim_b))
+        state_draws.append(ginibre_draws(dim_a * dim_b, 1, rng))
         povms = accessible.standard_measurements(dim_a)[:3]
         for m in range(len(povms), 5):
-            draws.append(wishart_draws(dim_a, int(rng.integers(2, 5)), rng))
+            draws.append(ginibre_draws(dim_a, int(rng.integers(2, 5)), rng))
             names.append(f"state {k} POVM {m}")
-        jobs.append((povms, rho))
+        measurements.append(povms)
         if k % 10 == 0:
             u_a = haar_unitary(dim_a, rng)
             p = random_projector(dim_b, dim_b // 2, rng)
-            kraus_b = [p, np.eye(dim_b) - p]
-            channels[k] = (rho, [u_a], kraus_b, (seed, 4, k))
+            channels[k] = ([u_a], [p, np.eye(dim_b) - p])
+    rhos: list = [None] * _C04_STATES
+    for (dim_a, dim_b), idx in accessible.groups(dims).items():
+        made = density_list(shape(("A", dim_a), ("B", dim_b)),
+                            ginibre_states(np.concatenate([state_draws[k] for k in idx])))
+        for k, rho in zip(idx, made):
+            rhos[k] = rho
+    jobs = list(zip(measurements, rhos))
+    channels = {k: (rhos[k], *kraus, (seed, 4, k)) for k, kraus in channels.items()}
     checked = accessible.local_channel_monotonicity_checks(list(channels.values()))
     channel_ok = {k: ok for k, (ok, _, _) in zip(channels, checked)}
     made = iter(accessible.random_povms(draws, names))
@@ -200,21 +208,31 @@ def criterion_04_measurement_domination(seed=0) -> CheckRecord:
     )
 
 
+def _projector_pairs(rng, count: int, low: int, ranks_below):
+    """`count` random_projector pairs, all drawn first in stream order (per pair a dimension
+    in [low, 17), then for each side a rank in [1, ranks_below(dim)) and its Ginibre draw),
+    then made by one haar_projectors call per dimension: (pair indices, first projectors,
+    second projectors) for each dimension."""
+    dims, ranks, draws = [], [], []
+    for _ in range(count):
+        dims.append(int(rng.integers(low, 17)))
+        for _side in range(2):
+            ranks.append(int(rng.integers(1, ranks_below(dims[-1]))))
+            draws.append(ginibre_draws(dims[-1], 1, rng))
+    for idx in accessible.groups(dims).values():
+        sides = [2 * k + side for k in idx for side in (0, 1)]
+        made = haar_projectors(np.concatenate([draws[j] for j in sides]), [ranks[j] for j in sides])
+        yield idx, made[0::2], made[1::2]
+
+
 def criterion_05_norm_lemma(seed=0) -> CheckRecord:
     """Spectral norm of a projector sum against one plus the product norm.
-    Every pair is drawn first, then each dimension's pairs are checked together."""
+    Every pair is drawn first, then each dimension's pairs are made and checked together."""
     started = time.perf_counter()
     rng = rng_from_seed((seed, 5))
-    by_dim: dict[int, list] = {}
-    for _ in range(_C05_PAIRS):
-        dim = int(rng.integers(2, 17))
-        x = random_projector(dim, int(rng.integers(1, dim)), rng)
-        y = random_projector(dim, int(rng.integers(1, dim)), rng)
-        by_dim.setdefault(dim, []).append((x, y))
     worst = math.inf
     ok_all = True
-    for group in by_dim.values():
-        xs, ys = np.stack(group).swapaxes(0, 1)
+    for _, xs, ys in _projector_pairs(rng, _C05_PAIRS, 2, lambda d: d):
         ok, lhs, rhs = commitments.norm_lemma_check(xs, ys)
         ok_all = ok_all and bool(ok.all())
         worst = min(worst, float((rhs + 1e-9 - lhs).min()))
@@ -227,7 +245,10 @@ def criterion_05_norm_lemma(seed=0) -> CheckRecord:
 
 def criterion_06_cheat_state(seed=0) -> CheckRecord:
     """The constructed two-sided opening state succeeds perfectly on one
-    projector and with probability at least epsilon squared on the other."""
+    projector and with probability at least epsilon squared on the other.
+    Candidates are drawn in rounds of exactly the shortfall, so no draw follows
+    the last accepted one, and each round's pairs of one dimension are built
+    with one stacked cheat_state call."""
     started = time.perf_counter()
     rng = rng_from_seed((seed, 6))
     built = 0
@@ -235,21 +256,23 @@ def criterion_06_cheat_state(seed=0) -> CheckRecord:
     worst_p1_slack = math.inf
     failures = []
     while built < _C06_INSTANCES:
-        dim = int(rng.integers(4, 17))
-        p0 = random_projector(dim, int(rng.integers(1, dim // 2 + 1)), rng)
-        p1 = random_projector(dim, int(rng.integers(1, dim // 2 + 1)), rng)
-        vec, eps = commitments.cheat_state(p0, p1)
-        if vec is None or eps < 1e-3:
-            continue
-        built += 1
-        succ0 = float(np.real(np.vdot(vec, p0 @ vec)))
-        succ1 = float(np.real(np.vdot(vec, p1 @ vec)))
-        worst_p0 = min(worst_p0, succ0)
-        worst_p1_slack = min(worst_p1_slack, succ1 - (eps**2 - 1e-7))
-        if succ0 < 1.0 - 1e-9:
-            failures.append({"instance": built, "kind": "first-projector"})
-        if succ1 < eps**2 - 1e-7:
-            failures.append({"instance": built, "kind": "second-projector"})
+        shortfall = _C06_INSTANCES - built
+        candidates: list = [None] * shortfall
+        for idx, p0s, p1s in _projector_pairs(rng, shortfall, 4, lambda d: d // 2 + 1):
+            for k, p0, p1, (vec, eps) in zip(idx, p0s, p1s, commitments.cheat_state(p0s, p1s)):
+                candidates[k] = (p0, p1, vec, eps)
+        for p0, p1, vec, eps in candidates:
+            if vec is None or eps < 1e-3:
+                continue
+            built += 1
+            succ0 = float(np.real(np.vdot(vec, p0 @ vec)))
+            succ1 = float(np.real(np.vdot(vec, p1 @ vec)))
+            worst_p0 = min(worst_p0, succ0)
+            worst_p1_slack = min(worst_p1_slack, succ1 - (eps**2 - 1e-7))
+            if succ0 < 1.0 - 1e-9:
+                failures.append({"instance": built, "kind": "first-projector"})
+            if succ1 < eps**2 - 1e-7:
+                failures.append({"instance": built, "kind": "second-projector"})
     values = {
         "instances": _C06_INSTANCES,
         "worst_first_success": worst_p0,

@@ -29,7 +29,7 @@ from .linalg import (
     tensor,
 )
 from .discrimination import Povm, povm_list
-from .rand import haar_unitaries, rng_from_seed, wishart_draws, wishart_povms
+from .rand import ginibre_draws, haar_unitaries, rng_from_seed, wishart_povms
 from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix, zero_entropy
 
@@ -188,7 +188,7 @@ def _standard_measurements(dim: int) -> tuple[Povm, ...]:
 
 
 def random_povms(draws: list[np.ndarray], names: list[str]) -> list[Povm]:
-    """The POVM of each rand.wishart_draws array, in order, named names[i] in
+    """The POVM of each rand.ginibre_draws array, in order, named names[i] in
     errors: each (d, k) group is made by one rand.wishart_povms call (one
     stacked eigh) and validated in one pass."""
     out: list = [None] * len(draws)
@@ -212,7 +212,7 @@ def search_families(dim: int, budget: int, rngs) -> list[list[Povm]]:
     for rng in rngs:
         unitaries.append(haar_unitaries(n_proj, dim, rng))
         # outcome counts d+1..d^2, and 2 on a one-dimensional register
-        draws += [wishart_draws(dim, int(rng.integers(dim + 1, max(dim * dim + 1, 3))), rng)
+        draws += [ginibre_draws(dim, int(rng.integers(dim + 1, max(dim * dim + 1, 3))), rng)
                   for _ in range(n_rand)]
     bases = _basis_povms(np.concatenate(unitaries))
     made = random_povms(draws, [f"search {f} POVM {len(standard) + n_proj + i}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import fractions
 import math
+import re
 import sys
 import time
 
@@ -415,10 +416,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a token that starts with "-" as an option unless it is a plain
+    negative number, so `--delta -1/7` or `--tol -1e-9` would lose its value; a token
+    that starts with "-" and a digit or a dot, after an option, becomes that option's
+    value as in --delta=-1/7, for the option's own range check to judge."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -28,6 +28,7 @@ from .linalg import (
     as_complex_stack,
     check_psd,
     hermitize,
+    json_label,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -163,30 +164,30 @@ def norm_lemma_check(x: np.ndarray, y: np.ndarray):
     return lhs <= rhs + 1e-9, lhs, rhs
 
 
-def cheat_state(
-    p0: np.ndarray, p1: np.ndarray
-) -> tuple[np.ndarray | None, float]:
+def cheat_state(p0: np.ndarray, p1: np.ndarray):
     """State accepted by P0 with certainty and by P1 with probability >= eps^2,
     where eps = ||P1 P0||. Returns (vector, eps); (None, 0) when P1 P0 = 0
-    and P0 = 0 leaves nothing to normalize."""
+    and P0 = 0 leaves nothing to normalize. For (n, d, d) stacks of pairs, a list
+    of them, from one check per side and one stacked svd; a pair is a stack of one."""
     a = _check_projector(p0, "P0")
     b = _check_projector(p1, "P1")
     if a.shape != b.shape:
         raise InputError("projectors must share one dimension")
-    m = b @ a
-    u, s, vh = np.linalg.svd(m)
-    eps = float(s[0]) if s.size else 0.0
-    if eps <= 1e-15:
-        vals, vecs = np.linalg.eigh(a)
-        if float(vals[-1]) < 0.5:
-            return None, 0.0
-        return vecs[:, -1], 0.0
-    phi = vh[0].conj()
-    projected = a @ phi
-    norm = float(np.linalg.norm(projected))
-    if norm <= 1e-15:
-        return None, 0.0  # unreachable: ||P1 P0 phi|| = eps > 0 forces P0 phi != 0
-    return projected / norm, eps
+    single = a.ndim == 2
+    a, b = (a[None], b[None]) if single else (a, b)
+    _, s, vh = np.linalg.svd(b @ a)
+    out = []
+    for ai, si, vhi in zip(a, s, vh):
+        eps = float(si[0]) if si.size else 0.0
+        if eps <= 1e-15:
+            vals, vecs = np.linalg.eigh(ai)
+            out.append((None, 0.0) if float(vals[-1]) < 0.5 else (vecs[:, -1], 0.0))
+            continue
+        projected = ai @ vhi[0].conj()
+        norm = float(np.linalg.norm(projected))
+        # unreachable: ||P1 P0 phi|| = eps > 0 forces P0 phi != 0
+        out.append((None, 0.0) if norm <= 1e-15 else (projected / norm, eps))
+    return out[0] if single else out
 
 
 def storage_reduction_check(
@@ -235,6 +236,6 @@ def save_scheme(scheme: ProjectiveCommitmentScheme, path: str) -> None:
 
 def load_scheme(path: str) -> ProjectiveCommitmentScheme:
     return load_json(path, "scheme", lambda data: ProjectiveCommitmentScheme(*(
-        tuple((str(item["label"]), matrix_from_json(item, "scheme file"))
+        tuple((json_label(item["label"]), matrix_from_json(item, "scheme file"))
               for item in data["openings"][bit])
         for bit in ("0", "1"))))

@@ -25,6 +25,7 @@ from .linalg import (
     as_complex_stack,
     check_psd,
     hermitize,
+    json_label,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -260,5 +261,5 @@ def save_family(family: BinaryPovmFamily, path: str) -> None:
 
 def load_family(path: str) -> BinaryPovmFamily:
     return load_json(path, "family", lambda data: BinaryPovmFamily(
-        tuple(str(x) for x in data["labels"]),
+        tuple(map(json_label, data["labels"])),
         tuple(matrix_from_json(block, "family file") for block in data["effects"])))

@@ -195,6 +195,14 @@ def _json_numbers(rows, name: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def json_label(value) -> str:
+    """A register, test or opening label of an input file, which must be a JSON string;
+    load_json reports the TypeError as a malformed file."""
+    if type(value) is not str:
+        raise TypeError(f"label {value!r} is not a JSON string")
+    return value
+
+
 def matrix_from_json(block, name: str) -> np.ndarray:
     """Inverse of matrix_to_json; "im" may be omitted for a real matrix.
 

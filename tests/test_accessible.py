@@ -19,11 +19,11 @@ from gamebound.accessible import (
 from gamebound.errors import InputError
 from gamebound.linalg import hermitize, partial_trace_matrix
 from gamebound.rand import (
+    ginibre_draws,
     haar_unitary,
     random_density_matrix,
     random_pure_vector,
     rng_from_seed,
-    wishart_draws,
     wishart_povms,
 )
 from gamebound.registers import shape
@@ -45,7 +45,7 @@ def product_state(rng, dim_a, dim_b):
 
 
 def random_povm(dim, outcomes, rng):
-    return Povm(tuple(wishart_povms(wishart_draws(dim, outcomes, rng))))
+    return Povm(tuple(wishart_povms(ginibre_draws(dim, outcomes, rng))))
 
 
 def dmax(k, rho):
@@ -420,7 +420,7 @@ def _haar_ref(dim, rng):
 
 
 def _povm_ref(dim, outcomes, rng):
-    """wishart_povms(wishart_draws(...)) as one draw per Wishart piece."""
+    """wishart_povms(ginibre_draws(...)) as one draw per Wishart piece."""
     pieces = []
     for _ in range(outcomes):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -456,7 +456,7 @@ def test_stacked_draws_match_per_piece_reference(dim):
             assert np.array_equal(a.stack, b.stack)
         assert got_rng.random() == want_rng.random()
         for k in (1, 2, dim * dim):
-            assert np.array_equal(wishart_povms(wishart_draws(dim, k, got_rng)),
+            assert np.array_equal(wishart_povms(ginibre_draws(dim, k, got_rng)),
                                   _povm_ref(dim, k, want_rng))
             assert np.array_equal(haar_unitary(dim, got_rng), _haar_ref(dim, want_rng))
         assert got_rng.random() == want_rng.random()
@@ -467,10 +467,10 @@ def test_grouped_random_povms_match_one_at_a_time():
     order, the elements that one wishart_povms call per POVM gives."""
     shapes = [(2, 3), (4, 2), (2, 3), (4, 5), (2, 2), (4, 2), (2, 3)]
     got_rng, want_rng = rng_from_seed(71), rng_from_seed(71)
-    draws = [wishart_draws(d, k, got_rng) for d, k in shapes]
+    draws = [ginibre_draws(d, k, got_rng) for d, k in shapes]
     made = random_povms(draws, [f"POVM {i}" for i in range(len(draws))])
     for (d, k), povm in zip(shapes, made):
-        assert np.array_equal(povm.stack, wishart_povms(wishart_draws(d, k, want_rng)))
+        assert np.array_equal(povm.stack, wishart_povms(ginibre_draws(d, k, want_rng)))
     assert got_rng.random() == want_rng.random()
 
 

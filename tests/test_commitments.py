@@ -133,6 +133,28 @@ def test_norm_lemma_stack_matches_one_pair_at_a_time():
         norm_lemma_check(xs, np.concatenate([ys[:6], 0.5 * ys[6:]]))
 
 
+def test_cheat_state_stack_matches_one_pair_at_a_time():
+    """A stacked cheat_state gives each pair's (vector, eps) bit for bit as a call on
+    that pair alone, also for a pair with P1 P0 = 0 (the eigh fallback) and one with
+    P0 = 0 (nothing to normalize); a stack's errors name the bad pair."""
+    rng = rng_from_seed(66)
+    p0s = [random_projector(6, int(rng.integers(1, 4)), rng) for _ in range(5)]
+    p1s = [random_projector(6, int(rng.integers(1, 4)), rng) for _ in range(5)]
+    p0s += [np.diag([1.0, 1, 0, 0, 0, 0]), np.zeros((6, 6))]
+    p1s += [np.diag([0.0, 0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 0, 0, 0])]
+    got = cheat_state(np.array(p0s), np.array(p1s))
+    assert len(got) == 7
+    for (vec, eps), p0, p1 in zip(got, p0s, p1s):
+        want_vec, want_eps = cheat_state(p0, p1)
+        assert eps == want_eps
+        assert vec is want_vec is None or np.array_equal(vec, want_vec)
+    assert got[5][0] is not None and got[5][1] == 0.0
+    assert got[6] == (None, 0.0)
+    p0s[2] = 0.5 * p0s[2]
+    with pytest.raises(InputError, match="P0 2 is not idempotent"):
+        cheat_state(np.array(p0s), np.array(p1s))
+
+
 def test_norm_lemma_equality_for_commuting_projectors():
     x = np.diag([1.0, 0.0, 0.0]).astype(complex)
     y = np.diag([1.0, 1.0, 0.0]).astype(complex)

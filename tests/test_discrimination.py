@@ -23,10 +23,10 @@ from gamebound.discrimination import (
 from gamebound.errors import InputError
 from gamebound.games import adaptive_success, random_game, semi_adaptive_success
 from gamebound.rand import (
+    ginibre_draws,
     random_density_matrix,
     random_pure_vector,
     rng_from_seed,
-    wishart_draws,
     wishart_povms,
 )
 from gamebound.registers import shape
@@ -433,7 +433,7 @@ def test_stacked_validation_rejects_mixed_shapes_and_freezes(container):
 def _povm_group(m: int = 5, n: int = 3, dim: int = 2) -> np.ndarray:
     """m random n-element POVMs on C^dim as one (m, n, dim, dim) stack."""
     rng = rng_from_seed(70)
-    return np.array([wishart_povms(wishart_draws(dim, n, rng)) for _ in range(m)])
+    return np.array([wishart_povms(ginibre_draws(dim, n, rng)) for _ in range(m)])
 
 
 def test_povm_list_is_each_povm_validated_alone():

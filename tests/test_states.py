@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gamebound.registers import shape
 from gamebound.states import (
     DensityOperator,
     density_from_matrix,
+    density_list,
     load_state,
     partial_trace,
     save_state,
@@ -56,6 +58,36 @@ def test_density_validation_rejects_entry_above_one(value):
     mat[1, 1] = value
     with pytest.raises(InputError, match="exceeds 1"):
         DensityOperator(shape(("A", 2), ("B", 2)), mat)
+
+
+def test_density_list_matches_density_from_matrix():
+    """density_list validates a stack in one pass and gives each matrix's
+    DensityOperator bit for bit as density_from_matrix does, read-only."""
+    rng = rng_from_seed(8)
+    sh = shape(("A", 2), ("B", 3))
+    mats = [random_density_matrix(6, rng) for _ in range(5)]
+    got = density_list(sh, np.array(mats))
+    assert len(got) == 5
+    for rho, mat in zip(got, mats):
+        want = density_from_matrix(sh, mat)
+        assert rho.shape == want.shape
+        assert np.array_equal(rho.matrix, want.matrix)
+        assert not rho.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0.5, float("nan")], [0.0, 0.5]], "has a non-finite entry"),
+    ([[1.5, 0.0], [0.0, -0.5]], "entry of magnitude 1.500e+00 exceeds 1"),
+    ([[0.5, 0.8], [0.8, 0.5]], "has eigenvalue -3.000e-01"),
+    ([[0.5, 0.0], [0.0, 0.4]], "trace 0.9 is not 1"),
+], ids=["non-finite", "magnitude", "eigenvalue", "trace"])
+def test_density_list_names_the_first_bad_matrix(bad, message):
+    """A stack whose third matrix is bad is refused, naming that matrix."""
+    rng = rng_from_seed(9)
+    stack = np.array([random_density_matrix(2, rng) for _ in range(4)])
+    stack[2] = bad
+    with pytest.raises(InputError, match="^" + re.escape(f"density matrix 2 {message}")):
+        density_list(shape(("A", 2)), stack)
 
 
 def test_partial_trace_of_bell_state_is_maximally_mixed():
