@@ -116,7 +116,7 @@ def adaptive_binding(
     if mode == "povm-relaxation":
         values = {}
         for bit in (0, 1):
-            ops = score_operators(rho_ab, [v for _, v in scheme.openings(bit)])
+            ops = score_operators(rho_ab.matrix, [v for _, v in scheme.openings(bit)])
             values[bit] = optimal_discrimination(ops, tol=tol).primal_value
         eps = max(0.0, values[0] + values[1] - 1.0)
         return BindingReport(values[0], values[1], eps, mode=mode)
@@ -147,7 +147,7 @@ def _qubit_optimum(
     on I - P scores tr K_y' + tr P (K_y - K_y'), whose maximum over P is
     tr K_y' + lambda_max(K_y - K_y').
     """
-    ops = score_operators(rho_ab, [v for _, v in scheme.openings(bit)]).stack
+    ops = score_operators(rho_ab.matrix, [v for _, v in scheme.openings(bit)]).stack
     traces = np.real(np.trace(ops, axis1=1, axis2=2))
     i, j = np.nonzero(~np.eye(len(ops), dtype=bool))
     tops = np.linalg.eigvalsh(ops[i] - ops[j])[:, -1]

@@ -53,6 +53,23 @@ last uncertified centered point.
 solve of H per centering, which it does not count. It is 0 when a shortcut
 certifies (the indicator POVM for d = 1, the Helstrom measurement for two
 operators, or the uniform).
+
+Before any of this, one eigh of sum_j K_j finds its support V, the
+eigenvectors whose eigenvalues exceed _SUPPORT_CUT times the largest. Each
+K_j is PSD and at most that sum, so it lives on V; for a pure joint state
+on (A A', B) the sum has rank at most d_B, and a d_A d_A' = 8 instance with
+d_B = 2 needs a 4 x 4 Newton system, not a 64 x 64 one. A rank-deficient
+instance is solved as V^H K_j V, of the support's rank r, and lifted: the
+POVM F_j = V F'_j V^H with the kernel projector I - V V^H joining F_0, and
+the dual V Y' V^H shifted by max(0, max_j lambda_max(K_j - V Y' V^H)) I.
+The lift is sound whatever the cut: the lifted elements are PSD and sum to
+I, so they are a POVM of the full space, and the shift makes the dual
+feasible for every full K_j by construction. Both go to the same
+certificate builder as every other solve, which adds its rounding margin
+and judges primal, dual and convergence on the full instance; a cut that
+dropped a direction some K_j uses could only show as a larger gap, never as
+a false bound. A lifted certificate carries the compressed solve's
+`iterations`, and a support of rank 0 (all K_j zero) needs no solve.
 """
 from __future__ import annotations
 
@@ -88,6 +105,10 @@ _MU_FACTOR = 50.0
 _STALLS = 2
 _GRID = np.append(0.0, 1.4 ** np.arange(23))
 _ROUNDING = 1e-14
+# Eigenvalues of sum_j K_j at most _SUPPORT_CUT times its largest lie off the
+# support. Rounding leaves those of an exactly rank-deficient sum near 1e-16
+# of it; the solver's floor is 1e-10.
+_SUPPORT_CUT = 1e-13
 
 
 def validate_povms(stack: np.ndarray, names=None) -> np.ndarray:
@@ -148,7 +169,9 @@ class DiscriminationInstance:
             raise InputError(f"instance has {len(self.operators)} operators, "
                              f"cap is {DEFAULT_MAX_OPERATORS}")
         arr = as_complex_stack(self.operators, "score operator")
-        arr = hermitize(check_psd(arr, "score operator"))
+        self._hold(hermitize(check_psd(arr, "score operator")))
+
+    def _hold(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "stack", arr)
         object.__setattr__(self, "operators", tuple(arr))
@@ -174,13 +197,13 @@ def povm_list(stack, names=None) -> list[Povm]:
     return out
 
 
-def score_operators(rho: DensityOperator, effects) -> DiscriminationInstance:
+def score_operators(rho: np.ndarray, effects) -> DiscriminationInstance:
     """K_j = Tr_B[(I (x) E_j) rho] for the effects E_j on B, the last register
-    of rho, in one einsum."""
+    of the state matrix rho, in one einsum."""
     effects = np.asarray(effects)
     dim_b = effects.shape[-1]
-    dim_s = rho.dim // dim_b
-    t = rho.matrix.reshape(dim_s, dim_b, dim_s, dim_b)
+    dim_s = rho.shape[0] // dim_b
+    t = rho.reshape(dim_s, dim_b, dim_s, dim_b)
     return DiscriminationInstance(tuple(np.einsum("jxy,sytx->jst", effects, t)))
 
 
@@ -337,8 +360,40 @@ def optimal_discrimination(
 
     Stops once dual - primal <= tol; SOLVER_MAX_ITER caps the Newton steps.
     The certificate is valid either way, since both sides are feasible by
-    construction.
+    construction. A rank-deficient sum_j K_j is solved on its support and
+    lifted (_on_support).
     """
+    vals, vecs = np.linalg.eigh(instance.stack.sum(axis=0))
+    support = vecs[:, vals > _SUPPORT_CUT * vals[-1]]
+    if support.shape[1] == instance.dim:
+        return _solve(instance, tol)
+    return _on_support(instance, support, tol)
+
+
+def _on_support(instance: DiscriminationInstance, v: np.ndarray, tol: float) -> SolverCertificate:
+    """The certificate of the instance V^H K_j V on the support V of sum_j K_j,
+    lifted: F_j = V F'_j V^H with I - V V^H joining F_0, and the dual V Y' V^H
+    shifted by max(0, max_j lambda_max(K_j - V Y' V^H)) I. Both sides are
+    judged on the full instance by _certificate."""
+    n, d = len(instance), instance.dim
+    vh = v.conj().T
+    if v.shape[1]:
+        # V^H K_j V of validated K_j is PSD up to rounding; it is not validated again.
+        inner = object.__new__(DiscriminationInstance)
+        inner._hold(hermitize(vh @ instance.stack @ v))
+        cert = _solve(inner, tol)
+        elements, y, steps = v @ cert.povm.stack @ vh, v @ cert.dual_witness @ vh, cert.iterations
+    else:  # every K_j is zero: F_0 = I and Y = 0, shifted below
+        elements, y, steps = np.zeros((n, d, d), complex), np.zeros((d, d), complex), 0
+    elements[0] += np.eye(d) - v @ vh
+    y = hermitize(y)
+    y += max(0.0, dual_feasibility_defect(instance, y)) * np.eye(d)
+    return _certificate(instance, hermitize(elements), y, steps, tol)
+
+
+def _solve(instance: DiscriminationInstance, tol: float) -> SolverCertificate:
+    """optimal_discrimination on an instance taken as it stands: the d = 1 and
+    Helstrom shortcuts, else the barrier path."""
     n, d = len(instance), instance.dim
     if d == 1:
         top = int(np.argmax([k[0, 0].real for k in instance.operators]))

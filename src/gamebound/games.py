@@ -11,6 +11,10 @@ name a test j and wins when the binary POVM E^j fires on B.
 
 Both adaptive flavors reduce exactly to score-operator discrimination with
 K_j = Tr_B[(I (x) E1_j) rho] on the registers the attacker may measure.
+
+The reductions rho_B, rho_A'B and rho_A are partial traces of the joint
+state's matrix (linalg.partial_trace_matrix), which was validated once when
+the state was built; none is wrapped and validated again as a state.
 """
 from __future__ import annotations
 
@@ -30,12 +34,13 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     min_eig,
+    partial_trace_matrix,
     reject_first,
     save_json,
 )
 from .rand import random_effect, random_pure_vector, rng_from_seed
 from .registers import RegisterShape
-from .states import DensityOperator, density_from_matrix, partial_trace, zero_entropy
+from .states import DensityOperator, density_from_matrix, zero_entropy
 
 A_LABEL, APRIME_LABEL, B_LABEL = "A", "A'", "B"
 # Name of check (i) in verify_main_theorem. Every check's name says which
@@ -45,7 +50,9 @@ MAIN_BOUND = "adaptive-dual<=2^H0(A)*semi-primal"
 
 @dataclass(frozen=True)
 class BinaryPovmFamily:
-    """Finite menu of binary tests {(E0_j, E1_j)} on one register."""
+    """Finite menu of binary tests {(E0_j, E1_j)} on one register. `stack`
+    holds the E1 halves as one read-only (n, d, d) array; `effects` are its
+    views."""
 
     labels: tuple[str, ...]
     effects: tuple[np.ndarray, ...]  # the E1 halves; E0 = I - E1
@@ -62,15 +69,20 @@ class BinaryPovmFamily:
                              f"{DEFAULT_MAX_OPERATORS}")
         names = [f"effect {label!r}" for label in self.labels]
         arr = as_complex_stack(self.effects, "effect", finite=False)
+        # 0 <= E <= I bounds every |E_ij| by 1; a larger entry would overflow the gates below.
+        big = np.abs(arr).max(axis=(1, 2), initial=0.0)
+        reject_first(big > 1.0 + 1e-9, names.__getitem__, lambda i: "exceeds the identity or "
+                     f"is not PSD: entry of magnitude {big[i]:.3e} > 1")
         arr = hermitize(check_psd(arr, names.__getitem__))
         reject_first(min_eig(np.eye(arr.shape[1]) - arr) < -1e-9, names.__getitem__,
                      lambda i: "exceeds the identity")
         arr.setflags(write=False)
+        object.__setattr__(self, "stack", arr)
         object.__setattr__(self, "effects", tuple(arr))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -124,21 +136,20 @@ class GameResult:
 
 
 def non_adaptive_success(game: AttackGame) -> float:
-    rho_b = partial_trace(game.state, (B_LABEL,))
-    return max(
-        float(np.real(np.trace(e1 @ rho_b.matrix))) for e1 in game.family.effects
-    )
+    """max_j tr(E1_j rho_B), all tests in one einsum."""
+    rho_b = partial_trace_matrix(game.state.matrix, game.dims, (2,))
+    return float(np.einsum("jxy,yx->j", game.family.stack, rho_b).real.max())
 
 
 def adaptive_success(game: AttackGame, tol: float = SOLVER_TOL) -> SolverCertificate:
     """Optimal joint (A, A') measure-then-choose success, with certificate."""
-    return optimal_discrimination(score_operators(game.state, game.family.effects), tol=tol)
+    return optimal_discrimination(score_operators(game.state.matrix, game.family.stack), tol=tol)
 
 
 def semi_adaptive_success(game: AttackGame, tol: float = SOLVER_TOL) -> SolverCertificate:
     """Same, with only A' available to the attacker."""
-    reduced = partial_trace(game.state, (APRIME_LABEL, B_LABEL))
-    return optimal_discrimination(score_operators(reduced, game.family.effects), tol=tol)
+    reduced = partial_trace_matrix(game.state.matrix, game.dims, (1, 2))
+    return optimal_discrimination(score_operators(reduced, game.family.stack), tol=tol)
 
 
 def aprime_is_classical(game: AttackGame) -> bool:

@@ -70,8 +70,10 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger)/2 per matrix — used on results that are Hermitian in exact arithmetic."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    """(M + M^dagger)/2 per matrix — used on results that are Hermitian in exact arithmetic.
+    Halving first is exact, so the sum cannot overflow where the entries are finite."""
+    half = m * 0.5
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -117,13 +119,14 @@ def psd_by_cholesky(m: np.ndarray, tol: float) -> bool:
 
 def check_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """check_hermitian, then PSD within HERM_TOL: one stacked Cholesky factorization accepts
-    almost every input, and one eigvalsh for the stack decides and names the rest."""
+    almost every input, and one eigvalsh for the stack decides and names the rest. A smallest
+    eigenvalue that is not finite fails too: the spectrum lies beyond the float range."""
     arr = check_hermitian(m, name)
     if psd_by_cholesky(arr, HERM_TOL):
         return arr
     low = min_eig(arr)
-    reject_first(low < -HERM_TOL, name, lambda i: f"not PSD: min eigenvalue "
-                 f"{np.atleast_1d(low)[i]:.3e} < -{HERM_TOL:.1e}")
+    reject_first(~np.isfinite(low) | (low < -HERM_TOL), name, lambda i:
+                 f"not PSD: min eigenvalue {np.atleast_1d(low)[i]:.3e} < -{HERM_TOL:.1e}")
     return arr
 
 

@@ -106,10 +106,12 @@ def partial_trace(rho: DensityOperator, keep: tuple[str, ...]) -> DensityOperato
 def zero_entropy(rho: DensityOperator, label: str) -> float:
     """lg rank of the reduced state on `label`.
 
-    Eigenvalues within RANK_TOL of zero do not count toward the rank.
+    Eigenvalues within RANK_TOL of zero do not count toward the rank. The
+    reduced matrix is traced from rho's, validated when rho was built, and is
+    not validated again as a state.
     """
-    reduced = rho if rho.shape.labels == (label,) else partial_trace(rho, (label,))
-    rank = int(np.sum(np.linalg.eigvalsh(reduced.matrix) > RANK_TOL))
+    reduced = partial_trace_matrix(rho.matrix, rho.shape.dims, (rho.shape.index_of(label),))
+    rank = int(np.sum(np.linalg.eigvalsh(reduced) > RANK_TOL))
     if rank == 0:
         raise InputError("reduced state has numerical rank 0")
     return float(np.log2(rank))

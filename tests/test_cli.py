@@ -172,6 +172,17 @@ def test_non_finite_family_is_input_error(tmp_path, capsys, value):
     assert main(["game", "--state", str(state_path), "--family", str(family_path)]) == 2
 
 
+def test_family_entry_near_the_float_limit_is_input_error(tmp_path, capsys):
+    """A finite effect entry of 1e308 overflowed the family's PSD gate, and
+    `game` exited 3 with LinAlgError; 0 <= E <= I bounds every entry by 1, so
+    it is bad input. The weighted fuzz below does not reach this file within
+    its examples."""
+    state_path, family_path = bell_files(tmp_path)
+    set_entry(family_path, ("effects", 0, "re", 1, 1), 1e308)
+    assert main(["game", "--state", str(state_path), "--family", str(family_path)]) == 2
+    assert "effect 'z=0' exceeds the identity or is not PSD" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_scheme_is_input_error(tmp_path, capsys, value):
     scheme_path = tmp_path / "scheme.json"

@@ -226,7 +226,7 @@ def test_score_operators_match_kron_partial_trace_reference():
         vec = random_pure_vector(dim_a * dim_b, rng)
         rho = density_from_matrix(shape(("A", dim_a), ("B", dim_b)), np.outer(vec, vec.conj()))
         for bit in (0, 1):
-            ops = score_operators(rho, [v for _, v in scheme.openings(bit)]).stack
+            ops = score_operators(rho.matrix, [v for _, v in scheme.openings(bit)]).stack
             reference = [partial_trace_matrix(np.kron(np.eye(dim_a), v) @ rho.matrix,
                                               (dim_a, dim_b), (0,))
                          for _, v in scheme.openings(bit)]

@@ -19,6 +19,7 @@ from gamebound.discrimination import (
     dual_feasibility_defect,
     optimal_discrimination,
     povm_list,
+    score_operators,
 )
 from gamebound.errors import InputError
 from gamebound.games import adaptive_success, random_game, semi_adaptive_success
@@ -288,11 +289,14 @@ def _exactly_positive_definite(y: np.ndarray, k: np.ndarray) -> bool:
 
 
 def test_dual_is_exactly_feasible_under_rounding(monkeypatch):
-    """Every dual the solver returns on 60 random games is feasible in exact
+    """Every dual the solver returns on 66 random games is feasible in exact
     arithmetic: each Y - K_j is positive definite (for d > 1, where the
     rounding margin applies; 20 adaptive duals failed without it) or, for the
-    1 x 1 dual max_j K_j, nonnegative."""
+    1 x 1 dual max_j K_j, nonnegative. The games include d_A d_A' = 8 with
+    d_B = 2 and 4, so duals lifted from a solve on the support are audited
+    too."""
     solved = []
+    lifted = recorded_supports(monkeypatch)
 
     def recorded(instance, tol, _orig=optimal_discrimination):
         cert = _orig(instance, tol)
@@ -305,7 +309,12 @@ def test_dual_is_exactly_feasible_under_rounding(monkeypatch):
         game = random_game(*shapes[s % 4], seed=(5, s))
         adaptive_success(game, tol=1e-9)
         semi_adaptive_success(game, tol=1e-9)
-    assert len(solved) == 120
+    for s in range(6):
+        game = random_game(4, 2 + 2 * (s % 2), 3, seed=(5, 60 + s), dim_aprime=2)
+        adaptive_success(game, tol=1e-9)
+        semi_adaptive_success(game, tol=1e-9)
+    assert len(solved) == 132
+    assert {(8, 2), (8, 4), (4, 2)} <= set(lifted)
     for instance, cert in solved:
         trace = sum(Fraction(x) for x in np.diag(cert.dual_witness).real)
         assert Fraction(cert.dual_value) >= trace
@@ -314,6 +323,61 @@ def test_dual_is_exactly_feasible_under_rounding(monkeypatch):
                 assert Fraction(cert.dual_witness[0, 0].real) >= Fraction(k[0, 0].real)
             else:
                 assert _exactly_positive_definite(cert.dual_witness, k)
+
+
+def recorded_supports(monkeypatch) -> list:
+    """(d, support rank) of every instance solved on its support from now on."""
+    lifted = []
+
+    def recorded(instance, v, tol, _orig=discrimination._on_support):
+        lifted.append(v.shape)
+        return _orig(instance, v, tol)
+
+    monkeypatch.setattr(discrimination, "_on_support", recorded)
+    return lifted
+
+
+@pytest.mark.parametrize("dim_a, dim_aprime, dim_b", [(4, 1, 2), (4, 2, 2), (4, 2, 4), (2, 4, 4)])
+def test_support_solve_brackets_the_full_space_value(dim_a, dim_aprime, dim_b, monkeypatch):
+    """On a pure joint state with d_A d_A' > d_B every score operator lives in
+    the rank-d_B support of rho_AA'. The solve there, lifted, is a feasible
+    certificate of the full instance that brackets the same value as a solve
+    of the whole d_A d_A'-dimensional space, within tol."""
+    lifted = recorded_supports(monkeypatch)
+    for s in range(6):
+        game = random_game(dim_a, dim_b, 3, seed=(71, s), dim_aprime=dim_aprime)
+        instance = score_operators(game.state.matrix, game.family.stack)
+        cert = optimal_discrimination(instance, tol=1e-9)
+        full = discrimination._solve(instance, 1e-9)
+        assert cert.converged and full.converged
+        assert cert.povm.dim == instance.dim == dim_a * dim_aprime
+        assert dual_feasibility_defect(instance, cert.dual_witness) <= 0.0
+        low = max(cert.primal_value, full.primal_value)
+        assert low <= min(cert.dual_value, full.dual_value) + 1e-12
+        assert abs(cert.primal_value - full.primal_value) <= 1e-9
+    assert lifted == [(dim_a * dim_aprime, dim_b)] * 6
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_support_rank_zero_and_one_return_valid_certificates(n_ops, dim, monkeypatch):
+    """All-zero score operators (support rank 0: nothing is solved, F_0 = I)
+    and multiples w_j P of one rank-one projector (value max_j w_j) each get a
+    converged certificate with a feasible dual and a POVM of the full space."""
+    lifted = recorded_supports(monkeypatch)
+    rng = rng_from_seed((72, n_ops, dim))
+    vec = random_pure_vector(dim, rng)
+    weights = rng.random(n_ops)
+    cases = ((np.zeros((n_ops, dim, dim), complex), 0.0),
+             (weights[:, None, None] * np.outer(vec, vec.conj()), float(weights.max())))
+    for ops, value in cases:
+        instance = DiscriminationInstance(tuple(ops))
+        cert = optimal_discrimination(instance, tol=1e-9)
+        assert cert.converged
+        assert cert.primal_value - 1e-12 <= value <= cert.dual_value
+        assert dual_feasibility_defect(instance, cert.dual_witness) <= 0.0
+        assert np.abs(cert.povm.stack.sum(axis=0) - np.eye(dim)).max() <= EQ_TOL
+    assert [rank for _, rank in lifted] == ([0, 1] if dim > 1 else [0])
 
 
 def test_trine_states_value():

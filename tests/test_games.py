@@ -18,6 +18,7 @@ from gamebound.games import (
     semi_adaptive_success,
     verify_main_theorem,
 )
+from gamebound.linalg import partial_trace_matrix
 from gamebound.rand import rng_from_seed
 from gamebound.states import density_from_matrix, partial_trace, zero_entropy
 
@@ -107,6 +108,33 @@ def test_zero_entropy_uses_reduction_rank():
     rho_a = partial_trace(game.state, keep=("A",))
     rank = int(np.linalg.matrix_rank(rho_a.matrix, tol=1e-8))
     assert zero_entropy(game.state, "A") == pytest.approx(math.log2(rank), abs=1e-12)
+
+
+def test_lean_reductions_match_validated_partial_traces():
+    """rho_B, rho_A'B and rho_A, traced from the joint matrix without building
+    states, equal partial_trace(...).matrix within 1e-15, and the values read
+    from them equal those read from the references."""
+    for s, (dim_a, dim_aprime, dim_b) in enumerate([(2, 1, 2), (4, 2, 2), (2, 2, 3), (3, 2, 4)]):
+        game = random_game(dim_a, dim_b, 3, seed=(57, s), dim_aprime=dim_aprime)
+        for keep, labels in (((2,), ("B",)), ((1, 2), ("A'", "B")), ((0,), ("A",))):
+            ref = partial_trace(game.state, labels).matrix
+            lean = partial_trace_matrix(game.state.matrix, game.dims, keep)
+            assert np.abs(lean - ref).max() <= 1e-15
+        rho_b = partial_trace(game.state, ("B",)).matrix
+        want = max(np.trace(e @ rho_b).real for e in game.family.effects)
+        assert abs(non_adaptive_success(game) - want) <= 1e-15
+        rho_a = partial_trace(game.state, ("A",)).matrix
+        rank = int(np.sum(np.linalg.eigvalsh(rho_a) > 1e-8))
+        assert zero_entropy(game.state, "A") == math.log2(rank)
+
+
+def test_family_stack_is_read_only():
+    family = random_game(2, 3, 4, seed=58).family
+    assert family.stack.shape == (4, 3, 3)
+    assert not family.stack.flags.writeable and not family.effects[0].flags.writeable
+    np.testing.assert_array_equal(np.stack(family.effects), family.stack)
+    with pytest.raises(ValueError, match="read-only"):
+        family.stack[0, 0, 0] = 0.0
 
 
 def test_family_errors_name_the_bad_effect_by_label():

@@ -203,6 +203,21 @@ def test_cholesky_psd_gate_decides_as_the_eigenvalue_rule(dim):
             check_psd(one, "M")
 
 
+@pytest.mark.parametrize("m", [
+    np.diag([-1.0, 1e308]),
+    np.array([[1e308, 0.0], [0.0, -5.0]]),
+    np.array([[1e308, 1e308], [1e308, -1.0]]),
+], ids=["diag-neg-first", "diag-neg-last", "dense"])
+def test_check_psd_rejects_non_psd_matrix_near_the_float_limit(m):
+    """Symmetrising these matrices as (M + M^H)/2 overflowed to inf, their eigenvalues came
+    back NaN, and NaN < -HERM_TOL is False, so all three passed as PSD. Each has a negative
+    eigenvalue, alone or stacked after a PSD matrix."""
+    with pytest.raises(InputError, match="^M not PSD: min eigenvalue -"):
+        check_psd(m, "M")
+    with pytest.raises(InputError, match="^M 1 not PSD: min eigenvalue -"):
+        check_psd(np.stack([np.eye(2), m]), "M")
+
+
 def test_cholesky_density_gate_decides_as_the_eigenvalue_rule():
     """DensityOperator rejects exactly the trace-one matrices whose computed smallest
     eigenvalue is below -1e-10, across the same sweep, with the same message."""
