@@ -42,10 +42,16 @@ from .states import DensityOperator, density_from_matrix
 
 
 def _check_projector(m: np.ndarray, name) -> np.ndarray:
-    """A projector, or an (n, d, d) stack of them, checked PSD and idempotent within 1e-9;
-    a stack's errors name its first bad element as f"{name} {i}", or as name(i) when `name`
-    is a function."""
-    arr = check_psd(m, name)
+    """A projector, or an (n, d, d) stack of them, checked: entries at most 1 in magnitude,
+    PSD and idempotent within 1e-9; a stack's errors name its first bad element as
+    f"{name} {i}", or as name(i) when `name` is a function."""
+    arr = np.asarray(m, dtype=complex)
+    # 0 <= V <= I bounds every |V_ij| by 1; a larger entry would overflow the gates below.
+    # Non-finite entries are left to check_psd, which names them.
+    big = np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    reject_first(np.isfinite(big) & (big > 1.0 + 1e-9), name, lambda i: "is not a projector: "
+                 f"entry of magnitude {np.atleast_1d(big)[i]:.3e} > 1")
+    arr = check_psd(arr, name)
     defect = np.abs(arr @ arr - arr).max(axis=(-2, -1), initial=0.0)
     reject_first(defect > 1e-9, name, lambda i: "is not idempotent within 1e-09")
     return hermitize(arr)

@@ -52,7 +52,24 @@ last uncertified centered point.
 `iterations` counts corrector Newton steps; the predictor adds one more
 solve of H per centering, which it does not count. It is 0 when a shortcut
 certifies (the indicator POVM for d = 1, the Helstrom measurement for two
-operators, or the uniform).
+operators, the qubit closed form below, or the uniform).
+
+A qubit instance (d = 2, after the support reduction below) of at most
+_QUBIT_MAX_N = 12 operators has a closed form (Deconinck & Terhal, Phys.
+Rev. A 81, 062304, 2010); two operators still take the Helstrom
+measurement first. With K_j = r_j I + k_j.sigma and Y = R I + c.sigma,
+Y >= K_j exactly when the ball B(c, R) in R^3 encloses B(k_j, r_j), so the
+dual is the smallest ball enclosing balls (Fischer & Gaertner, Int. J.
+Comput. Geom. Appl. 14, 2004). It touches at most 4 of them, and its centre
+lies on the affine hull of theirs. Every subset of 1 to 4 is tried in one
+padded batch: c is linear in R there, one quadratic gives R, and the
+smallest candidate that encloses every ball is the optimum. Complementary
+slackness gives the POVM on the balls touched. The tangent dual lies on the
+boundary of the feasible set, so it is shifted by
+max(0, max_j lambda_max(K_j - Y)) I before the certificate builder adds its
+rounding margin. Past n = 12 the subsets (1,092 at n = 13) cost more than
+the barrier path, which also takes any closed form whose certificate does
+not converge.
 
 Before any of this, one eigh of sum_j K_j finds its support V, the
 eigenvectors whose eigenvalues exceed _SUPPORT_CUT times the largest. Each
@@ -73,8 +90,10 @@ a false bound. A lifted certificate carries the compressed solve's
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +128,11 @@ _ROUNDING = 1e-14
 # support. Rounding leaves those of an exactly rank-deficient sum near 1e-16
 # of it; the solver's floor is 1e-10.
 _SUPPORT_CUT = 1e-13
+# Qubit instances of at most _QUBIT_MAX_N operators take the closed form (_qubit_ball). It
+# enumerates 793 subsets at n = 12 in 1.3 ms, against 1.5 ms on the barrier path, but
+# 1,092 at n = 13 in 1.8 ms, against 1.6 ms (random mixed qubit instances, one BLAS thread).
+_QUBIT_MAX_N = 12
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def validate_povms(stack: np.ndarray, names=None) -> np.ndarray:
@@ -392,8 +416,8 @@ def _on_support(instance: DiscriminationInstance, v: np.ndarray, tol: float) -> 
 
 
 def _solve(instance: DiscriminationInstance, tol: float) -> SolverCertificate:
-    """optimal_discrimination on an instance taken as it stands: the d = 1 and
-    Helstrom shortcuts, else the barrier path."""
+    """optimal_discrimination on an instance taken as it stands: the d = 1,
+    Helstrom and qubit shortcuts, else the barrier path."""
     n, d = len(instance), instance.dim
     if d == 1:
         top = int(np.argmax([k[0, 0].real for k in instance.operators]))
@@ -404,7 +428,108 @@ def _solve(instance: DiscriminationInstance, tol: float) -> SolverCertificate:
         cert = _certificate(instance, helstrom, None, 0, tol)
         if cert.converged:
             return cert
+    elif d == 2 and n <= _QUBIT_MAX_N:
+        cert = _qubit_ball(instance, tol)
+        if cert is not None and cert.converged:
+            return cert
     return _barrier_path(instance, tol)
+
+
+@lru_cache(maxsize=_QUBIT_MAX_N)
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of 1 to 4 of range(n), smallest first, as a row of 4 indices padded by
+    repeating its first, and a mask of the padded places among the last 3."""
+    rows = [c for size in range(1, 5) for c in itertools.combinations(range(n), size)]
+    idx = np.array([c + c[:1] * (4 - len(c)) for c in rows])
+    pad = np.array([len(c) for c in rows])[:, None] <= np.arange(1, 4)
+    idx.setflags(write=False)
+    pad.setflags(write=False)
+    return idx, pad
+
+
+def _enclosing_ball(k: np.ndarray, r: np.ndarray, slack: float):
+    """(R, c, S, coords) for the smallest ball B(c, R) enclosing every B(k_j, r_j) within
+    `slack`, S the indices of the balls it touches and coords the affine coordinates of c on
+    their centres; None if no candidate encloses them all. The ball touches at most 4 of
+    them and its centre lies on the affine hull of theirs, so for each subset c is linear in
+    R and one quadratic gives R; the smallest candidate that encloses every ball is the one."""
+    idx, pad = _subsets(len(r))
+    ks, rs = k[idx], r[idx]
+    # Tangency to k_i and k_0 with c = k_0 + sum_i lambda_i a_i, a_i = k_i - k_0, is linear:
+    # G lambda = b + R e, G the Gram matrix of the a_i, padded with the identity.
+    a = ks[:, 1:] - ks[:, :1]
+    e = rs[:, 1:] - rs[:, :1]
+    b = ((a * a).sum(axis=2) - e * (rs[:, 1:] + rs[:, :1])) / 2.0
+    # Products are einsums, and G^{-1} = adj(G) / det G with the rows of the symmetric G's
+    # adjugate the cross products of its rows: the real BLAS and LAPACK routines that could
+    # do this run nowhere else in a solve, and paging them in cost about 1 MB of memory.
+    gram = np.einsum("mix,mjx->mij", a, a) + pad[:, :, None] * np.eye(3)
+    adj = np.cross(gram[:, [1, 2, 0]], gram[:, [2, 0, 1]])
+    det = (gram[:, 0] * adj[:, 0]).sum(axis=1)
+    # Centres that are not affinely independent leave G singular; the smallest ball never
+    # needs them (Caratheodory), so those subsets are skipped.
+    usable = det > 1e-12 * np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    lam = np.einsum("mij,mjs->mis", adj, np.stack([b, e], 2))
+    lam /= np.where(usable, det, 1.0)[:, None, None]  # lambda = lam[..., 0] + R lam[..., 1]
+    u, v = np.einsum("mis,mix->smx", lam, a)  # c = k_0 + u + R v
+    # |c - k_0| = R - r_0 with c - k_0 = u + R v: alpha R^2 + 2 beta R + gamma = 0.
+    r0 = rs[:, 0]
+    alpha = (v * v).sum(axis=1) - 1.0
+    beta = (u * v).sum(axis=1) + r0
+    gamma = (u * u).sum(axis=1) - r0 * r0
+    q = -(beta + np.copysign(np.sqrt(np.maximum(beta * beta - alpha * gamma, 0.0)), beta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.stack([q / alpha, gamma / q], 1)
+    # A ball that encloses them all is at least as large as the largest; only such
+    # candidates are checked.
+    sub, root = np.nonzero(usable[:, None] & np.isfinite(radius) & (radius >= r.max() - slack))
+    radius = radius[sub, root]
+    centre = ks[sub, 0] + u[sub] + radius[:, None] * v[sub]
+    fits = radius >= (r + np.linalg.norm(centre[:, None] - k, axis=2)).max(axis=1) - slack
+    if not fits.any():
+        return None
+    best = int(np.argmin(np.where(fits, radius, np.inf)))
+    row, size = sub[best], 4 - int(pad[sub[best]].sum())
+    coords = lam[row, :, 0] + radius[best] * lam[row, :, 1]
+    return radius[best], centre[best], idx[row, :size], np.append(1.0 - coords.sum(), coords)[:size]
+
+
+def _qubit_ball(instance: DiscriminationInstance, tol: float) -> SolverCertificate | None:
+    """The closed form for d = 2. With K_j = r_j I + k_j.sigma and Y = R I + c.sigma,
+    Y >= K_j exactly when the ball B(c, R) encloses B(k_j, r_j), so the dual is the smallest
+    ball enclosing balls (_enclosing_ball). The POVM is F_j = w_j (I - n_j.sigma)/2 on the
+    balls it touches, n_j the unit vector from k_j to c, with sum w_j = 2 and
+    sum w_j n_j = 0 (complementary slackness); F_j = I when c = k_j. None if no ball is
+    found or its POVM is degenerate."""
+    ops = instance.stack
+    r = ops.trace(axis1=1, axis2=2).real / 2.0
+    k = np.stack([ops[:, 1, 0].real, ops[:, 1, 0].imag,
+                  (ops[:, 0, 0] - ops[:, 1, 1]).real / 2.0], axis=1)
+    # Tangent balls meet the candidate up to rounding; the dual shift below repairs that.
+    slack = 1e-12 * r.max()
+    found = _enclosing_ball(k, r, slack)
+    if found is None:
+        return None
+    radius, c, touch, coords = found
+    gap = c - k[touch]
+    dist = np.linalg.norm(gap, axis=1)
+    elements = np.zeros_like(ops)
+    if dist.min() <= slack:  # B(k_j, r_j) encloses the rest: F_j = I
+        elements[touch[np.argmin(dist)]] = np.eye(2)
+    else:
+        # sum_j w_j n_j = 0 puts c at sum_j (w_j/d_j) k_j / sum_j (w_j/d_j), d_j = |c - k_j|,
+        # so w_j is proportional to coords_j d_j, and F_j to coords_j (d_j I - (c - k_j).sigma).
+        elements[touch] = np.maximum(coords, 0.0)[:, None, None] * (
+            dist[:, None, None] * np.eye(2) - np.einsum("ji,ikl->jkl", gap, _PAULI))
+        # Renormalizing to sum_j F_j = I fixes the scale, and the rounding.
+        vals, vecs = np.linalg.eigh(elements.sum(axis=0))
+        if not vals.min() > 0.0:
+            return None
+        norm = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        elements = hermitize(norm @ elements @ norm)
+    y = radius * np.eye(2) + np.einsum("i,ikl->kl", c, _PAULI)
+    y += max(0.0, dual_feasibility_defect(instance, y)) * np.eye(2)
+    return _certificate(instance, elements, y, 0, tol)
 
 
 def _barrier_path(instance: DiscriminationInstance, tol: float) -> SolverCertificate:

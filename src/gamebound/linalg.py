@@ -37,8 +37,10 @@ def reject_first(bad, name, what) -> None:
 
 
 def herm_defect(m: np.ndarray) -> float | np.ndarray:
-    """Largest entry of |M - M^dagger|; one per element of an (n, d, d) stack."""
-    out = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    """Largest entry of |M - M^dagger|; one per element of an (n, d, d) stack. A difference
+    beyond the float range is an infinite defect, which every tolerance rejects."""
+    with np.errstate(over="ignore"):
+        out = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     return float(out) if out.ndim == 0 else out
 
 

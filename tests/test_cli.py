@@ -254,6 +254,31 @@ def test_state_entry_above_one_is_input_error(argv, tmp_path, capsys):
     assert "exceeds 1" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, keys", [
+    ("state", ("re", 0, 3)),
+    ("state", ("re", 1, 1)),
+    ("family", ("effects", 0, "re", 0, 1)),
+    ("family", ("effects", 0, "re", 1, 1)),
+    ("scheme", ("openings", "0", 0, "re", 0, 1)),
+    ("scheme", ("openings", "0", 0, "re", 1, 1)),
+], ids=["state-off-diagonal", "state-diagonal", "family-off-diagonal", "family-diagonal",
+        "scheme-off-diagonal", "scheme-diagonal"])
+def test_entry_near_the_float_limit_is_refused_without_a_warning(kind, keys, tmp_path, capsys):
+    """Densities, effects and projectors lie between 0 and I, so no entry exceeds 1 in
+    magnitude, and each file's gate refuses a larger one before any arithmetic on it. With
+    RuntimeWarning an error, an entry of 1e308 still exits 2: in a scheme it overflowed
+    herm_defect's M - M^H off the diagonal, and the idempotency check's V V on it."""
+    state_path, family_path = bell_files(tmp_path)
+    files = {"state": state_path, "family": family_path, "scheme": Path(_scheme_file(tmp_path))}
+    set_entry(files[kind], keys, 1e308)
+    argv = {"state": ["info", "--state", str(state_path)],
+            "family": ["game", "--state", str(state_path), "--family", str(family_path)],
+            "scheme": ["binding", "--scheme", str(files["scheme"])]}[kind]
+    assert main(argv) == 2
+    assert "magnitude" in capsys.readouterr().err
+
+
 def test_info_on_one_dimensional_measured_register_passes(tmp_path, capsys):
     """Every measurement of a one-dimensional register gives lambda = 0 = H0."""
     state_path, out_path = tmp_path / "state.json", tmp_path / "info.json"

@@ -149,7 +149,8 @@ def test_line_searched_steps_stay_inside_and_descend(n_ops, dim, pure, seed):
     strictly inside the domain, each I + t L_j^{-1} D L_j^{-H} (so each
     Y + t D - K_j) having a Cholesky factor, and does not raise the barrier
     along D, phi(t) = t tr(D)/mu - sum_j log det(I + t L_j^{-1} D L_j^{-H}),
-    here evaluated by slogdet rather than the search's eigenvalues."""
+    here evaluated by slogdet rather than the search's eigenvalues. Qubit
+    instances are kept on the barrier path, which the closed form would skip."""
     searches = []
 
     def recorded(inv_l, inv_lh, step, mu, decrement, _orig=discrimination._line_search):
@@ -159,6 +160,7 @@ def test_line_searched_steps_stay_inside_and_descend(n_ops, dim, pure, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrimination, "_line_search", recorded)
+        mp.setattr(discrimination, "_QUBIT_MAX_N", 2)
         optimal_discrimination(drawn_instance(n_ops, dim, pure, seed), tol=1e-9)
     for w, slope, decrement, t in searches:
         assert decrement > 0.25 and t >= 0.0
@@ -176,39 +178,54 @@ def test_one_dimensional_value_is_largest_weight():
     assert [float(e[0, 0].real) for e in cert.povm.elements] == [0.0, 1.0, 0.0]
 
 
-def test_game_at_old_iteration_cap_converges():
+def test_game_at_old_iteration_cap_converges(monkeypatch):
     """This adaptive solve stopped at 10,000 fixed-point iterations with a
     gap of 1.1e-8; the damped path without a predictor took 77 Newton steps,
     the predictor-corrector path 58 when it centred every point tightly, 43
     once only the points it certifies were, and 21 now that corrector steps
-    are line-searched instead of damped."""
+    are line-searched instead of damped. Its support is a qubit, where the
+    closed form takes 0 steps; the barrier path is held to 21 here."""
     game = random_game(4, 2, 3, seed=(777, 110), dim_aprime=1)
     cert = adaptive_success(game, tol=1e-9)
-    assert cert.converged and cert.gap <= 1e-9
-    assert cert.iterations <= 21
+    assert cert.converged and cert.gap <= 1e-9 and cert.iterations == 0
+    monkeypatch.setattr(discrimination, "_QUBIT_MAX_N", 2)
+    barrier = adaptive_success(game, tol=1e-9)
+    assert barrier.converged and barrier.gap <= 1e-9
+    assert 0 < barrier.iterations <= 21
+    assert barrier.primal_value - 1e-12 <= cert.dual_value
+    assert cert.primal_value - 1e-12 <= barrier.dual_value
 
 
 def test_criterion_03_newton_solve_budget(monkeypatch):
-    """Criterion 03's 200 seed-0 games take 2,250 Newton-system solves,
+    """Criterion 03's 200 seed-0 games take 522 Newton-system solves,
     predictor solves included (corrector steps plus one predictor per
-    centering), bounded here at 5% above that; the damped path without a
-    predictor took 5,862, tight centring at every point 4,303, and damped
-    corrector steps 3,708."""
-    solves = []
+    centering), bounded here at 5% above that, in 25 barrier solves, none of
+    them a qubit. The damped path without a predictor took 5,862, tight
+    centring at every point 4,303, damped corrector steps 3,708, and the
+    line-searched path 2,215 in 123 barrier solves before qubits took the
+    closed form."""
+    solves, dims = [], []
 
     def counted(*args, _orig=discrimination._newton_solve):
         solves.append(1)
         return _orig(*args)
 
+    def recorded(instance, tol, _orig=discrimination._barrier_path):
+        dims.append(instance.dim)
+        return _orig(instance, tol)
+
     monkeypatch.setattr(discrimination, "_newton_solve", counted)
+    monkeypatch.setattr(discrimination, "_barrier_path", recorded)
     assert criterion_03_random_games(seed=0).passed
-    assert len(solves) <= 2362
+    assert len(solves) <= 548
+    assert len(dims) == 25 and 2 not in dims
 
 
 def test_criterion_03_certificates_per_barrier_solve(monkeypatch):
     """Only points that can end a solve are certified: each barrier solve of
     criterion 03's seed-0 games builds at most 3 certificates, the uniform
-    POVM's included (up to 8 when every centring was certified)."""
+    POVM's included (up to 8 when every centring was certified). Qubit
+    instances are kept on the barrier path, which the closed form would skip."""
     built, per_solve = [], []
 
     def counted_certificate(*args, _orig=discrimination._certificate):
@@ -223,16 +240,18 @@ def test_criterion_03_certificates_per_barrier_solve(monkeypatch):
 
     monkeypatch.setattr(discrimination, "_certificate", counted_certificate)
     monkeypatch.setattr(discrimination, "_barrier_path", counted_path)
+    monkeypatch.setattr(discrimination, "_QUBIT_MAX_N", 2)
     assert criterion_03_random_games(seed=0).passed
-    assert per_solve and max(per_solve) <= 3
+    assert len(per_solve) == 123 and max(per_solve) <= 3
 
 
-def test_tolerance_below_rounding_floor_stops_early():
+def test_tolerance_below_rounding_floor_stops_early(monkeypatch):
     """At tol 1e-12, below the rounding floor, the path stops once a full
     Newton step fails to shrink the decrement instead of spinning: the
     previous solver took up to the 10,000-step cap on four of these 16
     instances, 8.1 s in all, for the same ten converged solves and a worst
-    gap of 3.72e-11."""
+    gap of 3.72e-11. Qubit instances are kept on the barrier path."""
+    monkeypatch.setattr(discrimination, "_QUBIT_MAX_N", 2)
     worst, converged = 0.0, []
     for s in range(16):
         rng = rng_from_seed(s)
@@ -294,9 +313,11 @@ def test_dual_is_exactly_feasible_under_rounding(monkeypatch):
     rounding margin applies; 20 adaptive duals failed without it) or, for the
     1 x 1 dual max_j K_j, nonnegative. The games include d_A d_A' = 8 with
     d_B = 2 and 4, so duals lifted from a solve on the support are audited
-    too."""
+    too, and 54 qubit instances of 3 and 4 operators, whose duals come from
+    the closed form."""
     solved = []
     lifted = recorded_supports(monkeypatch)
+    closed = recorded_closed_forms(monkeypatch)
 
     def recorded(instance, tol, _orig=optimal_discrimination):
         cert = _orig(instance, tol)
@@ -315,6 +336,7 @@ def test_dual_is_exactly_feasible_under_rounding(monkeypatch):
         semi_adaptive_success(game, tol=1e-9)
     assert len(solved) == 132
     assert {(8, 2), (8, 4), (4, 2)} <= set(lifted)
+    assert len(closed) == 54 and set(closed) == {3, 4}
     for instance, cert in solved:
         trace = sum(Fraction(x) for x in np.diag(cert.dual_witness).real)
         assert Fraction(cert.dual_value) >= trace
@@ -323,6 +345,38 @@ def test_dual_is_exactly_feasible_under_rounding(monkeypatch):
                 assert Fraction(cert.dual_witness[0, 0].real) >= Fraction(k[0, 0].real)
             else:
                 assert _exactly_positive_definite(cert.dual_witness, k)
+
+
+@pytest.mark.parametrize("n_ops", [3, 4, 8])
+def test_closed_form_duals_are_exactly_feasible(n_ops, monkeypatch):
+    """The qubit closed form's dual is a ball tangent to some B(k_j, r_j), on the
+    boundary of the feasible set; shifted by its computed defect and given the
+    rounding margin, every Y - K_j is positive definite in exact arithmetic, on
+    20 mixed and 20 rank-one instances of n_ops qubit operators."""
+    closed = recorded_closed_forms(monkeypatch)
+    for s, pure in itertools.product(range(20), (False, True)):
+        instance = drawn_instance(n_ops, 2, pure, (73, n_ops, s))
+        cert = optimal_discrimination(instance, tol=1e-9)
+        assert cert.converged and cert.iterations == 0
+        trace = sum(Fraction(x) for x in np.diag(cert.dual_witness).real)
+        assert Fraction(cert.dual_value) >= trace
+        for k in instance.stack:
+            assert _exactly_positive_definite(cert.dual_witness, k)
+    assert closed == [n_ops] * 40
+
+
+def recorded_closed_forms(monkeypatch) -> list:
+    """The operator count of every instance the qubit closed form certifies from now on."""
+    counts = []
+
+    def recorded(instance, tol, _orig=discrimination._qubit_ball):
+        cert = _orig(instance, tol)
+        if cert is not None and cert.converged:
+            counts.append(len(instance))
+        return cert
+
+    monkeypatch.setattr(discrimination, "_qubit_ball", recorded)
+    return counts
 
 
 def recorded_supports(monkeypatch) -> list:
@@ -398,6 +452,104 @@ def test_trine_states_value():
     assert cert.primal_value == pytest.approx(2.0 / 3.0, abs=1e-7)
     assert cert.primal_value - 1e-12 <= 2.0 / 3.0 <= cert.dual_value + 1e-12
     assert cert.gap <= 1e-9
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def bloch_instance(weights, vectors) -> DiscriminationInstance:
+    """Score operators w_j (I + b_j.sigma)/2 for Bloch vectors b_j, |b_j| <= 1."""
+    return DiscriminationInstance(tuple(
+        w * (np.eye(2) + np.einsum("i,ikl->kl", np.asarray(b, float), PAULI)) / 2.0
+        for w, b in zip(weights, vectors)))
+
+
+def closed_form(instance: DiscriminationInstance) -> discrimination.SolverCertificate:
+    cert = discrimination._qubit_ball(instance, 1e-9)
+    assert cert is not None and cert.converged and cert.iterations == 0
+    assert cert.gap <= 1e-12
+    assert dual_feasibility_defect(instance, cert.dual_witness) <= 0.0
+    return cert
+
+
+def test_qubit_closed_form_oracles():
+    """Known optima of the smallest ball enclosing balls. Trine states in the
+    x-z plane with a centred fourth operator: 2/3, the four centres coplanar,
+    so the one 4-subset has an exactly singular Gram matrix. Tetrahedral (SIC)
+    states, uniform prior: 1/2, the ball touching all four, F_j = 2 K_j. A
+    dominating K_0 = 0.6 I: F_0 = I and the value tr K_0. Multiples of one
+    rank-one projector, every ball touching the largest at one point: F_j = I
+    for the largest weight. All-zero operators: 0, F_0 = I. Rank-one
+    operators among zero ones: the value without the zero ones."""
+    trine = [(math.sin(2 * math.pi * j / 3), 0.0, math.cos(2 * math.pi * j / 3)) for j in range(3)]
+    cert = closed_form(bloch_instance([1 / 3] * 3 + [0.1], trine + [(0.0, 0.0, 0.0)]))
+    assert cert.primal_value - 1e-15 <= 2 / 3 <= cert.dual_value
+    assert np.abs(cert.povm.stack[3]).max() <= 1e-12
+
+    sic = [(0.0, 0.0, 1.0)] + [(2 * math.sqrt(2) / 3 * math.cos(2 * math.pi * j / 3),
+                                2 * math.sqrt(2) / 3 * math.sin(2 * math.pi * j / 3), -1 / 3)
+                               for j in range(3)]
+    instance = bloch_instance([1 / 4] * 4, sic)
+    cert = closed_form(instance)
+    assert cert.primal_value - 1e-15 <= 0.5 <= cert.dual_value
+    assert np.abs(cert.povm.stack - 2 * instance.stack).max() <= 1e-12
+
+    instance = DiscriminationInstance((0.6 * np.eye(2), np.diag([0.1, 0.0]), np.diag([0.0, 0.05])))
+    cert = closed_form(instance)
+    assert cert.primal_value == pytest.approx(1.2, abs=1e-15)
+    assert np.array_equal(cert.povm.stack[0], np.eye(2)) and not cert.povm.stack[1:].any()
+
+    cert = closed_form(bloch_instance([0.2, 0.5, 0.3], [(0.0, 0.0, 1.0)] * 3))
+    assert cert.primal_value == 0.5 and np.array_equal(cert.povm.stack[1], np.eye(2))
+
+    cert = closed_form(DiscriminationInstance(tuple(np.zeros((3, 2, 2)))))
+    assert cert.primal_value == 0.0 and np.array_equal(cert.povm.stack[0], np.eye(2))
+
+    rng = rng_from_seed(74)
+    pure = [random_pure_vector(2, rng) for _ in range(3)]
+    weights = rng.random(3)
+    ops = [w * np.outer(v, v.conj()) for w, v in zip(weights, pure)]
+    zero = np.zeros((2, 2))
+    cert = closed_form(DiscriminationInstance((zero, ops[0], zero, ops[1], ops[2])))
+    alone = closed_form(DiscriminationInstance(tuple(ops)))
+    assert cert.primal_value == pytest.approx(alone.primal_value, abs=1e-14)
+    assert np.abs(cert.povm.stack[[0, 2]]).max() <= 1e-12
+
+
+def test_closed_form_shifts_a_ball_that_misses_by_less_than_its_slack():
+    """A candidate ball may miss some B(k_j, r_j) by up to 1e-12 r_max and still
+    be taken, so the dual is shifted by its defect: trine balls in the x-z
+    plane, whose smallest enclosing ball has R = 1/3, and a fourth ball in that
+    plane, between two of them, reaching 1e-13 beyond it, 30 times the rounding
+    margin. Enclosing the fourth too takes a ball about 5e-14 larger, so the
+    trine's ball is taken, and the dual must still be exactly feasible."""
+    trine = [(math.sin(2 * math.pi * j / 3), 0.0, math.cos(2 * math.pi * j / 3)) for j in range(3)]
+    ops = [w * (np.eye(2) + np.einsum("i,ikl->kl", np.asarray(b), PAULI)) / 2.0
+           for w, b in zip([1 / 3] * 3, trine)]
+    between = np.einsum("i,ikl->kl", [math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)], PAULI)
+    ops.append((1 / 3 + 1e-13 - 0.1) * np.eye(2) + 0.1 * between)
+    instance = DiscriminationInstance(tuple(ops))
+    cert = closed_form(instance)
+    assert cert.primal_value == pytest.approx(2 / 3, abs=1e-15)
+    assert not cert.povm.stack[3].any()
+    assert cert.dual_value >= 2 / 3 + 2e-13  # the trine's ball, grown by the 1e-13 it misses by
+    for k in instance.stack:
+        assert _exactly_positive_definite(cert.dual_witness, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=12), st.booleans(), st.integers(0, 10**6))
+def test_qubit_closed_form_brackets_the_barrier_path(n_ops, pure, seed):
+    """On random qubit instances of 3 to 12 operators, mixed or rank one, the
+    closed form's certificate has a gap of at most 1e-12 and overlaps the
+    barrier path's, and optimal_discrimination takes it in 0 steps."""
+    instance = drawn_instance(n_ops, 2, pure, seed)
+    cert = closed_form(instance)
+    barrier = _barrier_path(instance, 1e-9)
+    assert barrier.converged and barrier.iterations > 0
+    assert max(cert.primal_value, barrier.primal_value) <= min(cert.dual_value, barrier.dual_value)
+    assert np.abs(cert.povm.stack.sum(axis=0) - np.eye(2)).max() <= EQ_TOL
+    assert optimal_discrimination(instance, tol=1e-9).iterations == 0
 
 
 def test_weak_duality_and_certificate():

@@ -9,7 +9,9 @@ from gamebound.config import HERM_TOL
 from gamebound.errors import InputError
 from gamebound.linalg import (
     apply_kraus,
+    check_hermitian,
     check_psd,
+    herm_defect,
     hermitize,
     min_eig,
     partial_trace_matrix,
@@ -216,6 +218,17 @@ def test_check_psd_rejects_non_psd_matrix_near_the_float_limit(m):
         check_psd(m, "M")
     with pytest.raises(InputError, match="^M 1 not PSD: min eigenvalue -"):
         check_psd(np.stack([np.eye(2), m]), "M")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermiticity_defect_beyond_the_float_range_is_infinite():
+    """M - M^H of [[0, 1e308], [-1e308, 0]] overflows: the defect is inf, without a numpy
+    warning, and check_hermitian refuses the matrix, alone or in a stack."""
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    assert herm_defect(m) == np.inf
+    assert list(herm_defect(np.stack([np.eye(2), m]))) == [0.0, np.inf]
+    with pytest.raises(InputError, match="^M not Hermitian: defect inf"):
+        check_hermitian(m, "M")
 
 
 def test_cholesky_density_gate_decides_as_the_eigenvalue_rule():
