@@ -26,35 +26,18 @@ from .discrimination import optimal_discrimination, score_operators
 from .errors import InputError
 from .linalg import (
     as_complex_stack,
-    check_psd,
+    check_operators,
     hermitize,
     json_label,
     load_json,
     matrix_from_json,
     matrix_to_json,
-    reject_first,
     save_json,
     spectral_norm,
 )
 from .rand import random_pure_vector, rng_from_seed
 from .registers import RegisterShape
 from .states import DensityOperator, density_from_matrix
-
-
-def _check_projector(m: np.ndarray, name) -> np.ndarray:
-    """A projector, or an (n, d, d) stack of them, checked: entries at most 1 in magnitude,
-    PSD and idempotent within 1e-9; a stack's errors name its first bad element as
-    f"{name} {i}", or as name(i) when `name` is a function."""
-    arr = np.asarray(m, dtype=complex)
-    # 0 <= V <= I bounds every |V_ij| by 1; a larger entry would overflow the gates below.
-    # Non-finite entries are left to check_psd, which names them.
-    big = np.abs(arr).max(axis=(-2, -1), initial=0.0)
-    reject_first(np.isfinite(big) & (big > 1.0 + 1e-9), name, lambda i: "is not a projector: "
-                 f"entry of magnitude {np.atleast_1d(big)[i]:.3e} > 1")
-    arr = check_psd(arr, name)
-    defect = np.abs(arr @ arr - arr).max(axis=(-2, -1), initial=0.0)
-    reject_first(defect > 1e-9, name, lambda i: "is not idempotent within 1e-09")
-    return hermitize(arr)
 
 
 @dataclass(frozen=True)
@@ -72,8 +55,9 @@ class ProjectiveCommitmentScheme:
             if len(set(labels)) != len(labels):
                 raise InputError(f"duplicate opening labels in {attr}")
             stack = as_complex_stack([proj for _, proj in getattr(self, attr)],
-                                     "verification projector", finite=False)
-            stack = _check_projector(stack, [f"V[{label}]" for label in labels].__getitem__)
+                                     "verification projector")
+            stack = hermitize(check_operators(
+                stack, "projector", [f"V[{label}]" for label in labels].__getitem__))
             stack.setflags(write=False)
             object.__setattr__(self, attr, tuple(zip(labels, stack)))
         if self.openings_zero[0][1].shape != self.openings_one[0][1].shape:
@@ -163,8 +147,8 @@ def _qubit_optimum(
 def norm_lemma_check(x: np.ndarray, y: np.ndarray):
     """||X + Y|| <= 1 + ||XY|| + 1e-9 for projectors X, Y: (ok, lhs, rhs), or arrays of
     them for (n, d, d) stacks of pairs."""
-    xp = _check_projector(x, "X")
-    yp = _check_projector(y, "Y")
+    xp = hermitize(check_operators(x, "projector", "X"))
+    yp = hermitize(check_operators(y, "projector", "Y"))
     lhs = spectral_norm(xp + yp)
     rhs = 1.0 + spectral_norm(xp @ yp)
     return lhs <= rhs + 1e-9, lhs, rhs
@@ -175,8 +159,8 @@ def cheat_state(p0: np.ndarray, p1: np.ndarray):
     where eps = ||P1 P0||. Returns (vector, eps); (None, 0) when P1 P0 = 0
     and P0 = 0 leaves nothing to normalize. For (n, d, d) stacks of pairs, a list
     of them, from one check per side and one stacked svd; a pair is a stack of one."""
-    a = _check_projector(p0, "P0")
-    b = _check_projector(p1, "P1")
+    a = hermitize(check_operators(p0, "projector", "P0"))
+    b = hermitize(check_operators(p1, "projector", "P1"))
     if a.shape != b.shape:
         raise InputError("projectors must share one dimension")
     single = a.ndim == 2

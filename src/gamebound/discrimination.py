@@ -97,14 +97,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_MAX_OPERATORS, EQ_TOL, SOLVER_MAX_ITER, SOLVER_TOL
+from .config import DEFAULT_MAX_OPERATORS, SOLVER_MAX_ITER, SOLVER_TOL
 from .errors import InputError
 from .linalg import (
     as_complex_stack,
+    check_operators,
     check_psd,
     hermitize,
     max_eig,
-    reject_first,
 )
 from .states import DensityOperator
 
@@ -135,22 +135,6 @@ _QUBIT_MAX_N = 12
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def validate_povms(stack: np.ndarray, names=None) -> np.ndarray:
-    """m POVMs of n elements each, as an (m, n, d, d) complex array, checked in one pass: every
-    element finite, Hermitian and PSD within HERM_TOL, and each POVM's elements summing to the
-    identity within EQ_TOL. Povm(...) runs it on a stack of one. Errors name the first bad
-    POVM by names[i] (default "POVM" for one POVM, f"POVM {i}" for several) and its element."""
-    if stack.ndim != 4 or stack.shape[-1] != stack.shape[-2]:
-        raise InputError(f"POVM stack must have shape (m, n, d, d), got {stack.shape}")
-    m, n, d = stack.shape[:3]
-    names = names or (["POVM"] if m == 1 else [f"POVM {i}" for i in range(m)])
-    check_psd(stack.reshape(m * n, d, d), lambda i: f"{names[i // n]} element {i % n}")
-    defect = np.abs(stack.sum(axis=1) - np.eye(d)).max(axis=(1, 2), initial=0.0)
-    reject_first(defect > EQ_TOL, names.__getitem__, lambda i: "elements do not sum to "
-                 f"the identity within 1e-9: defect {defect[i]:.3e}")
-    return stack
-
-
 @dataclass(frozen=True)
 class Povm:
     """PSD elements summing to the identity. `stack` holds them as one
@@ -161,8 +145,8 @@ class Povm:
     def __post_init__(self) -> None:
         if not self.elements:
             raise InputError("POVM needs at least one element")
-        arr = as_complex_stack(self.elements, "POVM element", finite=False)
-        validate_povms(arr[None])
+        arr = as_complex_stack(self.elements, "POVM element")
+        check_operators(arr[None], "povm", "POVM")
         self._hold(arr)
 
     def _hold(self, arr: np.ndarray) -> None:
@@ -210,8 +194,10 @@ class DiscriminationInstance:
 
 def povm_list(stack, names=None) -> list[Povm]:
     """A Povm for each row of an (m, n, d, d) stack of elements, copied and validated in one
-    pass by validate_povms, the check each Povm(...) runs on its own."""
-    arr = validate_povms(np.array(stack, dtype=complex), names)
+    pass by check_operators, the check each Povm(...) runs on its own. Errors name the first
+    bad POVM by names[i] (default f"POVM {i}", or "POVM" for a stack of one) and its element."""
+    arr = check_operators(np.array(stack, dtype=complex), "povm",
+                          names.__getitem__ if names else "POVM")
     arr.setflags(write=False)
     out = []
     for row in arr:
@@ -266,15 +252,18 @@ def binary_optimal(k0: np.ndarray, k1: np.ndarray) -> tuple[float, Povm]:
     """
     a = check_psd(k0, "K0")
     b = check_psd(k1, "K1")
-    if a.shape != b.shape:
-        raise InputError("score operators must share one dimension")
-    delta = hermitize(a - b)
-    vals, vecs = np.linalg.eigh(delta)
+    if a.shape != b.shape or a.ndim != 2:  # check_psd also takes (n, d, d) stacks
+        raise InputError("score operators must be two matrices of one dimension")
+    value, elements = _helstrom(a, b)
+    return value, Povm(elements)
+
+
+def _helstrom(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """binary_optimal's value and elements for validated operators, the POVM unbuilt."""
+    vals, vecs = np.linalg.eigh(hermitize(a - b))
     pos = vecs[:, vals >= 0.0]
     f0 = hermitize(pos @ pos.conj().T)
-    f1 = np.eye(a.shape[0]) - f0
-    value = float(np.real(np.trace(b)) + np.sum(vals[vals >= 0.0]))
-    return value, Povm((f0, f1))
+    return float(np.real(np.trace(b)) + np.sum(vals[vals >= 0.0])), (f0, np.eye(a.shape[0]) - f0)
 
 
 def _repaired_dual(instance: DiscriminationInstance, povm: Povm) -> np.ndarray:
@@ -424,8 +413,7 @@ def _solve(instance: DiscriminationInstance, tol: float) -> SolverCertificate:
         elements = [np.eye(1) * float(j == top) for j in range(n)]
         return _certificate(instance, elements, None, 0, tol)
     if n == 2:
-        helstrom = binary_optimal(*instance.operators)[1].elements
-        cert = _certificate(instance, helstrom, None, 0, tol)
+        cert = _certificate(instance, _helstrom(*instance.stack)[1], None, 0, tol)
         if cert.converged:
             return cert
     elif d == 2 and n <= _QUBIT_MAX_N:

@@ -27,15 +27,13 @@ from .discrimination import SolverCertificate, optimal_discrimination, score_ope
 from .errors import InputError
 from .linalg import (
     as_complex_stack,
-    check_psd,
+    check_operators,
     hermitize,
     json_label,
     load_json,
     matrix_from_json,
     matrix_to_json,
-    min_eig,
     partial_trace_matrix,
-    reject_first,
     save_json,
 )
 from .rand import random_effect, random_pure_vector, rng_from_seed
@@ -68,14 +66,8 @@ class BinaryPovmFamily:
             raise InputError(f"family size {len(self.labels)} exceeds cap "
                              f"{DEFAULT_MAX_OPERATORS}")
         names = [f"effect {label!r}" for label in self.labels]
-        arr = as_complex_stack(self.effects, "effect", finite=False)
-        # 0 <= E <= I bounds every |E_ij| by 1; a larger entry would overflow the gates below.
-        big = np.abs(arr).max(axis=(1, 2), initial=0.0)
-        reject_first(big > 1.0 + 1e-9, names.__getitem__, lambda i: "exceeds the identity or "
-                     f"is not PSD: entry of magnitude {big[i]:.3e} > 1")
-        arr = hermitize(check_psd(arr, names.__getitem__))
-        reject_first(min_eig(np.eye(arr.shape[1]) - arr) < -1e-9, names.__getitem__,
-                     lambda i: "exceeds the identity")
+        arr = hermitize(check_operators(as_complex_stack(self.effects, "effect"), "effect",
+                                        names.__getitem__))
         arr.setflags(write=False)
         object.__setattr__(self, "stack", arr)
         object.__setattr__(self, "effects", tuple(arr))

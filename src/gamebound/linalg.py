@@ -1,8 +1,10 @@
 """Dense Hermitian linear algebra used by every other module.
 
-All functions take and return plain complex ndarrays. Validation is explicit
-and tolerance-driven; anything that fails a structural check raises InputError
-rather than silently symmetrizing.
+All functions take and return plain complex ndarrays. Densities, effects,
+projectors, POVMs and general PSD operators pass one gate, check_operators:
+finite, entries at most 1 in magnitude (but for general PSD), Hermitian, PSD
+and the kind's condition, each within a tolerance; a failure raises
+InputError rather than silently symmetrizing.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import json
 
 import numpy as np
 
-from .config import HERM_TOL
+from .config import DENSITY_HERM_TOL, EQ_TOL, HERM_TOL
 from .errors import InputError
 
 
@@ -24,16 +26,17 @@ def as_complex_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def reject_first(bad, name, what) -> None:
+def reject_first(bad, name, msg: str, vals=None) -> None:
     """Raise InputError for the first flagged matrix: `bad` flags one matrix, named `name`, or
-    each element of a stack, named f"{name} {i}" (or name(i), if `name` is a function);
-    what(i) ends the message."""
+    each element of a stack, named f"{name} {i}" (or name(i), if `name` is a function).
+    msg.format(v) ends the message, v that matrix's value in `vals` (one, or one per element)."""
     if isinstance(bad, np.ndarray) and bad.ndim:
         if bad.any():
             i = int(bad.argmax())
-            raise InputError(f"{name(i) if callable(name) else f'{name} {i}'} {what(i)}")
+            raise InputError(f"{name(i) if callable(name) else f'{name} {i}'} "
+                             f"{msg.format(None if vals is None else vals[i])}")
     elif bad:
-        raise InputError(f"{name} {what(0)}")
+        raise InputError(f"{name} {msg.format(vals)}")
 
 
 def herm_defect(m: np.ndarray) -> float | np.ndarray:
@@ -44,30 +47,15 @@ def herm_defect(m: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def as_complex_stack(ms, name: str = "matrix", finite: bool = True) -> np.ndarray:
-    """Square matrices of one shape, a sequence or an (n, d, d) array, as one finite complex
-    (n, d, d) array. Errors name the first bad element as f"{name} {i}". With finite=False
-    the entries are left to a later check (check_hermitian makes one)."""
+def as_complex_stack(ms, name: str = "matrix") -> np.ndarray:
+    """Square matrices of one shape, a sequence or an (n, d, d) array, as one complex
+    (n, d, d) array; its entries are left to check_operators."""
     try:
         arr = np.asarray(ms, dtype=complex)
     except ValueError:  # matrices of different shapes
         arr = None
     if arr is None or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise InputError(f"each {name} must be a square matrix of one shared shape")
-    if finite and not np.isfinite(arr).all():
-        reject_first(~np.isfinite(arr).all(axis=(1, 2)), name, lambda i: "has a non-finite entry")
-    return arr
-
-
-def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """A square matrix, or each element of an (n, d, d) stack, as a finite complex array
-    Hermitian within HERM_TOL; a stack's errors name its first bad element as f"{name} {i}", or
-    as name(i) when `name` is a function."""
-    arr = np.asarray(m, dtype=complex)
-    arr = as_complex_stack(arr, name) if arr.ndim == 3 else as_complex_matrix(arr, name)
-    defect = herm_defect(arr)
-    reject_first(defect > HERM_TOL, name, lambda i: f"not Hermitian: defect "
-                 f"{np.atleast_1d(defect)[i]:.3e} > {HERM_TOL:.1e}")
     return arr
 
 
@@ -102,15 +90,15 @@ def _extreme_eig(m: np.ndarray, end: int) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def psd_by_cholesky(m: np.ndarray, tol: float) -> bool:
+def psd_by_cholesky(m: np.ndarray, tol: float, top: float) -> bool:
     """True only if min_eig would put every matrix of m (one, or an (n, d, d) stack) at
     -tol or above, shown by one stacked Cholesky factorization of M + (tol/2) I. Its success
     proves lambda_min(M) >= -tol/2 - d(d + 1) eps ||M|| (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 10), so it is tried only where that term and eigvalsh's own
-    rounding, with ||M|| <= d max|M_ik|, stay below tol/2. False decides nothing: the caller
-    then runs min_eig."""
+    rounding, with ||M|| <= d max|M_ik| and `top` = max|M_ik| over m, stay below tol/2.
+    False decides nothing: the caller then runs min_eig."""
     d = m.shape[-1]
-    if not d or (d + 2) * d * d * np.finfo(float).eps * np.abs(m).max(initial=0.0) > tol / 2:
+    if not d or (d + 2) * d * d * np.finfo(float).eps * top > tol / 2:
         return False
     try:
         chol = np.linalg.cholesky(hermitize(m) + tol / 2 * np.eye(d))
@@ -119,17 +107,71 @@ def psd_by_cholesky(m: np.ndarray, tol: float) -> bool:
     return bool(np.isfinite(chol).all())
 
 
-def check_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """check_hermitian, then PSD within HERM_TOL: one stacked Cholesky factorization accepts
-    almost every input, and one eigvalsh for the stack decides and names the rest. A smallest
-    eigenvalue that is not finite fails too: the spectrum lies beyond the float range."""
-    arr = check_hermitian(m, name)
-    if psd_by_cholesky(arr, HERM_TOL):
-        return arr
-    low = min_eig(arr)
-    reject_first(~np.isfinite(low) | (low < -HERM_TOL), name, lambda i:
-                 f"not PSD: min eigenvalue {np.atleast_1d(low)[i]:.3e} < -{HERM_TOL:.1e}")
+# Per kind: magnitude tolerance (None: unbounded) and message, Hermiticity tolerance and message,
+# PSD message. Densities keep DENSITY_HERM_TOL: HERM_TOL would accept state files the CLI refuses.
+_GENERAL = (HERM_TOL, "not Hermitian: defect {:.3e} > 1.0e-10",
+            "not PSD: min eigenvalue {:.3e} < -1.0e-10")
+_KINDS = {
+    "density": (1e-10, "entry of magnitude {:.3e} exceeds 1", DENSITY_HERM_TOL,
+                "Hermiticity defect {:.3e}", "has eigenvalue {:.3e} < -1e-10"),
+    "effect": (1e-9, "exceeds the identity or is not PSD: entry of magnitude {:.3e} > 1",
+               *_GENERAL),
+    "projector": (1e-9, "is not a projector: entry of magnitude {:.3e} > 1", *_GENERAL),
+    "povm": (EQ_TOL, "exceeds the identity: entry of magnitude {:.3e} > 1", *_GENERAL),
+    "psd": (None, "", *_GENERAL),
+}
+
+
+def check_operators(m, kind: str, name="matrix") -> np.ndarray:
+    """The gate for operators of one `kind` of _KINDS: `m`, one square matrix or an (n, d, d)
+    stack (for "povm", an (m, n, d, d) stack of m POVMs), returned as a complex array as given.
+    Each step runs on every element before the next: finite; |X_ij| <= 1, as 0 <= X <= I
+    implies (not for "psd"); Hermitian; PSD within HERM_TOL (one stacked Cholesky, else
+    eigvalsh); the kind's condition: trace 1, X <= I, X^2 = X, or each POVM summing to I. One
+    max|X_ij| serves the first two steps and the Cholesky bound. Errors name elements as
+    reject_first does; element j of POVM k is f"{P} element {j}", P = name(k) (else `name`
+    for one POVM, f"{name} {k}" for several)."""
+    bound, big_msg, herm_tol, herm_msg, psd_msg = _KINDS[kind]
+    arr = flat = np.asarray(m, dtype=complex)
+    if kind == "povm":
+        if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2]:
+            raise InputError(f"POVM stack must have shape (m, n, d, d), got {arr.shape}")
+        count, n = arr.shape[:2]
+        povm = name if callable(name) else (lambda k, s=name: s if count == 1 else f"{s} {k}")
+        flat, name = arr.reshape(count * n, *arr.shape[2:]), (
+            lambda i: f"{povm(i // n)} element {i % n}")
+    elif arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise InputError(f"{name} must be a square matrix or a stack of them, got {arr.shape}")
+    top = np.abs(flat).max(initial=0.0)  # NaN and inf carry through the max
+    if not top < np.inf:  # so does an |X_ij| that overflows
+        reject_first(~np.isfinite(flat).all(axis=(-2, -1)), name, "has a non-finite entry")
+    if bound is not None and top > 1.0 + bound:
+        big = np.abs(flat).max(axis=(-2, -1))
+        reject_first(big > 1.0 + bound, name, big_msg, big)
+    defect = herm_defect(flat)
+    reject_first(defect > herm_tol, name, herm_msg, defect)
+    if not psd_by_cholesky(flat, HERM_TOL, top):
+        low = min_eig(flat)
+        reject_first(~np.isfinite(low) | (low < -HERM_TOL), name, psd_msg, low)
+    if kind == "density":
+        tr = np.trace(flat, axis1=-2, axis2=-1).real
+        reject_first(abs(tr - 1.0) > 1e-10, name, "trace {} is not 1 within 1e-10", tr)
+    elif kind == "effect":
+        reject_first(min_eig(np.eye(arr.shape[-1]) - hermitize(flat)) < -1e-9, name,
+                     "exceeds the identity")
+    elif kind == "projector":
+        defect = np.abs(flat @ flat - flat).max(axis=(-2, -1), initial=0.0)
+        reject_first(defect > 1e-9, name, "is not idempotent within 1e-09")
+    elif kind == "povm":
+        defect = np.abs(arr.sum(axis=1) - np.eye(arr.shape[-1])).max(axis=(1, 2), initial=0.0)
+        reject_first(defect > EQ_TOL, povm, "elements do not sum to the identity within 1e-9: "
+                     "defect {:.3e}", defect)
     return arr
+
+
+def check_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """check_operators for a general PSD operator or stack of them."""
+    return check_operators(m, "psd", name)
 
 
 def spectral_norm(m: np.ndarray) -> float | np.ndarray:
@@ -211,9 +253,9 @@ def json_label(value) -> str:
 def matrix_from_json(block, name: str) -> np.ndarray:
     """Inverse of matrix_to_json; "im" may be omitted for a real matrix.
 
-    Non-finite entries pass here and are rejected by as_complex_matrix when
-    the matrix is validated. A block must be 2-d, because the checks that
-    validate it also accept (n, d, d) stacks.
+    Non-finite entries pass here and are rejected by check_operators when
+    the matrix is validated. A block must be 2-d, because that gate also
+    accepts (n, d, d) stacks.
     """
     try:
         re = _json_numbers(block["re"], name)

@@ -5,48 +5,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DENSITY_HERM_TOL, RANK_TOL
+from .config import RANK_TOL
 from .errors import InputError
 from .linalg import (
-    as_complex_matrix,
     as_complex_stack,
-    herm_defect,
+    check_operators,
     hermitize,
     json_label,
     load_json,
     matrix_from_json,
     matrix_to_json,
-    min_eig,
     partial_trace_matrix,
-    psd_by_cholesky,
-    reject_first,
     save_json,
 )
 from .registers import RegisterShape
-
-
-def validate_densities(m: np.ndarray) -> np.ndarray:
-    """A finite complex density matrix, or each element of an (n, d, d) stack, checked in one
-    pass: entries at most 1 in magnitude, Hermitian within DENSITY_HERM_TOL, PSD within 1e-10
-    (one stacked Cholesky gate, else one stacked eigvalsh) and of trace 1 within 1e-10.
-    DensityOperator(...) runs it on its matrix and density_list on a whole stack; a stack's
-    errors name its first bad element as f"density matrix {i}"."""
-    name = "density matrix"
-    # |rho_ij|^2 <= rho_ii rho_jj <= 1; a larger entry would overflow the gates below
-    big = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    reject_first(big > 1.0 + 1e-10, name,
-                 lambda i: f"entry of magnitude {np.atleast_1d(big)[i]:.3e} exceeds 1")
-    defect = herm_defect(m)
-    reject_first(defect > DENSITY_HERM_TOL, name,
-                 lambda i: f"Hermiticity defect {np.atleast_1d(defect)[i]:.3e}")
-    if not psd_by_cholesky(m, 1e-10):
-        low = min_eig(m)
-        reject_first(low < -1e-10, name,
-                     lambda i: f"has eigenvalue {np.atleast_1d(low)[i]:.3e} < -1e-10")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    reject_first(abs(tr - 1.0) > 1e-10, name,
-                 lambda i: f"trace {float(np.atleast_1d(tr)[i])!r} is not 1 within 1e-10")
-    return m
 
 
 @dataclass(frozen=True)
@@ -57,12 +29,9 @@ class DensityOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = as_complex_matrix(self.matrix, "density matrix")
-        if mat.shape[0] != self.shape.dim:
-            raise InputError(
-                f"matrix dim {mat.shape[0]} != shape dimension {self.shape.dim}"
-            )
-        validate_densities(mat)
+        mat = check_operators(self.matrix, "density", "density matrix")
+        if mat.shape != (self.shape.dim,) * 2:  # the gate also takes (n, d, d) stacks
+            raise InputError(f"density matrix shape {mat.shape} != dimension {self.shape.dim}")
         self._hold(mat.copy())
 
     def _hold(self, mat: np.ndarray) -> None:
@@ -81,11 +50,11 @@ def density_from_matrix(shape: RegisterShape, matrix: np.ndarray) -> DensityOper
 
 def density_list(shape: RegisterShape, stack) -> list[DensityOperator]:
     """density_from_matrix of each matrix of an (n, d, d) stack, all on `shape`, validated
-    in one pass by validate_densities, the check each DensityOperator(...) runs on its own."""
+    in one pass by check_operators, the check each DensityOperator(...) runs on its own."""
     arr = as_complex_stack(stack, "density matrix")
     if arr.shape[1] != shape.dim:
         raise InputError(f"matrix dim {arr.shape[1]} != shape dimension {shape.dim}")
-    arr = validate_densities(hermitize(arr))
+    arr = check_operators(hermitize(arr), "density", "density matrix")
     out = []
     for mat in arr:
         rho = object.__new__(DensityOperator)

@@ -589,6 +589,15 @@ def test_identical_states_give_max_weight():
     assert value == pytest.approx(0.7, abs=1e-12)
 
 
+def test_binary_optimal_takes_two_matrices_of_one_dimension():
+    """check_psd accepts (n, d, d) stacks too; binary_optimal refuses them, and operators of
+    different dimensions, as input errors."""
+    with pytest.raises(InputError, match="two matrices of one dimension"):
+        binary_optimal(np.stack([np.eye(2) / 2] * 3), np.stack([np.eye(2) / 4] * 3))
+    with pytest.raises(InputError, match="two matrices of one dimension"):
+        binary_optimal(np.eye(2) / 2, np.eye(3) / 3)
+
+
 def test_cq_state_validation():
     s = shape(("B", 2))
     cond = density_from_matrix(s, np.eye(2, dtype=complex) / 2)
@@ -668,10 +677,9 @@ def test_povm_list_is_each_povm_validated_alone():
 
 
 def _make_not_psd(group):
-    # move weight between two elements of POVM 2: the sum holds, element 1 is indefinite
-    shift = np.diag([0.5, -0.5]).astype(complex)
-    group[2, 1] -= shift + np.eye(2)
-    group[2, 0] += shift + np.eye(2)
+    # POVM 2's sum holds and every entry stays within 1, past the magnitude step, but
+    # element 1 is indefinite
+    group[2] = [np.diag([0.25, 0.75]), np.diag([0.5, -0.5]), np.diag([0.25, 0.75])]
 
 
 _GROUP_FAULTS = {
@@ -705,3 +713,21 @@ def test_stacked_povm_sum_tolerance_is_eq_tol():
     group = _povm_group()
     group[2, 1] += 0.5 * EQ_TOL * np.eye(2)
     assert len(povm_list(group)) == 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("place", [[(1, 1)], [(0, 1), (1, 0)]], ids=["diagonal", "off-diagonal"])
+def test_povm_entry_near_the_float_limit_is_refused_by_its_magnitude(place):
+    """Every POVM element lies between 0 and I, so no entry exceeds 1 in magnitude. An entry
+    of 1e308 in each element overflowed the element sum (on the diagonal) or was refused as
+    not PSD (off it); the magnitude step refuses it first, alone or in a group."""
+    elements = np.stack([np.eye(2, dtype=complex) / 2] * 2)
+    for ij in place:
+        elements[(slice(None), *ij)] = 1e308
+    what = r"element 0 exceeds the identity: entry of magnitude 1\.000e\+308 > 1"
+    with pytest.raises(InputError, match=f"^POVM {what}$"):
+        Povm(tuple(elements))
+    group = _povm_group(n=2)
+    group[2] = elements
+    with pytest.raises(InputError, match=f"^POVM 2 {what}$"):
+        povm_list(group)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gamebound.config import HERM_TOL
 from gamebound.errors import InputError
 from gamebound.linalg import (
     apply_kraus,
-    check_hermitian,
+    check_operators,
     check_psd,
     herm_defect,
     hermitize,
@@ -189,7 +190,7 @@ def test_cholesky_psd_gate_decides_as_the_eigenvalue_rule(dim):
         low = min_eig(stack)
         bad = np.flatnonzero(low < -HERM_TOL)
         if frac >= 0.0:
-            assert psd_by_cholesky(stack, HERM_TOL)
+            assert psd_by_cholesky(stack, HERM_TOL, np.abs(stack).max())
         if bad.size:
             i = bad[0]
             with pytest.raises(InputError, match=f"^M {i} not PSD: min eigenvalue "
@@ -223,12 +224,12 @@ def test_check_psd_rejects_non_psd_matrix_near_the_float_limit(m):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hermiticity_defect_beyond_the_float_range_is_infinite():
     """M - M^H of [[0, 1e308], [-1e308, 0]] overflows: the defect is inf, without a numpy
-    warning, and check_hermitian refuses the matrix, alone or in a stack."""
+    warning, and check_psd refuses the matrix at its Hermiticity step."""
     m = np.array([[0.0, 1e308], [-1e308, 0.0]])
     assert herm_defect(m) == np.inf
     assert list(herm_defect(np.stack([np.eye(2), m]))) == [0.0, np.inf]
     with pytest.raises(InputError, match="^M not Hermitian: defect inf"):
-        check_hermitian(m, "M")
+        check_psd(m, "M")
 
 
 def test_cholesky_density_gate_decides_as_the_eigenvalue_rule():
@@ -243,3 +244,89 @@ def test_cholesky_density_gate_decides_as_the_eigenvalue_rule():
                 DensityOperator(shape(("A", 4)), mat)
         else:
             DensityOperator(shape(("A", 4)), mat)
+
+
+# The gate's table: for each kind, an operator that fails each of its steps and passes the
+# steps before it, with the message that step gives. "psd" has no magnitude step and no
+# condition of its own.
+_GATE_STEPS = ("non-finite", "magnitude", "Hermitian", "PSD", "condition")
+_BOUNDED = {
+    "non-finite": ([[0.5, np.nan], [0.0, 0.5]], "has a non-finite entry"),
+    "Hermitian": ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian: defect 1.000e-01 > 1.0e-10"),
+    "PSD": ([[0.5, 0.8], [0.8, 0.5]], "not PSD: min eigenvalue -3.000e-01 < -1.0e-10"),
+}
+_TWO_I = [[2.0, 0.0], [0.0, 2.0]]
+GATE_TABLE = {
+    "density": {
+        "non-finite": _BOUNDED["non-finite"],
+        "magnitude": ([[1.5, 0.0], [0.0, -0.5]], "entry of magnitude 1.500e+00 exceeds 1"),
+        "Hermitian": (_BOUNDED["Hermitian"][0], "Hermiticity defect 1.000e-01"),
+        "PSD": (_BOUNDED["PSD"][0], "has eigenvalue -3.000e-01 < -1e-10"),
+        "condition": ([[0.5, 0.0], [0.0, 0.4]], "trace 0.9 is not 1 within 1e-10"),
+    },
+    "effect": {
+        **_BOUNDED,
+        "magnitude": (_TWO_I, "exceeds the identity or is not PSD: entry of magnitude "
+                              "2.000e+00 > 1"),
+        "condition": ([[1.0, 0.5], [0.5, 1.0]], "exceeds the identity"),
+    },
+    "projector": {
+        **_BOUNDED,
+        "magnitude": (_TWO_I, "is not a projector: entry of magnitude 2.000e+00 > 1"),
+        "condition": ([[0.5, 0.0], [0.0, 0.0]], "is not idempotent within 1e-09"),
+    },
+    "povm": {
+        **_BOUNDED,
+        "magnitude": (_TWO_I, "exceeds the identity: entry of magnitude 2.000e+00 > 1"),
+        "condition": ([[0.5, 0.0], [0.0, 0.6]], "elements do not sum to the identity within "
+                                                "1e-9: defect 1.000e-01"),
+    },
+    "psd": {step: _BOUNDED[step] for step in ("non-finite", "Hermitian", "PSD")},
+}
+# Operators that fail a step and a later one; each is reported at the earlier step, with
+# the message GATE_TABLE gives for it.
+GATE_TWICE = {
+    "non-finite": [[0.5, np.nan], [0.0, -5.0]],  # then magnitude, or PSD for "psd"
+    "magnitude": [[2.0, 0.1], [0.0, 2.0]],  # then Hermitian
+    "Hermitian": [[0.5, 0.9], [0.8, 0.5]],  # then PSD
+    "PSD": [[0.5, 0.8], [0.8, 0.5]],  # then the condition
+}
+GATE_TWICE_DENSITY = {"magnitude": [[1.5, 0.1], [0.0, -0.5]], "PSD": [[0.4, 0.7], [0.7, 0.4]]}
+
+
+def gate_stack(kind, bad):
+    """Four good operators of `kind` with element 2 set to `bad`, and the name the gate
+    gives it. For "povm", four POVMs {I/2, I/2} with element 1 of POVM 2 set to `bad`."""
+    good = np.diag([1.0, 0.0]) if kind == "projector" else np.eye(2) / 2
+    stack = np.array([good] * 8 if kind == "povm" else [good] * 4, dtype=complex)
+    stack[5 if kind == "povm" else 2] = bad
+    if kind == "povm":
+        return stack.reshape(4, 2, 2, 2), "X 2 element 1"
+    return stack, "X 2"
+
+
+@pytest.mark.parametrize("kind, step", [(kind, step) for kind in GATE_TABLE
+                                        for step in _GATE_STEPS if step in GATE_TABLE[kind]])
+def test_operator_gate_names_each_step_of_each_kind(kind, step):
+    """check_operators refuses a stack whose element 2 fails exactly `step`, naming that
+    element with the message its validator gave before the gate."""
+    bad, message = GATE_TABLE[kind][step]
+    stack, name = gate_stack(kind, bad)
+    if kind == "povm" and step == "condition":
+        name = "X 2"  # the sum belongs to the POVM, not to one element
+    with pytest.raises(InputError, match="^" + re.escape(f"{name} {message}") + "$"):
+        check_operators(stack, kind, "X")
+    good, _ = gate_stack(kind, stack.reshape(-1, 2, 2)[0])
+    assert check_operators(good, kind, "X") is not None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, step", [(kind, step) for kind in GATE_TABLE
+                                        for step in _GATE_STEPS[:-1] if step in GATE_TABLE[kind]
+                                        and not (kind == "psd" and step == "PSD")])
+def test_operator_gate_reports_the_earlier_of_two_failed_steps(kind, step):
+    """An operator that fails two steps is reported at the earlier one."""
+    bad = (GATE_TWICE_DENSITY if kind == "density" else {}).get(step, GATE_TWICE[step])
+    stack, name = gate_stack(kind, bad)
+    with pytest.raises(InputError, match="^" + re.escape(f"{name} {GATE_TABLE[kind][step][1]}")):
+        check_operators(stack, kind, "X")
