@@ -15,9 +15,9 @@ drives Born-rule measurement, the commitments and the rushing receiver, lane
 Each lane of a seed has one stream, numpy's own PCG64 seeded as
 `default_rng(seed + (lane,))` is, and each draw takes one word of it
 (`tapes.Tape`). Run r of a loop reads row r of each lane's stream, drawn
-`_RUNS_PER_BLOCK` rows at a time; a single run is row 0 of its seed's streams,
-and a real run and its simulation read the same rows. Where a count depends
-on the run, each run's cursor moves by its own count.
+`_RUNS_PER_BLOCK` rows at a time; a single run takes row 0
+(`tapes.first_rows`), and a real run and its simulation read the same rows.
+Where a count depends on the run, each run's cursor moves by its own count.
 
 Scheduling is synchronous with a fixed turn order; the one adversarial
 scheduling power modelled is the rushing hook used by the corrupted-sender
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InputError
 from .onecc import encoded_vector
-from .tapes import Tape, lane_blocks, run_index, stream
+from .tapes import Tape, first_rows, lane_blocks, run_index, stream
 
 MAX_POSITIONS = 10
 MAX_STRING_BITS = 8
@@ -79,8 +79,8 @@ def _as_bits(values, message: str) -> np.ndarray:
     """`values` as an array, or an input error if an entry is not 0 or 1."""
     values = np.asarray(values)
     kind = values.dtype.kind
-    if kind != "b" and (values.max(initial=0) > 1 if kind == "u"
-                        else ((values != 0) & (values != 1)).any()):
+    if kind != "b" and np.count_nonzero(values >> 1 if kind in "iu"
+                                        else (values != 0) & (values != 1)):
         raise InputError(message)
     return values
 
@@ -185,16 +185,15 @@ def _hash(mask: np.ndarray, parts: np.ndarray, values: np.ndarray) -> np.ndarray
 
 
 _SIDES = np.array([0, 1])
-_ROW = np.arange(MAX_STRING_BITS)[:, None]
 
 
 class _Kept:
     """Each run's unchecked positions (`mask`), their `count` and each one's
     `rank` among them: its draw's offset where one value is drawn per position."""
 
-    def __init__(self, checked: np.ndarray, count: np.ndarray):
-        self.mask = checked == 0
-        self.rank = np.add.accumulate(self.mask, axis=1, dtype=np.intp) - 1
+    def __init__(self, chosen: np.ndarray, ranked: np.ndarray, count: np.ndarray):
+        self.mask = chosen == 0
+        self.rank = np.arange(chosen.shape[1]) - ranked  # ranked: checked ones so far
         self.count = count
 
     def draw(self, tape: Tape) -> np.ndarray:
@@ -203,8 +202,8 @@ class _Kept:
 
     def draw_rows(self, tape: Tape, rows: int) -> np.ndarray:
         """`rows` rows of `count` bits on each run, row after row, as (runs, rows, n)."""
-        at = self.rank[:, None, :] + self.count[:, None, None] * _ROW[:rows]
-        return tape.integers(rows * self.count, at)
+        drawn = [self.draw(tape)[:, None] for _ in range(rows)]
+        return drawn[0] if rows == 1 else np.concatenate(drawn, axis=1)
 
     def split(self, side: np.ndarray) -> np.ndarray:
         """The partition (I0, I1) side bits make: (runs, n, 2), True in I_b."""
@@ -269,8 +268,8 @@ class FixedStateSender(SenderProgram):
     words = staticmethod(lambda n, ell: n + ell * n)
 
     def prepare(self) -> tuple:
-        x = self.memory["x"] = np.zeros((len(self.tape.raw), self.n), dtype=np.uint8)
-        theta = self.memory["theta"] = np.arange(self.n, dtype=np.uint8) % 2 + x
+        x = self.memory["x"] = np.zeros((len(self.tape.raw), self.n), dtype=np.intp)
+        theta = self.memory["theta"] = np.arange(self.n) % 2 + x
         return x, theta
 
 
@@ -329,7 +328,7 @@ class ReceiverProgram:
         return self.memory["x"]
 
     def size_abort(self, total_checked: np.ndarray) -> np.ndarray:
-        return total_checked > 3 * self.n / 5
+        return total_checked > 3 * self.n // 5  # a count exceeds 3n/5 iff it exceeds its floor
 
     def partition(self, theta_hat_a: np.ndarray, theta_b: np.ndarray, kept: _Kept) -> np.ndarray:
         """Each kept position's side: matched bases on side c, the rest on 1 - c."""
@@ -350,7 +349,7 @@ class ComputationalBasesReceiver(ReceiverProgram):
     words = staticmethod(lambda n: (n, 0))
 
     def choose_bases(self) -> np.ndarray:
-        return np.zeros((len(self.tape.raw), self.n), dtype=np.uint8)
+        return np.zeros((len(self.tape.raw), self.n), dtype=np.intp)
 
 
 class WrongPartitionReceiver(ReceiverProgram):
@@ -387,7 +386,7 @@ def receiver_script(name: str) -> type[ReceiverProgram]:
 
 
 def _as_string(bits) -> tuple:
-    out = (int(bits),) if isinstance(bits, int) else tuple(map(int, bits))
+    out = (bits,) if isinstance(bits, int) else tuple(bits)
     if not 1 <= len(out) <= MAX_STRING_BITS:
         raise InputError(f"transferred strings carry 1..{MAX_STRING_BITS} bits")
     if not {0, 1}.issuperset(out):
@@ -479,27 +478,29 @@ def _play(alice: SenderProgram, bob: ReceiverProgram, born: Tape, commitment):
     theta_b = bob.choose_bases()
     bob.measure(qubits, theta_b, born)
     chosen = alice.select_bits()  # the 1CC choices: 1 checks the position
+    ranked = np.add.accumulate(chosen, axis=1, dtype=np.intp)  # checked so far
+    checked = ranked[:, -1]
 
     # the n 2CC' steps: commit, 1CC (the chooser learns the receiver's bit
     # only where it checks), and open only where it checks
     bc = commitment(born)
     commit_aborts = bc.commit(bob.commit_value(theta_b))
-    checked = chosen.sum(axis=1, dtype=np.intp)
     if commit_aborts is not None and commit_aborts.all():  # nothing to open
-        return np.ones_like(checked), np.zeros((len(checked), alice.ell), np.uint8), checked
+        return np.ones_like(checked), np.zeros((len(checked), alice.ell), np.intp), checked
     alice.observe_commit(bc)
     revealed = _as_bits(bob.one_cc_input(chosen), "functionality inputs must be bits") & chosen
     check_aborts = chosen & alice.observe_check(revealed, bc.open() & chosen)
-    code = np.where(check_aborts.any(axis=1), 2, 3 * bob.size_abort(checked))
+    code = 3 * bob.size_abort(checked)
+    code[check_aborts.any(axis=1)] = 2  # a failed check stops a run before its size test
     if commit_aborts is not None and commit_aborts.any():
         # a run stops at its first abort, a commitment's before its check
         stops = commit_aborts | check_aborts
         stop = run_index(len(stops)), stops.argmax(axis=1)
         code = np.where(commit_aborts[stop], 1, code)
-    if code.all():  # no run is left to play
-        return code, np.zeros((len(code), alice.ell), np.uint8), checked
+    if np.count_nonzero(code) == len(code):  # no run is left to play
+        return code, np.zeros((len(code), alice.ell), np.intp), checked
 
-    kept = _Kept(chosen, alice.n - checked)
+    kept = _Kept(chosen, ranked, alice.n - checked)
     parts = kept.split(bob.partition(alice.announce_bases(kept), theta_b, kept))
     mask, masked = alice.masks(kept, parts)
     return code, bob.decode(mask, masked, parts), checked
@@ -530,7 +531,7 @@ class _Batch:
             raise InputError(f"position count must be in 2..{MAX_POSITIONS}")
         if bc_backend not in COMMITMENTS:
             raise InputError("commitment backend must be 'ideal' or 'protocol'")
-        self.strings = np.array(strings, dtype=np.uint8)
+        self.strings = np.array(strings, dtype=np.intp)
         self.n, self.c, self.commitment = n, c, COMMITMENTS[bc_backend]
 
     def words(self, *plays) -> list[int]:
@@ -541,7 +542,7 @@ class _Batch:
         returns both programs, the abort codes, outputs and checked counts."""
         tapes = [Tape(block) for block in blocks]
         if choice is None:
-            choice = np.full(len(blocks[0]), self.c, dtype=np.uint8)
+            choice = np.full(len(blocks[0]), self.c, dtype=np.intp)
         alice = sender(tapes[1], self.n, self.strings)
         bob = receiver(tapes[receiver.lane], self.n, choice)
         return (alice, bob, *_play(alice, bob, tapes[0], self.commitment))
@@ -549,8 +550,8 @@ class _Batch:
     def single(self, seed, sender, receiver):
         """One run on `seed` as a batch of one: its transcript, both programs
         and its checked count."""
-        _, blocks = next(lane_blocks(seed, 1, self.words((sender, receiver)), 1))
-        alice, bob, code, out, checked = self.play(blocks, sender, receiver)
+        rows, choice = first_rows(seed, self.words((sender, receiver))), np.array([self.c], np.intp)
+        alice, bob, code, out, checked = self.play(rows, sender, receiver, choice)
         reason = _REASONS[code[0]]
         meta = {"parties": {"alice": alice.party, "bob": bob.party}}
         if reason is None:
@@ -609,7 +610,7 @@ def honest_ot_completeness(runs: int, n: int, seed) -> dict:
     batch, honest = _Batch((0,), (1,), n, "ideal"), (SenderProgram, ReceiverProgram)
     completed = correct = 0
     for start, blocks in lane_blocks(seed, runs, batch.words(honest), _RUNS_PER_BLOCK):
-        choice = (np.arange(start, start + len(blocks[0])) % 2).astype(np.uint8)
+        choice = np.arange(start, start + len(blocks[0])) % 2
         code, out = batch.play(blocks, *honest, choice)[2:4]
         completed += int((code == 0).sum())
         correct += int(((code == 0) & (out[:, 0] == choice)).sum())
@@ -651,8 +652,6 @@ def run_simulator_demo(corruption: str, *, script: str = "honest", runs: int = 1
     agreement of the environment-visible outputs at three sigma. Receiver
     demos run the protocol commitment.
     """
-    if runs < 1:
-        raise InputError("a demo needs at least one run")
     if corruption == "sender":
         program = sender_script(script)
         batch = _Batch(s0, s1, n, "ideal", c)

@@ -204,6 +204,9 @@ def test_ot_input_validation():
         run_ot_protocol((0,), (1,), 2, 8)
     with pytest.raises(InputError):
         run_ot_protocol((0,), (1,), 0, 1)
+    for bits in ((0.7,), "1", (1, "0")):  # once truncated or parsed to bits
+        with pytest.raises(InputError):
+            run_ot_protocol(bits, (1,) * len(bits), 0, 8)
 
 
 def test_corrupted_sender_simulator_extracts_honest_strings():
@@ -460,6 +463,16 @@ def test_pinned_run_with_a_multi_word_seed_entry():
         for c in (0, 1)
     ]
     assert _digest(records) == BIG_SEED_RUNS_SHA256
+
+
+# The benchmark's own single-run shape: honest runs at n = 8, one-bit strings,
+# ideal commitments, choice k % 2 on seed (0, 11, k).
+SINGLE_RUNS_SHA256 = "861be0428a2b62a01518c9bd6058db3d14da73cecd3bedc1d70b44def802dc56"
+
+
+def test_pinned_single_runs_of_the_benchmark_shape():
+    records = [_view(run_ot_protocol((0,), (1,), k % 2, 8, seed=(0, 11, k))) for k in range(200)]
+    assert _digest(records) == SINGLE_RUNS_SHA256
 
 
 @pytest.mark.parametrize("length", range(1, 6))
@@ -724,6 +737,32 @@ def test_seed_words_reject_negative_entries():
         seed_words((3, -1))
     with pytest.raises(InputError):
         run_ot_protocol((0,), (1,), 0, 4, seed=-5)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None, float("nan"), np.array([1, 2]), (0, 2.0), [1, "2"]])
+def test_seeds_take_only_integer_entries(seed):
+    # a float or string once replayed the seed it rounded to, and None, NaN
+    # or an array crashed with TypeError or ValueError
+    with pytest.raises(InputError):
+        run_ot_protocol((0,), (1,), 0, 8, seed=seed)
+    with pytest.raises(InputError):
+        stream(seed, 0)
+    with pytest.raises(InputError):
+        ucsim.honest_ot_completeness(4, 8, seed)
+
+
+def test_numpy_integer_seed_entries_replay_their_python_ints():
+    for given, plain in (((np.int64(0), np.uint32(11), np.int8(5)), (0, 11, 5)),
+                         (np.uint64(2**40), 2**40), ([np.int16(7), 3], (7, 3))):
+        t = run_ot_protocol((0,), (1,), 1, 8, seed=given)
+        assert _view(t) == _view(run_ot_protocol((0,), (1,), 1, 8, seed=plain))
+        assert all(type(v) is int for v in t.seed)
+
+
+@pytest.mark.parametrize("runs", [0, -5])
+def test_completeness_rejects_non_positive_runs(runs):
+    with pytest.raises(InputError):
+        ucsim.honest_ot_completeness(runs, 8, 0)
 
 
 def _p0(psi, basis) -> float:
